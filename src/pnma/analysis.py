@@ -19,7 +19,7 @@ from .dataio import Instance, Vocabulary, bio_decode_spans
 from .encoder import EncoderParams, encode_corpus
 from .errors import CoverageError, DimensionError
 from .inference import predict_base_corpus
-from .memory import ActivationMemory, knn_entry_ids, knn_query
+from .memory import ActivationMemory, corpus_neighbor_cache, knn_query
 
 
 @dataclass
@@ -176,14 +176,12 @@ def rank_distribution(
     hist = RankHistogram(k=k)
     preds = predict_base_corpus(instances, encoder, crf, vocab, external=external)
     encoded = encode_corpus(instances, encoder, vocab, external=external, threads=threads)
+    nbr_ids, _ = corpus_neighbor_cache(
+        instances, encoded, memory, k, exclude_self=exclude_self, threads=threads
+    )
     for inst, pred in zip(instances, preds):
         gold_ids = vocab.tag_ids(inst.gold_labels)
-        h = encoded[inst.sentence_id].astype(np.float32, copy=False)
-        exclude = None
-        if exclude_self:
-            exclude = [[(inst.sentence_id, t)] for t in range(len(inst))]
-        ids, _ = knn_entry_ids(h, memory, k, exclude=exclude, threads=threads)
-        labels = memory.labels[ids]  # (n, k)
+        labels = memory.labels[nbr_ids[inst.sentence_id]]  # (n, k)
         for t in range(len(inst)):
             hits = np.nonzero(labels[t] == gold_ids[t])[0]
             key = int(hits[0]) + 1 if hits.size else ABSENT
@@ -333,12 +331,11 @@ def neighborhood_label_counts(
 ) -> list[np.ndarray]:
     """Per token: how many of its K neighbors carry the token's gold label."""
     encoded = encode_corpus(instances, encoder, vocab, external=external, threads=threads)
+    nbr_ids, _ = corpus_neighbor_cache(instances, encoded, memory, k, threads=threads)
     out = []
     for inst in instances:
         gold_ids = vocab.tag_ids(inst.gold_labels)
-        h = encoded[inst.sentence_id].astype(np.float32, copy=False)
-        ids, _ = knn_entry_ids(h, memory, k, threads=threads)
-        labels = memory.labels[ids]
+        labels = memory.labels[nbr_ids[inst.sentence_id]]
         out.append((labels == gold_ids[:, None]).sum(axis=1))
     return out
 

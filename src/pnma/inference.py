@@ -93,7 +93,7 @@ def predict_pnma_corpus(
         else:
             ids = np.stack([neighbor_ids[instances[i].sentence_id] for i in job])
             dists = np.stack([neighbor_dists[instances[i].sentence_id] for i in job])
-        m = memory.vectors[ids].astype(h.dtype)
+        m = memory.vectors[ids].astype(h.dtype, copy=False)
         _, repr_ = neighborhood_forward(h, m, nbr, distances=dists.astype(h.dtype))
         em = emission_scores(repr_, crf)
         paths = viterbi_decode_batch(em, crf)

@@ -1,10 +1,19 @@
 """Activation memory: build, exact batched Euclidean K-NN, binary persistence.
 
 The memory holds final-layer activations of a sampled subset of training
-tokens together with their gold labels and provenance.  Retrieval is exact
-brute force over blocked distance computations; ties are broken toward the
-lower entry id, and batched queries return exactly what a naive one-at-a-time
-scan would.
+tokens together with their gold labels and provenance.
+
+Retrieval is exact brute force in two stages per block of queries.  A BLAS
+prefilter computes every squared distance in double precision by the flat-L2
+expansion ||q||^2 + ||m||^2 - 2 q.m (Johnson, Douze & Jegou 2017,
+arXiv:1702.08734), less the row constant ||q||^2.  A certified re-rank keeps
+each entry within 2 delta of the row's k-th smallest prefilter value, where
+delta bounds the rounding gap between the expansion and the explicit
+difference sum((q - m)^2) (``_rounding_bound``), recomputes the kept
+entries' distances as explicit differences, and orders them by (distance,
+entry id).  Every entry of the true top-k survives the prefilter, so batched
+queries return bit for bit what a naive one-at-a-time explicit-difference
+scan would, ties broken toward the lower entry id.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from .dataio import Instance, Vocabulary
 from .encoder import EncoderParams, encode_corpus
-from .errors import CapacityError, DimensionError, DomainError, FormatError
+from .errors import CapacityError, DimensionError, DomainError, FormatError, NumericError
 from .numeric import make_rng
 
 MEMORY_MAGIC = b"PNMAMEM1"
@@ -26,9 +35,10 @@ MEMORY_MAGIC = b"PNMAMEM1"
 # rng stream ids (keep distinct from the training streams)
 _STREAM_SAMPLE = 101
 
-# block sizes keep the (Q, N, d) difference tensor inside the cache hierarchy
+# queries per K-NN block; fewer against a large memory, so that a block's
+# float64 prefilter distances stay within _BLOCK_DISTANCES (8 MiB)
 _QUERY_BLOCK = 128
-_ENTRY_BLOCK = 512
+_BLOCK_DISTANCES = 1 << 20
 
 
 @dataclass
@@ -55,6 +65,9 @@ class ActivationMemory:
     fraction: float = 1.0
     source_digest: str = ""
     _prov_to_id: dict[tuple[str, int], int] = field(init=False, repr=False)
+    # float64 vectors and squared norms for the K-NN prefilter
+    _vectors64: np.ndarray = field(init=False, repr=False)
+    _sq_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
@@ -67,9 +80,16 @@ class ActivationMemory:
             raise DimensionError(
                 f"memory provenance length {len(self.provenance)} vs {self.vectors.shape[0]} entries"
             )
+        finite = np.isfinite(self.vectors).all(axis=1)
+        if not finite.all():
+            raise NumericError(
+                f"memory entry {int(np.argmin(finite))} has a non-finite vector"
+            )
         self.vectors.setflags(write=False)
         self.labels.setflags(write=False)
         self._prov_to_id = {p: i for i, p in enumerate(self.provenance)}
+        self._vectors64 = self.vectors.astype(np.float64)
+        self._sq_norms = np.einsum("ij,ij->i", self._vectors64, self._vectors64)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -149,35 +169,140 @@ def build_memory(
 
 
 def _squared_distances(queries: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distances (Q, N) in double precision.
+    """Exact squared Euclidean distances (B, C) of queries (B, d) to entries (B, C, d).
 
-    Computed as an explicit difference (never the dot-product expansion) so
-    batched results are bit-identical to a naive per-pair scan.
+    Computed as an explicit difference, the arithmetic of a naive per-pair
+    scan, so re-ranked distances equal that scan's bit for bit (m - q is
+    exactly -(q - m)).  The dot-product expansion only prefilters.
     """
-    q = queries.astype(np.float64, copy=False)
-    m = entries.astype(np.float64, copy=False)
-    diff = q[:, None, :] - m[None, :, :]
+    diff = entries - queries[:, None, :]
     np.square(diff, out=diff)
     return diff.sum(axis=2)
 
 
-def _resolve_exclusions(exclude, memory: ActivationMemory, n_q: int) -> list[list[int]]:
-    """Normalize the ``exclude`` argument to one entry-id list per query."""
-    if exclude is None:
-        return [[] for _ in range(n_q)]
-    items = list(exclude)
+def _rounding_bound(q_sq: np.ndarray, m_sq_max: float, d: int) -> np.ndarray:
+    """Per query, a bound delta on |(a + ||q||^2) - r| for every memory entry.
+
+    a = ||m||^2 - 2 q.m is the BLAS prefilter distance less the row constant
+    ||q||^2, and r the explicit-difference distance.  With u = 2^-53,
+    Q = ||q||^2, M = ||m||^2 and gamma_n = n u / (1 - n u): a length-d dot
+    product summed in any order (BLAS blocking, FMA) is off by at most
+    gamma_d times the sum of its |products|, and |q.m| <= (Q + M) / 2, so
+    M and 2 q.m carry at most 2 gamma_d (Q + M) and the addition 2u (Q + M).
+    r rounds each term d + 2 times and is at most 2 (Q + M), so it is off by
+    at most 2 gamma_{d+2} (Q + M).  Hence the gap is at most
+    (4d + 6) u (Q + M) to first order; 8 (d + 2) covers the second-order
+    terms and the rounding of the threshold a_(k) + 2 delta itself.
+    """
+    return 8.0 * (d + 2) * 2.0**-53 * (q_sq + m_sq_max)
+
+
+def _resolve_exclusions(
+    exclude, memory: ActivationMemory, n_q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize ``exclude`` to the excluded (query row, entry id) pairs, rows ascending."""
+    items = [] if exclude is None else list(exclude)
     if not items:
-        return [[] for _ in range(n_q)]
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     first = items[0]
     is_provenance = (
         isinstance(first, tuple) and len(first) == 2 and isinstance(first[0], str)
     )
     if is_provenance:
-        shared = memory.entry_ids_for(items)
-        return [shared for _ in range(n_q)]
+        shared = np.array(memory.entry_ids_for(items), dtype=np.int64)
+        return np.repeat(np.arange(n_q, dtype=np.int64), len(shared)), np.tile(shared, n_q)
     if len(items) != n_q:
         raise DimensionError(f"per-query exclusions: {len(items)} lists for {n_q} queries")
-    return [memory.entry_ids_for(list(e)) for e in items]
+    per_query = [memory.entry_ids_for(list(e)) for e in items]
+    rows = np.repeat(np.arange(n_q, dtype=np.int64), [len(ids) for ids in per_query])
+    cols = np.array([i for ids in per_query for i in ids], dtype=np.int64)
+    return rows, cols
+
+
+def _block_top_k(q, slack, memory: ActivationMemory, k: int, ex_rows, ex_cols):
+    """Exact top-k of one query block: BLAS prefilter, then certified re-rank."""
+    m = memory._vectors64
+    approx = (-2.0 * q) @ m.T
+    approx += memory._sq_norms
+    approx[ex_rows, ex_cols] = np.inf  # every threshold below is finite
+    cand = np.argpartition(approx, k - 1, axis=1)
+    kth = np.take_along_axis(approx, cand[:, k - 1 : k], axis=1)
+    # every entry of the true top-k has a <= a_(k) + 2 delta
+    limit = kth + slack[:, None]
+    width = int(np.count_nonzero(approx <= limit, axis=1).max())
+    if width > k:  # near-ties at the k-th distance: widen to all survivors
+        cand = np.argpartition(approx, width - 1, axis=1)
+    cand = np.sort(cand[:, :width], axis=1)
+    exact = _squared_distances(q, m[cand])
+    exact[~(np.take_along_axis(approx, cand, axis=1) <= limit)] = np.inf
+    order = np.argsort(exact, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(exact, order, axis=1)
+
+
+def knn_entry_ids(
+    queries: np.ndarray,
+    memory: ActivationMemory,
+    k: int,
+    exclude: Sequence[tuple[str, int]] | Sequence[Sequence[tuple[str, int]]] | None = None,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k by Euclidean distance: (entry ids (Q, k) int64, distances (Q, k) float64).
+
+    ``queries`` is one vector (d,) or a batch (Q, d).  Rows are ascending by
+    distance, ties broken by lower entry id.  ``exclude`` is either one
+    provenance collection applied to every query or a per-query sequence of
+    collections; excluded entries are never returned.  A non-finite query
+    raises ``NumericError``.
+    """
+    queries = np.asarray(queries)
+    if queries.ndim == 1:
+        queries = queries[None, :]
+    if queries.ndim != 2 or queries.shape[1] != memory.d:
+        raise DimensionError(f"queries {queries.shape} vs memory width {memory.d}")
+    n_q, n_m = queries.shape[0], len(memory)
+    q64 = queries.astype(np.float64)
+    q_sq = np.einsum("ij,ij->i", q64, q64)
+    m_sq_max = float(memory._sq_norms.max(initial=0.0))
+    # squared distances are at most 2 (||q||^2 + ||m||^2); keep them finite
+    bad = np.nonzero(~np.isfinite(4.0 * (q_sq + m_sq_max)))[0]
+    if bad.size:
+        raise NumericError(
+            f"knn: query {int(bad[0])} is not finite or too large for float64 distances"
+        )
+
+    ex_rows, ex_cols = _resolve_exclusions(exclude, memory, n_q)
+    usable = n_m - np.bincount(ex_rows, minlength=n_q)
+    over = np.nonzero(k > usable)[0]
+    if over.size:
+        qi = int(over[0])
+        raise CapacityError(
+            f"knn_query: K={k} exceeds usable memory size {usable[qi]} "
+            f"(|M|={n_m}, excluded={n_m - usable[qi]}) for query {qi}"
+        )
+    if k < 1:
+        raise DomainError(f"knn_query: K must be >= 1, got {k}")
+    if n_q == 0:
+        return np.zeros((0, k), dtype=np.int64), np.zeros((0, k))
+
+    slack = 2.0 * _rounding_bound(q_sq, m_sq_max, memory.d)
+    rows_per_block = max(1, min(_QUERY_BLOCK, _BLOCK_DISTANCES // n_m))
+
+    def run_block(start: int, stop: int):
+        lo, hi = np.searchsorted(ex_rows, (start, stop))
+        return _block_top_k(q64[start:stop], slack[start:stop], memory, k,
+                            ex_rows[lo:hi] - start, ex_cols[lo:hi])
+
+    blocks = [(s, min(s + rows_per_block, n_q)) for s in range(0, n_q, rows_per_block)]
+    if threads > 1 and len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda b: run_block(*b), blocks))
+    else:
+        parts = [run_block(*b) for b in blocks]
+    ids = np.concatenate([p[0] for p in parts])
+    d2 = np.concatenate([p[1] for p in parts])
+    return ids, np.sqrt(d2)
 
 
 def knn_query(
@@ -187,95 +312,40 @@ def knn_query(
     exclude: Sequence[tuple[str, int]] | Sequence[Sequence[tuple[str, int]]] | None = None,
     threads: int = 1,
 ) -> NeighborSet | list[NeighborSet]:
-    """Exact top-k by Euclidean distance; ties broken by lower entry id.
-
-    ``queries`` is one vector (d,) or a batch (Q, d).  ``exclude`` is either
-    one provenance collection applied to every query or a per-query sequence
-    of collections; excluded entries are never returned.
-    """
-    queries = np.asarray(queries)
-    single = queries.ndim == 1
-    if single:
-        queries = queries[None, :]
-    if queries.ndim != 2 or queries.shape[1] != memory.d:
-        raise DimensionError(f"queries {queries.shape} vs memory width {memory.d}")
-    n_q = queries.shape[0]
-    n_m = len(memory)
-
-    excluded_ids = _resolve_exclusions(exclude, memory, n_q)
-
-    for qi, ids in enumerate(excluded_ids):
-        usable = n_m - len(ids)
-        if k > usable:
-            raise CapacityError(
-                f"knn_query: K={k} exceeds usable memory size {usable} "
-                f"(|M|={n_m}, excluded={len(ids)}) for query {qi}"
-            )
-    if k < 1:
-        raise DomainError(f"knn_query: K must be >= 1, got {k}")
-
-    def run_chunk(q_start: int, q_stop: int):
-        qs = queries[q_start:q_stop]
-        nq = q_stop - q_start
-        best_d = np.full((nq, 0), np.inf)
-        best_i = np.full((nq, 0), -1, dtype=np.int64)
-        for m_start in range(0, n_m, _ENTRY_BLOCK):
-            m_stop = min(m_start + _ENTRY_BLOCK, n_m)
-            d2 = _squared_distances(qs, memory.vectors[m_start:m_stop])
-            for row in range(nq):
-                for eid in excluded_ids[q_start + row]:
-                    if m_start <= eid < m_stop:
-                        d2[row, eid - m_start] = np.inf
-            ids = np.broadcast_to(np.arange(m_start, m_stop, dtype=np.int64), d2.shape)
-            take = min(k, m_stop - m_start)
-            order = np.lexsort((ids, d2), axis=1)[:, :take]
-            cand_d = np.concatenate([best_d, np.take_along_axis(d2, order, axis=1)], axis=1)
-            cand_i = np.concatenate([best_i, np.take_along_axis(ids, order, axis=1)], axis=1)
-            merge = np.lexsort((cand_i, cand_d), axis=1)[:, : min(k, cand_d.shape[1])]
-            best_d = np.take_along_axis(cand_d, merge, axis=1)
-            best_i = np.take_along_axis(cand_i, merge, axis=1)
-        return best_d, best_i
-
-    chunks = [(s, min(s + _QUERY_BLOCK, n_q)) for s in range(0, n_q, _QUERY_BLOCK)]
-    if threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: run_chunk(*c), chunks))
-    else:
-        parts = [run_chunk(*c) for c in chunks]
-
-    out: list[NeighborSet] = []
-    for (d2s, ids) in parts:
-        for row in range(d2s.shape[0]):
-            sel = ids[row]
-            out.append(
-                NeighborSet(
-                    entry_ids=sel.copy(),
-                    distances=np.sqrt(d2s[row]),
-                    vectors=memory.vectors[sel].copy(),
-                    labels=memory.labels[sel].copy(),
-                )
-            )
-    if single:
-        return out[0]
-    return out
+    """``knn_entry_ids`` as neighbor sets: one for a query (d,), a list for a batch (Q, d)."""
+    ids, dists = knn_entry_ids(queries, memory, k, exclude=exclude, threads=threads)
+    sets = [
+        NeighborSet(entry_ids=i, distances=dd, vectors=memory.vectors[i], labels=memory.labels[i])
+        for i, dd in zip(ids, dists)
+    ]
+    return sets[0] if np.ndim(queries) == 1 else sets
 
 
-def knn_entry_ids(
-    queries: np.ndarray,
+def corpus_neighbor_cache(
+    instances: Sequence[Instance],
+    encoded: dict[str, np.ndarray],
     memory: ActivationMemory,
     k: int,
-    exclude=None,
+    exclude_self: bool = False,
     threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compact batch variant: returns (ids (Q, k) int64, distances (Q, k) float64)."""
-    sets = knn_query(queries, memory, k, exclude=exclude, threads=threads)
-    if isinstance(sets, NeighborSet):
-        sets = [sets]
-    ids = np.stack([s.entry_ids for s in sets])
-    dists = np.stack([s.distances for s in sets])
-    return ids, dists
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """One flat retrieval over every token; results split back per sentence."""
+    queries = []
+    exclude = [] if exclude_self else None
+    spans: list[tuple[str, int, int]] = []
+    offset = 0
+    for inst in instances:
+        h = encoded[inst.sentence_id].astype(np.float32, copy=False)
+        queries.append(h)
+        if exclude_self:
+            exclude.extend([[(inst.sentence_id, t)] for t in range(len(inst))])
+        spans.append((inst.sentence_id, offset, offset + len(inst)))
+        offset += len(inst)
+    flat = np.concatenate(queries, axis=0) if queries else np.zeros((0, memory.d), np.float32)
+    ids, dists = knn_entry_ids(flat, memory, k, exclude=exclude, threads=threads)
+    by_ids = {sid: ids[lo:hi] for sid, lo, hi in spans}
+    by_dists = {sid: dists[lo:hi] for sid, lo, hi in spans}
+    return by_ids, by_dists
 
 
 def _metadata_blob(memory: ActivationMemory) -> bytes:
@@ -344,6 +414,8 @@ def deserialize_memory(path: str) -> ActivationMemory:
         sid = take(sid_len).decode("utf-8")
         tix = struct.unpack("<I", take(4))[0]
         provenance.append((sid, tix))
+    if not np.isfinite(vectors).all():
+        raise FormatError(f"{path}: non-finite vector in memory file")
     meta_len = struct.unpack("<I", take(4))[0]
     meta = take(meta_len).decode("utf-8")
     if off != len(body):

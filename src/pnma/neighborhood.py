@@ -24,7 +24,7 @@ from .crf import CrfParams, emission_scores, viterbi_decode
 from .dataio import Instance, Vocabulary
 from .encoder import EncoderParams, encode_sequence
 from .errors import DimensionError, DomainError
-from .memory import ActivationMemory, NeighborSet, knn_query
+from .memory import ActivationMemory, NeighborSet, knn_entry_ids
 from .numeric import softmax
 
 MODES = ("distinct", "shared", "distance")
@@ -66,7 +66,6 @@ class NeighborhoodCache:
     h: np.ndarray
     m: np.ndarray
     sep: np.ndarray  # |m - h|
-    sign: np.ndarray  # sign(m - h)
     eta: np.ndarray
 
 
@@ -110,7 +109,8 @@ def neighborhood_forward(
         raise DimensionError(f"neighbor vectors {m.shape} vs query {h.shape}")
     k = m.shape[-2]
     single = h.ndim == 1
-    sep = np.abs(m - h[..., None, :])
+    sep = m - h[..., None, :]
+    np.abs(sep, out=sep)
     if params.mode == "distance":
         if distances is None:
             raise DomainError("distance mode requires the neighbor distances")
@@ -128,8 +128,37 @@ def neighborhood_forward(
         repr_ = np.einsum("...k,...kd->...d", eta, m)
     if not want_cache:
         return eta, repr_
-    cache = NeighborhoodCache(h=h, m=m, sep=sep, sign=np.sign(m - h[..., None, :]), eta=eta)
+    cache = NeighborhoodCache(h=h, m=m, sep=sep, eta=eta)
     return eta, repr_, cache
+
+
+def _score_backward(
+    d_repr: np.ndarray, cache: NeighborhoodCache, params: NeighborhoodParams
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(d_n, d_logits) given d_loss/d_repr; d_logits is None in distance mode."""
+    if params.mode == "distance":
+        return np.zeros_like(params.n), None
+    eta, sep = cache.eta, cache.sep
+    k = sep.shape[-2]
+    d_eta = np.einsum("...d,...kd->...k", d_repr, cache.m)
+    inner = np.sum(eta * d_eta, axis=-1, keepdims=True)
+    d_logits = eta * (d_eta - inner)
+    d_rank = np.einsum(
+        "bk,bkd->kd", d_logits.reshape(-1, k), sep.reshape(-1, k, sep.shape[-1])
+    )
+    d_n = d_rank.sum(axis=0, keepdims=True) if params.mode == "shared" else d_rank
+    return d_n.astype(params.n.dtype, copy=False), d_logits
+
+
+def neighborhood_param_grad(
+    d_repr: np.ndarray, cache: NeighborhoodCache, params: NeighborhoodParams
+) -> np.ndarray:
+    """Gradient d_n of a scalar loss given d_loss/d_repr.
+
+    The parameters-only part of ``neighborhood_backward``: all that phase 2
+    trains, the encoder and the memory being frozen.  Zero in distance mode.
+    """
+    return _score_backward(d_repr, cache, params)[0]
 
 
 def neighborhood_backward(
@@ -137,31 +166,19 @@ def neighborhood_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_n, d_h, d_m) of a scalar loss given d_loss/d_repr.
 
-    The memory is frozen during training, so callers typically discard d_m;
-    at |m - h| = 0 the absolute value's subgradient 0 is used.
+    d_n is ``neighborhood_param_grad``'s; at |m - h| = 0 the absolute value's
+    subgradient 0 is used.
     """
-    eta, m, sep, sign = cache.eta, cache.m, cache.sep, cache.sign
-    k = m.shape[-2]
-    d_eta = np.einsum("...d,...kd->...k", d_repr, m)
-    d_m = eta[..., None] * d_repr[..., None, :]
-    if params.mode == "distance":
-        d_n = np.zeros_like(params.n)
-        d_h = np.zeros_like(cache.h)
-        return d_n, d_h, d_m
-    inner = np.sum(eta * d_eta, axis=-1, keepdims=True)
-    d_logits = eta * (d_eta - inner)
-    rank_vecs = _rank_vectors(params, k)
-    d_rank = np.einsum(
-        "bk,bkd->kd", d_logits.reshape(-1, k), sep.reshape(-1, k, sep.shape[-1])
-    )
-    if params.mode == "shared":
-        d_n = d_rank.sum(axis=0, keepdims=True)
-    else:
-        d_n = d_rank
-    d_sep = d_logits[..., None] * rank_vecs
-    d_h = -np.sum(d_sep * sign, axis=-2)
-    d_m = d_m + d_sep * sign
-    return d_n.astype(params.n.dtype, copy=False), d_h, d_m
+    d_n, d_logits = _score_backward(d_repr, cache, params)
+    m, h = cache.m, cache.h
+    d_m = cache.eta[..., None] * d_repr[..., None, :]
+    if d_logits is None:
+        return d_n, np.zeros_like(h), d_m
+    sign = np.sign(m - h[..., None, :])
+    d_sep = d_logits[..., None] * _rank_vectors(params, m.shape[-2])
+    d_sep *= sign  # through |m - h|: d_loss/d_m, and -d_loss/d_h per neighbor
+    d_m += d_sep
+    return d_n, -np.sum(d_sep, axis=-2), d_m
 
 
 def neighborhood_weights(
@@ -215,9 +232,8 @@ def pnma_predict(
     exclude = None
     if exclude_self:
         exclude = [[(instance.sentence_id, t)] for t in range(len(instance))]
-    sets = knn_query(h.astype(np.float32, copy=False), memory, k, exclude=exclude)
-    m = np.stack([s.vectors for s in sets]).astype(h.dtype)
-    dists = np.stack([s.distances for s in sets])
+    ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, exclude=exclude)
+    m = memory.vectors[ids].astype(h.dtype, copy=False)
     _, repr_ = neighborhood_forward(h, m, nbr, distances=dists)
     em = emission_scores(repr_, crf)
     return viterbi_decode(em, crf)

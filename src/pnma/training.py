@@ -40,12 +40,12 @@ from .encoder import (
 )
 from .errors import CompatibilityError, DimensionError, DomainError, NumericError
 from .inference import predict_base_corpus, predict_pnma_corpus
-from .memory import ActivationMemory, knn_entry_ids
+from .memory import ActivationMemory, corpus_neighbor_cache
 from .neighborhood import (
     NeighborhoodParams,
     init_neighborhood_params,
-    neighborhood_backward,
     neighborhood_forward,
+    neighborhood_param_grad,
 )
 from .numeric import make_rng
 
@@ -289,33 +289,6 @@ def train_base(
     )
 
 
-def corpus_neighbor_cache(
-    instances: Sequence[Instance],
-    encoded: dict[str, np.ndarray],
-    memory: ActivationMemory,
-    k: int,
-    exclude_self: bool = False,
-    threads: int = 1,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """One flat retrieval over every token; results split back per sentence."""
-    queries = []
-    exclude = [] if exclude_self else None
-    spans: list[tuple[str, int, int]] = []
-    offset = 0
-    for inst in instances:
-        h = encoded[inst.sentence_id].astype(np.float32, copy=False)
-        queries.append(h)
-        if exclude_self:
-            exclude.extend([[(inst.sentence_id, t)] for t in range(len(inst))])
-        spans.append((inst.sentence_id, offset, offset + len(inst)))
-        offset += len(inst)
-    flat = np.concatenate(queries, axis=0)
-    ids, dists = knn_entry_ids(flat, memory, k, exclude=exclude, threads=threads)
-    by_ids = {sid: ids[lo:hi] for sid, lo, hi in spans}
-    by_dists = {sid: dists[lo:hi] for sid, lo, hi in spans}
-    return by_ids, by_dists
-
-
 def predicate_frequency_table(instances: Sequence[Instance]) -> Counter:
     """Training-corpus frequency of each predicate word."""
     freq: Counter[str] = Counter()
@@ -409,7 +382,7 @@ def train_pnma(
             ids = np.stack([nbr_ids[i.sentence_id] for i in insts])
             dists = np.stack([nbr_dists[i.sentence_id] for i in insts]).astype(dtype)
             gold = np.stack([gold_ids[i] for i in batch])
-            m = memory.vectors[ids].astype(dtype)
+            m = memory.vectors[ids].astype(dtype, copy=False)
             eta, repr_, ncache = neighborhood_forward(
                 h, m, nbr, distances=dists, want_cache=True
             )
@@ -423,7 +396,6 @@ def train_pnma(
             total_nll += -float(ll.sum())
             d_em = (-cg.emissions / bsz).astype(repr_.dtype)
             d_repr, d_ew, d_eb = emission_backward(d_em, repr_, crf)
-            d_n, _, _ = neighborhood_backward(d_repr, ncache, nbr)
             grads = {
                 "emit.w": d_ew,
                 "emit.b": d_eb,
@@ -432,7 +404,7 @@ def train_pnma(
                 "crf.stop": -cg.stop / bsz,
             }
             if nbr.mode != "distance":
-                grads["nbr.n"] = d_n
+                grads["nbr.n"] = neighborhood_param_grad(d_repr, ncache, nbr)
             if config.clip_enabled:
                 clip_gradients(grads, config.clip_norm)
             adam_step(trainables, grads, state, config.phase2_lr, config.weight_decay)

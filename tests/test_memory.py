@@ -3,7 +3,7 @@ import pytest
 
 from pnma.dataio import Instance, build_vocab
 from pnma.encoder import init_encoder_params
-from pnma.errors import CapacityError, DimensionError, DomainError, FormatError
+from pnma.errors import CapacityError, DimensionError, DomainError, FormatError, NumericError
 from pnma.memory import (
     ActivationMemory,
     build_memory,
@@ -120,6 +120,56 @@ class TestKnnQuery:
         b, db = knn_entry_ids(queries, mem, 5, threads=4)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(da, db)
+        # per-query exclusions: each query drops its own unexcluded top-2
+        exclude = [[mem.provenance[i] for i in row[:2]] for row in a]
+        c, dc = knn_entry_ids(queries, mem, 5, exclude=exclude, threads=1)
+        e, de = knn_entry_ids(queries, mem, 5, exclude=exclude, threads=4)
+        np.testing.assert_array_equal(c, e)
+        np.testing.assert_array_equal(dc, de)
+        np.testing.assert_array_equal(c[:, :3], a[:, 2:])
+
+    def test_rerank_makes_expansion_exact(self):
+        # a large common offset: ||q||^2 + ||m||^2 - 2 q.m cancels to a few
+        # bits, so the expansion alone misorders near neighbors
+        rng = make_rng(21)
+        n, d, k, n_q = 400, 16, 8, 40
+        offset = rng.normal(size=d) * 1e4
+        vectors = (offset + rng.normal(scale=2e-3, size=(n, d))).astype(np.float32)
+        for i in range(20):
+            vectors[n - 1 - i] = vectors[i]  # plant exact ties
+        mem = ActivationMemory(
+            vectors=vectors, labels=np.zeros(n, dtype=np.int64),
+            provenance=[(f"s{i}", 0) for i in range(n)],
+        )
+        queries = (offset + rng.normal(scale=2e-3, size=(n_q, d))).astype(np.float32)
+        queries[:10] = vectors[:10]
+        excluded = [{i, i + n // 2} for i in range(n_q)]  # a hit's twin stays in
+        exclude = [[mem.provenance[i] for i in sorted(e)] for e in excluded]
+        ids, dists = knn_entry_ids(queries, mem, k, exclude=exclude)
+        m = vectors.astype(np.float64)
+        expansion_misorders = 0
+        for qi in range(n_q):
+            ref_ids, ref_dists = naive_knn(queries[qi], mem, k, excluded_ids=excluded[qi])
+            np.testing.assert_array_equal(ids[qi], ref_ids)
+            np.testing.assert_array_equal(dists[qi], ref_dists)
+            q = queries[qi].astype(np.float64)
+            approx = q @ q + np.einsum("ij,ij->i", m, m) - 2.0 * (m @ q)
+            keep = np.array([i for i in range(n) if i not in excluded[qi]])
+            by_approx = keep[np.lexsort((keep, approx[keep]))[:k]]
+            expansion_misorders += not np.array_equal(by_approx, ref_ids)
+        assert ids[0, 0] == n - 1 and dists[0, 0] == 0.0
+        assert expansion_misorders > 0
+
+    def test_non_finite_query_raises(self):
+        rng = make_rng(22)
+        mem = random_memory(rng, n=20)
+        for bad in (np.nan, np.inf, -np.inf):
+            queries = rng.normal(size=(3, 8)).astype(np.float32)
+            queries[1, 2] = bad
+            with pytest.raises(NumericError, match="query 1"):
+                knn_entry_ids(queries, mem, 4)
+            with pytest.raises(NumericError, match="query 0"):
+                knn_query(queries[1], mem, 4)
 
     def test_distances_nondecreasing(self):
         rng = make_rng(9)
@@ -195,6 +245,16 @@ class TestBuildMemory:
     def test_bad_fraction(self):
         with pytest.raises(DomainError):
             build_memory(self.encoder, self.vocab, self.instances, fraction=0.0)
+
+    def test_non_finite_vectors_rejected(self):
+        vectors = np.zeros((3, 2), dtype=np.float32)
+        vectors[2, 1] = np.nan
+        with pytest.raises(NumericError, match="entry 2"):
+            ActivationMemory(vectors=vectors, labels=np.zeros(3, dtype=np.int64),
+                             provenance=[("s", i) for i in range(3)])
+        self.encoder.to_dict()["embed.word"][...] = np.nan
+        with pytest.raises(NumericError):
+            build_memory(self.encoder, self.vocab, self.instances, fraction=1.0)
 
     def test_memory_is_immutable(self):
         mem = build_memory(self.encoder, self.vocab, self.instances, fraction=1.0)
@@ -273,4 +333,18 @@ class TestSerialization:
         path2 = tmp_path / "corrupt.mem"
         path2.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="digest"):
+            deserialize_memory(str(path2))
+
+    def test_non_finite_vector_is_format_error(self, tmp_path):
+        import hashlib
+
+        mem = self._mem(n=10)
+        path = str(tmp_path / "n.mem")
+        serialize_memory(mem, path)
+        blob = bytearray(open(path, "rb").read()[:-32])
+        blob[20:24] = np.array([np.nan], dtype="<f4").tobytes()  # entry 0, component 0
+        blob += hashlib.sha256(bytes(blob)).digest()  # a valid digest over the crafted body
+        path2 = tmp_path / "nan.mem"
+        path2.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite"):
             deserialize_memory(str(path2))

@@ -12,6 +12,7 @@ from pnma.neighborhood import (
     init_neighborhood_params,
     neighborhood_backward,
     neighborhood_forward,
+    neighborhood_param_grad,
     neighborhood_repr,
     neighborhood_weights,
     pnma_predict,
@@ -254,6 +255,21 @@ class TestGradients:
 
         assert finite_difference_check(loss_n, params.n, d_nn) < 1e-4
         assert finite_difference_check(loss_h, h, d_h) < 1e-4
+
+    def test_param_grad_equals_full_backward(self):
+        rng = make_rng(15)
+        b, n, k, d = 3, 4, 6, 5
+        h = rng.normal(size=(b, n, d))
+        m = rng.normal(size=(b, n, k, d))
+        dists = rng.uniform(size=(b, n, k))
+        d_rep = rng.normal(size=(b, n, d))
+        for mode, rows in (("distinct", k), ("shared", 1), ("distance", k)):
+            params = NeighborhoodParams(n=rng.normal(size=(rows, d)), mode=mode)
+            _, _, cache = neighborhood_forward(h, m, params, distances=dists, want_cache=True)
+            d_n = neighborhood_param_grad(d_rep, cache, params)
+            assert np.array_equal(d_n, neighborhood_backward(d_rep, cache, params)[0]), mode
+            assert d_n.shape == params.n.shape
+            assert np.any(d_n) == (mode != "distance")
 
 
 class TestPredict:
