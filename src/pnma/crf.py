@@ -115,19 +115,17 @@ def crf_log_likelihood(
         raise DimensionError(f"gold {gold.shape} vs emissions {emissions.shape}")
     if gold.min() < 0 or gold.max() >= y:
         raise DomainError(f"gold tag id out of range [0, {y})")
-    ll, grads = _crf_batch([emissions], [gold], params, want_grads)
+    ll, grads = _crf_batch(emissions[None], gold[None], params, want_grads)
     return ll[0], (None if grads is None else CrfGrads(
-        emissions=grads[0].emissions[0],
-        trans=grads[0].trans,
-        start=grads[0].start,
-        stop=grads[0].stop,
+        emissions=grads.emissions[0],
+        trans=grads.trans,
+        start=grads.start,
+        stop=grads.stop,
     ))
 
 
-def _crf_batch(emissions_list, gold_list, params: CrfParams, want_grads: bool):
-    """Shared implementation over a list treated as a same-length batch."""
-    em = np.stack(emissions_list)  # (B, n, Y)
-    gold = np.stack(gold_list)  # (B, n)
+def _crf_batch(em: np.ndarray, gold: np.ndarray, params: CrfParams, want_grads: bool):
+    """Shared implementation over a same-length batch: em (B, n, Y), gold (B, n)."""
     b, n, y = em.shape
     work = em.astype(np.float64, copy=False)
     trans = params.trans.astype(np.float64, copy=False)
@@ -165,14 +163,16 @@ def _crf_batch(emissions_list, gold_list, params: CrfParams, want_grads: bool):
 
     d_trans = np.zeros((y, y))
     if n > 1:
+        # pair marginals of every transition in one exp, (B, n-1, Y, Y); each
+        # step's batch sum reduces a (B, Y, Y) view as the per-step arrays did
+        pairs = np.exp(
+            log_alpha[:, :-1, :, None]
+            + trans[None, None, :, :]
+            + (work[:, 1:] + log_beta[:, 1:])[:, :, None, :]
+            - log_z[:, None, None, None]
+        )
         for t in range(n - 1):
-            pair = np.exp(
-                log_alpha[:, t][:, :, None]
-                + trans[None, :, :]
-                + (work[:, t + 1] + log_beta[:, t + 1])[:, None, :]
-                - log_z[:, None, None]
-            )
-            d_trans -= pair.sum(axis=0)
+            d_trans -= pairs[:, t].sum(axis=0)
         np.add.at(d_trans, (gold[:, :-1].ravel(), gold[:, 1:].ravel()), 1.0)
 
     d_start = -unary[:, 0].sum(axis=0)
@@ -186,7 +186,7 @@ def _crf_batch(emissions_list, gold_list, params: CrfParams, want_grads: bool):
         start=d_start,
         stop=d_stop,
     )
-    return ll, [grads]
+    return ll, grads
 
 
 def crf_log_likelihood_batch(
@@ -197,8 +197,7 @@ def crf_log_likelihood_batch(
         raise DimensionError(
             f"emissions {emissions.shape} vs transition matrix {params.trans.shape}"
         )
-    ll, grads = _crf_batch(list(emissions), list(gold), params, want_grads)
-    return ll, (None if grads is None else grads[0])
+    return _crf_batch(emissions, np.asarray(gold), params, want_grads)
 
 
 def viterbi_decode(emissions: np.ndarray, params: CrfParams) -> np.ndarray:
@@ -225,8 +224,3 @@ def viterbi_decode_batch(emissions: np.ndarray, params: CrfParams) -> np.ndarray
     for t in range(n - 1, 0, -1):
         path[:, t - 1] = back[np.arange(b), t, path[:, t]]
     return path
-
-
-def path_score(emissions: np.ndarray, path: np.ndarray, params: CrfParams) -> float:
-    """Total chain score of one path (start + emissions + transitions + stop)."""
-    return gold_path_score(emissions, np.asarray(path), params)

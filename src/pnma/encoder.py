@@ -8,6 +8,12 @@ and stored in the activation memory.  Directions alternate starting forward.
 All kernels operate on same-length batches (B, n, ...); a single sequence is
 the batch-of-one case.  Each forward has an explicit backward that is
 verified by finite differences in the test suite.
+
+Products with a weight matrix that do not depend on the previous timestep
+(the LSTM input projection and its input gradient, both connection products)
+are one 2-D GEMM over all B * n rows of a batch (``_matmul_rows``), so BLAS
+packs each weight once per batch rather than once per sentence.  Only the
+recurrence products ``h @ wh.T`` and ``dpre @ wh`` run per timestep.
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ D_PRED_DEFAULT = 50
 D_WORD_DEFAULT = 64
 D_HIDDEN_DEFAULT = 300
 N_LAYERS_DEFAULT = 4
+
+
+def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (..., d_in) @ w (d_in, d_out) as one GEMM over all leading rows."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -214,7 +225,7 @@ def lstm_layer_forward(
         x = x[:, ::-1]
     bsz, n, _ = x.shape
     d = weights.d_hidden
-    pre_x = x @ weights.wx.T + weights.b
+    pre_x = _matmul_rows(x, weights.wx.T) + weights.b
     h = np.zeros((bsz, d), dtype=pre_x.dtype)
     c = np.zeros((bsz, d), dtype=pre_x.dtype)
     hs = np.empty((bsz, n, d), dtype=pre_x.dtype)
@@ -264,7 +275,8 @@ def lstm_layer_backward(
     d_wx = np.zeros_like(weights.wx, dtype=np.float64)
     d_wh = np.zeros_like(weights.wh, dtype=np.float64)
     d_b = np.zeros_like(weights.b, dtype=np.float64)
-    d_x = np.empty_like(cache.x)
+    # every timestep's gate gradient, for one input-gradient GEMM after the loop
+    dpres = np.empty((bsz, n, 4 * d), dtype=np.result_type(d_out, cache.i, weights.wh))
     dh_next = np.zeros((bsz, d), dtype=d_out.dtype)
     dc_next = np.zeros((bsz, d), dtype=d_out.dtype)
     for t in range(n - 1, -1, -1):
@@ -289,8 +301,9 @@ def lstm_layer_backward(
         d_wx += dpre.T @ cache.x[:, t]
         d_wh += dpre.T @ cache.h_prev[:, t]
         d_b += dpre.sum(axis=0)
-        d_x[:, t] = dpre @ weights.wx
+        dpres[:, t] = dpre
         dh_next = dpre @ weights.wh
+    d_x = _matmul_rows(dpres, weights.wx).astype(cache.x.dtype, copy=False)
     if cache.direction == "b":
         d_x = d_x[:, ::-1]
     if squeeze:
@@ -308,7 +321,7 @@ def connection_forward(h: np.ndarray, x: np.ndarray, w: np.ndarray, want_cache: 
     cat = np.concatenate([h, x], axis=-1)
     if cat.shape[-1] != w.shape[1]:
         raise DimensionError(f"connection_forward: concat {cat.shape} vs W {w.shape}")
-    pre = cat @ w.T
+    pre = _matmul_rows(cat, w.T)
     out = np.maximum(pre, 0.0)
     if want_cache:
         return out, (cat, pre)
@@ -324,7 +337,7 @@ def connection_backward(
     flat_p = dpre.reshape(-1, dpre.shape[-1])
     flat_c = cat.reshape(-1, cat.shape[-1])
     d_w = (flat_p.T @ flat_c).astype(w.dtype)
-    d_cat = dpre @ w
+    d_cat = _matmul_rows(dpre, w)
     return d_cat[..., :d_hidden], d_cat[..., d_hidden:], d_w
 
 

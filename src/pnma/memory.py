@@ -402,8 +402,18 @@ def deserialize_memory(path: str) -> ActivationMemory:
         off += n
         return out
 
+    def text(raw: bytes, what: str) -> str:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: {what} is not UTF-8") from None
+
     d = struct.unpack("<I", take(4))[0]
     count = struct.unpack("<Q", take(8))[0]
+    # each entry takes at least its vector, label, id length and token index
+    if count * (4 * d + 12) > len(body) - off:
+        raise FormatError(f"{path}: header declares {count} entries of width {d}, "
+                          f"more than the file holds")
     vectors = np.empty((count, d), dtype=np.float32)
     labels = np.empty(count, dtype=np.int64)
     provenance: list[tuple[str, int]] = []
@@ -411,21 +421,26 @@ def deserialize_memory(path: str) -> ActivationMemory:
         vectors[i] = np.frombuffer(take(4 * d), dtype="<f4")
         labels[i] = struct.unpack("<I", take(4))[0]
         sid_len = struct.unpack("<I", take(4))[0]
-        sid = take(sid_len).decode("utf-8")
+        sid = text(take(sid_len), f"sentence id of entry {i}")
         tix = struct.unpack("<I", take(4))[0]
         provenance.append((sid, tix))
     if not np.isfinite(vectors).all():
         raise FormatError(f"{path}: non-finite vector in memory file")
     meta_len = struct.unpack("<I", take(4))[0]
-    meta = take(meta_len).decode("utf-8")
+    meta = text(take(meta_len), "metadata")
     if off != len(body):
         raise FormatError(f"{path}: trailing bytes in memory file")
-    fields = dict(line.split("=", 1) for line in meta.splitlines() if line)
+    try:
+        fields = dict(line.split("=", 1) for line in meta.splitlines() if line)
+        seed = int(fields.get("seed", "0"))
+        fraction = float(fields.get("fraction", "1.0"))
+    except ValueError:
+        raise FormatError(f"{path}: malformed memory metadata") from None
     return ActivationMemory(
         vectors=vectors,
         labels=labels,
         provenance=provenance,
-        seed=int(fields.get("seed", "0")),
-        fraction=float(fields.get("fraction", "1.0")),
+        seed=seed,
+        fraction=fraction,
         source_digest=fields.get("source_digest", ""),
     )

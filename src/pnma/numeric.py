@@ -28,29 +28,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def linear_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y = W x + b for a single vector x."""
-    x, w, b = np.asarray(x), np.asarray(w), np.asarray(b)
-    if w.ndim != 2 or x.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise DimensionError(f"linear_affine: W {w.shape} does not conform with x {x.shape}")
-    if b.shape != (w.shape[0],):
-        raise DimensionError(f"linear_affine: b {b.shape} does not conform with W {w.shape}")
-    return w @ x + b
-
-
-def linear_affine_backward(
-    d_y: np.ndarray, x: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_x, d_w, d_b) of a scalar loss given d_loss/d_y."""
-    d_y, x, w = np.asarray(d_y), np.asarray(x), np.asarray(w)
-    if d_y.shape != (w.shape[0],):
-        raise DimensionError(f"linear_affine_backward: d_y {d_y.shape} vs W {w.shape}")
-    d_x = w.T @ d_y
-    d_w = np.outer(d_y, x)
-    d_b = d_y.copy()
-    return d_x, d_w, d_b
-
-
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax via max subtraction."""
     z = np.asarray(z)
@@ -116,8 +93,3 @@ def finite_difference_check(
         err = abs(fd - g) / max(abs(fd), abs(g), REL_ERR_FLOOR)
         worst = max(worst, err)
     return worst
-
-
-def require_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"{what}: non-finite values")

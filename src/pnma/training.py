@@ -58,6 +58,8 @@ STREAM_NBR = 4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per Adam chunk: the float64 temporaries of one chunk stay in cache
+_ADAM_CHUNK = 1 << 14
 
 
 @dataclass
@@ -84,7 +86,9 @@ def adam_step(
     """One bias-corrected Adam update, in place.
 
     Weight decay is added to the gradient before the moment updates; moments
-    are kept in double precision regardless of the parameter dtype.
+    are kept in double precision regardless of the parameter dtype.  The
+    elementwise update runs over contiguous chunks of each flattened
+    parameter, which gives the same bits as one whole-array pass.
     """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
@@ -97,16 +101,24 @@ def adam_step(
             raise DimensionError(
                 f"adam_step: gradient {g.shape} vs parameter {theta.shape} for {name!r}"
             )
-        g64 = g.astype(np.float64)
-        if weight_decay:
-            g64 = g64 + weight_decay * theta.astype(np.float64)
-        m, v = state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g64
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g64 * g64
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        theta -= update.astype(theta.dtype)
+        if not theta.flags.c_contiguous:
+            raise DomainError(f"adam_step: parameter {name!r} is not C-contiguous")
+        flat_theta = theta.reshape(-1)
+        flat_g = g.reshape(-1)
+        flat_m, flat_v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        for s in range(0, flat_theta.size, _ADAM_CHUNK):
+            chunk = slice(s, s + _ADAM_CHUNK)
+            th = flat_theta[chunk]
+            g64 = flat_g[chunk].astype(np.float64)
+            if weight_decay:
+                g64 = g64 + weight_decay * th.astype(np.float64)
+            m, v = flat_m[chunk], flat_v[chunk]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g64
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g64 * g64
+            update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            th -= update.astype(theta.dtype)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:

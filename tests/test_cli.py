@@ -170,6 +170,46 @@ class TestSmokeChain:
         assert lines[0] == "rank\tnormalized_frequency"
         assert len(lines) == 10  # 8 ranks + absent + header
 
+    @pytest.mark.parametrize("model, memory", [("base", None), ("pnma", "memory")])
+    def test_predict_threads_equal_one_thread(self, smoke_chain, tmp_path, model, memory):
+        from collections import Counter
+
+        from pnma.dataio import parse_conll_file
+        from pnma.memory import _QUERY_BLOCK
+
+        corpus = f"{smoke_chain['data']}/train.conll"
+        # some length group spans several K-NN query blocks, so threads get work
+        lengths = Counter(len(inst) for inst in parse_conll_file(corpus))
+        assert max(n * c for n, c in lengths.items()) > _QUERY_BLOCK
+        extra = ("--memory", smoke_chain[memory]) if memory else ()
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.conll"
+            code = run(
+                "predict", "--checkpoint", smoke_chain[model], "--input", corpus,
+                "--vocab", smoke_chain["vocab"], "--out", str(out),
+                "--threads", threads, *extra,
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_analyze_rank_dist_threads_equal_one_thread(self, smoke_chain, tmp_path):
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            code = run(
+                "analyze", "rank-dist", "--checkpoint", smoke_chain["base"],
+                "--memory", smoke_chain["memory"],
+                "--input", f"{smoke_chain['data']}/valid.conll",
+                "--vocab", smoke_chain["vocab"], "--out", str(out / "rank"), "--k", "8",
+                "--exclude-self", "--threads", threads,
+            )
+            assert code == 0
+            outputs[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert outputs["1"] and outputs["1"] == outputs["2"]
+
     def test_analyze_confusion_diff(self, smoke_chain, tmp_path):
         out = str(tmp_path / "conf.tsv")
         code = run(

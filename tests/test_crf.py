@@ -15,7 +15,7 @@ from pnma.crf import (
     viterbi_decode_batch,
 )
 from pnma.errors import DimensionError, DomainError
-from pnma.numeric import finite_difference_check, make_rng
+from pnma.numeric import finite_difference_check, logsumexp, make_rng
 
 
 def random_params(rng, n_tags, d=4, scale=1.0):
@@ -189,6 +189,69 @@ class TestGradients:
             ll_s, g_s = crf_log_likelihood(em[i], gold[i], params)
             assert ll_b[i] == pytest.approx(ll_s, abs=1e-12)
             np.testing.assert_allclose(g_b.emissions[i], g_s.emissions, atol=1e-12)
+
+
+def per_t_crf_oracle(em, gold, params):
+    """Reference batch CRF: one pair-marginal exp and batch sum per timestep."""
+    b, n, y = em.shape
+    work = em.astype(np.float64)
+    trans = params.trans.astype(np.float64)
+    start = params.start.astype(np.float64)
+    stop = params.stop.astype(np.float64)
+    log_alpha = np.empty((b, n, y))
+    log_alpha[:, 0] = start + work[:, 0]
+    for t in range(1, n):
+        inner = log_alpha[:, t - 1][:, :, None] + trans[None, :, :]
+        log_alpha[:, t] = logsumexp(inner, axis=1) + work[:, t]
+    log_z = logsumexp(log_alpha[:, n - 1] + stop[None, :], axis=1)
+    rows = np.arange(b)[:, None], np.arange(n)[None, :]
+    score = start[gold[:, 0]] + stop[gold[:, n - 1]]
+    score = score + work[rows[0], rows[1], gold].sum(axis=1)
+    if n > 1:
+        score = score + trans[gold[:, :-1], gold[:, 1:]].sum(axis=1)
+    log_beta = np.empty((b, n, y))
+    log_beta[:, n - 1] = stop
+    for t in range(n - 2, -1, -1):
+        inner = trans[None, :, :] + (work[:, t + 1] + log_beta[:, t + 1])[:, None, :]
+        log_beta[:, t] = logsumexp(inner, axis=2)
+    unary = np.exp(log_alpha + log_beta - log_z[:, None, None])
+    d_em = -unary
+    d_em[rows[0], rows[1], gold] += 1.0
+    d_trans = np.zeros((y, y))
+    if n > 1:
+        for t in range(n - 1):
+            pair = np.exp(
+                log_alpha[:, t][:, :, None]
+                + trans[None, :, :]
+                + (work[:, t + 1] + log_beta[:, t + 1])[:, None, :]
+                - log_z[:, None, None]
+            )
+            d_trans -= pair.sum(axis=0)
+        np.add.at(d_trans, (gold[:, :-1].ravel(), gold[:, 1:].ravel()), 1.0)
+    d_start = -unary[:, 0].sum(axis=0)
+    np.add.at(d_start, gold[:, 0], 1.0)
+    d_stop = -unary[:, n - 1].sum(axis=0)
+    np.add.at(d_stop, gold[:, n - 1], 1.0)
+    return score - log_z, d_em.astype(em.dtype), d_trans, d_start, d_stop
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_bit_identical_to_per_t_oracle(dtype):
+    rng = make_rng(31)
+    for _ in range(60):
+        b, n, y = (int(v) for v in rng.integers(1, [33, 12, 9]))
+        params = random_params(rng, y, scale=2.0)
+        em = (3.0 * rng.normal(size=(b, n, y))).astype(dtype)
+        gold = rng.integers(0, y, size=(b, n))
+        ll, g = crf_log_likelihood_batch(em, gold, params)
+        ll_o, d_em, d_trans, d_start, d_stop = per_t_crf_oracle(em, gold, params)
+        assert np.array_equal(ll, ll_o)
+        assert g.emissions.dtype == dtype and np.array_equal(g.emissions, d_em)
+        assert np.array_equal(g.trans, d_trans)
+        assert np.array_equal(g.start, d_start)
+        assert np.array_equal(g.stop, d_stop)
+        ll_only, none = crf_log_likelihood_batch(em, gold, params, want_grads=False)
+        assert none is None and np.array_equal(ll_only, ll_o)
 
 
 class TestViterbi:

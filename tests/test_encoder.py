@@ -3,6 +3,7 @@ import pytest
 
 from pnma.dataio import Instance, build_vocab
 from pnma.encoder import (
+    _matmul_rows,
     EncoderParams,
     LstmWeights,
     connection_backward,
@@ -182,6 +183,26 @@ class TestConnection:
         assert finite_difference_check(loss_w, w, d_w) < 1e-4
         assert finite_difference_check(loss_h, h, d_h) < 1e-4
         assert finite_difference_check(loss_x, x, d_x) < 1e-4
+
+
+@pytest.mark.parametrize("shape, d_out", [((32, 7, 64), 192), ((8, 5, 300), 1200),
+                                          ((4, 30, 300), 1200)])
+def test_batch_wide_product_within_float32_round_off(shape, d_out):
+    # Each float32 dot product of length d lies within gamma_d = d u / (1 - d u)
+    # (u = 2^-24) of the exact value, relative to sum |x_k w_k|; so one batch-wide
+    # GEMM and per-sentence GEMMs differ by at most twice that.
+    rng = make_rng(13)
+    x = rng.normal(size=shape).astype(np.float32)
+    w = rng.uniform(-0.1, 0.1, size=(d_out, shape[-1])).astype(np.float32)
+    got = _matmul_rows(x, w.T)
+    per_sentence = np.stack([x[b] @ w.T for b in range(shape[0])])
+    assert got.shape == per_sentence.shape and got.dtype == np.float32
+    d, u = shape[-1], 2.0 ** -24
+    gamma = d * u / (1 - d * u)
+    magnitude = np.abs(x.astype(np.float64)) @ np.abs(w.astype(np.float64)).T
+    exact = x.astype(np.float64) @ w.astype(np.float64).T
+    assert np.all(np.abs(got - exact) <= gamma * magnitude)
+    assert np.all(np.abs(got.astype(np.float64) - per_sentence) <= 2 * gamma * magnitude)
 
 
 class TestEncodeSequence:

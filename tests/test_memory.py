@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -348,3 +350,49 @@ class TestSerialization:
         path2.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite"):
             deserialize_memory(str(path2))
+
+    def _crafted(self, tmp_path, edit):
+        """A serialized memory whose body ``edit`` rewrites, under a valid digest."""
+        import hashlib
+
+        path = str(tmp_path / "src.mem")
+        serialize_memory(self._mem(n=10), path)
+        body = edit(bytearray(open(path, "rb").read()[:-32]))
+        crafted = tmp_path / "crafted.mem"
+        crafted.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
+        return str(crafted)
+
+    @pytest.mark.parametrize("d, count", [(7, 1 << 40), (0xFFFFFFFF, 1)])
+    def test_oversized_header_is_format_error(self, tmp_path, d, count):
+        def edit(body):
+            body[8:20] = struct.pack("<IQ", d, count)
+            return body
+
+        with pytest.raises(FormatError, match="more than the file holds"):
+            deserialize_memory(self._crafted(tmp_path, edit))
+
+    def test_non_utf8_sentence_id_is_format_error(self, tmp_path):
+        def edit(body):
+            at = body.index(b"sent-003")
+            body[at : at + 2] = b"\xff\xfe"
+            return body
+
+        with pytest.raises(FormatError, match="sentence id of entry 3"):
+            deserialize_memory(self._crafted(tmp_path, edit))
+
+    def test_non_utf8_metadata_is_format_error(self, tmp_path):
+        def edit(body):
+            at = body.index(b"seed=42")
+            body[at : at + 1] = b"\xff"
+            return body
+
+        with pytest.raises(FormatError, match="metadata is not UTF-8"):
+            deserialize_memory(self._crafted(tmp_path, edit))
+
+    @pytest.mark.parametrize("old, new", [(b"seed=42", b"seed 42"), (b"seed=42", b"seed=4x")])
+    def test_malformed_metadata_is_format_error(self, tmp_path, old, new):
+        def edit(body):
+            return body.replace(old, new)
+
+        with pytest.raises(FormatError, match="malformed memory metadata"):
+            deserialize_memory(self._crafted(tmp_path, edit))

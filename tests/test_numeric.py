@@ -7,56 +7,11 @@ from hypothesis import strategies as st
 from pnma.errors import DimensionError, DomainError, NumericError
 from pnma.numeric import (
     finite_difference_check,
-    linear_affine,
-    linear_affine_backward,
     logsumexp,
     make_rng,
     relative_error,
     softmax,
 )
-
-
-class TestLinearAffine:
-    def test_identity(self):
-        y = linear_affine(np.array([1.0, 2.0, 3.0]), np.eye(3), np.zeros(3))
-        np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
-
-    def test_zero_weights(self):
-        y = linear_affine(np.array([7.0, -1.0, 2.0]), np.zeros((2, 3)), np.array([4.0, 5.0]))
-        np.testing.assert_array_equal(y, [4.0, 5.0])
-
-    def test_random_case_vs_scalar_loop(self):
-        rng = make_rng(7)
-        w = rng.normal(size=(3, 2))
-        b = rng.normal(size=3)
-        x = rng.normal(size=2)
-        # independent elementwise reference; BLAS FMA contraction may shift
-        # the last ulp, so "exact in double precision" means <= 1 ulp here
-        expected = np.array([sum(w[i, j] * x[j] for j in range(2)) + b[i] for i in range(3)])
-        np.testing.assert_allclose(linear_affine(x, w, b), expected, rtol=1e-15, atol=0)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(3, 2\).*\(3,\)"):
-            linear_affine(np.zeros(3), np.zeros((3, 2)), np.zeros(3))
-
-    def test_backward_matches_finite_differences(self):
-        rng = make_rng(11)
-        w = rng.normal(size=(4, 3))
-        b = rng.normal(size=4)
-        x = rng.normal(size=3)
-        d_y = rng.normal(size=4)
-
-        d_x, d_w, d_b = linear_affine_backward(d_y, x, w)
-        err_x = finite_difference_check(
-            lambda t: float(d_y @ linear_affine(t, w, b)), x, d_x
-        )
-        err_w = finite_difference_check(
-            lambda t: float(d_y @ linear_affine(x, t, b)), w, d_w
-        )
-        err_b = finite_difference_check(
-            lambda t: float(d_y @ linear_affine(x, w, t)), b, d_b
-        )
-        assert max(err_x, err_w, err_b) < 1e-9
 
 
 class TestSoftmax:

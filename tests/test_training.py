@@ -9,6 +9,9 @@ from pnma.memory import build_memory
 from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
 from pnma.training import (
+    _ADAM_CHUNK,
+    ADAM_BETA1,
+    ADAM_BETA2,
     AdamState,
     adam_step,
     clip_gradients,
@@ -73,6 +76,43 @@ class TestAdam:
         state = init_adam_state(params)
         adam_step(params, {"w": np.ones(2)}, state, lr=0.1)
         assert params["w"].dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_chunked_equals_whole_array_reference(self, dtype, wd):
+        rng = make_rng(5)
+        shapes = {"big": (3, _ADAM_CHUNK + 77), "small": (5,), "scalar": ()}
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        ref_m = {k: np.zeros(v.shape) for k, v in params.items()}
+        ref_v = {k: np.zeros(v.shape) for k, v in params.items()}
+        state = init_adam_state(params)
+        lr = 0.01
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+            adam_step(params, grads, state, lr=lr, weight_decay=wd)
+            bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+            for k, theta in ref.items():  # one pass over each whole array
+                g64 = grads[k].astype(np.float64)
+                if wd:
+                    g64 = g64 + wd * theta.astype(np.float64)
+                m, v = ref_m[k], ref_v[k]
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g64
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g64 * g64
+                theta -= (lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)).astype(dtype)
+        for k in shapes:
+            assert params[k].dtype == dtype
+            assert np.array_equal(params[k], ref[k]), k
+            assert np.array_equal(state.m[k], ref_m[k]), k
+            assert np.array_equal(state.v[k], ref_v[k]), k
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = {"w": np.zeros((4, 6))[:, ::2]}
+        state = init_adam_state(params)
+        with pytest.raises(DomainError, match="C-contiguous"):
+            adam_step(params, {"w": np.ones((4, 3))}, state, lr=0.1)
 
 
 def test_clip_gradients():
