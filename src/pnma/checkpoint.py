@@ -10,6 +10,7 @@ reference.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -82,18 +83,28 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], str, str]:
         off += n
         return out
 
+    def text(raw: bytes, what: str) -> str:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: {what} is not UTF-8") from None
+
     echo_len = struct.unpack("<I", take(4))[0]
-    echo = take(echo_len).decode("utf-8")
+    echo = text(take(echo_len), "config echo")
     n_sections = struct.unpack("<I", take(4))[0]
     params: dict[str, np.ndarray] = {}
-    for _ in range(n_sections):
+    for s in range(n_sections):
         name_len = struct.unpack("<I", take(4))[0]
-        name = take(name_len).decode("utf-8")
+        name = text(take(name_len), f"name of section {s}")
         rank = struct.unpack("<I", take(4))[0]
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        n_items = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(4 * n_items), dtype="<f4").reshape(shape).copy()
-        params[name] = arr
+        raw = take(4 * math.prod(shape))  # Python ints: no int64 wrap
+        try:
+            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        except ValueError:  # an empty section whose other extents overflow
+            raise FormatError(f"{path}: section {name!r} has unrepresentable shape "
+                              f"{shape}") from None
+        params[name] = arr.copy()
     if off != len(body):
         raise FormatError(f"{path}: trailing bytes in checkpoint")
     return params, echo, digest.hex()

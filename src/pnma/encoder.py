@@ -12,7 +12,11 @@ verified by finite differences in the test suite.
 Products with a weight matrix that do not depend on the previous timestep
 (the LSTM input projection and its input gradient, both connection products)
 are one 2-D GEMM over all B * n rows of a batch (``_matmul_rows``), so BLAS
-packs each weight once per batch rather than once per sentence.  Only the
+packs each weight once per batch rather than once per sentence.  The LSTM
+backward pass stashes every timestep's gate gradient and, after the
+recurrence, forms the weight gradients as one GEMM each over all B * n rows in
+the parameter dtype, and the bias gradient as one float64 row sum (grouped
+weight-gradient GEMMs, Appleyard, Kočiský & Blunsom 2016).  Only the
 recurrence products ``h @ wh.T`` and ``dpre @ wh`` run per timestep.
 """
 
@@ -272,10 +276,7 @@ def lstm_layer_backward(
     if cache.direction == "b":
         d_out = d_out[:, ::-1]
     bsz, n, d = d_out.shape
-    d_wx = np.zeros_like(weights.wx, dtype=np.float64)
-    d_wh = np.zeros_like(weights.wh, dtype=np.float64)
-    d_b = np.zeros_like(weights.b, dtype=np.float64)
-    # every timestep's gate gradient, for one input-gradient GEMM after the loop
+    # every timestep's gate gradient, for the batch-wide GEMMs after the loop
     dpres = np.empty((bsz, n, 4 * d), dtype=np.result_type(d_out, cache.i, weights.wh))
     dh_next = np.zeros((bsz, d), dtype=d_out.dtype)
     dc_next = np.zeros((bsz, d), dtype=d_out.dtype)
@@ -289,19 +290,11 @@ def lstm_layer_backward(
         df = dct * cache.c_prev[:, t]
         dg = dct * i
         dc_next = dct * f
-        dpre = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        d_wx += dpre.T @ cache.x[:, t]
-        d_wh += dpre.T @ cache.h_prev[:, t]
-        d_b += dpre.sum(axis=0)
-        dpres[:, t] = dpre
+        dpre = dpres[:, t]
+        dpre[:, :d] = di * i * (1.0 - i)
+        dpre[:, d : 2 * d] = df * f * (1.0 - f)
+        dpre[:, 2 * d : 3 * d] = dg * (1.0 - g * g)
+        dpre[:, 3 * d :] = do * o * (1.0 - o)
         dh_next = dpre @ weights.wh
     d_x = _matmul_rows(dpres, weights.wx).astype(cache.x.dtype, copy=False)
     if cache.direction == "b":
@@ -309,7 +302,11 @@ def lstm_layer_backward(
     if squeeze:
         d_x = d_x[0]
     dt = weights.wx.dtype
-    grads = LstmWeights(d_wx.astype(dt), d_wh.astype(dt), d_b.astype(dt))
+    flat = dpres.reshape(bsz * n, 4 * d).astype(dt, copy=False)
+    d_wx = flat.T @ cache.x.reshape(bsz * n, -1).astype(dt, copy=False)
+    d_wh = flat.T @ cache.h_prev.reshape(bsz * n, d).astype(dt, copy=False)
+    d_b = flat.sum(axis=0, dtype=np.float64).astype(dt)
+    grads = LstmWeights(d_wx, d_wh, d_b)
     return d_x, grads
 
 
@@ -461,6 +458,36 @@ def encode_backward(
     return grads
 
 
+def length_grouped_jobs(
+    instances: Sequence[Instance], batch_size: int
+) -> list[list[int]]:
+    """Deterministic same-length batches over instance indices."""
+    groups: dict[int, list[int]] = {}
+    for i, inst in enumerate(instances):
+        groups.setdefault(len(inst), []).append(i)
+    jobs: list[list[int]] = []
+    for length in sorted(groups):
+        idxs = groups[length]
+        for s in range(0, len(idxs), batch_size):
+            jobs.append(idxs[s : s + batch_size])
+    return jobs
+
+
+def stack_inputs(
+    instances: Sequence[Instance],
+    job: Sequence[int],
+    vocab: Vocabulary,
+    external: ExternalEmbeddings | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Word ids (B, n), predicate bits (B, n) and external vectors for one job."""
+    word_ids = np.stack([vocab.word_ids(instances[i].tokens) for i in job])
+    bits = np.stack([np.array(instances[i].predicate_bits, dtype=np.int64) for i in job])
+    ext = None
+    if external is not None:
+        ext = np.stack([external.vectors(instances[i].sentence_id) for i in job])
+    return word_ids, bits, ext
+
+
 def encode_corpus(
     instances: Sequence[Instance],
     params: EncoderParams,
@@ -474,23 +501,11 @@ def encode_corpus(
     Instances are grouped by length and encoded in batches; sentence ids must
     be unique within the corpus.
     """
-    groups: dict[int, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(len(inst), []).append(i)
-    jobs: list[list[int]] = []
-    for length in sorted(groups):
-        idxs = groups[length]
-        for s in range(0, len(idxs), batch_size):
-            jobs.append(idxs[s : s + batch_size])
+    jobs = length_grouped_jobs(instances, batch_size)
 
     def run(job: list[int]):
-        word_ids = np.stack([vocab.word_ids(instances[i].tokens) for i in job])
-        bits = np.stack([np.array(instances[i].predicate_bits, dtype=np.int64) for i in job])
-        ext = None
-        if external is not None:
-            ext = np.stack([external.vectors(instances[i].sentence_id) for i in job])
-        h = encode_batch(word_ids, bits, params, training=False, external_vectors=ext)
-        return job, h
+        word_ids, bits, ext = stack_inputs(instances, job, vocab, external)
+        return job, encode_batch(word_ids, bits, params, training=False, external_vectors=ext)
 
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor

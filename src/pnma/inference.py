@@ -8,33 +8,9 @@ import numpy as np
 
 from .crf import CrfParams, emission_scores, viterbi_decode_batch
 from .dataio import ExternalEmbeddings, Instance, Vocabulary
-from .encoder import EncoderParams, encode_batch
+from .encoder import EncoderParams, encode_batch, length_grouped_jobs, stack_inputs
 from .memory import ActivationMemory, knn_entry_ids
 from .neighborhood import NeighborhoodParams, neighborhood_forward
-
-
-def length_grouped_jobs(
-    instances: Sequence[Instance], batch_size: int
-) -> list[list[int]]:
-    """Deterministic same-length batches over instance indices."""
-    groups: dict[int, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(len(inst), []).append(i)
-    jobs: list[list[int]] = []
-    for length in sorted(groups):
-        idxs = groups[length]
-        for s in range(0, len(idxs), batch_size):
-            jobs.append(idxs[s : s + batch_size])
-    return jobs
-
-
-def _stack_inputs(instances, job, vocab, external):
-    word_ids = np.stack([vocab.word_ids(instances[i].tokens) for i in job])
-    bits = np.stack([np.array(instances[i].predicate_bits, dtype=np.int64) for i in job])
-    ext = None
-    if external is not None:
-        ext = np.stack([external.vectors(instances[i].sentence_id) for i in job])
-    return word_ids, bits, ext
 
 
 def predict_base_corpus(
@@ -48,7 +24,7 @@ def predict_base_corpus(
     """Viterbi tag ids for every instance under the base model."""
     preds: list[np.ndarray | None] = [None] * len(instances)
     for job in length_grouped_jobs(instances, batch_size):
-        word_ids, bits, ext = _stack_inputs(instances, job, vocab, external)
+        word_ids, bits, ext = stack_inputs(instances, job, vocab, external)
         h = encode_batch(word_ids, bits, encoder, training=False, external_vectors=ext)
         em = emission_scores(h, crf)
         paths = viterbi_decode_batch(em, crf)
@@ -80,7 +56,7 @@ def predict_pnma_corpus(
     preds: list[np.ndarray | None] = [None] * len(instances)
     for job in length_grouped_jobs(instances, batch_size):
         if encoded is None:
-            word_ids, bits, ext = _stack_inputs(instances, job, vocab, external)
+            word_ids, bits, ext = stack_inputs(instances, job, vocab, external)
             h = encode_batch(word_ids, bits, encoder, training=False, external_vectors=ext)
         else:
             h = np.stack([encoded[instances[i].sentence_id] for i in job])

@@ -23,7 +23,7 @@ import numpy as np
 from .crf import CrfParams, emission_scores, viterbi_decode
 from .dataio import Instance, Vocabulary
 from .encoder import EncoderParams, encode_sequence
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NumericError
 from .memory import ActivationMemory, NeighborSet, knn_entry_ids
 from .numeric import softmax
 
@@ -79,6 +79,11 @@ def _rank_vectors(params: NeighborhoodParams, k: int) -> np.ndarray:
     return params.n
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise NumericError(f"neighborhood_forward: non-finite {what}")
+
+
 def _exact_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax whose normalizer is exactly rounded (fsum), so the result is
     invariant under any permutation of the inputs, bit for bit."""
@@ -102,11 +107,16 @@ def neighborhood_forward(
     summation, which makes the result bit-identical under a joint
     permutation of the neighbors and their rank vectors; the batched path
     trades that for vectorized reductions (differences stay at round-off).
+
+    A non-finite query, rank vector or (in ``distance`` mode) distance raises
+    ``NumericError``.  The neighbor vectors are not scanned: they come from an
+    ``ActivationMemory``, which holds finite vectors only.
     """
     h = np.asarray(h)
     m = np.asarray(m)
     if m.shape[-1] != h.shape[-1] or m.shape[:-2] != h.shape[:-1]:
         raise DimensionError(f"neighbor vectors {m.shape} vs query {h.shape}")
+    _require_finite(h, "query")
     k = m.shape[-2]
     single = h.ndim == 1
     sep = m - h[..., None, :]
@@ -115,8 +125,10 @@ def neighborhood_forward(
         if distances is None:
             raise DomainError("distance mode requires the neighbor distances")
         neg = -np.asarray(distances, dtype=sep.dtype)
+        _require_finite(neg, "neighbor distance")
         eta = _exact_softmax(neg) if single else softmax(neg, axis=-1)
     else:
+        _require_finite(params.n, "rank vector")
         rank_vecs = _rank_vectors(params, k)
         logits = np.einsum("...kd,kd->...k", sep, rank_vecs)
         eta = _exact_softmax(logits) if single else softmax(logits, axis=-1)

@@ -1,7 +1,13 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pnma.checkpoint import (
+    CHECKPOINT_MAGIC,
     Model,
     checkpoint_bytes,
     crf_from_dict,
@@ -79,6 +85,59 @@ class TestCheckpointFile:
         params = {**enc.to_dict(), **crf_to_dict(crf)}
         assert checkpoint_bytes(params, "a = 1\n") == checkpoint_bytes(params, "a = 1\n")
         assert checkpoint_bytes(params, "a = 1\n") != checkpoint_bytes(params, "a = 2\n")
+
+    @staticmethod
+    def _sealed(tmp_path, body: bytes) -> str:
+        """A checkpoint file holding ``body`` under a valid digest."""
+        path = tmp_path / "crafted.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        return str(path)
+
+    def test_non_utf8_config_echo_is_format_error(self, tmp_path):
+        body = CHECKPOINT_MAGIC + struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<I", 0)
+        with pytest.raises(FormatError, match="config echo is not UTF-8"):
+            load_checkpoint(self._sealed(tmp_path, body))
+
+    def test_non_utf8_section_name_is_format_error(self, tmp_path):
+        enc, _ = make_params()
+        body = bytearray(checkpoint_bytes(enc.to_dict(), "a = 1\n")[:-32])
+        at = body.index(b"lstm1.wh")
+        body[at : at + 2] = b"\xff\xfe"
+        with pytest.raises(FormatError, match="name of section .* is not UTF-8"):
+            load_checkpoint(self._sealed(tmp_path, bytes(body)))
+
+    # 2^64 items wrap an int64 product to 0, (2^32 - 1)^2 to a negative count;
+    # a zero extent leaves the rest too large for numpy to shape
+    @pytest.mark.parametrize("shape, match", [
+        ((1 << 16,) * 4, "truncated checkpoint"),
+        ((0xFFFFFFFF, 0xFFFFFFFF), "truncated checkpoint"),
+        ((1 << 20,), "truncated checkpoint"),
+        ((0, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF), "unrepresentable shape"),
+    ])
+    def test_crafted_section_shape_is_format_error(self, tmp_path, shape, match):
+        body = CHECKPOINT_MAGIC + struct.pack("<I", 0) + struct.pack("<I", 1)
+        body += struct.pack("<I", 1) + b"w" + struct.pack("<I", len(shape))
+        body += struct.pack(f"<{len(shape)}I", *shape) + b"\x00" * 64
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(self._sealed(tmp_path, body))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_crafted_files_load_or_raise_format_error(self, tmp_path, data):
+        # any overwrite or truncation of the body, re-digested so that only the
+        # parser stands between the bytes and the caller
+        enc, _ = make_params()
+        body = bytearray(checkpoint_bytes(enc.to_dict(), "a = 1\n")[:-32])
+        cut = data.draw(st.integers(len(CHECKPOINT_MAGIC), len(body)))
+        body = body[:cut]
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(len(CHECKPOINT_MAGIC), len(body)))
+            body[at : at + 4] = data.draw(st.binary(min_size=1, max_size=4))
+        try:
+            load_checkpoint(self._sealed(tmp_path, bytes(body)))
+        except FormatError:
+            pass
 
 
 class TestModelBundle:

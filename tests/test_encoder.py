@@ -205,6 +205,78 @@ def test_batch_wide_product_within_float32_round_off(shape, d_out):
     assert np.all(np.abs(got.astype(np.float64) - per_sentence) <= 2 * gamma * magnitude)
 
 
+def _per_step_float64_backward(d_out, cache, weights):
+    """The per-timestep weight-gradient accumulation that the batch-wide GEMMs
+    replaced, kept as their oracle: float64 sums of each step's product."""
+    if cache.direction == "b":
+        d_out = d_out[:, ::-1]
+    bsz, n, d = d_out.shape
+    d_wx = np.zeros_like(weights.wx, dtype=np.float64)
+    d_wh = np.zeros_like(weights.wh, dtype=np.float64)
+    d_b = np.zeros_like(weights.b, dtype=np.float64)
+    dpres = np.empty((bsz, n, 4 * d), dtype=np.result_type(d_out, cache.i, weights.wh))
+    dh_next = np.zeros((bsz, d), dtype=d_out.dtype)
+    dc_next = np.zeros((bsz, d), dtype=d_out.dtype)
+    for t in range(n - 1, -1, -1):
+        i, f, g, o = cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t]
+        tanh_c = cache.tanh_c[:, t]
+        dh = d_out[:, t] + dh_next
+        do = dh * tanh_c
+        dct = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+        di = dct * g
+        df = dct * cache.c_prev[:, t]
+        dg = dct * i
+        dc_next = dct * f
+        dpre = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+            axis=1,
+        )
+        d_wx += dpre.T @ cache.x[:, t]
+        d_wh += dpre.T @ cache.h_prev[:, t]
+        d_b += dpre.sum(axis=0)
+        dpres[:, t] = dpre
+        dh_next = dpre @ weights.wh
+    d_x = _matmul_rows(dpres, weights.wx).astype(cache.x.dtype, copy=False)
+    if cache.direction == "b":
+        d_x = d_x[:, ::-1]
+    dt = weights.wx.dtype
+    return d_x, LstmWeights(d_wx.astype(dt), d_wh.astype(dt), d_b.astype(dt)), dpres
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("direction", ["f", "b"])
+@pytest.mark.parametrize("bsz, n, d_in, d", [(32, 9, 300, 48), (8, 1, 64, 16),
+                                             (5, 17, 20, 7), (1, 6, 10, 5)])
+def test_weight_gradients_within_round_off_of_per_step_sums(dtype, direction, bsz, n, d_in, d):
+    # One GEMM over all B*n rows lies within gamma_{Bn} = Bn u / (1 - Bn u) of the
+    # exact sum, relative to |dpre|^T |x|; the per-step float64 oracle lies within
+    # gamma_B + u of it.  Both fit in 2 gamma_{Bn}.  d_x is untouched: same bits.
+    rng = make_rng(17)
+    w = LstmWeights(
+        rng.uniform(-0.3, 0.3, size=(4 * d, d_in)).astype(dtype),
+        rng.uniform(-0.3, 0.3, size=(4 * d, d)).astype(dtype),
+        rng.normal(size=4 * d).astype(dtype),
+    )
+    x = rng.normal(size=(bsz, n, d_in)).astype(dtype)
+    d_out = rng.normal(size=(bsz, n, d)).astype(dtype)
+    _, cache = lstm_layer_forward(x, direction, w, want_cache=True)
+    d_x, grads = lstm_layer_backward(d_out, cache, w)
+    d_x_ref, ref, dpres = _per_step_float64_backward(d_out, cache, w)
+    assert np.array_equal(d_x, d_x_ref) and d_x.dtype == d_x_ref.dtype
+    rows = bsz * n
+    u = np.finfo(dtype).eps / 2
+    gamma = rows * u / (1 - rows * u)
+    abs_dpre = np.abs(dpres.reshape(rows, 4 * d).astype(np.float64))
+    for got, want, operand in [(grads.wx, ref.wx, cache.x), (grads.wh, ref.wh, cache.h_prev)]:
+        assert got.dtype == dtype
+        magnitude = abs_dpre.T @ np.abs(operand.reshape(rows, -1).astype(np.float64))
+        err = np.abs(got.astype(np.float64) - want)
+        assert np.all(err <= 2 * gamma * magnitude)
+    assert grads.b.dtype == dtype
+    err_b = np.abs(grads.b.astype(np.float64) - ref.b)
+    assert np.all(err_b <= 2 * gamma * abs_dpre.sum(axis=0))
+
+
 class TestEncodeSequence:
     def test_output_shape_default_width(self):
         insts, vocab = toy_vocab()

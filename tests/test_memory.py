@@ -2,11 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pnma.dataio import Instance, build_vocab
 from pnma.encoder import init_encoder_params
 from pnma.errors import CapacityError, DimensionError, DomainError, FormatError, NumericError
 from pnma.memory import (
+    MEMORY_MAGIC,
     ActivationMemory,
     build_memory,
     deserialize_memory,
@@ -361,6 +364,22 @@ class TestSerialization:
         crafted = tmp_path / "crafted.mem"
         crafted.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
         return str(crafted)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_crafted_files_load_or_raise_format_error(self, tmp_path, data):
+        def edit(body):
+            body = body[: data.draw(st.integers(len(MEMORY_MAGIC), len(body)))]
+            for _ in range(data.draw(st.integers(0, 4))):
+                at = data.draw(st.integers(len(MEMORY_MAGIC), len(body)))
+                body[at : at + 4] = data.draw(st.binary(min_size=1, max_size=4))
+            return body
+
+        try:
+            deserialize_memory(self._crafted(tmp_path, edit))
+        except FormatError:
+            pass
 
     @pytest.mark.parametrize("d, count", [(7, 1 << 40), (0xFFFFFFFF, 1)])
     def test_oversized_header_is_format_error(self, tmp_path, d, count):

@@ -5,7 +5,7 @@ import pytest
 from pnma.crf import init_crf_params
 from pnma.dataio import Instance, build_vocab
 from pnma.encoder import init_encoder_params
-from pnma.errors import DimensionError, DomainError
+from pnma.errors import DimensionError, DomainError, NumericError
 from pnma.memory import ActivationMemory, NeighborSet, build_memory
 from pnma.neighborhood import (
     NeighborhoodParams,
@@ -181,6 +181,28 @@ class TestModes:
         rng = make_rng(11)
         assert init_neighborhood_params(8, 5, rng).n.shape == (8, 5)
         assert init_neighborhood_params(8, 5, rng, mode="shared").n.shape == (1, 5)
+
+
+class TestNonFinite:
+    # single query (d,) and a batch (B, n, d); each case plants one bad value
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    @pytest.mark.parametrize("mode, where", [
+        ("distinct", "query"), ("shared", "query"), ("distance", "query"),
+        ("distinct", "rank vector"), ("shared", "rank vector"),
+        ("distance", "neighbor distance"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, lead, mode, where, bad):
+        rng = make_rng(12)
+        k, d = 4, 3
+        h = rng.normal(size=(*lead, d))
+        m = rng.normal(size=(*lead, k, d))
+        dists = rng.uniform(size=(*lead, k))
+        params = init_neighborhood_params(k, d, rng, mode=mode, dtype=np.float64)
+        target = {"query": h, "rank vector": params.n, "neighbor distance": dists}[where]
+        target.reshape(-1)[-1] = bad
+        with pytest.raises(NumericError, match=f"non-finite {where}"):
+            neighborhood_forward(h, m, params, distances=dists)
 
 
 class TestGradients:
