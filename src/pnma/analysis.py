@@ -174,8 +174,8 @@ def rank_distribution(
     with no correct-label neighbor within K land in the ``absent`` bucket.
     """
     hist = RankHistogram(k=k)
-    preds = predict_base_corpus(instances, encoder, crf, vocab, external=external)
     encoded = encode_corpus(instances, encoder, vocab, external=external, threads=threads)
+    preds = predict_base_corpus(instances, encoder, crf, vocab, encoded=encoded)
     nbr_ids, _ = corpus_neighbor_cache(
         instances, encoded, memory, k, exclude_self=exclude_self, threads=threads
     )

@@ -3,8 +3,9 @@
 Emission scores project the per-token representation (the encoder output in
 phase 1, the neighborhood representation in phase 2) onto tag scores; explicit
 start/stop score vectors bracket the chain so |Y| stays the data's tag count.
-Batched variants operate on same-length batches and are what training uses;
-the single-sequence functions are the batch-of-one case.
+Batched variants operate on same-length batches and are what training uses
+(Viterbi also takes right-padded rows of mixed lengths); the single-sequence
+functions are the batch-of-one case.
 """
 
 from __future__ import annotations
@@ -206,9 +207,23 @@ def viterbi_decode(emissions: np.ndarray, params: CrfParams) -> np.ndarray:
     return viterbi_decode_batch(emissions[None, :, :], params)[0]
 
 
-def viterbi_decode_batch(emissions: np.ndarray, params: CrfParams) -> np.ndarray:
-    """Batched Viterbi over a same-length batch (B, n, |Y|) -> (B, n) tag ids."""
+def viterbi_decode_batch(
+    emissions: np.ndarray, params: CrfParams, lengths: np.ndarray | None = None
+) -> np.ndarray:
+    """Batched Viterbi over right-padded rows (B, n, |Y|) -> (B, n) tag ids.
+
+    Row b advances only while t < ``lengths[b]`` and backtracks from its last
+    real token, so its first ``lengths[b]`` tags equal
+    ``viterbi_decode(emissions[b, :lengths[b]])`` bit for bit; the tags after
+    them are padding.  ``lengths=None`` is the same-length batch.
+    """
     b, n, y = emissions.shape
+    if lengths is None:
+        lengths = np.full(b, n)
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer)
+            or np.any(lengths < 1) or np.any(lengths > n)):
+        raise DomainError(f"viterbi: lengths must be {b} integers in 1..{n}, got {lengths}")
     work = emissions.astype(np.float64, copy=False)
     trans = params.trans.astype(np.float64, copy=False)
     delta = params.start.astype(np.float64)[None, :] + work[:, 0]
@@ -217,7 +232,13 @@ def viterbi_decode_batch(emissions: np.ndarray, params: CrfParams) -> np.ndarray
         cand = delta[:, :, None] + trans[None, :, :]
         # argmax returns the first (lowest) index on ties
         back[:, t] = np.argmax(cand, axis=1)
-        delta = np.take_along_axis(cand, back[:, t][:, None, :], axis=1)[:, 0, :] + work[:, t]
+        step = np.take_along_axis(cand, back[:, t][:, None, :], axis=1)[:, 0, :] + work[:, t]
+        # a finished row keeps its scores, and identity back pointers carry
+        # the tag chosen at its last real token down to that token
+        done = lengths <= t
+        step[done] = delta[done]
+        back[done, t] = np.arange(y)
+        delta = step
     delta = delta + params.stop.astype(np.float64)[None, :]
     path = np.zeros((b, n), dtype=np.int64)
     path[:, n - 1] = np.argmax(delta, axis=1)

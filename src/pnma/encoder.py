@@ -23,7 +23,7 @@ recurrence products ``h @ wh.T`` and ``dpre @ wh`` run per timestep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Sized
 
 import numpy as np
 
@@ -459,12 +459,16 @@ def encode_backward(
 
 
 def length_grouped_jobs(
-    instances: Sequence[Instance], batch_size: int
+    instances: Sequence[Sized], batch_size: int, order: Sequence[int] | None = None
 ) -> list[list[int]]:
-    """Deterministic same-length batches over instance indices."""
+    """Same-length batches over instance indices, shortest length first.
+
+    Within a length, indices keep the order they are visited in: ``order``
+    (a permutation of the indices) or, by default, ascending.
+    """
     groups: dict[int, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(len(inst), []).append(i)
+    for i in range(len(instances)) if order is None else order:
+        groups.setdefault(len(instances[i]), []).append(int(i))
     jobs: list[list[int]] = []
     for length in sorted(groups):
         idxs = groups[length]

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crf import CrfParams, emission_scores, viterbi_decode
+from .crf import CrfParams
 from .dataio import Instance, Vocabulary
-from .encoder import EncoderParams, encode_sequence
+from .encoder import EncoderParams
 from .errors import DimensionError, DomainError, NumericError
-from .memory import ActivationMemory, NeighborSet, knn_entry_ids
+from .memory import ActivationMemory, NeighborSet
 from .numeric import softmax
 
 MODES = ("distinct", "shared", "distance")
@@ -234,18 +234,13 @@ def pnma_predict(
     external=None,
     exclude_self: bool = False,
 ) -> np.ndarray:
-    """Memory-adapted tag prediction for one instance.
+    """Memory-adapted tag prediction for one instance: the batch-of-one case
+    of ``inference.predict_pnma_corpus``.
 
     encode -> per-token K-NN -> neighborhood representation -> emission
     scores on that representation (not on the encoder output) -> Viterbi.
     """
-    enc = encode_sequence(instance, encoder, vocab, external=external)
-    h = enc.h_final
-    exclude = None
-    if exclude_self:
-        exclude = [[(instance.sentence_id, t)] for t in range(len(instance))]
-    ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, exclude=exclude)
-    m = memory.vectors[ids].astype(h.dtype, copy=False)
-    _, repr_ = neighborhood_forward(h, m, nbr, distances=dists)
-    em = emission_scores(repr_, crf)
-    return viterbi_decode(em, crf)
+    from .inference import predict_pnma_corpus  # inference builds on this module
+
+    return predict_pnma_corpus([instance], encoder, crf, nbr, memory, vocab, k,
+                               external=external, exclude_self=exclude_self)[0]

@@ -37,6 +37,7 @@ from .encoder import (
     encode_batch,
     encode_corpus,
     init_encoder_params,
+    length_grouped_jobs,
 )
 from .errors import CompatibilityError, DimensionError, DomainError, NumericError
 from .inference import predict_base_corpus, predict_pnma_corpus
@@ -135,19 +136,12 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def _training_batches(
-    lengths: Sequence[int], batch_size: int, rng: np.random.Generator
+    instances: Sequence[Instance], batch_size: int, rng: np.random.Generator
 ) -> list[list[int]]:
     """Shuffled same-length batches; composition is a pure function of the rng."""
-    order = rng.permutation(len(lengths))
-    by_len: dict[int, list[int]] = {}
-    for idx in order:
-        by_len.setdefault(lengths[int(idx)], []).append(int(idx))
-    batches: list[list[int]] = []
-    for length in sorted(by_len):
-        group = by_len[length]
-        batches.extend(group[i : i + batch_size] for i in range(0, len(group), batch_size))
-    perm = rng.permutation(len(batches))
-    return [batches[int(i)] for i in perm]
+    order = rng.permutation(len(instances))
+    batches = length_grouped_jobs(instances, batch_size, order=order)
+    return [batches[int(i)] for i in rng.permutation(len(batches))]
 
 
 def log_line(epoch: int, lr: float, loss: float, report: EvalReport | None) -> str:
@@ -233,7 +227,6 @@ def train_base(
     ext_vecs = None
     if external is not None:
         ext_vecs = [external.vectors(inst.sentence_id).astype(dtype) for inst in train_instances]
-    lengths = [len(inst) for inst in train_instances]
     gold_valid = [list(inst.gold_labels) for inst in (valid_instances or [])]
 
     log_lines: list[str] = []
@@ -243,7 +236,8 @@ def train_base(
     for epoch in range(1, config.epochs + 1):
         lr = config.lr_for_epoch(epoch)
         total_nll = 0.0
-        for bi, batch in enumerate(_training_batches(lengths, config.batch_size, shuffle_rng)):
+        batches = _training_batches(train_instances, config.batch_size, shuffle_rng)
+        for bi, batch in enumerate(batches):
             w = np.stack([word_ids[i] for i in batch])
             b = np.stack([pred_bits[i] for i in batch])
             gold = np.stack([gold_ids[i] for i in batch])
@@ -378,7 +372,6 @@ def train_pnma(
     shuffle_rng = make_rng(config.seed, STREAM_SHUFFLE + 100)
 
     gold_ids = [vocab.tag_ids(inst.gold_labels) for inst in train_instances]
-    lengths = [len(inst) for inst in train_instances]
     gold_valid = [list(inst.gold_labels) for inst in (valid_instances or [])]
 
     log_lines: list[str] = []
@@ -387,7 +380,8 @@ def train_pnma(
     best_snap = _snapshot(trainables) | {"nbr.n": nbr.n.copy()}
     for epoch in range(1, config.phase2_epochs + 1):
         total_nll = 0.0
-        for bi, batch in enumerate(_training_batches(lengths, config.batch_size, shuffle_rng)):
+        batches = _training_batches(train_instances, config.batch_size, shuffle_rng)
+        for bi, batch in enumerate(batches):
             insts = [train_instances[i] for i in batch]
             bsz = len(batch)
             h = np.stack([encoded[i.sentence_id] for i in insts]).astype(dtype, copy=False)

@@ -288,6 +288,46 @@ class TestViterbi:
         for i in range(6):
             np.testing.assert_array_equal(batch[i], viterbi_decode(em[i], params))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ragged_rows_match_single(self, dtype):
+        rng = make_rng(14)
+        for trial in range(60):
+            b = int(rng.integers(1, 9))
+            n_max = int(rng.integers(1, 12))
+            y = int(rng.integers(1, 6))
+            params = random_params(rng, y)
+            em = rng.normal(scale=2.0, size=(b, n_max, y))
+            if trial % 2 and y > 1:
+                # planted ties: tags 0 and 1 are interchangeable, and integer
+                # scores make whole paths tie exactly
+                em = np.round(em)
+                em[..., 1] = em[..., 0]
+                for a in (params.start, params.stop):
+                    a[:] = np.round(a)
+                    a[1] = a[0]
+                params.trans[:] = np.round(params.trans)
+                params.trans[1, :] = params.trans[0, :]
+                params.trans[:, 1] = params.trans[:, 0]
+            em = em.astype(dtype)
+            lengths = rng.integers(1, n_max + 1, size=b)
+            lengths[0] = 1
+            paths = viterbi_decode_batch(em, params, lengths)
+            assert paths.shape == (b, n_max)
+            for row, length in enumerate(lengths):
+                assert np.array_equal(
+                    paths[row, :length], viterbi_decode(em[row, :length], params)
+                )
+            full = np.full(b, n_max)
+            assert np.array_equal(
+                viterbi_decode_batch(em, params, full), viterbi_decode_batch(em, params)
+            )
+
+    @pytest.mark.parametrize("lengths", [[0, 3], [3, 4], [2], [1.0, 2.0], [-1, 2]])
+    def test_ragged_lengths_out_of_range(self, lengths):
+        em = np.zeros((2, 3, 2))
+        with pytest.raises(DomainError):
+            viterbi_decode_batch(em, zero_params(2), np.array(lengths))
+
 
 def test_oracle_suite_200_random_instances():
     # the acceptance-grade oracle: exact logZ and exact decode on small chains

@@ -1,0 +1,158 @@
+import numpy as np
+import pytest
+
+from pnma.crf import emission_scores, init_crf_params, viterbi_decode_batch
+from pnma.dataio import build_vocab
+from pnma.encoder import (
+    encode_batch,
+    encode_corpus,
+    init_encoder_params,
+    length_grouped_jobs,
+    stack_inputs,
+)
+from pnma.inference import _chunks, predict_base_corpus, predict_pnma_corpus
+from pnma.memory import build_memory, corpus_neighbor_cache, knn_entry_ids
+from pnma.neighborhood import init_neighborhood_params, neighborhood_forward, pnma_predict
+from pnma.numeric import make_rng
+from pnma.synthetic import generate_split
+
+K = 5
+
+
+def per_job_tags(instances, encoder, crf, vocab, batch_size, nbr=None, memory=None,
+                 encoded=None, neighbor_ids=None, neighbor_dists=None, exclude_self=False):
+    """The tagging loop with one retrieval and one decode per same-length job,
+    kept as the oracle for the chunked taggers."""
+    preds = [None] * len(instances)
+    for job in length_grouped_jobs(instances, batch_size):
+        if encoded is None:
+            word_ids, bits, ext = stack_inputs(instances, job, vocab, None)
+            h = encode_batch(word_ids, bits, encoder, training=False, external_vectors=ext)
+        else:
+            h = np.stack([encoded[instances[i].sentence_id] for i in job])
+        if nbr is None:
+            em = emission_scores(h, crf)
+        else:
+            bsz, n, d = h.shape
+            if neighbor_ids is None:
+                exclude = None
+                if exclude_self:
+                    exclude = [[(instances[i].sentence_id, t)] for i in job for t in range(n)]
+                flat = h.reshape(bsz * n, d).astype(np.float32, copy=False)
+                ids, dists = knn_entry_ids(flat, memory, K, exclude=exclude)
+                ids, dists = ids.reshape(bsz, n, K), dists.reshape(bsz, n, K)
+            else:
+                ids = np.stack([neighbor_ids[instances[i].sentence_id] for i in job])
+                dists = np.stack([neighbor_dists[instances[i].sentence_id] for i in job])
+            m = memory.vectors[ids].astype(h.dtype, copy=False)
+            _, repr_ = neighborhood_forward(h, m, nbr, distances=dists.astype(h.dtype))
+            em = emission_scores(repr_, crf)
+        paths = viterbi_decode_batch(em, crf)
+        for row, i in enumerate(job):
+            preds[i] = paths[row]
+    return preds
+
+
+def assert_same_tags(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.fixture(scope="module")
+def model():
+    instances, _ = generate_split("train", 80, 0.05, seed=6)
+    vocab = build_vocab(instances, min_frequency=1)
+    rng = make_rng(21)
+    encoder = init_encoder_params(vocab.n_words, d_word=6, d_pred=3, d_hidden=8,
+                                  n_layers=2, rng=rng)
+    crf = init_crf_params(8, vocab.n_tags, rng)
+    # large emission weights, so the neighborhood changes the tags
+    crf.emit_w *= 20.0
+    memory = build_memory(encoder, vocab, instances, fraction=0.6, seed=3)
+    # mixed lengths: 1, 1, 3, 2, 6, 12, ... sentences of each
+    by_len = {}
+    for inst in instances:
+        by_len.setdefault(len(inst), []).append(inst)
+    counts = [1, 1, 3, 2, 6, 12]
+    corpus = [inst for j, n in enumerate(sorted(by_len))
+              for inst in by_len[n][: counts[j % len(counts)]]]
+    return corpus, vocab, encoder, crf, memory
+
+
+@pytest.mark.parametrize("mode", ["distinct", "distance"])
+def test_chunked_tagging_equals_per_job_loop(model, mode):
+    instances, vocab, encoder, crf, memory = model
+    nbr = init_neighborhood_params(K, 8, make_rng(22), mode=mode)
+    nbr.n *= 50.0
+    batch_size = 3
+    jobs = length_grouped_jobs(instances, batch_size)
+    chunks = _chunks(jobs, batch_size)
+    # chunks split between jobs, some chunk is one full job, another holds several
+    assert [i for c in chunks for job in c for i in job] == [i for job in jobs for i in job]
+    assert all(sum(map(len, c)) <= batch_size for c in chunks)
+    assert any(len(c) == 1 and len(c[0]) == batch_size for c in chunks)
+    assert any(len(c) > 1 for c in chunks)
+
+    assert_same_tags(
+        predict_base_corpus(instances, encoder, crf, vocab, batch_size=batch_size),
+        per_job_tags(instances, encoder, crf, vocab, batch_size),
+    )
+    encoded = encode_corpus(instances, encoder, vocab, batch_size=batch_size)
+    assert_same_tags(
+        predict_base_corpus(instances, encoder, crf, vocab, batch_size=batch_size,
+                            encoded=encoded),
+        per_job_tags(instances, encoder, crf, vocab, batch_size),
+    )
+    for exclude_self in (False, True):
+        want = per_job_tags(instances, encoder, crf, vocab, batch_size, nbr, memory,
+                            exclude_self=exclude_self)
+        got = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
+                                  batch_size=batch_size, exclude_self=exclude_self)
+        assert_same_tags(got, want)
+        ids, dists = corpus_neighbor_cache(instances, encoded, memory, K,
+                                           exclude_self=exclude_self)
+        cached = dict(encoded=encoded, neighbor_ids=ids, neighbor_dists=dists)
+        assert_same_tags(
+            predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
+                                batch_size=batch_size, **cached),
+            per_job_tags(instances, encoder, crf, vocab, batch_size, nbr, memory, **cached),
+        )
+        assert_same_tags(got, predict_pnma_corpus(
+            instances, encoder, crf, nbr, memory, vocab, K, batch_size=batch_size, **cached
+        ))
+    # the tags must depend on the memory, or the comparisons above prove little
+    base = predict_base_corpus(instances, encoder, crf, vocab)
+    assert any(not np.array_equal(a, b) for a, b in zip(got, base))
+
+
+def test_threads_equal_one_thread(model):
+    instances, vocab, encoder, crf, memory = model
+    nbr = init_neighborhood_params(K, 8, make_rng(23))
+    # one chunk holds more queries than one 128-query K-NN block
+    assert sum(len(i) for i in instances) > 128 and len(instances) <= 256
+    for exclude_self in (False, True):
+        one = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
+                                  exclude_self=exclude_self)
+        two = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
+                                  threads=2, exclude_self=exclude_self)
+        assert_same_tags(two, one)
+
+
+def test_pnma_predict_is_batch_of_one(model):
+    instances, vocab, encoder, crf, memory = model
+    nbr = init_neighborhood_params(K, 8, make_rng(24))
+    for exclude_self in (False, True):
+        corpus = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
+                                     exclude_self=exclude_self)
+        for inst, tags in zip(instances, corpus):
+            single = pnma_predict(inst, encoder, crf, nbr, memory, vocab, K,
+                                  exclude_self=exclude_self)
+            assert np.array_equal(single, tags)
+
+
+def test_empty_corpus(model):
+    _, vocab, encoder, crf, memory = model
+    nbr = init_neighborhood_params(K, 8, make_rng(25))
+    assert predict_base_corpus([], encoder, crf, vocab) == []
+    assert predict_pnma_corpus([], encoder, crf, nbr, memory, vocab, K) == []

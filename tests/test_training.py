@@ -13,6 +13,7 @@ from pnma.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     AdamState,
+    _training_batches,
     adam_step,
     clip_gradients,
     init_adam_state,
@@ -123,6 +124,36 @@ def test_clip_gradients():
     grads2 = {"a": np.array([0.3, 0.4])}
     clip_gradients(grads2, max_norm=1.0)
     np.testing.assert_array_equal(grads2["a"], [0.3, 0.4])
+
+
+def inline_training_batches(lengths, batch_size, rng):
+    """The shuffled grouping as it was written out inside training, kept as the oracle."""
+    order = rng.permutation(len(lengths))
+    by_len = {}
+    for idx in order:
+        by_len.setdefault(lengths[int(idx)], []).append(int(idx))
+    batches = []
+    for length in sorted(by_len):
+        group = by_len[length]
+        batches.extend(group[i : i + batch_size] for i in range(0, len(group), batch_size))
+    perm = rng.permutation(len(batches))
+    return [batches[int(i)] for i in perm]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_training_batches_match_inline_grouping(seed):
+    rng = make_rng(seed, 9)
+    for _ in range(25):
+        lengths = rng.integers(1, int(rng.integers(2, 12)), size=int(rng.integers(0, 60)))
+        items = [[0] * int(n) for n in lengths]
+        batch_size = int(rng.integers(1, 20))
+        draw = int(rng.integers(0, 2**31))
+        new_rng, old_rng = make_rng(draw), make_rng(draw)
+        assert _training_batches(items, batch_size, new_rng) == inline_training_batches(
+            [int(n) for n in lengths], batch_size, old_rng
+        )
+        # the same draws, so every later batch order is the same too
+        assert new_rng.integers(0, 2**31) == old_rng.integers(0, 2**31)
 
 
 class TestSchedule:
