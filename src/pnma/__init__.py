@@ -17,12 +17,7 @@ from .dataio import (
     parse_conll_file,
 )
 from .memory import ActivationMemory, NeighborSet, build_memory, knn_query
-from .neighborhood import (
-    NeighborhoodParams,
-    neighborhood_repr,
-    neighborhood_weights,
-    pnma_predict,
-)
+from .neighborhood import NeighborhoodParams, pnma_predict
 
 __all__ = [
     "ActivationMemory",
@@ -37,8 +32,6 @@ __all__ = [
     "build_vocab",
     "knn_query",
     "load_external_embeddings",
-    "neighborhood_repr",
-    "neighborhood_weights",
     "parse_conll_file",
     "pnma_predict",
 ]

@@ -15,9 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .crf import CrfParams
-from .dataio import Instance, Vocabulary, bio_decode_spans
+from .dataio import Instance, Vocabulary, bio_decode_spans, read_text
 from .encoder import EncoderParams, encode_corpus
-from .errors import CoverageError, DimensionError
+from .errors import CoverageError, DimensionError, FormatError
 from .inference import predict_base_corpus
 from .memory import ActivationMemory, corpus_neighbor_cache, knn_query
 
@@ -402,38 +402,39 @@ def neighbor_dump(
 # ---------------------------------------------------------------------------
 # report writers (tab-separated, header line naming columns)
 
+_EVAL_HEADER = "precision\trecall\tf1\tmatched\tpredicted\tgold\tscheme"
+_EVAL_LABEL_HEADER = "label\tmatched\tpredicted\tgold"
+
+
 def write_eval_report(report: EvalReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("precision\trecall\tf1\tmatched\tpredicted\tgold\tscheme\n")
+        fh.write(_EVAL_HEADER + "\n")
         fh.write(
             f"{report.precision:.6f}\t{report.recall:.6f}\t{report.f1:.6f}\t"
             f"{report.matched}\t{report.n_predicted}\t{report.n_gold}\t{report.scheme}\n"
         )
-        fh.write("\nlabel\tmatched\tpredicted\tgold\n")
+        fh.write("\n" + _EVAL_LABEL_HEADER + "\n")
         for label, (m, p, g) in report.per_label.items():
             fh.write(f"{label}\t{m}\t{p}\t{g}\n")
 
 
 def read_eval_report(path: str) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    vals = lines[1].split("\t")
-    per_label: dict[str, tuple[int, int, int]] = {}
-    for line in lines[4:]:
-        if not line:
-            continue
-        lab, m, p, g = line.split("\t")
-        per_label[lab] = (int(m), int(p), int(g))
-    return EvalReport(
-        precision=float(vals[0]),
-        recall=float(vals[1]),
-        f1=float(vals[2]),
-        matched=int(vals[3]),
-        n_predicted=int(vals[4]),
-        n_gold=int(vals[5]),
-        scheme=vals[6],
-        per_label=per_label,
-    )
+    """Read back a ``write_eval_report`` file; anything else raises FormatError."""
+    lines = read_text(path, FormatError).splitlines()
+    if lines[:1] != [_EVAL_HEADER] or lines[2:4] != ["", _EVAL_LABEL_HEADER]:
+        raise FormatError(f"{path}: not an evaluation report")
+    line_no = 2
+    try:
+        precision, recall, f1, matched, n_pred, n_gold, scheme = lines[1].split("\t")
+        report = EvalReport(float(precision), float(recall), float(f1),
+                            int(matched), int(n_pred), int(n_gold), scheme)
+        for line_no, line in enumerate(lines[4:], start=5):
+            if line:
+                label, m, p, g = line.split("\t")
+                report.per_label[label] = (int(m), int(p), int(g))
+    except ValueError:
+        raise FormatError(f"{path}:{line_no}: malformed evaluation report line") from None
+    return report
 
 
 def write_histogram(rows: Sequence[tuple[str, float]], path: str) -> None:

@@ -5,10 +5,12 @@ and flag overrides (flags win over file values, file values over defaults).
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
 
+from .dataio import read_text
 from .errors import ConfigError
 
 ENV_CONFIG = "PNMA_CONFIG"
@@ -87,20 +89,25 @@ _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 def _convert(name: str, raw: str):
     f = _FIELDS[name]
     raw = raw.strip()
-    if f.type in ("int", int):
-        return int(raw)
-    if f.type in ("float", float):
-        return float(raw)
+    try:
+        if f.type in ("int", int):
+            return int(raw)
+        if f.type in ("float", float):
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError
+            return value
+        if f.name == "lr_halving_epochs":
+            return tuple(int(x) for x in raw.split(",")) if raw else ()
+    except ValueError:
+        what = {"int": "an integer", "float": "a finite number"}.get(f.type, "integers")
+        raise ConfigError(f"config key {name}: expected {what}, got {raw!r}") from None
     if f.type in ("bool", bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"config key {name}: expected a boolean, got {raw!r}")
-    if f.name == "lr_halving_epochs":
-        if not raw:
-            return ()
-        return tuple(int(x) for x in raw.split(","))
     return raw
 
 
@@ -135,8 +142,7 @@ def load_run_config(
     if path is None:
         path = os.environ.get(ENV_CONFIG) or None
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = parse_config_lines(fh.read().splitlines(), path)
+        raw = parse_config_lines(read_text(path, ConfigError).splitlines(), path)
     paths = {k: v for k, v in raw.items() if k in PATH_KEYS}
     kwargs: dict[str, object] = {
         k: _convert(k, v) for k, v in raw.items() if k in _FIELDS

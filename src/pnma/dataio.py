@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, FormatError, ParseError
+from .errors import CoverageError, DomainError, FormatError, ParseError, PnmaError
 
 UNK = "<unk>"
 PAD = "<pad>"
@@ -80,6 +80,18 @@ class Vocabulary:
 
     def tag_strings(self, ids: Sequence[int]) -> list[str]:
         return [self.tag_labels[i] for i in ids]
+
+
+def read_text(path: str, error: type[PnmaError]) -> str:
+    """A UTF-8 text file's contents; bytes that are not UTF-8 raise ``error``,
+    naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line_no}: not UTF-8 text") from None
 
 
 def parse_conll_file(
@@ -321,27 +333,28 @@ def load_external_embeddings(path: str, instances: Sequence[Instance]) -> Extern
     """
     table: dict[tuple[str, int], np.ndarray] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split()
-            if len(cols) < 3:
-                raise FormatError(f"{path}:{line_no}: expected sentence_id, token_index, values")
-            sid, tix = cols[0], cols[1]
-            try:
-                tix = int(tix)
-            except ValueError:
-                raise FormatError(f"{path}:{line_no}: bad token index {cols[1]!r}") from None
-            vec = np.array([float(v) for v in cols[2:]], dtype=np.float32)
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise FormatError(
-                    f"{path}:{line_no}: dimension {vec.shape[0]} != {dim} of earlier rows"
-                )
-            table[(sid, tix)] = vec
+    for line_no, raw in enumerate(read_text(path, FormatError).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split()
+        if len(cols) < 3:
+            raise FormatError(f"{path}:{line_no}: expected sentence_id, token_index, values")
+        sid, tix = cols[0], cols[1]
+        try:
+            tix = int(tix)
+            vec = np.array([float(v) for v in cols[2:]])
+        except ValueError:
+            raise FormatError(f"{path}:{line_no}: unreadable token index or value") from None
+        if not np.all(np.abs(vec) <= np.finfo(np.float32).max):
+            raise FormatError(f"{path}:{line_no}: value not finite in float32")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise FormatError(
+                f"{path}:{line_no}: dimension {vec.shape[0]} != {dim} of earlier rows"
+            )
+        table[(sid, tix)] = vec.astype(np.float32)
     if dim is None:
         raise FormatError(f"{path}: no embedding rows")
     by_sentence: dict[str, np.ndarray] = {}

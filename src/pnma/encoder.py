@@ -339,14 +339,6 @@ def connection_backward(
 
 
 @dataclass
-class EncodedSequence:
-    """Final-layer activations, one row per token; cache retained when training."""
-
-    h_final: np.ndarray
-    cache: "EncoderCache | None" = None
-
-
-@dataclass
 class EncoderCache:
     word_ids: np.ndarray
     pred_bits: np.ndarray
@@ -524,33 +516,3 @@ def encode_corpus(
             out[instances[i].sentence_id] = h[row]
     return out
 
-
-def encode_sequence(
-    instance: Instance,
-    params: EncoderParams,
-    vocab: Vocabulary,
-    training: bool = False,
-    dropout_embed: float = 0.0,
-    dropout_layer: float = 0.0,
-    drop_rng: np.random.Generator | None = None,
-    external: ExternalEmbeddings | None = None,
-) -> EncodedSequence:
-    """Encode one instance; deterministic in evaluation mode given (instance, params)."""
-    word_ids = vocab.word_ids(instance.tokens)[None, :]
-    pred_bits = np.array(instance.predicate_bits, dtype=np.int64)[None, :]
-    ext = None
-    if external is not None:
-        vecs = external.vectors(instance.sentence_id)
-        ext = vecs[None, :, :]
-    h, cache = encode_batch(
-        word_ids,
-        pred_bits,
-        params,
-        training=training,
-        dropout_embed=dropout_embed,
-        dropout_layer=dropout_layer,
-        drop_rng=drop_rng,
-        external_vectors=ext,
-        want_cache=True,
-    )
-    return EncodedSequence(h_final=h[0], cache=cache)

@@ -24,7 +24,7 @@ from .crf import CrfParams
 from .dataio import Instance, Vocabulary
 from .encoder import EncoderParams
 from .errors import DimensionError, DomainError, NumericError
-from .memory import ActivationMemory, NeighborSet
+from .memory import ActivationMemory
 from .numeric import softmax
 
 MODES = ("distinct", "shared", "distance")
@@ -191,36 +191,6 @@ def neighborhood_backward(
     d_sep *= sign  # through |m - h|: d_loss/d_m, and -d_loss/d_h per neighbor
     d_m += d_sep
     return d_n, -np.sum(d_sep, axis=-2), d_m
-
-
-def neighborhood_weights(
-    h: np.ndarray,
-    neighbors: NeighborSet,
-    params: NeighborhoodParams,
-) -> np.ndarray:
-    """Distribution over the K neighbors of one query (sums to 1)."""
-    eta, _ = neighborhood_forward(
-        h,
-        neighbors.vectors.astype(h.dtype, copy=False),
-        params,
-        distances=neighbors.distances,
-    )
-    return eta
-
-
-def neighborhood_repr(
-    h: np.ndarray,
-    neighbors: NeighborSet,
-    params: NeighborhoodParams,
-) -> np.ndarray:
-    """Convex combination of the neighbor vectors under the learned weights."""
-    _, repr_ = neighborhood_forward(
-        h,
-        neighbors.vectors.astype(h.dtype, copy=False),
-        params,
-        distances=neighbors.distances,
-    )
-    return repr_
 
 
 def pnma_predict(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pnma.analysis import (
     DisagreementReport,
@@ -22,7 +24,7 @@ from pnma.analysis import (
 from pnma.crf import init_crf_params
 from pnma.dataio import Instance, bio_decode_spans, build_vocab
 from pnma.encoder import init_encoder_params
-from pnma.errors import CoverageError, DimensionError
+from pnma.errors import CoverageError, DimensionError, FormatError
 from pnma.memory import ActivationMemory, build_memory
 from pnma.numeric import make_rng
 
@@ -343,6 +345,44 @@ class TestWriters:
         assert back.per_label == r.per_label
         head = open(path).readline()
         assert head.startswith("precision\trecall\tf1")
+
+    @pytest.mark.parametrize("cut", [0, 1, 2, 3])
+    def test_eval_report_truncated_to_lines(self, tmp_path, cut):
+        path = tmp_path / "r.tsv"
+        write_eval_report(span_prf([{(0, 0, "A")}], [{(0, 0, "A")}]), str(path))
+        path.write_text("".join(path.read_text().splitlines(True)[:cut]))
+        with pytest.raises(FormatError):
+            read_eval_report(str(path))
+
+    @pytest.mark.parametrize("bad, where", [
+        ("1.0\t1.0\t1.0\t1\t1\t1", ":2:"), ("x\t1.0\t1.0\t1\t1\t1\tbio-span", ":2:"),
+        ("1.0\t1.0\t1.0\t1\t1\t1\tbio-span\n\nlabel\tmatched\tpredicted\tgold\nA\t1\t1", ":5:"),
+        ("1.0\t1.0\t1.0\t1\t1\t1\tbio-span\n\nlabel\tmatched\tpredicted\tgold\nA\t1\tq\t1", ":5:"),
+    ])
+    def test_eval_report_malformed_line_named(self, tmp_path, bad, where):
+        path = tmp_path / "r.tsv"
+        body = bad if "label" in bad else bad + "\n\nlabel\tmatched\tpredicted\tgold"
+        path.write_text("precision\trecall\tf1\tmatched\tpredicted\tgold\tscheme\n" + body + "\n")
+        with pytest.raises(FormatError, match=where):
+            read_eval_report(str(path))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_eval_report_mutations_read_or_raise_format_error(self, tmp_path, data):
+        path = tmp_path / "r.tsv"
+        report = span_prf([{(0, 0, "A"), (2, 3, "B")}], [{(0, 0, "A"), (1, 1, "B")}])
+        write_eval_report(report, str(path))
+        body = bytearray(path.read_bytes())
+        body = body[: data.draw(st.integers(0, len(body)))]
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(body)))
+            body[at : at + 2] = data.draw(st.binary(min_size=1, max_size=2))
+        path.write_bytes(bytes(body))
+        try:
+            read_eval_report(str(path))
+        except FormatError:
+            pass
 
     def test_histogram_format(self, tmp_path):
         path = str(tmp_path / "h.tsv")

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pnma.analysis import read_eval_report
 from pnma.cli import dispatch
@@ -40,6 +42,85 @@ class TestDispatchBasics:
 
     def test_missing_file_exits_two(self):
         assert run("prepare", "--train", "/nonexistent/x.conll", "--out", "/tmp/v") == 2
+
+
+TOY_CORPUS = "# id: s1\nthe 0 O\ncat 1 B-V\n\n# id: s2\ndog 1 B-V\n"
+TOY_CONFIG = (
+    "epochs = 1\nbatch_size = 2\nbase_lr = 0.001\nlr_halving_epochs = 1,2\n"
+    "d_word = 4\nd_pred = 2\nd_hidden = 4\nn_layers = 1\ndropout_embed = 0.1\nseed = 3\n"
+)
+TOY_EMBEDDINGS = "s1 0 0.5 -0.25\ns1 1 1.75 0.125\ns2 0 0.75 1.5\n"
+
+
+def mutated(data, text: str) -> bytes:
+    """``text`` truncated, then with up to four short runs of arbitrary bytes
+    written over it: any of them may be non-UTF-8."""
+    body = bytearray(text.encode("utf-8"))
+    body = body[: data.draw(st.integers(0, len(body)))]
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, len(body)))
+        body[at : at + 2] = data.draw(st.binary(min_size=1, max_size=2))
+    return bytes(body)
+
+
+def assert_ok_or_one_line_error(code: int, err: str) -> None:
+    assert code in (0, 2), err
+    lines = [line for line in err.splitlines() if not line.startswith("config: using defaults")]
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+class TestTextInputFuzz:
+    """Truncated, byte-mutated and non-UTF-8 text inputs: exit 0, or exit 2
+    with a one-line message, never a traceback."""
+
+    @pytest.fixture
+    def toy(self, tmp_path):
+        (tmp_path / "c.conll").write_text(TOY_CORPUS, encoding="utf-8")
+        assert run("prepare", "--train", str(tmp_path / "c.conll"), "--out",
+                   str(tmp_path / "v.txt"), "--min-frequency", "1") == 0
+        return tmp_path
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_config_file(self, toy, capsys, data):
+        (toy / "run.cfg").write_bytes(mutated(data, TOY_CONFIG))
+        capsys.readouterr()
+        code = run("prepare", "--config", str(toy / "run.cfg"), "--train",
+                   str(toy / "c.conll"), "--out", str(toy / "v2.txt"))
+        assert_ok_or_one_line_error(code, capsys.readouterr().err)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_embeddings_file(self, toy, capsys, data):
+        # zero epochs: the reader and the coverage check decide the outcome
+        (toy / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")
+        (toy / "emb.txt").write_bytes(mutated(data, TOY_EMBEDDINGS))
+        capsys.readouterr()
+        code = run("train-base", "--config", str(toy / "run.cfg"), "--epochs", "0",
+                   "--train", str(toy / "c.conll"), "--vocab", str(toy / "v.txt"),
+                   "--embeddings", str(toy / "emb.txt"), "--out", str(toy / "m.ckpt"))
+        assert_ok_or_one_line_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "4e38", "0.5x"])
+    def test_bad_embedding_value_exits_two(self, toy, capsys, value):
+        (toy / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")
+        (toy / "emb.txt").write_text(TOY_EMBEDDINGS.replace("1.75", value), encoding="utf-8")
+        code = run("train-base", "--config", str(toy / "run.cfg"),
+                   "--train", str(toy / "c.conll"), "--vocab", str(toy / "v.txt"),
+                   "--embeddings", str(toy / "emb.txt"), "--out", str(toy / "m.ckpt"))
+        assert code == 2
+        assert "emb.txt:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["epochs = 1e400", "epochs = abc", "base_lr = nan"])
+    def test_bad_config_value_exits_two(self, toy, capsys, line):
+        (toy / "run.cfg").write_text(line + "\n", encoding="utf-8")
+        code = run("prepare", "--config", str(toy / "run.cfg"), "--train",
+                   str(toy / "c.conll"), "--out", str(toy / "v2.txt"))
+        assert code == 2
+        assert line.split()[0] in capsys.readouterr().err
 
 
 class TestGenSyntheticCommand:

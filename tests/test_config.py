@@ -90,6 +90,23 @@ class TestRunConfigFile:
         with pytest.raises(ConfigError, match=":1:"):
             load_run_config(str(p), quiet=True)
 
+    @pytest.mark.parametrize("line", [
+        "epochs = 1e400", "epochs = abc", "epochs = 2.5", "base_lr = nan",
+        "base_lr = inf", "weight_decay = -inf", "base_lr = 1e400",
+        "lr_halving_epochs = 3,x",
+    ])
+    def test_unreadable_value_names_key(self, tmp_path, line):
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_run_config(str(p), quiet=True)
+
+    def test_non_utf8_file_names_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"epochs = 2\nseed = \xff3\n")
+        with pytest.raises(ConfigError, match=":2: not UTF-8"):
+            load_run_config(str(p), quiet=True)
+
 
 class TestExitCodes:
     def test_numeric_failure_is_three(self):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pnma import crf
 from pnma.crf import (
     CrfParams,
     crf_log_likelihood,
@@ -237,21 +238,138 @@ def per_t_crf_oracle(em, gold, params):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_batch_bit_identical_to_per_t_oracle(dtype):
+    # pins the log-space recursion, the fallback and the scaled one's reference
     rng = make_rng(31)
     for _ in range(60):
         b, n, y = (int(v) for v in rng.integers(1, [33, 12, 9]))
         params = random_params(rng, y, scale=2.0)
         em = (3.0 * rng.normal(size=(b, n, y))).astype(dtype)
         gold = rng.integers(0, y, size=(b, n))
-        ll, g = crf_log_likelihood_batch(em, gold, params)
+        ll, g = crf._crf_batch_log(em, gold, params, True)
         ll_o, d_em, d_trans, d_start, d_stop = per_t_crf_oracle(em, gold, params)
         assert np.array_equal(ll, ll_o)
         assert g.emissions.dtype == dtype and np.array_equal(g.emissions, d_em)
         assert np.array_equal(g.trans, d_trans)
         assert np.array_equal(g.start, d_start)
         assert np.array_equal(g.stop, d_stop)
-        ll_only, none = crf_log_likelihood_batch(em, gold, params, want_grads=False)
+        ll_only, none = crf._crf_batch_log(em, gold, params, False)
         assert none is None and np.array_equal(ll_only, ll_o)
+
+
+def score_spread(em, params):
+    """ptp(trans) + ptp(start) + ptp(stop) + max_t ptp(em_t), as the CRF sees it."""
+    return (np.ptp(params.trans) + np.ptp(params.start) + np.ptp(params.stop)
+            + np.ptp(em.astype(np.float64), axis=-1).max())
+
+
+def spread_cases(rng, dtype, count):
+    """Random batches with B, n or |Y| of 1 among them; every other one is
+    scaled to a spread just below the scaled recursion's limit."""
+    for trial in range(count):
+        b, n, y = (int(v) for v in rng.integers(1, [33, 12, 12]))
+        b, n, y = [(1, n, y), (b, 1, y), (b, n, 1), (b, n, y)][trial % 4]
+        params = random_params(rng, y)
+        em = rng.normal(size=(b, n, y))
+        spread = score_spread(em.astype(dtype), params)
+        if trial % 8 < 4 and spread > 0:
+            k = 0.999 * crf._scaled_spread_limit(y) / spread
+            params = CrfParams(params.emit_w, params.emit_b, k * params.trans,
+                               k * params.start, k * params.stop)
+            em = k * em
+        em = em.astype(dtype)
+        assert score_spread(em, params) <= crf._scaled_spread_limit(y)
+        yield em, rng.integers(0, y, size=(b, n)), params
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scaled_recursion_matches_log_space(dtype):
+    # LL within 1e-12 of max(1, |log Z|); every unary or pair marginal within
+    # 1e-12, so d_start/d_stop (sums of B marginals) within 1e-12 B and d_trans
+    # (sums of B (n - 1)) within 1e-12 B (n - 1); a float32 d_em within one
+    # float32 rounding
+    rng = make_rng(32)
+    for em, gold, params in spread_cases(rng, dtype, 120):
+        b, n, _ = em.shape
+        ll, g = crf_log_likelihood_batch(em, gold, params)
+        ll_ref, ref = crf._crf_batch_log(em, gold, params, True)
+        log_z = crf._gold_score(em, gold, params.trans, params.start, params.stop) - ll_ref
+        assert np.all(np.abs(ll - ll_ref) <= 1e-12 * np.maximum(1.0, np.abs(log_z)))
+        assert g.emissions.dtype == dtype
+        err_em = np.abs(g.emissions.astype(np.float64) - ref.emissions)
+        if dtype == np.float64:
+            assert np.all(err_em <= 1e-12)
+        else:
+            assert np.all(err_em <= 2.0**-24 * np.abs(ref.emissions) + 1e-12)
+        assert np.all(np.abs(g.start - ref.start) <= 1e-12 * b)
+        assert np.all(np.abs(g.stop - ref.stop) <= 1e-12 * b)
+        assert np.all(np.abs(g.trans - ref.trans) <= 1e-12 * max(1, b * (n - 1)))
+        ll_only, none = crf_log_likelihood_batch(em, gold, params, want_grads=False)
+        assert none is None and np.array_equal(ll_only, ll)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_spread_above_limit_takes_log_space_exactly(dtype):
+    rng = make_rng(33)
+    for trial in range(40):
+        b, n, y = (int(v) for v in rng.integers([1, 1, 2], [9, 8, 7]))
+        params = random_params(rng, y)
+        em = rng.normal(size=(b, n, y)).astype(dtype)
+        # one token's, transition's, start or stop score widens the spread
+        # past the limit
+        [em[0, 0], params.trans[0], params.start, params.stop][trial % 4][0] -= 710.0
+        assert score_spread(em, params) > crf._scaled_spread_limit(y)
+        gold = rng.integers(0, y, size=(b, n))
+        ll, g = crf_log_likelihood_batch(em, gold, params)
+        ll_ref, ref = crf._crf_batch_log(em, gold, params, True)
+        assert np.array_equal(ll, ll_ref)
+        for name in ("emissions", "trans", "start", "stop"):
+            assert np.array_equal(getattr(g, name), getattr(ref, name))
+
+
+def test_non_finite_scores_take_log_space():
+    params = random_params(make_rng(34), 3)
+    em = np.zeros((2, 4, 3))
+    em[1, 2, 0] = np.nan
+    gold = np.zeros((2, 4), dtype=np.int64)
+    ll, _ = crf_log_likelihood_batch(em, gold, params)
+    ll_ref, _ = crf._crf_batch_log(em, gold, params, True)
+    assert np.isfinite(ll[0]) and np.isnan(ll[1])
+    assert np.array_equal(ll, ll_ref, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "check", ["test_emission_gradient_is_onehot_minus_marginal",
+              "test_transition_and_boundary_gradients"]
+)
+def test_finite_differences_on_log_space_path(monkeypatch, check):
+    # a limit below every spread sends each call to the log-space fallback
+    monkeypatch.setattr(crf, "_scaled_spread_limit", lambda n_tags: -1.0)
+    getattr(TestGradients(), check)()
+
+
+class TestBatchGoldChecks:
+    @pytest.mark.parametrize("gold", [[[0, -1]], [[0, 3]], [[0.0, 1.0]]])
+    def test_tag_ids_out_of_range(self, gold):
+        with pytest.raises(DomainError):
+            crf_log_likelihood_batch(np.zeros((1, 2, 3)), np.array(gold), zero_params(3))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2,), (1, 2, 1)])
+    def test_gold_shape_mismatch(self, shape):
+        with pytest.raises(DimensionError):
+            crf_log_likelihood_batch(np.zeros((1, 2, 3)), np.zeros(shape, dtype=int),
+                                     zero_params(3))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (1, 0, 3)])
+    def test_empty_batch(self, shape):
+        with pytest.raises(DomainError):
+            crf_log_likelihood_batch(np.zeros(shape), np.zeros(shape[:2], dtype=int),
+                                     zero_params(3))
+
+    def test_single_sequence_gold_checks(self):
+        with pytest.raises(DimensionError):
+            crf_log_likelihood(np.zeros((2, 3)), np.array([0, 1, 2]), zero_params(3))
+        with pytest.raises(DomainError):
+            crf_log_likelihood(np.zeros((2, 3)), np.array([0, -1]), zero_params(3))
 
 
 class TestViterbi:

@@ -241,3 +241,18 @@ class TestExternalEmbeddings:
         path.write_text("s1 0 1 2 3\ns2 0 7 8 9\n", encoding="utf-8")
         with pytest.raises(CoverageError, match=r"'s1', token 1"):
             load_external_embeddings(str(path), self._corpus())
+
+    @pytest.mark.parametrize("row", [
+        "s1 1 4 x 6", "s1 1 4 5 nan", "s1 1 inf 5 6", "s1 1 4 5 1e39", "s1 1.5 4 5 6",
+    ])
+    def test_unreadable_or_non_finite_value(self, tmp_path, row):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"s1 0 1 2 3\n{row}\ns2 0 7 8 9\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":2:"):
+            load_external_embeddings(str(path), self._corpus())
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"s1 0 1 2 3\ns1 1 4 5 6\ns2 0 7 \xfe 9\n")
+        with pytest.raises(FormatError, match=":3: not UTF-8"):
+            load_external_embeddings(str(path), self._corpus())

@@ -11,7 +11,6 @@ from pnma.encoder import (
     embed_tokens,
     encode_backward,
     encode_batch,
-    encode_sequence,
     init_encoder_params,
     layer_direction,
     lstm_layer_backward,
@@ -277,14 +276,20 @@ def test_weight_gradients_within_round_off_of_per_step_sums(dtype, direction, bs
     assert np.all(err_b <= 2 * gamma * abs_dpre.sum(axis=0))
 
 
+def encode_one(inst, params, vocab, **kw):
+    """Final activations of one instance: the batch-of-one ``encode_batch``."""
+    words = vocab.word_ids(inst.tokens)[None, :]
+    bits = np.array(inst.predicate_bits, dtype=np.int64)[None, :]
+    return encode_batch(words, bits, params, **kw)[0]
+
+
 class TestEncodeSequence:
     def test_output_shape_default_width(self):
         insts, vocab = toy_vocab()
         rng = make_rng(9)
         params = init_encoder_params(vocab.n_words, d_word=8, d_pred=5,
                                      d_hidden=300, n_layers=2, rng=rng)
-        enc = encode_sequence(insts[0], params, vocab)
-        assert enc.h_final.shape == (3, 300)
+        assert encode_one(insts[0], params, vocab).shape == (3, 300)
 
     def test_directions_alternate(self):
         assert [layer_direction(i) for i in range(4)] == ["f", "b", "f", "b"]
@@ -293,8 +298,8 @@ class TestEncodeSequence:
         insts, vocab = toy_vocab()
         rng = make_rng(10)
         params = small_params(rng, vocab_size=vocab.n_words)
-        a = encode_sequence(insts[0], params, vocab).h_final
-        b = encode_sequence(insts[0], params, vocab).h_final
+        a = encode_one(insts[0], params, vocab)
+        b = encode_one(insts[0], params, vocab)
         np.testing.assert_array_equal(a, b)
 
     def test_training_dropout_changes_output_but_is_seeded(self):
@@ -302,9 +307,9 @@ class TestEncodeSequence:
         rng = make_rng(11)
         params = small_params(rng, vocab_size=vocab.n_words)
         kw = dict(training=True, dropout_embed=0.5, dropout_layer=0.1)
-        a = encode_sequence(insts[0], params, vocab, drop_rng=make_rng(1, 3), **kw).h_final
-        b = encode_sequence(insts[0], params, vocab, drop_rng=make_rng(1, 3), **kw).h_final
-        c = encode_sequence(insts[0], params, vocab, drop_rng=make_rng(2, 3), **kw).h_final
+        a = encode_one(insts[0], params, vocab, drop_rng=make_rng(1, 3), **kw)
+        b = encode_one(insts[0], params, vocab, drop_rng=make_rng(1, 3), **kw)
+        c = encode_one(insts[0], params, vocab, drop_rng=make_rng(2, 3), **kw)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -316,8 +321,7 @@ class TestEncodeSequence:
         b = np.stack([np.array(i.predicate_bits) for i in insts])
         batch = encode_batch(w, b, params)
         for i, inst in enumerate(insts):
-            single = encode_sequence(inst, params, vocab).h_final
-            np.testing.assert_allclose(batch[i], single, atol=1e-12)
+            np.testing.assert_allclose(batch[i], encode_one(inst, params, vocab), atol=1e-12)
 
 
 class TestFullStackGradients:

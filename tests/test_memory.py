@@ -225,10 +225,12 @@ class TestBuildMemory:
         assert a.provenance != c.provenance
 
     def test_vectors_match_eval_encoding(self):
-        from pnma.encoder import encode_sequence
+        from pnma.encoder import encode_batch
 
         mem = build_memory(self.encoder, self.vocab, self.instances, fraction=1.0)
-        h0 = encode_sequence(self.instances[0], self.encoder, self.vocab).h_final
+        inst = self.instances[0]
+        h0 = encode_batch(self.vocab.word_ids(inst.tokens)[None, :],
+                          np.array(inst.predicate_bits)[None, :], self.encoder)[0]
         idx = mem.provenance.index(("t-0", 1))
         np.testing.assert_array_equal(mem.vectors[idx], h0[1].astype(np.float32))
 

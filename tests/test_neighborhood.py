@@ -6,32 +6,16 @@ from pnma.crf import init_crf_params
 from pnma.dataio import Instance, build_vocab
 from pnma.encoder import init_encoder_params
 from pnma.errors import DimensionError, DomainError, NumericError
-from pnma.memory import ActivationMemory, NeighborSet, build_memory
+from pnma.memory import ActivationMemory, build_memory
 from pnma.neighborhood import (
     NeighborhoodParams,
     init_neighborhood_params,
     neighborhood_backward,
     neighborhood_forward,
     neighborhood_param_grad,
-    neighborhood_repr,
-    neighborhood_weights,
     pnma_predict,
 )
 from pnma.numeric import finite_difference_check, make_rng
-
-
-def neighbor_set(vectors, labels=None, distances=None):
-    k = vectors.shape[0]
-    if distances is None:
-        distances = np.arange(k, dtype=np.float64)
-    if labels is None:
-        labels = np.zeros(k, dtype=np.int64)
-    return NeighborSet(
-        entry_ids=np.arange(k, dtype=np.int64),
-        distances=np.asarray(distances, dtype=np.float64),
-        vectors=vectors.astype(np.float32),
-        labels=np.asarray(labels),
-    )
 
 
 class TestWeights:
@@ -80,15 +64,6 @@ class TestWeights:
         params = NeighborhoodParams(n=np.zeros((2, 3)))
         with pytest.raises(DimensionError):
             neighborhood_forward(np.zeros(3), np.zeros((5, 3)), params)
-
-    def test_neighbor_set_wrapper(self):
-        rng = make_rng(3)
-        params = NeighborhoodParams(n=rng.normal(size=(4, 6)))
-        ns = neighbor_set(rng.normal(size=(4, 6)))
-        h = rng.normal(size=6)
-        eta = neighborhood_weights(h, ns, params)
-        assert eta.shape == (4,)
-        assert abs(eta.sum() - 1.0) < 1e-12
 
 
 class TestRepresentation:
@@ -145,13 +120,6 @@ class TestRepresentation:
         _, rep = neighborhood_forward(h, m, params)
         _, rep_p = neighborhood_forward(h, m[perm], params)
         np.testing.assert_allclose(rep, rep_p, atol=1e-12)
-
-    def test_repr_wrapper(self):
-        rng = make_rng(9)
-        params = NeighborhoodParams(n=rng.normal(size=(3, 4)))
-        ns = neighbor_set(rng.normal(size=(3, 4)))
-        rep = neighborhood_repr(rng.normal(size=4), ns, params)
-        assert rep.shape == (4,)
 
 
 class TestModes:
