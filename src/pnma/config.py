@@ -15,6 +15,10 @@ from .errors import ConfigError
 
 ENV_CONFIG = "PNMA_CONFIG"
 
+# least value of each integer key that sizes the model or a run
+_INT_MINIMA = {"seed": 0, "batch_size": 1, "n_layers": 1, "d_word": 1, "d_pred": 1,
+               "d_hidden": 1, "k_neighbors": 1, "threads": 1}
+
 
 @dataclass
 class TrainConfig:
@@ -51,6 +55,9 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for name, least in _INT_MINIMA.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("base_lr", "phase2_lr", "memory_fraction"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

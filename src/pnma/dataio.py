@@ -9,6 +9,7 @@ a block without one gets the id ``<filestem>-<block index>``.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from collections import Counter
@@ -84,13 +85,15 @@ class Vocabulary:
 
 def read_text(path: str, error: type[PnmaError]) -> str:
     """A UTF-8 text file's contents; bytes that are not UTF-8 raise ``error``,
-    naming their line."""
+    naming their line as text-mode iteration counts it (universal newlines:
+    ``\n``, ``\r\n`` or a lone ``\r`` ends a line)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{path}:{line_no}: not UTF-8 text") from None
 
 
@@ -149,30 +152,32 @@ def parse_conll_file(
         tokens, bits, labels = [], [], []
         pending_id = None
 
-    with open(path, "r", encoding="utf-8") as fh:
-        line_no = 0
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("id:"):
-                    pending_id = body[3:].strip()
-                continue
-            if not line:
-                flush(line_no)
-                continue
-            cols = line.split()
-            if len(cols) != 3:
-                raise ParseError(f"{path}:{line_no}: expected 3 columns, got {len(cols)}")
-            if not tokens:
-                block_start_line = line_no
-            tok, bit, tag = cols
-            if bit not in ("0", "1"):
-                raise ParseError(f"{path}:{line_no}: predicate bit must be 0 or 1, got {bit!r}")
-            tokens.append(tok)
-            bits.append(int(bit))
-            labels.append(tag)
-        flush(line_no + 1)
+    # the lines of text-mode iteration: universal newlines, and nothing else
+    # (str.splitlines would also split on form feeds and Unicode separators)
+    line_no = 0
+    for line_no, raw in enumerate(io.StringIO(read_text(path, ParseError), newline=None),
+                                  start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("id:"):
+                pending_id = body[3:].strip()
+            continue
+        if not line:
+            flush(line_no)
+            continue
+        cols = line.split()
+        if len(cols) != 3:
+            raise ParseError(f"{path}:{line_no}: expected 3 columns, got {len(cols)}")
+        if not tokens:
+            block_start_line = line_no
+        tok, bit, tag = cols
+        if bit not in ("0", "1"):
+            raise ParseError(f"{path}:{line_no}: predicate bit must be 0 or 1, got {bit!r}")
+        tokens.append(tok)
+        bits.append(int(bit))
+        labels.append(tag)
+    flush(line_no + 1)
     return instances
 
 
@@ -283,8 +288,7 @@ def save_vocab(vocab: Vocabulary, path: str) -> None:
 
 
 def load_vocab(path: str) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, FormatError).splitlines()
     if not lines or lines[0] != "# pnma vocabulary v1":
         raise FormatError(f"{path}: not a pnma vocabulary file")
     try:

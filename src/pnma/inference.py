@@ -22,7 +22,7 @@ from .crf import CrfParams, emission_scores, viterbi_decode_batch
 from .dataio import ExternalEmbeddings, Instance, Vocabulary
 from .encoder import EncoderParams, encode_batch, length_grouped_jobs, stack_inputs
 from .memory import ActivationMemory, knn_entry_ids
-from .neighborhood import NeighborhoodParams, neighborhood_forward
+from .neighborhood import NeighborhoodParams, gather_neighbors, neighborhood_forward
 
 
 def _chunks(jobs: list[list[int]], batch_size: int) -> list[list[list[int]]]:
@@ -138,7 +138,7 @@ def predict_pnma_corpus(
                     for job in chunk]
         ems = []
         for h, (job_ids, job_dists) in zip(hs, nbrs):
-            m = memory.vectors[job_ids].astype(h.dtype, copy=False)
+            m = gather_neighbors(memory.vectors, job_ids).astype(h.dtype, copy=False)
             _, repr_ = neighborhood_forward(h, m, nbr, distances=job_dists.astype(h.dtype))
             ems.append(emission_scores(repr_, crf))
         return ems

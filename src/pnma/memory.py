@@ -321,6 +321,27 @@ def knn_query(
     return sets[0] if np.ndim(queries) == 1 else sets
 
 
+def corpus_neighbor_arrays(
+    instances: Sequence[Instance],
+    encoded: dict[str, np.ndarray],
+    memory: ActivationMemory,
+    k: int,
+    exclude_self: bool = False,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One flat retrieval over every token: the float32 queries (T, d), entry
+    ids (T, k) and distances (T, k), rows in instance order."""
+    queries = []
+    exclude = [] if exclude_self else None
+    for inst in instances:
+        queries.append(encoded[inst.sentence_id].astype(np.float32, copy=False))
+        if exclude_self:
+            exclude.extend([[(inst.sentence_id, t)] for t in range(len(inst))])
+    flat = np.concatenate(queries, axis=0) if queries else np.zeros((0, memory.d), np.float32)
+    ids, dists = knn_entry_ids(flat, memory, k, exclude=exclude, threads=threads)
+    return flat, ids, dists
+
+
 def corpus_neighbor_cache(
     instances: Sequence[Instance],
     encoded: dict[str, np.ndarray],
@@ -329,23 +350,11 @@ def corpus_neighbor_cache(
     exclude_self: bool = False,
     threads: int = 1,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """One flat retrieval over every token; results split back per sentence."""
-    queries = []
-    exclude = [] if exclude_self else None
-    spans: list[tuple[str, int, int]] = []
-    offset = 0
-    for inst in instances:
-        h = encoded[inst.sentence_id].astype(np.float32, copy=False)
-        queries.append(h)
-        if exclude_self:
-            exclude.extend([[(inst.sentence_id, t)] for t in range(len(inst))])
-        spans.append((inst.sentence_id, offset, offset + len(inst)))
-        offset += len(inst)
-    flat = np.concatenate(queries, axis=0) if queries else np.zeros((0, memory.d), np.float32)
-    ids, dists = knn_entry_ids(flat, memory, k, exclude=exclude, threads=threads)
-    by_ids = {sid: ids[lo:hi] for sid, lo, hi in spans}
-    by_dists = {sid: dists[lo:hi] for sid, lo, hi in spans}
-    return by_ids, by_dists
+    """``corpus_neighbor_arrays`` per sentence: views of its flat ids and distances."""
+    _, ids, dists = corpus_neighbor_arrays(instances, encoded, memory, k, exclude_self, threads)
+    ends = np.cumsum([len(inst) for inst in instances])[:-1]
+    sids = [inst.sentence_id for inst in instances]
+    return dict(zip(sids, np.split(ids, ends))), dict(zip(sids, np.split(dists, ends)))
 
 
 def _metadata_blob(memory: ActivationMemory) -> bytes:

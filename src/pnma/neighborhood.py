@@ -11,6 +11,17 @@ Weighting modes:
   * ``shared``: a single learned vector used for every rank.
   * ``distance``: no learned vectors; eta is a softmax over negative
     Euclidean distances (heuristic baseline, nothing to train here).
+
+Layout.  Callers pass neighbor vectors token-major, shaped (..., K, d), but
+the kernels work on them rank-major: one contiguous (K, ..., d) array, taken
+with ``np.ascontiguousarray(np.moveaxis(m, -2, 0))``.  ``gather_neighbors``
+returns its gather as a (..., K, d) view of such an array, so for its output
+that step is free; any other input is copied into that layout first, so the
+bits never depend on how the input was laid out.  Rank-major, ``|m_i - h|``
+broadcasts h over the leading axis and runs one long inner loop per rank, and
+the three contractions over T tokens are batched matrix products: the logits
+(K, T, d) @ (K, d, 1), the representation (T, 1, K) @ (T, K, d) and the
+rank-vector gradient (K, 1, T) @ (K, T, d).
 """
 
 from __future__ import annotations
@@ -63,10 +74,24 @@ def init_neighborhood_params(
 
 @dataclass
 class NeighborhoodCache:
-    h: np.ndarray
-    m: np.ndarray
-    sep: np.ndarray  # |m - h|
-    eta: np.ndarray
+    h: np.ndarray  # (..., d)
+    m: np.ndarray  # rank-major (K, ..., d)
+    sep: np.ndarray  # |m - h|, rank-major
+    eta: np.ndarray  # rank-major (K, ...)
+
+
+def _move_axis(a: np.ndarray, source: int, dest: int) -> np.ndarray:
+    """``np.moveaxis`` for one axis, as a view, without the argument checks
+    that cost more than the kernels themselves on a short sentence."""
+    order = list(range(a.ndim))
+    order.insert(dest % a.ndim, order.pop(source % a.ndim))
+    return a.transpose(order)
+
+
+def gather_neighbors(vectors: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows of ``vectors`` (N, d) for entry ids (..., K): a (..., K, d) view of
+    a contiguous rank-major (K, ..., d) array, the layout the kernels use."""
+    return _move_axis(np.take(vectors, _move_axis(ids, -1, 0), axis=0), 0, -2)
 
 
 def _rank_vectors(params: NeighborhoodParams, k: int) -> np.ndarray:
@@ -106,7 +131,8 @@ def neighborhood_forward(
     single query (1-D ``h``) the two reductions use exactly rounded
     summation, which makes the result bit-identical under a joint
     permutation of the neighbors and their rank vectors; the batched path
-    trades that for vectorized reductions (differences stay at round-off).
+    trades that for matrix products over the rank-major layout (differences
+    stay at round-off).
 
     A non-finite query, rank vector or (in ``distance`` mode) distance raises
     ``NumericError``.  The neighbor vectors are not scanned: they come from an
@@ -114,50 +140,54 @@ def neighborhood_forward(
     """
     h = np.asarray(h)
     m = np.asarray(m)
-    if m.shape[-1] != h.shape[-1] or m.shape[:-2] != h.shape[:-1]:
+    if m.ndim < 2 or m.shape[-1] != h.shape[-1] or m.shape[:-2] != h.shape[:-1]:
         raise DimensionError(f"neighbor vectors {m.shape} vs query {h.shape}")
     _require_finite(h, "query")
-    k = m.shape[-2]
+    k, d = m.shape[-2], m.shape[-1]
+    lead = h.shape[:-1]
+    tokens = math.prod(lead)
     single = h.ndim == 1
-    sep = m - h[..., None, :]
+    mk = np.ascontiguousarray(_move_axis(m, -2, 0))  # (K, ..., d)
+    sep = mk - h
     np.abs(sep, out=sep)
     if params.mode == "distance":
         if distances is None:
             raise DomainError("distance mode requires the neighbor distances")
         neg = -np.asarray(distances, dtype=sep.dtype)
         _require_finite(neg, "neighbor distance")
-        eta = _exact_softmax(neg) if single else softmax(neg, axis=-1)
+        logits = _move_axis(neg, -1, 0)
     else:
         _require_finite(params.n, "rank vector")
         rank_vecs = _rank_vectors(params, k)
-        logits = np.einsum("...kd,kd->...k", sep, rank_vecs)
-        eta = _exact_softmax(logits) if single else softmax(logits, axis=-1)
+        logits = (sep.reshape(k, tokens, d) @ rank_vecs[:, :, None]).reshape((k,) + lead)
+    eta = _exact_softmax(logits) if single else softmax(logits, axis=0)  # (K, ...)
     if single:
-        weighted = eta[:, None] * m
-        repr_ = np.array([math.fsum(weighted[:, j]) for j in range(m.shape[-1])],
-                         dtype=m.dtype)
+        weighted = eta[:, None] * mk
+        repr_ = np.array([math.fsum(weighted[:, j]) for j in range(d)], dtype=m.dtype)
     else:
-        repr_ = np.einsum("...k,...kd->...d", eta, m)
+        m_tokens = mk.reshape(k, tokens, d).transpose(1, 0, 2)  # (T, K, d) view
+        repr_ = (eta.reshape(k, tokens).T[:, None, :] @ m_tokens).reshape(lead + (d,))
     if not want_cache:
-        return eta, repr_
-    cache = NeighborhoodCache(h=h, m=m, sep=sep, eta=eta)
-    return eta, repr_, cache
+        return _move_axis(eta, 0, -1), repr_
+    return _move_axis(eta, 0, -1), repr_, NeighborhoodCache(h=h, m=mk, sep=sep, eta=eta)
 
 
 def _score_backward(
     d_repr: np.ndarray, cache: NeighborhoodCache, params: NeighborhoodParams
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(d_n, d_logits) given d_loss/d_repr; d_logits is None in distance mode."""
+    """(d_n, d_logits) given d_loss/d_repr; d_logits is rank-major (K, T) over
+    the T queries, or None in distance mode."""
     if params.mode == "distance":
         return np.zeros_like(params.n), None
-    eta, sep = cache.eta, cache.sep
-    k = sep.shape[-2]
-    d_eta = np.einsum("...d,...kd->...k", d_repr, cache.m)
-    inner = np.sum(eta * d_eta, axis=-1, keepdims=True)
+    mk, sep = cache.m, cache.sep
+    k, d = mk.shape[0], mk.shape[-1]
+    tokens = math.prod(mk.shape[1:-1])
+    eta = cache.eta.reshape(k, tokens)
+    m_tokens = mk.reshape(k, tokens, d).transpose(1, 0, 2)  # (T, K, d) view
+    d_eta = (m_tokens @ d_repr.reshape(tokens, d, 1)).reshape(tokens, k).T
+    inner = np.sum(eta * d_eta, axis=0)
     d_logits = eta * (d_eta - inner)
-    d_rank = np.einsum(
-        "bk,bkd->kd", d_logits.reshape(-1, k), sep.reshape(-1, k, sep.shape[-1])
-    )
+    d_rank = (d_logits.reshape(k, 1, tokens) @ sep.reshape(k, tokens, d)).reshape(k, d)
     d_n = d_rank.sum(axis=0, keepdims=True) if params.mode == "shared" else d_rank
     return d_n.astype(params.n.dtype, copy=False), d_logits
 
@@ -178,19 +208,23 @@ def neighborhood_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_n, d_h, d_m) of a scalar loss given d_loss/d_repr.
 
-    d_n is ``neighborhood_param_grad``'s; at |m - h| = 0 the absolute value's
+    d_n is ``neighborhood_param_grad``'s; d_m has the token-major shape
+    (..., K, d) of the forward's input.  At |m - h| = 0 the absolute value's
     subgradient 0 is used.
     """
     d_n, d_logits = _score_backward(d_repr, cache, params)
-    m, h = cache.m, cache.h
-    d_m = cache.eta[..., None] * d_repr[..., None, :]
-    if d_logits is None:
-        return d_n, np.zeros_like(h), d_m
-    sign = np.sign(m - h[..., None, :])
-    d_sep = d_logits[..., None] * _rank_vectors(params, m.shape[-2])
-    d_sep *= sign  # through |m - h|: d_loss/d_m, and -d_loss/d_h per neighbor
-    d_m += d_sep
-    return d_n, -np.sum(d_sep, axis=-2), d_m
+    mk, h = cache.m, cache.h
+    d_m = cache.eta[..., None] * d_repr  # rank-major (K, ..., d)
+    if d_logits is not None:
+        k, d = mk.shape[0], mk.shape[-1]
+        rank_vecs = _rank_vectors(params, k).reshape((k,) + (1,) * (h.ndim - 1) + (d,))
+        d_sep = d_logits.reshape(mk.shape[:-1] + (1,)) * rank_vecs
+        d_sep *= np.sign(mk - h)  # through |m - h|: d_loss/d_m, and -d_loss/d_h per neighbor
+        d_m += d_sep
+        d_h = -np.sum(d_sep, axis=0)
+    else:
+        d_h = np.zeros_like(h)
+    return d_n, d_h, _move_axis(d_m, 0, -2)
 
 
 def pnma_predict(

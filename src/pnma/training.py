@@ -14,6 +14,7 @@ and gradient accumulation follows a fixed order.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,9 +42,10 @@ from .encoder import (
 )
 from .errors import CompatibilityError, DimensionError, DomainError, NumericError
 from .inference import predict_base_corpus, predict_pnma_corpus
-from .memory import ActivationMemory, corpus_neighbor_cache
+from .memory import ActivationMemory, corpus_neighbor_arrays, corpus_neighbor_cache
 from .neighborhood import (
     NeighborhoodParams,
+    gather_neighbors,
     init_neighborhood_params,
     neighborhood_forward,
     neighborhood_param_grad,
@@ -189,6 +191,20 @@ def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 def _restore(params: dict[str, np.ndarray], snap: dict[str, np.ndarray]) -> None:
     for k in params:
         params[k][...] = snap[k]
+
+
+def _flat_views(
+    shapes: dict[str, tuple[int, ...]], dtype
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One zeroed flat buffer and a C-contiguous view into it per name."""
+    flat = np.zeros(sum(math.prod(s) for s in shapes.values()), dtype=dtype)
+    views: dict[str, np.ndarray] = {}
+    start = 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return flat, views
 
 
 def train_base(
@@ -337,11 +353,20 @@ def train_pnma(
         external=external, threads=config.threads,
     )
     retrieval_started = time.perf_counter()
-    nbr_ids, nbr_dists = corpus_neighbor_cache(
+    queries, nbr_ids, nbr_dists = corpus_neighbor_arrays(
         train_instances, encoded, memory, k, exclude_self=True, threads=config.threads
     )
-    n_tokens = sum(len(inst) for inst in train_instances)
+    n_tokens = len(queries)
     retrieval_seconds = time.perf_counter() - retrieval_started
+    # distances weigh the neighbors in distance mode only
+    nbr_dists = nbr_dists.astype(dtype) if config.neighborhood_mode == "distance" else None
+    # flat (T, ...) token arrays in instance order; a batch takes its rows at once
+    if queries.dtype == dtype:
+        h_all = queries
+    else:
+        h_all = np.concatenate([encoded[i.sentence_id] for i in train_instances]).astype(dtype)
+    gold_all = np.concatenate([vocab.tag_ids(inst.gold_labels) for inst in train_instances])
+    starts = np.cumsum([0] + [len(inst) for inst in train_instances[:-1]])
 
     valid_encoded = None
     valid_ids: dict[str, np.ndarray] = {}
@@ -361,39 +386,47 @@ def train_pnma(
         k, encoder.d_hidden, init_rng, mode=config.neighborhood_mode, dtype=dtype
     )
     if config.phase2_fresh_head:
-        crf = init_crf_params(encoder.d_hidden, vocab.n_tags, init_rng, dtype=dtype)
+        head = init_crf_params(encoder.d_hidden, vocab.n_tags, init_rng, dtype=dtype)
     else:
-        crf = base_crf.copy()
-    trainables = {"emit.w": crf.emit_w, "emit.b": crf.emit_b, "crf.trans": crf.trans,
-                  "crf.start": crf.start, "crf.stop": crf.stop}
-    if nbr.mode != "distance":
-        trainables["nbr.n"] = nbr.n
-    state = init_adam_state(trainables)
+        head = base_crf
+    initial = {"emit.w": head.emit_w, "emit.b": head.emit_b, "crf.trans": head.trans,
+               "crf.start": head.start, "crf.stop": head.stop}
+    if nbr.mode != "distance":  # distance mode has no rank vectors to train
+        initial["nbr.n"] = nbr.n
+    # the trainables are views into one flat buffer, so a step is one Adam pass
+    shapes = {name: a.shape for name, a in initial.items()}
+    flat, trainables = _flat_views(shapes, dtype)
+    for name, view in trainables.items():
+        view[...] = initial[name]
+    # float64 holds each gradient exactly, whatever its dtype
+    grad_flat, grad_views = _flat_views(shapes, np.float64)
+    crf = CrfParams(trainables["emit.w"], trainables["emit.b"], trainables["crf.trans"],
+                    trainables["crf.start"], trainables["crf.stop"])
+    if "nbr.n" in trainables:
+        nbr.n = trainables["nbr.n"]
+    state = init_adam_state({"phase2": flat})
     shuffle_rng = make_rng(config.seed, STREAM_SHUFFLE + 100)
 
-    gold_ids = [vocab.tag_ids(inst.gold_labels) for inst in train_instances]
     gold_valid = [list(inst.gold_labels) for inst in (valid_instances or [])]
 
     log_lines: list[str] = []
     best_f1 = -1.0
     best_epoch = 0
-    best_snap = _snapshot(trainables) | {"nbr.n": nbr.n.copy()}
+    best_flat = flat.copy()
     for epoch in range(1, config.phase2_epochs + 1):
         total_nll = 0.0
         batches = _training_batches(train_instances, config.batch_size, shuffle_rng)
         for bi, batch in enumerate(batches):
-            insts = [train_instances[i] for i in batch]
             bsz = len(batch)
-            h = np.stack([encoded[i.sentence_id] for i in insts]).astype(dtype, copy=False)
-            ids = np.stack([nbr_ids[i.sentence_id] for i in insts])
-            dists = np.stack([nbr_dists[i.sentence_id] for i in insts]).astype(dtype)
-            gold = np.stack([gold_ids[i] for i in batch])
-            m = memory.vectors[ids].astype(dtype, copy=False)
-            eta, repr_, ncache = neighborhood_forward(
+            rows = starts[batch][:, None] + np.arange(len(train_instances[batch[0]]))
+            h = h_all[rows]
+            m = gather_neighbors(memory.vectors, nbr_ids[rows]).astype(dtype, copy=False)
+            dists = nbr_dists[rows] if nbr_dists is not None else None
+            _, repr_, ncache = neighborhood_forward(
                 h, m, nbr, distances=dists, want_cache=True
             )
             em = emission_scores(repr_, crf)
-            ll, cg = crf_log_likelihood_batch(em, gold, crf)
+            ll, cg = crf_log_likelihood_batch(em, gold_all[rows], crf)
             loss = -float(ll.sum()) / bsz
             if not np.isfinite(loss):
                 raise NumericError(
@@ -413,7 +446,10 @@ def train_pnma(
                 grads["nbr.n"] = neighborhood_param_grad(d_repr, ncache, nbr)
             if config.clip_enabled:
                 clip_gradients(grads, config.clip_norm)
-            adam_step(trainables, grads, state, config.phase2_lr, config.weight_decay)
+            for name, view in grad_views.items():
+                view[...] = grads[name]
+            adam_step({"phase2": flat}, {"phase2": grad_flat}, state, config.phase2_lr,
+                      config.weight_decay)
         epoch_loss = total_nll / len(train_instances)
         report = None
         if valid_instances:
@@ -427,14 +463,10 @@ def train_pnma(
             if report.f1 > best_f1:
                 best_f1 = report.f1
                 best_epoch = epoch
-                best_snap = _snapshot(trainables)
-                if nbr.mode == "distance":
-                    best_snap["nbr.n"] = nbr.n.copy()
+                best_flat = flat.copy()
         log_lines.append(log_line(epoch, config.phase2_lr, epoch_loss, report))
     if valid_instances:
-        _restore(trainables, {k_: v for k_, v in best_snap.items() if k_ in trainables})
-        if "nbr.n" in best_snap and nbr.mode == "distance":
-            nbr.n[...] = best_snap["nbr.n"]
+        flat[...] = best_flat
     else:
         best_epoch = config.phase2_epochs
         best_f1 = float("nan")

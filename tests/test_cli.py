@@ -104,6 +104,54 @@ class TestTextInputFuzz:
                    "--embeddings", str(toy / "emb.txt"), "--out", str(toy / "m.ckpt"))
         assert_ok_or_one_line_error(code, capsys.readouterr().err)
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corpus_file(self, toy, capsys, data):
+        # both commands read a corpus through parse_conll_file
+        (toy / "m.conll").write_bytes(mutated(data, TOY_CORPUS))
+        capsys.readouterr()
+        code = run("prepare", "--train", str(toy / "m.conll"), "--out", str(toy / "v2.txt"))
+        assert_ok_or_one_line_error(code, capsys.readouterr().err)
+        code = run("evaluate", "--gold", str(toy / "c.conll"), "--pred", str(toy / "m.conll"),
+                   "--out", str(toy / "e.tsv"))
+        assert_ok_or_one_line_error(code, capsys.readouterr().err)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_vocabulary_file(self, toy, capsys, data):
+        (toy / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")
+        (toy / "mv.txt").write_bytes(mutated(data, (toy / "v.txt").read_text(encoding="utf-8")))
+        capsys.readouterr()
+        code = run("train-base", "--config", str(toy / "run.cfg"), "--epochs", "0",
+                   "--train", str(toy / "c.conll"), "--vocab", str(toy / "mv.txt"),
+                   "--out", str(toy / "m.ckpt"))
+        assert_ok_or_one_line_error(code, capsys.readouterr().err)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(["seed", "batch_size", "n_layers", "d_word", "d_pred",
+                                 "d_hidden", "k_neighbors", "threads", "epochs"]),
+           value=st.integers(-3, 4))
+    def test_integer_config_key(self, toy, capsys, name, value):
+        # one training epoch, so the batch size and every dimension are used
+        (toy / "run.cfg").write_text(TOY_CONFIG + f"{name} = {value}\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run("train-base", "--config", str(toy / "run.cfg"),
+                   "--train", str(toy / "c.conll"), "--vocab", str(toy / "v.txt"),
+                   "--out", str(toy / "m.ckpt"))
+        assert_ok_or_one_line_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag", ["--seed", "--batch-size", "--n-layers"])
+    def test_out_of_range_integer_flag_exits_two(self, toy, capsys, flag):
+        (toy / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")
+        code = run("train-base", "--config", str(toy / "run.cfg"), flag, "-1",
+                   "--train", str(toy / "c.conll"), "--vocab", str(toy / "v.txt"),
+                   "--out", str(toy / "m.ckpt"))
+        assert code == 2
+        assert flag[2:].replace("-", "_") + " must be at least" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "4e38", "0.5x"])
     def test_bad_embedding_value_exits_two(self, toy, capsys, value):
         (toy / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")

@@ -119,3 +119,23 @@ class TestExitCodes:
     ])
     def test_data_errors_are_two(self, exc):
         assert exit_code_for(exc) == 2
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("name, least", [
+        ("seed", 0), ("batch_size", 1), ("n_layers", 1), ("d_word", 1), ("d_pred", 1),
+        ("d_hidden", 1), ("k_neighbors", 1), ("threads", 1),
+    ])
+    def test_least_value_accepted_one_below_rejected(self, name, least):
+        assert getattr(TrainConfig(**{name: least}), name) == least
+        with pytest.raises(ConfigError, match=f"{name} must be at least {least}"):
+            TrainConfig(**{name: least - 1})
+
+    def test_zero_epochs_accepted(self):
+        assert TrainConfig(epochs=0, phase2_epochs=0).epochs == 0
+
+    def test_file_value_out_of_range_names_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("batch_size = 0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="batch_size"):
+            load_run_config(str(path), quiet=True)

@@ -85,6 +85,20 @@ class TestParse:
         insts = parse_conll_file(str(p))
         assert [i.sentence_id for i in insts] == ["corpus-0", "corpus-1"]
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_corpus_names_line(self, tmp_path, newline):
+        path = tmp_path / "bad.conll"
+        path.write_bytes(newline.join([b"# id: s1", b"a 1 B-V", b"b 0 \xff", b""]))
+        with pytest.raises(ParseError, match=r"bad\.conll:3: not UTF-8"):
+            parse_conll_file(str(path))
+
+    def test_lines_numbered_as_text_mode_iterates(self, tmp_path):
+        # a form feed or U+0085 inside a comment does not end its line
+        path = tmp_path / "c.conll"
+        path.write_bytes("# a\x0cb\x85c\u2028d\r\nx 1 B-V\rbad line\n".encode("utf-8"))
+        with pytest.raises(ParseError, match=r"c\.conll:3: expected 3 columns"):
+            parse_conll_file(str(path))
+
     def test_parse_serialize_parse_identity(self, two_block_file, tmp_path):
         insts = parse_conll_file(two_block_file)
         out = tmp_path / "round.conll"
@@ -203,6 +217,15 @@ class TestVocab:
         path = tmp_path / "bad.txt"
         path.write_text("not a vocab\n", encoding="utf-8")
         with pytest.raises(FormatError):
+            load_vocab(str(path))
+
+    def test_load_rejects_non_utf8_naming_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocab(build_vocab([self._inst(["a", "a"], ["B-V", "O"])], min_frequency=1),
+                   str(path))
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\na\n", b"\n\xffa\n"))
+        with pytest.raises(FormatError, match=r"vocab\.txt:7: not UTF-8"):
             load_vocab(str(path))
 
 

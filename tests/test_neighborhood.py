@@ -9,6 +9,7 @@ from pnma.errors import DimensionError, DomainError, NumericError
 from pnma.memory import ActivationMemory, build_memory
 from pnma.neighborhood import (
     NeighborhoodParams,
+    gather_neighbors,
     init_neighborhood_params,
     neighborhood_backward,
     neighborhood_forward,
@@ -246,6 +247,38 @@ class TestGradients:
         assert finite_difference_check(loss_n, params.n, d_nn) < 1e-4
         assert finite_difference_check(loss_h, h, d_h) < 1e-4
 
+    @pytest.mark.parametrize("mode", ["distinct", "shared"])
+    def test_gradients_on_gathered_batch(self, mode):
+        rng = make_rng(16)
+        b, n, k, d = 2, 3, 4, 5
+        vectors = rng.normal(size=(30, d))
+        ids = rng.integers(0, 30, size=(b, n, k))
+        m = gather_neighbors(vectors, ids)
+        params = init_neighborhood_params(k, d, rng, mode=mode, dtype=np.float64)
+        params.n[...] = rng.normal(0.0, 0.5, size=params.n.shape)
+        h = rng.normal(size=(b, n, d))
+        d_rep = rng.normal(size=(b, n, d))
+        _, _, cache = neighborhood_forward(h, m, params, want_cache=True)
+        d_n, d_h, d_m = neighborhood_backward(d_rep, cache, params)
+
+        def loss_n(t):
+            p2 = NeighborhoodParams(n=t.reshape(params.n.shape), mode=mode)
+            return float((neighborhood_forward(h, m, p2)[1] * d_rep).sum())
+
+        def loss_h(t):
+            return float((neighborhood_forward(t.reshape(h.shape), m, params)[1] * d_rep).sum())
+
+        def loss_m(t):
+            # each perturbed batch goes through the helper's layout again
+            table = t.reshape(-1, d)
+            flat_ids = np.arange(table.shape[0]).reshape(b, n, k)
+            m2 = gather_neighbors(table, flat_ids)
+            return float((neighborhood_forward(h, m2, params)[1] * d_rep).sum())
+
+        assert finite_difference_check(loss_n, params.n, d_n) < 1e-4
+        assert finite_difference_check(loss_h, h, d_h) < 1e-4
+        assert finite_difference_check(loss_m, np.array(m), d_m) < 1e-4
+
     def test_param_grad_equals_full_backward(self):
         rng = make_rng(15)
         b, n, k, d = 3, 4, 6, 5
@@ -260,6 +293,76 @@ class TestGradients:
             assert np.array_equal(d_n, neighborhood_backward(d_rep, cache, params)[0]), mode
             assert d_n.shape == params.n.shape
             assert np.any(d_n) == (mode != "distance")
+
+
+def random_case(rng, k, lead, d, dtype, mode):
+    """A memory of 20 vectors, queries (*lead, d), neighbor ids (*lead, k),
+    distances and rank vectors large enough to make the weights uneven."""
+    vectors = rng.normal(size=(20, d)).astype(dtype)
+    ids = rng.integers(0, 20, size=(*lead, k))
+    h = rng.normal(size=(*lead, d)).astype(dtype)
+    dists = rng.uniform(0.0, 3.0, size=(*lead, k))
+    params = init_neighborhood_params(k, d, rng, mode=mode, dtype=dtype)
+    params.n *= 40.0
+    return vectors, ids, h, dists, params
+
+
+def random_shapes(rng, count):
+    """Degenerate shapes first (K, T or d of 1), then random ones."""
+    shapes = [(1, (3, 2), 4), (5, (1,), 3), (4, (2, 3), 1), (1, (1, 1), 1), (3, (1, 1), 2)]
+    for _ in range(count):
+        lead = tuple(int(x) for x in rng.integers(1, 5, size=int(rng.integers(1, 3))))
+        shapes.append((int(rng.integers(1, 9)), lead, int(rng.integers(1, 7))))
+    return shapes
+
+
+class TestRankMajorLayout:
+    """The kernels copy token-major inputs into the rank-major layout that
+    ``gather_neighbors`` returns, so both inputs give the same bits."""
+
+    def test_gather_is_a_view_of_a_rank_major_array(self):
+        rng = make_rng(30)
+        vectors = rng.normal(size=(20, 3)).astype(np.float32)
+        ids = rng.integers(0, 20, size=(2, 4, 5))
+        m = gather_neighbors(vectors, ids)
+        assert m.shape == (2, 4, 5, 3) and m.dtype == np.float32
+        np.testing.assert_array_equal(m, vectors[ids])
+        assert np.moveaxis(m, -2, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["distinct", "shared", "distance"])
+    def test_token_major_and_gathered_inputs_give_same_bits(self, dtype, mode):
+        rng = make_rng(31)
+        for k, lead, d in random_shapes(rng, 20):
+            vectors, ids, h, dists, params = random_case(rng, k, lead, d, dtype, mode)
+            d_rep = rng.normal(size=(*lead, d)).astype(dtype)
+            outs = []
+            for m in (vectors[ids], gather_neighbors(vectors, ids)):
+                eta, rep, cache = neighborhood_forward(h, m, params, distances=dists,
+                                                       want_cache=True)
+                outs.append((eta, rep, *neighborhood_backward(d_rep, cache, params)))
+            for a, b in zip(*outs):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["distinct", "shared", "distance"])
+    def test_batched_path_matches_exactly_rounded_single_query(self, dtype, mode):
+        rng = make_rng(32)
+        eps = np.finfo(dtype).eps
+        for k, lead, d in random_shapes(rng, 20):
+            vectors, ids, h, dists, params = random_case(rng, k, lead, d, dtype, mode)
+            m = gather_neighbors(vectors, ids)
+            eta, rep = neighborhood_forward(h, m, params, distances=dists)
+            assert eta.shape == (*lead, k) and rep.shape == (*lead, d)
+            for t in np.ndindex(*lead):
+                eta1, rep1 = neighborhood_forward(h[t], m[t], params, distances=dists[t])
+                # a logit carries at most d roundings of terms up to |n| |m - h|
+                logit_err = 4 * d * eps * float(np.abs(params.n).max()) * float(
+                    np.abs(m[t] - h[t]).max())
+                np.testing.assert_allclose(eta[t], eta1, rtol=0, atol=logit_err + 8 * k * eps)
+                tol = (logit_err + 8 * k * eps) * k * float(np.abs(m[t]).max())
+                np.testing.assert_allclose(rep[t], rep1, rtol=0, atol=tol + 4 * eps)
 
 
 class TestPredict:

@@ -8,11 +8,18 @@ from pnma.errors import CompatibilityError, DimensionError, DomainError
 from pnma.memory import build_memory
 from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
+from pnma import training
+from pnma.encoder import encode_corpus
+from pnma.memory import corpus_neighbor_cache
+from pnma.neighborhood import init_neighborhood_params
 from pnma.training import (
     _ADAM_CHUNK,
     ADAM_BETA1,
     ADAM_BETA2,
+    STREAM_NBR,
+    STREAM_SHUFFLE,
     AdamState,
+    _flat_views,
     _training_batches,
     adam_step,
     clip_gradients,
@@ -108,6 +115,31 @@ class TestAdam:
             assert np.array_equal(params[k], ref[k]), k
             assert np.array_equal(state.m[k], ref_m[k]), k
             assert np.array_equal(state.v[k], ref_v[k]), k
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_flat_buffer_equals_per_parameter_steps(self, wd):
+        # the phase-2 trainables and their gradients, float32 and float64 alike
+        rng = make_rng(6)
+        shapes = {"emit.w": (11, 48), "emit.b": (11,), "crf.trans": (11, 11),
+                  "crf.start": (11,), "crf.stop": (11,), "nbr.n": (64, 48)}
+        grad_dtypes = {"emit.w": np.float32, "emit.b": np.float32, "nbr.n": np.float32}
+        params = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        flat, views = _flat_views(shapes, np.float32)
+        for name, view in views.items():
+            view[...] = params[name]
+        grad_flat, grad_views = _flat_views(shapes, np.float64)
+        state, flat_state = init_adam_state(params), init_adam_state({"all": flat})
+        for _ in range(3):
+            grads = {k: rng.normal(size=s).astype(grad_dtypes.get(k, np.float64))
+                     for k, s in shapes.items()}
+            adam_step(params, grads, state, lr=0.01, weight_decay=wd)
+            for name, view in grad_views.items():
+                view[...] = grads[name]
+            adam_step({"all": flat}, {"all": grad_flat}, flat_state, lr=0.01, weight_decay=wd)
+        for name, view in views.items():
+            assert np.shares_memory(view, flat)
+            assert np.array_equal(view, params[name]), name
+            assert view.tobytes() == params[name].tobytes(), name
 
     def test_non_contiguous_parameter_rejected(self):
         params = {"w": np.zeros((4, 6))[:, ::2]}
@@ -312,6 +344,75 @@ class TestTrainPnma:
         assert out.retrieval_tokens == sum(len(i) for i in train)
         assert out.retrieval_seconds > 0
         assert out.seconds > 0
+
+    @pytest.mark.parametrize("mode", ["distinct", "distance"])
+    def test_step_inputs_match_per_sentence_stacking(self, base_setup, monkeypatch, mode):
+        train, valid, vocab, cfg, result, memory, digest = base_setup
+        cfg2 = tiny_config(neighborhood_mode=mode, phase2_epochs=1)
+        seen = {"forward": [], "gather": [], "gold": []}
+        forward, gather, crf_ll = (training.neighborhood_forward, training.gather_neighbors,
+                                   training.crf_log_likelihood_batch)
+
+        def spy_forward(h, m, params, distances=None, want_cache=False):
+            seen["forward"].append((h.copy(), None if distances is None else distances.copy()))
+            return forward(h, m, params, distances=distances, want_cache=want_cache)
+
+        def spy_gather(vectors, ids):
+            seen["gather"].append(ids.copy())
+            return gather(vectors, ids)
+
+        def spy_crf(em, gold, crf):
+            seen["gold"].append(gold.copy())
+            return crf_ll(em, gold, crf)
+
+        monkeypatch.setattr(training, "neighborhood_forward", spy_forward)
+        monkeypatch.setattr(training, "gather_neighbors", spy_gather)
+        monkeypatch.setattr(training, "crf_log_likelihood_batch", spy_crf)
+        train_pnma(result.encoder, result.crf, digest, memory, train, None, vocab, cfg2)
+
+        # the per-sentence stacking that the flat token arrays replace
+        encoded = encode_corpus(train, result.encoder, vocab)
+        ids, dists = corpus_neighbor_cache(train, encoded, memory, cfg2.k_neighbors,
+                                           exclude_self=True)
+        rng = make_rng(cfg2.seed, STREAM_SHUFFLE + 100)
+        batches = _training_batches(train, cfg2.batch_size, rng)
+        assert len(seen["forward"]) == len(seen["gather"]) == len(seen["gold"]) == len(batches)
+        for batch, (h, d), i, g in zip(batches, seen["forward"], seen["gather"], seen["gold"]):
+            sids = [train[j].sentence_id for j in batch]
+            want_h = np.stack([encoded[sid] for sid in sids]).astype(np.float32)
+            assert h.dtype == want_h.dtype and np.array_equal(h, want_h)
+            assert np.array_equal(i, np.stack([ids[sid] for sid in sids]))
+            assert np.array_equal(g, np.stack([vocab.tag_ids(train[j].gold_labels)
+                                               for j in batch]))
+            if mode == "distance":
+                want_d = np.stack([dists[sid] for sid in sids]).astype(np.float32)
+                assert d.dtype == want_d.dtype and np.array_equal(d, want_d)
+            else:
+                assert d is None
+
+    @pytest.mark.parametrize("mode", ["distinct", "shared", "distance"])
+    def test_rank_vectors_trained_unless_distance_mode(self, base_setup, mode):
+        train, valid, vocab, cfg, result, memory, digest = base_setup
+        # no weight decay: only the gradient can move the rank vectors
+        cfg2 = tiny_config(neighborhood_mode=mode, phase2_epochs=2, weight_decay=0.0)
+        initial = init_neighborhood_params(cfg2.k_neighbors, cfg2.d_hidden,
+                                           make_rng(cfg2.seed, STREAM_NBR), mode=mode)
+        out = train_pnma(result.encoder, result.crf, digest, memory,
+                         train, valid, vocab, cfg2)
+        assert out.nbr.n.shape == initial.n.shape
+        assert np.array_equal(out.nbr.n, initial.n) == (mode == "distance")
+        assert not np.array_equal(out.crf.trans, result.crf.trans)
+
+    def test_best_epoch_parameters_restored(self, base_setup):
+        train, valid, vocab, cfg, result, memory, digest = base_setup
+        runs = [train_pnma(result.encoder, result.crf, digest, memory, train, valid, vocab,
+                           tiny_config(phase2_epochs=epochs)) for epochs in (3, 1)]
+        # validation F1 peaks at epoch 1 of 3 here, so the longer run must
+        # hand back its epoch-1 parameters, which the one-epoch run ends with
+        assert [r.best_epoch for r in runs] == [1, 1]
+        longer, shorter = (crf_to_dict(r.crf) | {"nbr.n": r.nbr.n} for r in runs)
+        for name in shorter:
+            assert longer[name].tobytes() == shorter[name].tobytes(), name
 
     def test_distance_mode_trains_head_only(self, base_setup):
         train, valid, vocab, cfg, result, memory, digest = base_setup
