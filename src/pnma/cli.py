@@ -16,13 +16,7 @@ import time
 import numpy as np
 
 from . import analysis, dataio, synthetic
-from .checkpoint import (
-    Model,
-    crf_from_dict,
-    is_encoder_param,
-    load_model,
-    save_model,
-)
+from .checkpoint import Model, load_model, save_model
 from .config import TrainConfig, load_run_config
 from .errors import (
     CapacityError,
@@ -67,34 +61,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# flag, TrainConfig field, and the value type or the allowed choices
+_CONFIG_FLAGS: tuple[tuple[str, str, type | tuple[str, ...]], ...] = (
+    ("--seed", "seed", int),
+    ("--epochs", "epochs", int),
+    ("--phase2-epochs", "phase2_epochs", int),
+    ("--batch-size", "batch_size", int),
+    ("--threads", "threads", int),
+    ("--k", "k_neighbors", int),
+    ("--memory-fraction", "memory_fraction", float),
+    ("--base-lr", "base_lr", float),
+    ("--phase2-lr", "phase2_lr", float),
+    ("--d-word", "d_word", int),
+    ("--d-hidden", "d_hidden", int),
+    ("--n-layers", "n_layers", int),
+    ("--dropout-embed", "dropout_embed", float),
+    ("--dropout-layer", "dropout_layer", float),
+    ("--scheme", "scheme", ("bio-span", "per-token-role")),
+    ("--neighborhood-mode", "neighborhood_mode", ("distinct", "shared", "distance")),
+)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="run-config file (key = value lines)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--phase2-epochs", dest="phase2_epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--k", dest="k_neighbors", type=int)
-    p.add_argument("--memory-fraction", dest="memory_fraction", type=float)
-    p.add_argument("--base-lr", dest="base_lr", type=float)
-    p.add_argument("--phase2-lr", dest="phase2_lr", type=float)
-    p.add_argument("--d-word", dest="d_word", type=int)
-    p.add_argument("--d-hidden", dest="d_hidden", type=int)
-    p.add_argument("--n-layers", dest="n_layers", type=int)
-    p.add_argument("--dropout-embed", dest="dropout_embed", type=float)
-    p.add_argument("--dropout-layer", dest="dropout_layer", type=float)
-    p.add_argument("--scheme", choices=("bio-span", "per-token-role"))
-    p.add_argument("--neighborhood-mode", dest="neighborhood_mode",
-                   choices=("distinct", "shared", "distance"))
+    for flag, dest, kind in _CONFIG_FLAGS:
+        if isinstance(kind, tuple):
+            p.add_argument(flag, dest=dest, choices=kind)
+        else:
+            p.add_argument(flag, dest=dest, type=kind)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    keys = (
-        "seed", "epochs", "phase2_epochs", "batch_size", "threads", "k_neighbors",
-        "memory_fraction", "base_lr", "phase2_lr", "d_word", "d_hidden", "n_layers",
-        "dropout_embed", "dropout_layer", "scheme", "neighborhood_mode",
-    )
-    return {k: getattr(args, k, None) for k in keys if getattr(args, k, None) is not None}
+    return {dest: getattr(args, dest) for _, dest, _ in _CONFIG_FLAGS
+            if getattr(args, dest, None) is not None}
 
 
 def _load_corpus(path: str, scheme: str) -> list[dataio.Instance]:

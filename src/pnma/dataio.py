@@ -104,7 +104,9 @@ def parse_conll_file(
 
     A block must mark exactly one predicate bit.  Zero-predicate blocks are
     accepted only with ``allow_missing_predicate`` (a warning is printed and
-    ``predicate_index`` is set to -1); multiple bits always fail.
+    ``predicate_index`` is set to -1); multiple bits always fail.  Sentence
+    ids, given or generated, must be unique: a repeat fails, naming its line
+    and the line of the first use.
     """
     if scheme not in SCHEMES:
         raise DomainError(f"unknown tag scheme {scheme!r}")
@@ -114,7 +116,9 @@ def parse_conll_file(
     bits: list[int] = []
     labels: list[str] = []
     pending_id: str | None = None
+    pending_id_line = 0
     block_start_line = 0
+    first_use: dict[str, int] = {}  # sentence id -> line of its first use
 
     def flush(line_no: int) -> None:
         nonlocal tokens, bits, labels, pending_id
@@ -138,7 +142,16 @@ def parse_conll_file(
             pred = -1
         else:
             pred = ones[0]
-        sid = pending_id if pending_id is not None else f"{stem}-{len(instances)}"
+        if pending_id is not None:
+            sid, id_line = pending_id, pending_id_line
+        else:
+            sid, id_line = f"{stem}-{len(instances)}", block_start_line
+        if sid in first_use:
+            raise ParseError(
+                f"{path}:{id_line}: sentence id {sid!r} repeats the id first used "
+                f"at line {first_use[sid]}"
+            )
+        first_use[sid] = id_line
         instances.append(
             Instance(
                 sentence_id=sid,
@@ -161,7 +174,7 @@ def parse_conll_file(
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("id:"):
-                pending_id = body[3:].strip()
+                pending_id, pending_id_line = body[3:].strip(), line_no
             continue
         if not line:
             flush(line_no)

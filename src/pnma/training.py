@@ -1,11 +1,15 @@
-"""Adam optimizer and the two training phases.
+"""Adam and the training loop that both phases run.
 
-Phase 1 trains the whole base tagger end to end on the CRF negative
-log-likelihood with the halving learning-rate schedule.  Phase 2 freezes
-every encoder parameter, retrieves each training token's neighbors once
-(the encoder being frozen makes activations and retrievals reusable across
-epochs), and updates only the neighborhood vectors and the emission/CRF
-head on the neighborhood representation.
+Both phases minimise the CRF negative log-likelihood of the emission/CRF
+head with Adam; they differ only in the representation under the head.
+Phase 1 trains the whole base tagger end to end on the encoder output, with
+the halving learning-rate schedule.  Phase 2 freezes every encoder
+parameter, retrieves each training token's neighbors once (the encoder being
+frozen makes activations and retrievals reusable across epochs), and trains
+only the neighborhood vectors and the head on the neighborhood
+representation.  Each phase keeps its trainables as views into one flat
+buffer, so an optimizer step is one Adam pass and the best-epoch snapshot is
+one copy.
 
 Runs are deterministic given the seed: shuffling, initialization and
 dropout draw from separate named streams, batches are same-length groups,
@@ -14,15 +18,15 @@ and gradient accumulation follows a fixed order.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .analysis import EvalReport, evaluate_labels
+from .checkpoint import crf_from_dict, crf_to_dict
 from .config import TrainConfig
 from .crf import (
     CrfParams,
@@ -67,61 +71,65 @@ _ADAM_CHUNK = 1 << 14
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()},
-        v={k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()},
-    )
+def init_adam_state(theta: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros(theta.size), v=np.zeros(theta.size))
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    theta: np.ndarray,
+    grads: Sequence[np.ndarray],
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
 ) -> None:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update of a flat parameter buffer, in place.
 
-    Weight decay is added to the gradient before the moment updates; moments
-    are kept in double precision regardless of the parameter dtype.  The
-    elementwise update runs over contiguous chunks of each flattened
-    parameter, which gives the same bits as one whole-array pass.
+    ``grads`` are the gradients of the buffer's consecutive segments, in
+    layout order, of any shape and float dtype.  Weight decay is added to the
+    gradient before the moment updates; moments are kept in double precision
+    regardless of the parameter dtype.  The update runs over chunks of the
+    buffer, gathering each chunk's float64 gradient from the pieces that
+    cover it; being elementwise, it gives the same bits as one whole-array
+    pass per segment.
     """
+    if theta.ndim != 1 or not theta.flags.c_contiguous:
+        raise DomainError(f"adam_step: parameters must be one flat C-contiguous buffer, "
+                          f"got shape {theta.shape}")
+    pieces = [np.asarray(g).reshape(-1) for g in grads]
+    n_grads = sum(p.size for p in pieces)
+    if n_grads != theta.size:
+        raise DimensionError(f"adam_step: gradients hold {n_grads} elements "
+                             f"for {theta.size} parameters")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, theta in params.items():
-        if name not in grads:
-            raise DomainError(f"adam_step: no gradient for parameter {name!r}")
-        g = np.asarray(grads[name])
-        if g.shape != theta.shape:
-            raise DimensionError(
-                f"adam_step: gradient {g.shape} vs parameter {theta.shape} for {name!r}"
-            )
-        if not theta.flags.c_contiguous:
-            raise DomainError(f"adam_step: parameter {name!r} is not C-contiguous")
-        flat_theta = theta.reshape(-1)
-        flat_g = g.reshape(-1)
-        flat_m, flat_v = state.m[name].reshape(-1), state.v[name].reshape(-1)
-        for s in range(0, flat_theta.size, _ADAM_CHUNK):
-            chunk = slice(s, s + _ADAM_CHUNK)
-            th = flat_theta[chunk]
-            g64 = flat_g[chunk].astype(np.float64)
-            if weight_decay:
-                g64 = g64 + weight_decay * th.astype(np.float64)
-            m, v = flat_m[chunk], flat_v[chunk]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g64
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g64 * g64
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            th -= update.astype(theta.dtype)
+    piece, offset = 0, 0  # the next gradient element to gather
+    for s in range(0, theta.size, _ADAM_CHUNK):
+        chunk = slice(s, s + _ADAM_CHUNK)
+        th = theta[chunk]
+        parts, filled = [], 0
+        while filled < th.size:
+            take = min(pieces[piece].size - offset, th.size - filled)
+            parts.append(pieces[piece][offset : offset + take])
+            filled += take
+            offset += take
+            if offset == pieces[piece].size:
+                piece, offset = piece + 1, 0
+        g64 = np.concatenate(parts, dtype=np.float64)
+        if weight_decay:
+            g64 = g64 + weight_decay * th.astype(np.float64)
+        m, v = state.m[chunk], state.v[chunk]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g64
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g64 * g64
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        th -= update.astype(theta.dtype)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -156,20 +164,12 @@ def log_line(epoch: int, lr: float, loss: float, report: EvalReport | None) -> s
 
 
 @dataclass
-class BaseTrainResult:
+class TrainResult:
+    """A trained model; ``nbr`` is None after phase 1."""
+
     encoder: EncoderParams
     crf: CrfParams
-    log_lines: list[str]
-    best_epoch: int
-    best_f1: float
-    seconds: float = 0.0
-
-
-@dataclass
-class PnmaTrainResult:
-    encoder: EncoderParams
-    crf: CrfParams
-    nbr: NeighborhoodParams
+    nbr: NeighborhoodParams | None
     log_lines: list[str]
     best_epoch: int
     best_f1: float
@@ -184,27 +184,97 @@ class PnmaTrainResult:
         return 1000.0 * self.retrieval_seconds / self.retrieval_tokens
 
 
-def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def _restore(params: dict[str, np.ndarray], snap: dict[str, np.ndarray]) -> None:
-    for k in params:
-        params[k][...] = snap[k]
-
-
 def _flat_views(
-    shapes: dict[str, tuple[int, ...]], dtype
+    arrays: dict[str, np.ndarray], dtype
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """One zeroed flat buffer and a C-contiguous view into it per name."""
-    flat = np.zeros(sum(math.prod(s) for s in shapes.values()), dtype=dtype)
+    """One flat buffer holding a copy of each array, and a C-contiguous view
+    into it per name, in the order given."""
+    flat = np.empty(sum(a.size for a in arrays.values()), dtype=dtype)
     views: dict[str, np.ndarray] = {}
     start = 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        views[name] = flat[start : start + size].reshape(shape)
-        start += size
+    for name, a in arrays.items():
+        views[name] = flat[start : start + a.size].reshape(a.shape)
+        views[name][...] = a
+        start += a.size
     return flat, views
+
+
+# (d_repr, head gradients) -> every trainable's gradient, in clipping order
+Backward = Callable[[np.ndarray, dict[str, np.ndarray]], dict[str, np.ndarray]]
+
+
+def _train_loop(
+    name: str,
+    instances: Sequence[Instance],
+    valid_instances: Sequence[Instance] | None,
+    vocab: Vocabulary,
+    config: TrainConfig,
+    flat: np.ndarray,
+    trainables: dict[str, np.ndarray],
+    lrs: Sequence[float],
+    shuffle_rng: np.random.Generator,
+    forward: Callable[[np.ndarray], tuple[np.ndarray, Backward]],
+    predict_valid: Callable[[], list[np.ndarray]],
+) -> tuple[list[str], int, float]:
+    """Train the head over ``forward``'s representation, one epoch per rate.
+
+    ``trainables`` are views into ``flat``, the head's five among them.
+    ``forward`` maps a batch's rows of the flat token arrays (corpus order)
+    to its representation and a backward function; ``predict_valid`` tags
+    the validation set with the current parameters.  With validation data
+    the best-F1 epoch's parameters are restored at the end.  Returns the log
+    lines, the best epoch and its F1.
+    """
+    crf = crf_from_dict(trainables)
+    state = init_adam_state(flat)
+    gold_all = np.concatenate([vocab.tag_ids(inst.gold_labels) for inst in instances])
+    starts = np.cumsum([0] + [len(inst) for inst in instances[:-1]])
+    gold_valid = [list(inst.gold_labels) for inst in (valid_instances or [])]
+
+    log_lines: list[str] = []
+    best_f1 = -1.0
+    best_epoch = 0
+    best_flat = flat.copy()
+    for epoch, lr in enumerate(lrs, start=1):
+        total_nll = 0.0
+        batches = _training_batches(instances, config.batch_size, shuffle_rng)
+        for bi, batch in enumerate(batches):
+            bsz = len(batch)
+            rows = starts[batch][:, None] + np.arange(len(instances[batch[0]]))
+            repr_, backward = forward(rows)
+            em = emission_scores(repr_, crf)
+            ll, cg = crf_log_likelihood_batch(em, gold_all[rows], crf)
+            nll = -float(ll.sum())
+            if not np.isfinite(nll):
+                raise NumericError(f"{name}: non-finite loss at epoch {epoch}, batch {bi}")
+            total_nll += nll
+            d_em = (-cg.emissions / bsz).astype(repr_.dtype)
+            d_repr, d_ew, d_eb = emission_backward(d_em, repr_, crf)
+            grads = backward(d_repr, {
+                "emit.w": d_ew,
+                "emit.b": d_eb,
+                "crf.trans": -cg.trans / bsz,
+                "crf.start": -cg.start / bsz,
+                "crf.stop": -cg.stop / bsz,
+            })
+            if config.clip_enabled:
+                clip_gradients(grads, config.clip_norm)
+            adam_step(flat, [grads[k] for k in trainables], state, lr, config.weight_decay)
+        report = None
+        if valid_instances:
+            pred_labels = [vocab.tag_strings(p) for p in predict_valid()]
+            report = evaluate_labels(gold_valid, pred_labels, config.scheme)
+            if report.f1 > best_f1:
+                best_f1 = report.f1
+                best_epoch = epoch
+                best_flat = flat.copy()
+        log_lines.append(log_line(epoch, lr, total_nll / len(instances), report))
+    if valid_instances:
+        flat[...] = best_flat
+    else:
+        best_epoch = len(lrs)
+        best_f1 = float("nan")
+    return log_lines, best_epoch, best_f1
 
 
 def train_base(
@@ -213,7 +283,7 @@ def train_base(
     vocab: Vocabulary,
     config: TrainConfig,
     external: ExternalEmbeddings | None = None,
-) -> BaseTrainResult:
+) -> TrainResult:
     """End-to-end phase-1 training; keeps the best-validation-F1 parameters."""
     if not train_instances:
         raise DomainError("train_base: empty training set")
@@ -231,84 +301,42 @@ def train_base(
         external_dim=external.dim if external is not None else None,
     )
     crf = init_crf_params(config.d_hidden, vocab.n_tags, init_rng, dtype=dtype)
-    params = {**encoder.to_dict(), "emit.w": crf.emit_w, "emit.b": crf.emit_b,
-              "crf.trans": crf.trans, "crf.start": crf.start, "crf.stop": crf.stop}
-    state = init_adam_state(params)
-    shuffle_rng = make_rng(config.seed, STREAM_SHUFFLE)
+    flat, trainables = _flat_views({**encoder.to_dict(), **crf_to_dict(crf)}, dtype)
+    encoder, crf = EncoderParams.from_dict(trainables), crf_from_dict(trainables)
     drop_rng = make_rng(config.seed, STREAM_DROPOUT)
 
-    word_ids = [vocab.word_ids(inst.tokens) for inst in train_instances]
-    pred_bits = [np.array(inst.predicate_bits, dtype=np.int64) for inst in train_instances]
-    gold_ids = [vocab.tag_ids(inst.gold_labels) for inst in train_instances]
-    ext_vecs = None
+    # flat (T, ...) token arrays in instance order; a batch takes its rows at once
+    word_all = np.concatenate([vocab.word_ids(inst.tokens) for inst in train_instances])
+    bits_all = np.concatenate([np.array(inst.predicate_bits, dtype=np.int64)
+                               for inst in train_instances])
+    ext_all = None
     if external is not None:
-        ext_vecs = [external.vectors(inst.sentence_id).astype(dtype) for inst in train_instances]
-    gold_valid = [list(inst.gold_labels) for inst in (valid_instances or [])]
+        ext_all = np.concatenate([external.vectors(inst.sentence_id).astype(dtype)
+                                  for inst in train_instances])
 
-    log_lines: list[str] = []
-    best_f1 = -1.0
-    best_epoch = 0
-    best_snap = _snapshot(params)
-    for epoch in range(1, config.epochs + 1):
-        lr = config.lr_for_epoch(epoch)
-        total_nll = 0.0
-        batches = _training_batches(train_instances, config.batch_size, shuffle_rng)
-        for bi, batch in enumerate(batches):
-            w = np.stack([word_ids[i] for i in batch])
-            b = np.stack([pred_bits[i] for i in batch])
-            gold = np.stack([gold_ids[i] for i in batch])
-            ext = np.stack([ext_vecs[i] for i in batch]) if ext_vecs is not None else None
-            bsz = len(batch)
-            h, cache = encode_batch(
-                w, b, encoder,
-                training=True,
-                dropout_embed=config.dropout_embed,
-                dropout_layer=config.dropout_layer,
-                drop_rng=drop_rng,
-                external_vectors=ext,
-                want_cache=True,
-            )
-            em = emission_scores(h, crf)
-            ll, cg = crf_log_likelihood_batch(em, gold, crf)
-            loss = -float(ll.sum()) / bsz
-            if not np.isfinite(loss):
-                raise NumericError(f"train_base: non-finite loss at epoch {epoch}, batch {bi}")
-            total_nll += -float(ll.sum())
-            d_em = (-cg.emissions / bsz).astype(h.dtype)
-            d_h, d_ew, d_eb = emission_backward(d_em, h, crf)
-            grads = encode_backward(d_h, cache, encoder)
-            grads["emit.w"] = d_ew
-            grads["emit.b"] = d_eb
-            grads["crf.trans"] = -cg.trans / bsz
-            grads["crf.start"] = -cg.start / bsz
-            grads["crf.stop"] = -cg.stop / bsz
-            if config.clip_enabled:
-                clip_gradients(grads, config.clip_norm)
-            adam_step(params, grads, state, lr, config.weight_decay)
-        epoch_loss = total_nll / len(train_instances)
-        report = None
-        if valid_instances:
-            preds = predict_base_corpus(valid_instances, encoder, crf, vocab, external=external)
-            pred_labels = [vocab.tag_strings(p) for p in preds]
-            report = evaluate_labels(gold_valid, pred_labels, config.scheme)
-            if report.f1 > best_f1:
-                best_f1 = report.f1
-                best_epoch = epoch
-                best_snap = _snapshot(params)
-        log_lines.append(log_line(epoch, lr, epoch_loss, report))
-    if valid_instances:
-        _restore(params, best_snap)
-    else:
-        best_epoch = config.epochs
-        best_f1 = float("nan")
-    return BaseTrainResult(
-        encoder=encoder,
-        crf=crf,
-        log_lines=log_lines,
-        best_epoch=best_epoch,
-        best_f1=best_f1,
-        seconds=time.perf_counter() - started,
+    def forward(rows: np.ndarray) -> tuple[np.ndarray, Backward]:
+        h, cache = encode_batch(
+            word_all[rows], bits_all[rows], encoder,
+            training=True,
+            dropout_embed=config.dropout_embed,
+            dropout_layer=config.dropout_layer,
+            drop_rng=drop_rng,
+            external_vectors=ext_all[rows] if ext_all is not None else None,
+            want_cache=True,
+        )
+        return h, lambda d_h, head: {**encode_backward(d_h, cache, encoder), **head}
+
+    log_lines, best_epoch, best_f1 = _train_loop(
+        "train_base", train_instances, valid_instances, vocab, config, flat, trainables,
+        lrs=[config.lr_for_epoch(e) for e in range(1, config.epochs + 1)],
+        shuffle_rng=make_rng(config.seed, STREAM_SHUFFLE),
+        forward=forward,
+        predict_valid=lambda: predict_base_corpus(
+            valid_instances, encoder, crf, vocab, external=external
+        ),
     )
+    return TrainResult(encoder, crf, None, log_lines, best_epoch, best_f1,
+                       seconds=time.perf_counter() - started)
 
 
 def predicate_frequency_table(instances: Sequence[Instance]) -> Counter:
@@ -330,7 +358,7 @@ def train_pnma(
     vocab: Vocabulary,
     config: TrainConfig,
     external: ExternalEmbeddings | None = None,
-) -> PnmaTrainResult:
+) -> TrainResult:
     """Phase-2 training: frozen encoder, neighborhood + head updates only.
 
     The memory must have been built from the same base checkpoint (digests
@@ -356,7 +384,6 @@ def train_pnma(
     queries, nbr_ids, nbr_dists = corpus_neighbor_arrays(
         train_instances, encoded, memory, k, exclude_self=True, threads=config.threads
     )
-    n_tokens = len(queries)
     retrieval_seconds = time.perf_counter() - retrieval_started
     # distances weigh the neighbors in distance mode only
     nbr_dists = nbr_dists.astype(dtype) if config.neighborhood_mode == "distance" else None
@@ -365,8 +392,6 @@ def train_pnma(
         h_all = queries
     else:
         h_all = np.concatenate([encoded[i.sentence_id] for i in train_instances]).astype(dtype)
-    gold_all = np.concatenate([vocab.tag_ids(inst.gold_labels) for inst in train_instances])
-    starts = np.cumsum([0] + [len(inst) for inst in train_instances[:-1]])
 
     valid_encoded = None
     valid_ids: dict[str, np.ndarray] = {}
@@ -389,95 +414,36 @@ def train_pnma(
         head = init_crf_params(encoder.d_hidden, vocab.n_tags, init_rng, dtype=dtype)
     else:
         head = base_crf
-    initial = {"emit.w": head.emit_w, "emit.b": head.emit_b, "crf.trans": head.trans,
-               "crf.start": head.start, "crf.stop": head.stop}
+    initial = crf_to_dict(head)
     if nbr.mode != "distance":  # distance mode has no rank vectors to train
         initial["nbr.n"] = nbr.n
-    # the trainables are views into one flat buffer, so a step is one Adam pass
-    shapes = {name: a.shape for name, a in initial.items()}
-    flat, trainables = _flat_views(shapes, dtype)
-    for name, view in trainables.items():
-        view[...] = initial[name]
-    # float64 holds each gradient exactly, whatever its dtype
-    grad_flat, grad_views = _flat_views(shapes, np.float64)
-    crf = CrfParams(trainables["emit.w"], trainables["emit.b"], trainables["crf.trans"],
-                    trainables["crf.start"], trainables["crf.stop"])
+    flat, trainables = _flat_views(initial, dtype)
+    crf = crf_from_dict(trainables)
     if "nbr.n" in trainables:
         nbr.n = trainables["nbr.n"]
-    state = init_adam_state({"phase2": flat})
-    shuffle_rng = make_rng(config.seed, STREAM_SHUFFLE + 100)
 
-    gold_valid = [list(inst.gold_labels) for inst in (valid_instances or [])]
+    def forward(rows: np.ndarray) -> tuple[np.ndarray, Backward]:
+        h = h_all[rows]
+        m = gather_neighbors(memory.vectors, nbr_ids[rows]).astype(dtype, copy=False)
+        dists = nbr_dists[rows] if nbr_dists is not None else None
+        _, repr_, ncache = neighborhood_forward(h, m, nbr, distances=dists, want_cache=True)
+        if nbr.mode == "distance":
+            return repr_, lambda d_repr, head: head
+        return repr_, lambda d_repr, head: {
+            **head, "nbr.n": neighborhood_param_grad(d_repr, ncache, nbr)
+        }
 
-    log_lines: list[str] = []
-    best_f1 = -1.0
-    best_epoch = 0
-    best_flat = flat.copy()
-    for epoch in range(1, config.phase2_epochs + 1):
-        total_nll = 0.0
-        batches = _training_batches(train_instances, config.batch_size, shuffle_rng)
-        for bi, batch in enumerate(batches):
-            bsz = len(batch)
-            rows = starts[batch][:, None] + np.arange(len(train_instances[batch[0]]))
-            h = h_all[rows]
-            m = gather_neighbors(memory.vectors, nbr_ids[rows]).astype(dtype, copy=False)
-            dists = nbr_dists[rows] if nbr_dists is not None else None
-            _, repr_, ncache = neighborhood_forward(
-                h, m, nbr, distances=dists, want_cache=True
-            )
-            em = emission_scores(repr_, crf)
-            ll, cg = crf_log_likelihood_batch(em, gold_all[rows], crf)
-            loss = -float(ll.sum()) / bsz
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"train_pnma: non-finite loss at epoch {epoch}, batch {bi}"
-                )
-            total_nll += -float(ll.sum())
-            d_em = (-cg.emissions / bsz).astype(repr_.dtype)
-            d_repr, d_ew, d_eb = emission_backward(d_em, repr_, crf)
-            grads = {
-                "emit.w": d_ew,
-                "emit.b": d_eb,
-                "crf.trans": -cg.trans / bsz,
-                "crf.start": -cg.start / bsz,
-                "crf.stop": -cg.stop / bsz,
-            }
-            if nbr.mode != "distance":
-                grads["nbr.n"] = neighborhood_param_grad(d_repr, ncache, nbr)
-            if config.clip_enabled:
-                clip_gradients(grads, config.clip_norm)
-            for name, view in grad_views.items():
-                view[...] = grads[name]
-            adam_step({"phase2": flat}, {"phase2": grad_flat}, state, config.phase2_lr,
-                      config.weight_decay)
-        epoch_loss = total_nll / len(train_instances)
-        report = None
-        if valid_instances:
-            preds = predict_pnma_corpus(
-                valid_instances, encoder, crf, nbr, memory, vocab, k,
-                external=external, encoded=valid_encoded,
-                neighbor_ids=valid_ids, neighbor_dists=valid_dists,
-            )
-            pred_labels = [vocab.tag_strings(p) for p in preds]
-            report = evaluate_labels(gold_valid, pred_labels, config.scheme)
-            if report.f1 > best_f1:
-                best_f1 = report.f1
-                best_epoch = epoch
-                best_flat = flat.copy()
-        log_lines.append(log_line(epoch, config.phase2_lr, epoch_loss, report))
-    if valid_instances:
-        flat[...] = best_flat
-    else:
-        best_epoch = config.phase2_epochs
-        best_f1 = float("nan")
-    return PnmaTrainResult(
-        encoder=encoder,
-        crf=crf,
-        nbr=nbr,
-        log_lines=log_lines,
-        best_epoch=best_epoch,
-        best_f1=best_f1,
-        seconds=time.perf_counter() - started,
-        retrieval_seconds=retrieval_seconds,
-        retrieval_tokens=n_tokens,
+    log_lines, best_epoch, best_f1 = _train_loop(
+        "train_pnma", train_instances, valid_instances, vocab, config, flat, trainables,
+        lrs=[config.phase2_lr] * config.phase2_epochs,
+        shuffle_rng=make_rng(config.seed, STREAM_SHUFFLE + 100),
+        forward=forward,
+        predict_valid=lambda: predict_pnma_corpus(
+            valid_instances, encoder, crf, nbr, memory, vocab, k,
+            external=external, encoded=valid_encoded,
+            neighbor_ids=valid_ids, neighbor_dists=valid_dists,
+        ),
     )
+    return TrainResult(encoder, crf, nbr, log_lines, best_epoch, best_f1,
+                       seconds=time.perf_counter() - started,
+                       retrieval_seconds=retrieval_seconds, retrieval_tokens=len(queries))

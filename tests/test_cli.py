@@ -6,7 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pnma.analysis import read_eval_report
+from pnma.checkpoint import load_model
 from pnma.cli import dispatch
+from pnma.config import load_run_config
 
 
 def run(*argv):
@@ -50,6 +52,48 @@ TOY_CONFIG = (
     "d_word = 4\nd_pred = 2\nd_hidden = 4\nn_layers = 1\ndropout_embed = 0.1\nseed = 3\n"
 )
 TOY_EMBEDDINGS = "s1 0 0.5 -0.25\ns1 1 1.75 0.125\ns2 0 0.75 1.5\n"
+
+
+def test_repeated_sentence_id_exits_two(tmp_path, capsys):
+    corpus = tmp_path / "c.conll"
+    corpus.write_text(TOY_CORPUS + "\n# id: s1\nbird 1 B-V\n", encoding="utf-8")
+    assert run("prepare", "--train", str(corpus), "--out", str(tmp_path / "v.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "c.conll:8: sentence id 's1'" in err
+    assert "first used at line 1" in err
+
+
+# each config flag, its TrainConfig field, and a value that neither TOY_CONFIG
+# nor the defaults give
+CONFIG_FLAG_VALUES = [
+    ("--seed", "seed", "7"), ("--epochs", "epochs", "2"),
+    ("--phase2-epochs", "phase2_epochs", "3"), ("--batch-size", "batch_size", "5"),
+    ("--threads", "threads", "2"), ("--k", "k_neighbors", "9"),
+    ("--memory-fraction", "memory_fraction", "0.25"), ("--base-lr", "base_lr", "0.002"),
+    ("--phase2-lr", "phase2_lr", "0.0005"), ("--d-word", "d_word", "5"),
+    ("--d-hidden", "d_hidden", "6"), ("--n-layers", "n_layers", "2"),
+    ("--dropout-embed", "dropout_embed", "0.2"), ("--dropout-layer", "dropout_layer", "0.3"),
+    ("--scheme", "scheme", "per-token-role"),
+    ("--neighborhood-mode", "neighborhood_mode", "shared"),
+]
+
+
+@pytest.mark.parametrize("flag, field, raw", CONFIG_FLAG_VALUES,
+                         ids=[f[0] for f in CONFIG_FLAG_VALUES])
+def test_config_flag_overrides_its_field(tmp_path, monkeypatch, flag, field, raw):
+    monkeypatch.delenv("PNMA_CONFIG", raising=False)
+    (tmp_path / "c.conll").write_text(TOY_CORPUS, encoding="utf-8")
+    (tmp_path / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")
+    assert run("prepare", "--train", str(tmp_path / "c.conll"), "--out",
+               str(tmp_path / "v.txt"), "--min-frequency", "1") == 0
+    unflagged, _ = load_run_config(str(tmp_path / "run.cfg"), quiet=True)
+    want = type(getattr(unflagged, field))(raw)
+    assert getattr(unflagged, field) != want
+    ckpt = str(tmp_path / "m.ckpt")
+    assert run("train-base", "--config", str(tmp_path / "run.cfg"), flag, raw,
+               "--train", str(tmp_path / "c.conll"), "--vocab", str(tmp_path / "v.txt"),
+               "--out", ckpt) == 0
+    assert getattr(load_model(ckpt).config, field) == want
 
 
 def mutated(data, text: str) -> bytes:

@@ -85,6 +85,19 @@ class TestParse:
         insts = parse_conll_file(str(p))
         assert [i.sentence_id for i in insts] == ["corpus-0", "corpus-1"]
 
+    @pytest.mark.parametrize("text, repeat, first", [
+        ("# id: s1\na 1 O\n\n# id: s2\nb 1 O\n\n# id: s1\nc 1 O\n", 7, 1),
+        # a given id that equals a generated one, before or after it
+        ("a 1 O\n\n# id: dup-0\nb 1 O\n", 3, 1),
+        ("# id: dup-1\na 1 O\n\nb 1 O\n", 4, 1),
+    ])
+    def test_repeated_sentence_id_names_both_lines(self, tmp_path, text, repeat, first):
+        path = tmp_path / "dup.conll"
+        path.write_text(text, encoding="utf-8")
+        message = rf"dup\.conll:{repeat}: .* first used at line {first}$"
+        with pytest.raises(ParseError, match=message):
+            parse_conll_file(str(path))
+
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_non_utf8_corpus_names_line(self, tmp_path, newline):
         path = tmp_path / "bad.conll"

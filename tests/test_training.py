@@ -4,7 +4,7 @@ import pytest
 from pnma.checkpoint import checkpoint_bytes, crf_to_dict
 from pnma.config import TrainConfig
 from pnma.dataio import build_vocab
-from pnma.errors import CompatibilityError, DimensionError, DomainError
+from pnma.errors import CompatibilityError, DimensionError, DomainError, NumericError
 from pnma.memory import build_memory
 from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
@@ -18,7 +18,6 @@ from pnma.training import (
     ADAM_BETA2,
     STREAM_NBR,
     STREAM_SHUFFLE,
-    AdamState,
     _flat_views,
     _training_batches,
     adam_step,
@@ -34,17 +33,17 @@ ADAM_EPS = 1e-8
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        state = init_adam_state(params)
-        adam_step(params, {"w": np.zeros(3)}, state, lr=0.1, weight_decay=0.0)
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
+        theta = np.array([1.0, -2.0, 3.0])
+        state = init_adam_state(theta)
+        adam_step(theta, [np.zeros(3)], state, lr=0.1, weight_decay=0.0)
+        np.testing.assert_array_equal(theta, [1.0, -2.0, 3.0])
 
     def test_first_step_is_signed_lr(self):
         g = 0.37
-        params = {"w": np.array([2.0])}
-        state = init_adam_state(params)
-        adam_step(params, {"w": np.array([g])}, state, lr=1e-3)
-        update = 2.0 - params["w"][0]
+        theta = np.array([2.0])
+        state = init_adam_state(theta)
+        adam_step(theta, [np.array([g])], state, lr=1e-3)
+        update = 2.0 - theta[0]
         assert update == pytest.approx(1e-3 * g / (abs(g) + ADAM_EPS), abs=1e-6)
 
     def test_three_steps_vs_hand_iterated_recurrence(self):
@@ -61,46 +60,47 @@ class TestAdam:
             vhat = v / (1 - beta2 ** t)
             theta -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
-        params = {"w": np.array([0.7])}
-        state = init_adam_state(params)
+        flat = np.array([0.7])
+        state = init_adam_state(flat)
         for g_raw in grads:
-            adam_step(params, {"w": np.array([g_raw])}, state, lr=lr, weight_decay=wd)
-        assert params["w"][0] == pytest.approx(theta, abs=1e-12)
+            adam_step(flat, [np.array([g_raw])], state, lr=lr, weight_decay=wd)
+        assert flat[0] == pytest.approx(theta, abs=1e-12)
 
-    def test_shape_mismatch(self):
-        params = {"w": np.zeros(3)}
-        state = init_adam_state(params)
+    @pytest.mark.parametrize(
+        "grads", [[np.zeros(4)], [np.zeros(2)], [np.zeros(2), np.zeros(2)], []],
+        ids=["too-many", "too-few", "too-many-in-pieces", "no-gradient"],
+    )
+    def test_size_mismatch(self, grads):
+        theta = np.zeros(3)
+        state = init_adam_state(theta)
         with pytest.raises(DimensionError):
-            adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
-
-    def test_missing_gradient(self):
-        params = {"w": np.zeros(3)}
-        state = init_adam_state(params)
-        with pytest.raises(DomainError):
-            adam_step(params, {}, state, lr=0.1)
+            adam_step(theta, grads, state, lr=0.1)
 
     def test_float32_params_stay_float32(self):
-        params = {"w": np.ones(2, dtype=np.float32)}
-        state = init_adam_state(params)
-        adam_step(params, {"w": np.ones(2)}, state, lr=0.1)
-        assert params["w"].dtype == np.float32
+        theta = np.ones(2, dtype=np.float32)
+        state = init_adam_state(theta)
+        adam_step(theta, [np.ones(2)], state, lr=0.1)
+        assert theta.dtype == np.float32
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_chunked_equals_whole_array_reference(self, dtype, wd):
+        # the big piece straddles chunks; the float64 pieces after it share one
         rng = make_rng(5)
-        shapes = {"big": (3, _ADAM_CHUNK + 77), "small": (5,), "scalar": ()}
+        shapes = {"big": (3, _ADAM_CHUNK + 77), "small": (5,), "scalar": (), "mat": (4, 6)}
+        grad_dtypes = {"big": dtype}
         params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
-        ref = {k: v.copy() for k, v in params.items()}
+        flat, views = _flat_views(params, dtype)
         ref_m = {k: np.zeros(v.shape) for k, v in params.items()}
         ref_v = {k: np.zeros(v.shape) for k, v in params.items()}
-        state = init_adam_state(params)
+        state = init_adam_state(flat)
         lr = 0.01
         for t in range(1, 4):
-            grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
-            adam_step(params, grads, state, lr=lr, weight_decay=wd)
+            grads = {k: rng.normal(size=s).astype(grad_dtypes.get(k, np.float64))
+                     for k, s in shapes.items()}
+            adam_step(flat, list(grads.values()), state, lr=lr, weight_decay=wd)
             bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
-            for k, theta in ref.items():  # one pass over each whole array
+            for k, theta in params.items():  # one pass over each whole array
                 g64 = grads[k].astype(np.float64)
                 if wd:
                     g64 = g64 + wd * theta.astype(np.float64)
@@ -110,42 +110,19 @@ class TestAdam:
                 v *= ADAM_BETA2
                 v += (1.0 - ADAM_BETA2) * g64 * g64
                 theta -= (lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)).astype(dtype)
+        assert flat.dtype == dtype
         for k in shapes:
-            assert params[k].dtype == dtype
-            assert np.array_equal(params[k], ref[k]), k
-            assert np.array_equal(state.m[k], ref_m[k]), k
-            assert np.array_equal(state.v[k], ref_v[k]), k
+            assert np.shares_memory(views[k], flat)
+            assert views[k].tobytes() == params[k].tobytes(), k
+        assert np.array_equal(state.m, np.concatenate([m.reshape(-1) for m in ref_m.values()]))
+        assert np.array_equal(state.v, np.concatenate([v.reshape(-1) for v in ref_v.values()]))
 
-    @pytest.mark.parametrize("wd", [0.0, 0.01])
-    def test_flat_buffer_equals_per_parameter_steps(self, wd):
-        # the phase-2 trainables and their gradients, float32 and float64 alike
-        rng = make_rng(6)
-        shapes = {"emit.w": (11, 48), "emit.b": (11,), "crf.trans": (11, 11),
-                  "crf.start": (11,), "crf.stop": (11,), "nbr.n": (64, 48)}
-        grad_dtypes = {"emit.w": np.float32, "emit.b": np.float32, "nbr.n": np.float32}
-        params = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
-        flat, views = _flat_views(shapes, np.float32)
-        for name, view in views.items():
-            view[...] = params[name]
-        grad_flat, grad_views = _flat_views(shapes, np.float64)
-        state, flat_state = init_adam_state(params), init_adam_state({"all": flat})
-        for _ in range(3):
-            grads = {k: rng.normal(size=s).astype(grad_dtypes.get(k, np.float64))
-                     for k, s in shapes.items()}
-            adam_step(params, grads, state, lr=0.01, weight_decay=wd)
-            for name, view in grad_views.items():
-                view[...] = grads[name]
-            adam_step({"all": flat}, {"all": grad_flat}, flat_state, lr=0.01, weight_decay=wd)
-        for name, view in views.items():
-            assert np.shares_memory(view, flat)
-            assert np.array_equal(view, params[name]), name
-            assert view.tobytes() == params[name].tobytes(), name
-
-    def test_non_contiguous_parameter_rejected(self):
-        params = {"w": np.zeros((4, 6))[:, ::2]}
-        state = init_adam_state(params)
-        with pytest.raises(DomainError, match="C-contiguous"):
-            adam_step(params, {"w": np.ones((4, 3))}, state, lr=0.1)
+    @pytest.mark.parametrize("theta", [np.zeros(12)[::2], np.zeros((2, 3))],
+                             ids=["non-contiguous", "2-D"])
+    def test_buffer_must_be_flat_and_contiguous(self, theta):
+        state = init_adam_state(theta)
+        with pytest.raises(DomainError, match="flat C-contiguous"):
+            adam_step(theta, [np.ones(6)], state, lr=0.1)
 
 
 def test_clip_gradients():
@@ -276,18 +253,6 @@ class TestTrainBase:
         with pytest.raises(DomainError):
             train_base([], None, vocab, tiny_config())
 
-    def test_non_finite_loss_aborts_with_diagnostics(self, tiny_task, monkeypatch):
-        import pnma.training as training_mod
-        from pnma.errors import NumericError
-
-        def nan_likelihood(em, gold, params, want_grads=True):
-            return np.full(em.shape[0], np.nan), None
-
-        monkeypatch.setattr(training_mod, "crf_log_likelihood_batch", nan_likelihood)
-        train, valid, vocab = tiny_task
-        with pytest.raises(NumericError, match=r"epoch 1, batch 0"):
-            train_base(train, valid, vocab, tiny_config(epochs=1))
-
 
 @pytest.fixture(scope="module")
 def base_setup(tiny_task):
@@ -403,23 +368,54 @@ class TestTrainPnma:
         assert np.array_equal(out.nbr.n, initial.n) == (mode == "distance")
         assert not np.array_equal(out.crf.trans, result.crf.trans)
 
-    def test_best_epoch_parameters_restored(self, base_setup):
-        train, valid, vocab, cfg, result, memory, digest = base_setup
-        runs = [train_pnma(result.encoder, result.crf, digest, memory, train, valid, vocab,
-                           tiny_config(phase2_epochs=epochs)) for epochs in (3, 1)]
-        # validation F1 peaks at epoch 1 of 3 here, so the longer run must
-        # hand back its epoch-1 parameters, which the one-epoch run ends with
-        assert [r.best_epoch for r in runs] == [1, 1]
-        longer, shorter = (crf_to_dict(r.crf) | {"nbr.n": r.nbr.n} for r in runs)
-        for name in shorter:
-            assert longer[name].tobytes() == shorter[name].tobytes(), name
-
     def test_distance_mode_trains_head_only(self, base_setup):
         train, valid, vocab, cfg, result, memory, digest = base_setup
         cfg2 = tiny_config(neighborhood_mode="distance", phase2_epochs=2)
         out = train_pnma(result.encoder, result.crf, digest, memory,
                          train, valid, vocab, cfg2)
         assert out.nbr.mode == "distance"
+
+
+def run_phase(phase, setup, epochs):
+    """Phase 1 or phase 2 on the tiny task for ``epochs`` epochs."""
+    train, valid, vocab, cfg, result, memory, digest = setup
+    if phase == "base":
+        return train_base(train, valid, vocab, tiny_config(epochs=epochs))
+    return train_pnma(result.encoder, result.crf, digest, memory, train, valid, vocab,
+                      tiny_config(phase2_epochs=epochs))
+
+
+def trained_arrays(result):
+    """The arrays a phase trains: encoder and head, or head and rank vectors."""
+    arrays = crf_to_dict(result.crf)
+    if result.nbr is None:
+        arrays.update(result.encoder.to_dict())
+    else:
+        arrays["nbr.n"] = result.nbr.n
+    return arrays
+
+
+class TestTrainingLoop:
+    @pytest.mark.parametrize("phase, epochs, best", [("base", 5, 2), ("pnma", 3, 1)])
+    def test_best_epoch_parameters_restored(self, base_setup, phase, epochs, best):
+        runs = [run_phase(phase, base_setup, n) for n in (epochs, best)]
+        # validation F1 peaks at epoch `best` here, so the longer run must hand
+        # back its epoch-`best` parameters, which the shorter run ends with
+        assert [r.best_epoch for r in runs] == [best, best]
+        longer, shorter = (trained_arrays(r) for r in runs)
+        assert longer.keys() == shorter.keys()
+        for name in shorter:
+            assert longer[name].tobytes() == shorter[name].tobytes(), name
+
+    @pytest.mark.parametrize("phase", ["base", "pnma"])
+    def test_non_finite_loss_aborts_with_diagnostics(self, base_setup, monkeypatch, phase):
+        def nan_likelihood(em, gold, params, want_grads=True):
+            return np.full(em.shape[0], np.nan), None
+
+        monkeypatch.setattr(training, "crf_log_likelihood_batch", nan_likelihood)
+        message = rf"train_{phase}: non-finite loss at epoch 1, batch 0"
+        with pytest.raises(NumericError, match=message):
+            run_phase(phase, base_setup, 1)
 
 
 def test_predicate_frequency_table(tiny_task):
