@@ -15,11 +15,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .crf import CrfParams
-from .dataio import Instance, Vocabulary, bio_decode_spans, read_text
-from .encoder import EncoderParams, encode_corpus
+from .dataio import Instance, TokenTable, Vocabulary, bio_decode_spans, read_text
+from .encoder import EncoderParams, encode_rows
 from .errors import CoverageError, DimensionError, FormatError
-from .inference import predict_base_corpus
-from .memory import ActivationMemory, corpus_neighbor_cache, knn_query
+from .inference import tag_rows
+from .memory import ActivationMemory, knn_entry_ids, knn_query, self_exclusions
 
 
 @dataclass
@@ -173,22 +173,20 @@ def rank_distribution(
     Tokens are split by whether the base model tagged them correctly; tokens
     with no correct-label neighbor within K land in the ``absent`` bucket.
     """
+    table = TokenTable.build(instances, vocab, external)
+    h = encode_rows(table, encoder, threads=threads)
+    preds = tag_rows(table, h, crf)
+    exclude = self_exclusions(instances) if exclude_self else None
+    ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k,
+                           exclude=exclude, threads=threads)
+    gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
+    hits = memory.labels[ids] == gold[:, None]  # (T, k)
+    ranks = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)  # 0: absent
+    base_ok = np.concatenate(preds) == gold if preds else np.zeros(0, dtype=bool)
     hist = RankHistogram(k=k)
-    encoded = encode_corpus(instances, encoder, vocab, external=external, threads=threads)
-    preds = predict_base_corpus(instances, encoder, crf, vocab, encoded=encoded)
-    nbr_ids, _ = corpus_neighbor_cache(
-        instances, encoded, memory, k, exclude_self=exclude_self, threads=threads
-    )
-    for inst, pred in zip(instances, preds):
-        gold_ids = vocab.tag_ids(inst.gold_labels)
-        labels = memory.labels[nbr_ids[inst.sentence_id]]  # (n, k)
-        for t in range(len(inst)):
-            hits = np.nonzero(labels[t] == gold_ids[t])[0]
-            key = int(hits[0]) + 1 if hits.size else ABSENT
-            if int(pred[t]) == int(gold_ids[t]):
-                hist.correct[key] += 1
-            else:
-                hist.incorrect[key] += 1
+    for counts, tokens in ((hist.correct, base_ok), (hist.incorrect, ~base_ok)):
+        for rank in ranks[tokens].tolist():
+            counts[rank or ABSENT] += 1
     return hist
 
 
@@ -330,14 +328,11 @@ def neighborhood_label_counts(
     threads: int = 1,
 ) -> list[np.ndarray]:
     """Per token: how many of its K neighbors carry the token's gold label."""
-    encoded = encode_corpus(instances, encoder, vocab, external=external, threads=threads)
-    nbr_ids, _ = corpus_neighbor_cache(instances, encoded, memory, k, threads=threads)
-    out = []
-    for inst in instances:
-        gold_ids = vocab.tag_ids(inst.gold_labels)
-        labels = memory.labels[nbr_ids[inst.sentence_id]]
-        out.append((labels == gold_ids[:, None]).sum(axis=1))
-    return out
+    table = TokenTable.build(instances, vocab, external)
+    h = encode_rows(table, encoder, threads=threads)
+    ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, threads=threads)
+    gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
+    return table.split((memory.labels[ids] == gold[:, None]).sum(axis=1))
 
 
 @dataclass
@@ -369,8 +364,8 @@ def neighbor_dump(
         raise CoverageError(
             f"neighbor_dump: token index {token_index} outside sentence of length {len(instance)}"
         )
-    enc = encode_corpus([instance], encoder, vocab, external=external)
-    h = enc[instance.sentence_id][token_index].astype(np.float32, copy=False)
+    h = encode_rows(TokenTable.build([instance], vocab, external), encoder)[token_index]
+    h = h.astype(np.float32, copy=False)
     neighbors = knn_query(h, memory, k)
     out: list[NeighborContext] = []
     for rank in range(len(neighbors)):

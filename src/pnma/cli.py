@@ -100,6 +100,21 @@ def _load_corpus(path: str, scheme: str) -> list[dataio.Instance]:
     return dataio.parse_conll_file(path, scheme=scheme)
 
 
+def _threads(args) -> int:
+    """``--threads``, 1 when not given; like ``TrainConfig.threads``, at least 1."""
+    if args.threads is None:
+        return 1
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
+
+
+def _best_epoch(result) -> str:
+    if not result.best_epoch:
+        return "no epoch ran"
+    return f"best epoch {result.best_epoch} (F1 {result.best_f1:.4f})"
+
+
 def _maybe_external(path: str | None, instances):
     if path is None:
         return None
@@ -130,9 +145,9 @@ def cmd_train_base(args) -> int:
     digest = save_model(args.out, model)
     log_path = args.log or (args.out + ".log")
     with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(result.log_lines) + "\n")
+        fh.writelines(line + "\n" for line in result.log_lines)
     print(
-        f"train-base: best epoch {result.best_epoch} (F1 {result.best_f1:.4f}); "
+        f"train-base: {_best_epoch(result)}; "
         f"wall time {result.seconds:.1f} s; checkpoint {digest[:12]} -> {args.out}",
         file=sys.stderr,
     )
@@ -185,9 +200,9 @@ def cmd_train_pnma(args) -> int:
     digest = save_model(args.out, model)
     log_path = args.log or (args.out + ".log")
     with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(result.log_lines) + "\n")
+        fh.writelines(line + "\n" for line in result.log_lines)
     print(
-        f"train-pnma: best epoch {result.best_epoch} (F1 {result.best_f1:.4f}); "
+        f"train-pnma: {_best_epoch(result)}; "
         f"phase-2 wall time {result.seconds:.1f} s; retrieval "
         f"{result.retrieval_ms_per_token:.3f} ms/token over {result.retrieval_tokens} tokens; "
         f"checkpoint {digest[:12]} -> {args.out}",
@@ -197,17 +212,20 @@ def cmd_train_pnma(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    threads = _threads(args)
     model = load_model(args.checkpoint)
+    if model.nbr is not None and args.memory is None:
+        raise ConfigError("predict: this checkpoint needs --memory (neighborhood model)")
+    if model.nbr is None and args.memory is not None:
+        raise ConfigError("predict: --memory given, but this checkpoint is a base model")
     vocab = dataio.load_vocab(args.vocab)
     instances = _load_corpus(args.input, model.config.scheme)
     external = _maybe_external(args.embeddings, instances)
     if model.nbr is not None:
-        if args.memory is None:
-            raise ConfigError("predict: this checkpoint needs --memory (neighborhood model)")
         memory = deserialize_memory(args.memory)
         preds = predict_pnma_corpus(
             instances, model.encoder, model.crf, model.nbr, memory, vocab,
-            model.config.k_neighbors, external=external, threads=args.threads or 1,
+            model.config.k_neighbors, external=external, threads=threads,
         )
     else:
         preds = predict_base_corpus(instances, model.encoder, model.crf, vocab, external=external)
@@ -262,6 +280,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_analyze_rank_dist(args) -> int:
+    threads = _threads(args)
     model = load_model(args.checkpoint)
     vocab = dataio.load_vocab(args.vocab)
     memory = deserialize_memory(args.memory)
@@ -270,7 +289,7 @@ def cmd_analyze_rank_dist(args) -> int:
     hist = analysis.rank_distribution(
         model.encoder, model.crf, vocab, memory, instances,
         k=args.k, exclude_self=args.exclude_self, external=external,
-        threads=args.threads or 1,
+        threads=threads,
     )
     for which in ("correct", "incorrect"):
         path = f"{args.out}.{which}.tsv"
@@ -325,6 +344,7 @@ def cmd_analyze_confusion_diff(args) -> int:
 
 
 def cmd_analyze_disagreement(args) -> int:
+    threads = _threads(args)
     gold = _load_corpus(args.gold, args.scheme)
     base_preds = _load_corpus(args.pred_base, args.scheme)
     pnma_preds = _load_corpus(args.pred_pnma, args.scheme)
@@ -338,7 +358,7 @@ def cmd_analyze_disagreement(args) -> int:
             raise ConfigError("analyze disagreement: --vocab required with --checkpoint")
         memory = deserialize_memory(args.memory)
         nbr_counts = analysis.neighborhood_label_counts(
-            model.encoder, vocab, memory, gold, k=args.k, threads=args.threads or 1
+            model.encoder, vocab, memory, gold, k=args.k, threads=threads
         )
     report = analysis.disagreement_report(
         gold,

@@ -16,8 +16,8 @@ from .errors import ConfigError
 ENV_CONFIG = "PNMA_CONFIG"
 
 # least value of each integer key that sizes the model or a run
-_INT_MINIMA = {"seed": 0, "batch_size": 1, "n_layers": 1, "d_word": 1, "d_pred": 1,
-               "d_hidden": 1, "k_neighbors": 1, "threads": 1}
+_INT_MINIMA = {"seed": 0, "epochs": 0, "phase2_epochs": 0, "batch_size": 1, "n_layers": 1,
+               "d_word": 1, "d_pred": 1, "d_hidden": 1, "k_neighbors": 1, "threads": 1}
 
 
 @dataclass

@@ -5,6 +5,9 @@ token, predicate bit (0/1), tag — with blank lines separating sentences and
 comments on lines starting with '#'.  The serializer writes a ``# id: <name>``
 comment before each block so that parse -> serialize -> parse is the identity;
 a block without one gets the id ``<filestem>-<block index>``.
+
+A ``TokenTable`` holds a corpus as flat per-token arrays, one row per token
+in instance order; encoding, retrieval, tagging and training index its rows.
 """
 
 from __future__ import annotations
@@ -386,3 +389,51 @@ def load_external_embeddings(path: str, instances: Sequence[Instance]) -> Extern
             rows.append(table[key])
         by_sentence[inst.sentence_id] = np.stack(rows)
     return ExternalEmbeddings(dim=dim, by_sentence=by_sentence)
+
+
+@dataclass(frozen=True)
+class TokenTable:
+    """A corpus as flat token arrays in instance order, built once.
+
+    Sentence i holds rows ``starts[i] : starts[i] + lengths[i]`` of the word
+    ids (T,), predicate bits (T,) and external vectors (T, e), the last None
+    when the run trains its own word table.  Every array computed per token
+    (activations, neighbor ids, distances) shares these rows.
+    """
+
+    word_ids: np.ndarray
+    bits: np.ndarray
+    external: np.ndarray | None
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    @staticmethod
+    def build(
+        instances: Sequence[Instance],
+        vocab: Vocabulary,
+        external: ExternalEmbeddings | None = None,
+    ) -> "TokenTable":
+        lengths = np.array([len(inst) for inst in instances], dtype=np.int64)
+        ext = None
+        if external is not None:
+            ext = np.concatenate([external.vectors(inst.sentence_id) for inst in instances]
+                                 or [np.zeros((0, external.dim), np.float32)])
+        return TokenTable(
+            word_ids=vocab.word_ids([t for inst in instances for t in inst.tokens]),
+            bits=np.array([b for inst in instances for b in inst.predicate_bits],
+                          dtype=np.int64),
+            external=ext,
+            starts=np.cumsum(lengths) - lengths,
+            lengths=lengths,
+        )
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def rows(self, job: Sequence[int]) -> np.ndarray:
+        """Row index (B, n) of a job of same-length sentences."""
+        return self.starts[job][:, None] + np.arange(self.lengths[job[0]])
+
+    def split(self, a: np.ndarray) -> list[np.ndarray]:
+        """Per-sentence views of an array (T, ...) in row order."""
+        return np.split(a, self.starts[1:]) if len(self) else []

@@ -7,7 +7,9 @@ and stored in the activation memory.  Directions alternate starting forward.
 
 All kernels operate on same-length batches (B, n, ...); a single sequence is
 the batch-of-one case.  Each forward has an explicit backward that is
-verified by finite differences in the test suite.
+verified by finite differences in the test suite.  ``encode_rows`` runs the
+stack over a whole ``dataio.TokenTable`` in same-length batches and returns
+one activation row per token, (T, d) in the table's row order.
 
 Products with a weight matrix that do not depend on the previous timestep
 (the LSTM input projection and its input gradient, both connection products)
@@ -23,11 +25,11 @@ recurrence products ``h @ wh.T`` and ``dpre @ wh`` run per timestep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Sized
+from typing import Sequence
 
 import numpy as np
 
-from .dataio import ExternalEmbeddings, Instance, Vocabulary
+from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
 from .errors import DimensionError, DomainError
 from .numeric import make_rng
 
@@ -451,16 +453,17 @@ def encode_backward(
 
 
 def length_grouped_jobs(
-    instances: Sequence[Sized], batch_size: int, order: Sequence[int] | None = None
+    lengths: Sequence[int], batch_size: int, order: Sequence[int] | None = None
 ) -> list[list[int]]:
-    """Same-length batches over instance indices, shortest length first.
+    """Same-length batches over sentence indices, shortest length first;
+    ``lengths[i]`` is sentence i's length.
 
     Within a length, indices keep the order they are visited in: ``order``
     (a permutation of the indices) or, by default, ascending.
     """
     groups: dict[int, list[int]] = {}
-    for i in range(len(instances)) if order is None else order:
-        groups.setdefault(len(instances[i]), []).append(int(i))
+    for i in range(len(lengths)) if order is None else order:
+        groups.setdefault(int(lengths[i]), []).append(int(i))
     jobs: list[list[int]] = []
     for length in sorted(groups):
         idxs = groups[length]
@@ -469,19 +472,35 @@ def length_grouped_jobs(
     return jobs
 
 
-def stack_inputs(
-    instances: Sequence[Instance],
-    job: Sequence[int],
-    vocab: Vocabulary,
-    external: ExternalEmbeddings | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Word ids (B, n), predicate bits (B, n) and external vectors for one job."""
-    word_ids = np.stack([vocab.word_ids(instances[i].tokens) for i in job])
-    bits = np.stack([np.array(instances[i].predicate_bits, dtype=np.int64) for i in job])
-    ext = None
-    if external is not None:
-        ext = np.stack([external.vectors(instances[i].sentence_id) for i in job])
-    return word_ids, bits, ext
+def encode_rows(
+    table: TokenTable, params: EncoderParams, batch_size: int = 256, threads: int = 1
+) -> np.ndarray:
+    """Evaluation-mode final activations (T, d) of every row of ``table``.
+
+    Sentences are encoded in same-length batches of at most ``batch_size``,
+    ``threads`` batches at a time; the result does not depend on ``threads``.
+    """
+    def run(job: list[int]):
+        rows = table.rows(job)
+        ext = table.external[rows] if table.external is not None else None
+        return rows, encode_batch(table.word_ids[rows], table.bits[rows], params,
+                                  training=False, external_vectors=ext)
+
+    def scatter(results) -> np.ndarray:
+        out = np.zeros((0, params.d_hidden), dtype=params.pred_emb.dtype)  # an empty table
+        for i, (rows, h) in enumerate(results):
+            if i == 0:
+                out = np.empty((len(table.word_ids), h.shape[-1]), dtype=h.dtype)
+            out[rows] = h  # copied out as it arrives: no batch outputs pile up
+        return out
+
+    jobs = length_grouped_jobs(table.lengths, batch_size)
+    if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return scatter(pool.map(run, jobs))
+    return scatter(map(run, jobs))
 
 
 def encode_corpus(
@@ -492,27 +511,10 @@ def encode_corpus(
     batch_size: int = 256,
     threads: int = 1,
 ) -> dict[str, np.ndarray]:
-    """Evaluation-mode final activations for every instance, keyed by sentence id.
+    """``encode_rows`` keyed by sentence id: each value is a (n, d) view of its rows.
 
-    Instances are grouped by length and encoded in batches; sentence ids must
-    be unique within the corpus.
+    Sentence ids must be unique within the corpus.
     """
-    jobs = length_grouped_jobs(instances, batch_size)
-
-    def run(job: list[int]):
-        word_ids, bits, ext = stack_inputs(instances, job, vocab, external)
-        return job, encode_batch(word_ids, bits, params, training=False, external_vectors=ext)
-
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    out: dict[str, np.ndarray] = {}
-    for job, h in results:
-        for row, i in enumerate(job):
-            out[instances[i].sentence_id] = h[row]
-    return out
-
+    table = TokenTable.build(instances, vocab, external)
+    h = encode_rows(table, params, batch_size, threads)
+    return dict(zip((inst.sentence_id for inst in instances), table.split(h)))

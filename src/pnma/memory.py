@@ -1,7 +1,11 @@
 """Activation memory: build, exact batched Euclidean K-NN, binary persistence.
 
 The memory holds final-layer activations of a sampled subset of training
-tokens together with their gold labels and provenance.
+tokens together with their gold labels and provenance.  It is built by
+sampling rows of ``encoder.encode_rows`` over the training set's token
+table, and callers retrieve for a whole table's rows at once, with
+``self_exclusions`` as the per-token exclusions when a token must not find
+its own entry.
 
 Retrieval is exact brute force in two stages per block of queries.  A BLAS
 prefilter computes every squared distance in double precision by the flat-L2
@@ -25,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import Instance, Vocabulary
-from .encoder import EncoderParams, encode_corpus
+from .dataio import Instance, TokenTable, Vocabulary
+from .encoder import EncoderParams, encode_rows
 from .errors import CapacityError, DimensionError, DomainError, FormatError, NumericError
 from .numeric import make_rng
 
@@ -127,45 +131,38 @@ def build_memory(
         raise DomainError("build_memory: empty training set")
     if not (0.0 < fraction <= 1.0):
         raise DomainError(f"build_memory: fraction must be in (0, 1], got {fraction}")
-
-    encoded = encode_corpus(instances, encoder, vocab, external=external)
-    activations: list[np.ndarray] = []
-    token_meta: list[tuple[str, int, int]] = []  # (sentence_id, token_index, label id)
-    for inst in instances:
-        h = encoded[inst.sentence_id]
-        tag_ids = vocab.tag_ids(inst.gold_labels)
-        for t in range(len(inst)):
-            activations.append(h[t])
-            token_meta.append((inst.sentence_id, t, int(tag_ids[t])))
-
-    total = len(token_meta)
     rng = make_rng(seed, _STREAM_SAMPLE)
-    if stratified:
-        by_label: dict[int, list[int]] = {}
-        for idx, (_, _, lab) in enumerate(token_meta):
-            by_label.setdefault(lab, []).append(idx)
-        chosen: list[int] = []
-        for lab in sorted(by_label):
-            group = by_label[lab]
-            count = max(1, int(round(fraction * len(group))))
-            picks = rng.choice(len(group), size=count, replace=False)
-            chosen.extend(group[i] for i in picks)
-        chosen.sort()
-    else:
-        count = max(1, int(round(fraction * total)))
-        chosen = sorted(rng.choice(total, size=count, replace=False).tolist())
+    table = TokenTable.build(instances, vocab, external)
+    h = encode_rows(table, encoder)
+    labels = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
 
-    vectors = np.stack([activations[i] for i in chosen]).astype(np.float32)
-    labels = np.array([token_meta[i][2] for i in chosen], dtype=np.int64)
-    provenance = [(token_meta[i][0], token_meta[i][1]) for i in chosen]
+    if stratified:
+        chosen = []
+        for lab in np.unique(labels):
+            group = np.flatnonzero(labels == lab)
+            count = max(1, int(round(fraction * len(group))))
+            chosen.append(group[rng.choice(len(group), size=count, replace=False)])
+        chosen = np.sort(np.concatenate(chosen))
+    else:
+        count = max(1, int(round(fraction * len(labels))))
+        chosen = np.sort(rng.choice(len(labels), size=count, replace=False))
+
+    sentence = np.repeat(np.arange(len(instances)), table.lengths)[chosen]
+    tokens = chosen - table.starts[sentence]
     return ActivationMemory(
-        vectors=vectors,
-        labels=labels,
-        provenance=provenance,
+        vectors=h[chosen].astype(np.float32),
+        labels=labels[chosen],
+        provenance=[(instances[i].sentence_id, int(t)) for i, t in zip(sentence, tokens)],
         seed=seed,
         fraction=fraction,
         source_digest=source_digest,
     )
+
+
+def self_exclusions(instances: Sequence[Instance]) -> list[list[tuple[str, int]]]:
+    """Per token, in row order, the provenance key of its own memory entry:
+    ``knn_entry_ids``' ``exclude`` that keeps each token from retrieving itself."""
+    return [[(inst.sentence_id, t)] for inst in instances for t in range(len(inst))]
 
 
 def _squared_distances(queries: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -319,42 +316,6 @@ def knn_query(
         for i, dd in zip(ids, dists)
     ]
     return sets[0] if np.ndim(queries) == 1 else sets
-
-
-def corpus_neighbor_arrays(
-    instances: Sequence[Instance],
-    encoded: dict[str, np.ndarray],
-    memory: ActivationMemory,
-    k: int,
-    exclude_self: bool = False,
-    threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One flat retrieval over every token: the float32 queries (T, d), entry
-    ids (T, k) and distances (T, k), rows in instance order."""
-    queries = []
-    exclude = [] if exclude_self else None
-    for inst in instances:
-        queries.append(encoded[inst.sentence_id].astype(np.float32, copy=False))
-        if exclude_self:
-            exclude.extend([[(inst.sentence_id, t)] for t in range(len(inst))])
-    flat = np.concatenate(queries, axis=0) if queries else np.zeros((0, memory.d), np.float32)
-    ids, dists = knn_entry_ids(flat, memory, k, exclude=exclude, threads=threads)
-    return flat, ids, dists
-
-
-def corpus_neighbor_cache(
-    instances: Sequence[Instance],
-    encoded: dict[str, np.ndarray],
-    memory: ActivationMemory,
-    k: int,
-    exclude_self: bool = False,
-    threads: int = 1,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """``corpus_neighbor_arrays`` per sentence: views of its flat ids and distances."""
-    _, ids, dists = corpus_neighbor_arrays(instances, encoded, memory, k, exclude_self, threads)
-    ends = np.cumsum([len(inst) for inst in instances])[:-1]
-    sids = [inst.sentence_id for inst in instances]
-    return dict(zip(sids, np.split(ids, ends))), dict(zip(sids, np.split(dists, ends)))
 
 
 def _metadata_blob(memory: ActivationMemory) -> bytes:

@@ -22,8 +22,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded counter-based generator (Philox), stable across platforms.
 
     Distinct ``stream`` values give independent streams for the same seed,
-    so initialization, sampling and shuffling never share draws.
+    so initialization, sampling and shuffling never share draws.  A
+    negative seed raises ``DomainError``.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be at least 0, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -35,18 +35,18 @@ from .crf import (
     emission_scores,
     init_crf_params,
 )
-from .dataio import ExternalEmbeddings, Instance, Vocabulary
+from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
 from .encoder import (
     EncoderParams,
     encode_backward,
     encode_batch,
-    encode_corpus,
+    encode_rows,
     init_encoder_params,
     length_grouped_jobs,
 )
 from .errors import CompatibilityError, DimensionError, DomainError, NumericError
-from .inference import predict_base_corpus, predict_pnma_corpus
-from .memory import ActivationMemory, corpus_neighbor_arrays, corpus_neighbor_cache
+from .inference import predict_base_corpus, tag_rows
+from .memory import ActivationMemory, knn_entry_ids, self_exclusions
 from .neighborhood import (
     NeighborhoodParams,
     gather_neighbors,
@@ -146,11 +146,12 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def _training_batches(
-    instances: Sequence[Instance], batch_size: int, rng: np.random.Generator
+    lengths: Sequence[int], batch_size: int, rng: np.random.Generator
 ) -> list[list[int]]:
-    """Shuffled same-length batches; composition is a pure function of the rng."""
-    order = rng.permutation(len(instances))
-    batches = length_grouped_jobs(instances, batch_size, order=order)
+    """Shuffled same-length batches of sentence indices, given each sentence's
+    length; composition is a pure function of the rng."""
+    order = rng.permutation(len(lengths))
+    batches = length_grouped_jobs(lengths, batch_size, order=order)
     return [batches[int(i)] for i in rng.permutation(len(batches))]
 
 
@@ -206,6 +207,7 @@ Backward = Callable[[np.ndarray, dict[str, np.ndarray]], dict[str, np.ndarray]]
 def _train_loop(
     name: str,
     instances: Sequence[Instance],
+    table: TokenTable,
     valid_instances: Sequence[Instance] | None,
     vocab: Vocabulary,
     config: TrainConfig,
@@ -219,28 +221,28 @@ def _train_loop(
     """Train the head over ``forward``'s representation, one epoch per rate.
 
     ``trainables`` are views into ``flat``, the head's five among them.
-    ``forward`` maps a batch's rows of the flat token arrays (corpus order)
-    to its representation and a backward function; ``predict_valid`` tags
-    the validation set with the current parameters.  With validation data
-    the best-F1 epoch's parameters are restored at the end.  Returns the log
-    lines, the best epoch and its F1.
+    ``forward`` maps a batch's rows of ``table``, the training set's token
+    table, to its representation and a backward function; ``predict_valid``
+    tags the validation set with the current parameters.  With validation
+    data the best-F1 epoch's parameters are restored at the end.  Returns the
+    log lines, the best epoch (0 when no epoch ran) and its F1 (NaN without
+    validation data or epochs).
     """
     crf = crf_from_dict(trainables)
     state = init_adam_state(flat)
-    gold_all = np.concatenate([vocab.tag_ids(inst.gold_labels) for inst in instances])
-    starts = np.cumsum([0] + [len(inst) for inst in instances[:-1]])
+    gold_all = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
     gold_valid = [list(inst.gold_labels) for inst in (valid_instances or [])]
 
     log_lines: list[str] = []
-    best_f1 = -1.0
+    best_f1 = float("nan")
     best_epoch = 0
     best_flat = flat.copy()
     for epoch, lr in enumerate(lrs, start=1):
         total_nll = 0.0
-        batches = _training_batches(instances, config.batch_size, shuffle_rng)
+        batches = _training_batches(table.lengths, config.batch_size, shuffle_rng)
         for bi, batch in enumerate(batches):
             bsz = len(batch)
-            rows = starts[batch][:, None] + np.arange(len(instances[batch[0]]))
+            rows = table.rows(batch)
             repr_, backward = forward(rows)
             em = emission_scores(repr_, crf)
             ll, cg = crf_log_likelihood_batch(em, gold_all[rows], crf)
@@ -264,7 +266,7 @@ def _train_loop(
         if valid_instances:
             pred_labels = [vocab.tag_strings(p) for p in predict_valid()]
             report = evaluate_labels(gold_valid, pred_labels, config.scheme)
-            if report.f1 > best_f1:
+            if best_epoch == 0 or report.f1 > best_f1:
                 best_f1 = report.f1
                 best_epoch = epoch
                 best_flat = flat.copy()
@@ -273,7 +275,6 @@ def _train_loop(
         flat[...] = best_flat
     else:
         best_epoch = len(lrs)
-        best_f1 = float("nan")
     return log_lines, best_epoch, best_f1
 
 
@@ -304,30 +305,23 @@ def train_base(
     flat, trainables = _flat_views({**encoder.to_dict(), **crf_to_dict(crf)}, dtype)
     encoder, crf = EncoderParams.from_dict(trainables), crf_from_dict(trainables)
     drop_rng = make_rng(config.seed, STREAM_DROPOUT)
-
-    # flat (T, ...) token arrays in instance order; a batch takes its rows at once
-    word_all = np.concatenate([vocab.word_ids(inst.tokens) for inst in train_instances])
-    bits_all = np.concatenate([np.array(inst.predicate_bits, dtype=np.int64)
-                               for inst in train_instances])
-    ext_all = None
-    if external is not None:
-        ext_all = np.concatenate([external.vectors(inst.sentence_id).astype(dtype)
-                                  for inst in train_instances])
+    table = TokenTable.build(train_instances, vocab, external)
+    ext = None if table.external is None else table.external.astype(dtype, copy=False)
 
     def forward(rows: np.ndarray) -> tuple[np.ndarray, Backward]:
         h, cache = encode_batch(
-            word_all[rows], bits_all[rows], encoder,
+            table.word_ids[rows], table.bits[rows], encoder,
             training=True,
             dropout_embed=config.dropout_embed,
             dropout_layer=config.dropout_layer,
             drop_rng=drop_rng,
-            external_vectors=ext_all[rows] if ext_all is not None else None,
+            external_vectors=ext[rows] if ext is not None else None,
             want_cache=True,
         )
         return h, lambda d_h, head: {**encode_backward(d_h, cache, encoder), **head}
 
     log_lines, best_epoch, best_f1 = _train_loop(
-        "train_base", train_instances, valid_instances, vocab, config, flat, trainables,
+        "train_base", train_instances, table, valid_instances, vocab, config, flat, trainables,
         lrs=[config.lr_for_epoch(e) for e in range(1, config.epochs + 1)],
         shuffle_rng=make_rng(config.seed, STREAM_SHUFFLE),
         forward=forward,
@@ -376,34 +370,23 @@ def train_pnma(
     dtype = np.dtype(config.dtype)
     k = config.k_neighbors
 
-    encoded = encode_corpus(
-        instances=train_instances, params=encoder, vocab=vocab,
-        external=external, threads=config.threads,
-    )
+    table = TokenTable.build(train_instances, vocab, external)
+    h_all = encode_rows(table, encoder, threads=config.threads)
     retrieval_started = time.perf_counter()
-    queries, nbr_ids, nbr_dists = corpus_neighbor_arrays(
-        train_instances, encoded, memory, k, exclude_self=True, threads=config.threads
+    nbr_ids, nbr_dists = knn_entry_ids(
+        h_all.astype(np.float32, copy=False), memory, k,
+        exclude=self_exclusions(train_instances), threads=config.threads,
     )
     retrieval_seconds = time.perf_counter() - retrieval_started
+    h_all = h_all.astype(dtype, copy=False)
     # distances weigh the neighbors in distance mode only
     nbr_dists = nbr_dists.astype(dtype) if config.neighborhood_mode == "distance" else None
-    # flat (T, ...) token arrays in instance order; a batch takes its rows at once
-    if queries.dtype == dtype:
-        h_all = queries
-    else:
-        h_all = np.concatenate([encoded[i.sentence_id] for i in train_instances]).astype(dtype)
 
-    valid_encoded = None
-    valid_ids: dict[str, np.ndarray] = {}
-    valid_dists: dict[str, np.ndarray] = {}
     if valid_instances:
-        valid_encoded = encode_corpus(
-            instances=valid_instances, params=encoder, vocab=vocab,
-            external=external, threads=config.threads,
-        )
-        valid_ids, valid_dists = corpus_neighbor_cache(
-            valid_instances, valid_encoded, memory, k,
-            exclude_self=False, threads=config.threads,
+        valid_table = TokenTable.build(valid_instances, vocab, external)
+        valid_h = encode_rows(valid_table, encoder, threads=config.threads)
+        valid_ids, valid_dists = knn_entry_ids(
+            valid_h.astype(np.float32, copy=False), memory, k, threads=config.threads
         )
 
     init_rng = make_rng(config.seed, STREAM_NBR)
@@ -434,16 +417,13 @@ def train_pnma(
         }
 
     log_lines, best_epoch, best_f1 = _train_loop(
-        "train_pnma", train_instances, valid_instances, vocab, config, flat, trainables,
+        "train_pnma", train_instances, table, valid_instances, vocab, config, flat, trainables,
         lrs=[config.phase2_lr] * config.phase2_epochs,
         shuffle_rng=make_rng(config.seed, STREAM_SHUFFLE + 100),
         forward=forward,
-        predict_valid=lambda: predict_pnma_corpus(
-            valid_instances, encoder, crf, nbr, memory, vocab, k,
-            external=external, encoded=valid_encoded,
-            neighbor_ids=valid_ids, neighbor_dists=valid_dists,
-        ),
+        predict_valid=lambda: tag_rows(valid_table, valid_h, crf, nbr, memory,
+                                       valid_ids, valid_dists),
     )
     return TrainResult(encoder, crf, nbr, log_lines, best_epoch, best_f1,
                        seconds=time.perf_counter() - started,
-                       retrieval_seconds=retrieval_seconds, retrieval_tokens=len(queries))
+                       retrieval_seconds=retrieval_seconds, retrieval_tokens=len(h_all))

@@ -1,0 +1,72 @@
+"""The calls the benchmark makes into pnma, run at toy scale.
+
+``perfbench/workloads.py`` is imported as it is, so a change to an API it
+calls fails here rather than only in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pnma.crf import init_crf_params
+from pnma.dataio import build_vocab
+from pnma.encoder import init_encoder_params
+from pnma.memory import build_memory
+from pnma.neighborhood import init_neighborhood_params
+from pnma.numeric import make_rng
+from pnma.synthetic import generate_split
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+K = 6
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def toy():
+    train, _ = generate_split("train", 60, 0.05, seed=31)
+    test, _ = generate_split("test", 30, 0.05, seed=31)
+    vocab = build_vocab(train, min_frequency=1)
+    rng = make_rng(32)
+    enc = init_encoder_params(vocab.n_words, d_word=6, d_pred=3, d_hidden=8, n_layers=2, rng=rng)
+    crf = init_crf_params(8, vocab.n_tags, rng)
+    nbr = init_neighborhood_params(K, 8, rng)
+    mem = build_memory(enc, vocab, train, fraction=0.5, seed=33)
+    return train, test, vocab, enc, crf, nbr, mem
+
+
+@pytest.mark.parametrize("split, exclude_self", [("train", True), ("test", False)])
+def test_knn_oracle_check_passes(workloads, toy, tmp_path, split, exclude_self):
+    train, test, vocab, enc, _, _, mem = toy
+    instances = train if split == "train" else test
+    assert len(instances) >= workloads.ORACLE_SENTENCES
+    run = workloads.Run(seed=1, workdir=str(tmp_path), checks=workloads.Checks())
+    workloads.check_knn_oracle(run, mem, enc, vocab, instances, K, exclude_self, split)
+    assert run.checks.attempted > 0
+    assert run.checks.failed == 0, run.checks.failures[:3]
+
+
+def test_predict_calls_take_positional_arguments(workloads, toy):
+    _, test, vocab, enc, crf, nbr, mem = toy
+    base = workloads.inference.predict_base_corpus(test, enc, crf, vocab)
+    batch = test[: workloads.TAG_REQUEST_SENTENCES]
+    adapted = workloads.inference.predict_pnma_corpus(batch, enc, crf, nbr, mem, vocab, K)
+    for preds, instances in ((base, test), (adapted, batch)):
+        assert len(preds) == len(instances)
+        for p, inst in zip(preds, instances):
+            assert p.shape == (len(inst),) and np.issubdtype(p.dtype, np.integer)
+    assert 0.0 <= workloads.f1(test, base, vocab, "bio-span") <= 1.0
+    assert len(workloads.preds_digest(adapted)) == 64

@@ -473,6 +473,85 @@ class TestSmokeChain:
         assert code == 2
 
 
+def assert_one_line_error(code: int, err: str, text: str) -> None:
+    assert code == 2, err
+    lines = [line for line in err.splitlines() if not line.startswith("config: using defaults")]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and text in lines[0], err
+
+
+class TestArgumentLimits:
+    """CLI arguments outside their domain exit 2 with one error line."""
+
+    def train_base(self, chain, tmp_path, *extra):
+        return run("train-base", "--config", chain["cfg"],
+                   "--train", f"{chain['data']}/train.conll",
+                   "--valid", f"{chain['data']}/valid.conll",
+                   "--vocab", chain["vocab"], "--out", str(tmp_path / "b.ckpt"), *extra)
+
+    def train_pnma(self, chain, tmp_path, *extra):
+        return run("train-pnma", "--config", chain["cfg"], "--checkpoint", chain["base"],
+                   "--memory", chain["memory"], "--train", f"{chain['data']}/train.conll",
+                   "--valid", f"{chain['data']}/valid.conll",
+                   "--vocab", chain["vocab"], "--out", str(tmp_path / "p.ckpt"), *extra)
+
+    @pytest.mark.parametrize("command, flag", [("train_base", "--epochs"),
+                                               ("train_pnma", "--phase2-epochs")])
+    def test_negative_epochs_exit_two(self, smoke_chain, tmp_path, capsys, command, flag):
+        code = getattr(self, command)(smoke_chain, tmp_path, flag, "-2")
+        assert_one_line_error(code, capsys.readouterr().err, "must be at least 0, got -2")
+
+    @pytest.mark.parametrize("command, flag", [("train_base", "--epochs"),
+                                               ("train_pnma", "--phase2-epochs")])
+    def test_zero_epochs_say_no_epoch_ran(self, smoke_chain, tmp_path, capsys, command, flag):
+        assert getattr(self, command)(smoke_chain, tmp_path, flag, "0") == 0
+        err = capsys.readouterr().err
+        assert "no epoch ran" in err and "best epoch" not in err
+        logs = list(tmp_path.glob("*.log"))
+        assert len(logs) == 1 and logs[0].read_text(encoding="utf-8") == ""
+
+    def test_gen_synthetic_negative_seed(self, tmp_path, capsys):
+        code = run("gen-synthetic", "--out-dir", str(tmp_path / "d"), "--train-size", "5",
+                   "--valid-size", "2", "--test-size", "2", "--seed", "-1")
+        assert_one_line_error(code, capsys.readouterr().err, "seed must be at least 0, got -1")
+
+    def test_build_memory_negative_seed(self, smoke_chain, tmp_path, capsys):
+        code = run("build-memory", "--checkpoint", smoke_chain["base"],
+                   "--train", f"{smoke_chain['data']}/train.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "m.bin"),
+                   "--seed", "-1")
+        assert_one_line_error(code, capsys.readouterr().err, "seed must be at least 0, got -1")
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["predict", "rank-dist", "disagreement"])
+    def test_threads_below_one(self, smoke_chain, tmp_path, capsys, command, threads):
+        c = smoke_chain
+        argv = {
+            "predict": ("predict", "--checkpoint", c["pnma"], "--memory", c["memory"],
+                        "--input", f"{c['data']}/test.conll", "--vocab", c["vocab"],
+                        "--out", str(tmp_path / "x.conll")),
+            "rank-dist": ("analyze", "rank-dist", "--checkpoint", c["base"],
+                          "--memory", c["memory"], "--input", f"{c['data']}/valid.conll",
+                          "--vocab", c["vocab"], "--out", str(tmp_path / "r"), "--k", "8"),
+            "disagreement": ("analyze", "disagreement", "--gold", f"{c['data']}/test.conll",
+                             "--pred-base", c["base_preds"], "--pred-pnma", c["pnma_preds"],
+                             "--train", f"{c['data']}/train.conll",
+                             "--out", str(tmp_path / "d.tsv")),
+        }[command]
+        code = run(*argv, "--threads", threads)
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"--threads must be at least 1, got {threads}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_predict_base_checkpoint_with_memory(self, smoke_chain, tmp_path, capsys):
+        code = run("predict", "--checkpoint", smoke_chain["base"],
+                   "--memory", smoke_chain["memory"],
+                   "--input", f"{smoke_chain['data']}/test.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "x.conll"))
+        assert_one_line_error(code, capsys.readouterr().err, "base model")
+        assert not (tmp_path / "x.conll").exists()
+
+
 class TestEvaluateCommand:
     def test_mismatched_corpora_exit_two(self, tmp_path):
         a = tmp_path / "a.conll"

@@ -124,7 +124,8 @@ class TestExitCodes:
 class TestIntegerKeys:
     @pytest.mark.parametrize("name, least", [
         ("seed", 0), ("batch_size", 1), ("n_layers", 1), ("d_word", 1), ("d_pred", 1),
-        ("d_hidden", 1), ("k_neighbors", 1), ("threads", 1),
+        ("d_hidden", 1), ("k_neighbors", 1), ("threads", 1), ("epochs", 0),
+        ("phase2_epochs", 0),
     ])
     def test_least_value_accepted_one_below_rejected(self, name, least):
         assert getattr(TrainConfig(**{name: least}), name) == least

@@ -4,7 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pnma.dataio import (
+    ExternalEmbeddings,
     Instance,
+    TokenTable,
     bio_decode_spans,
     bio_encode_spans,
     build_vocab,
@@ -292,3 +294,52 @@ class TestExternalEmbeddings:
         path.write_bytes(b"s1 0 1 2 3\ns1 1 4 5 6\ns2 0 7 \xfe 9\n")
         with pytest.raises(FormatError, match=":3: not UTF-8"):
             load_external_embeddings(str(path), self._corpus())
+
+
+class TestTokenTable:
+    CORPUS = [
+        Instance("a", ("x", "y", "z"), 1, (0, 1, 0), ("O", "B-V", "O")),
+        Instance("b", ("w",), 0, (1,), ("B-V",)),
+        Instance("c", ("y", "x", "q"), 0, (1, 0, 0), ("B-V", "O", "O")),
+        Instance("d", ("z", "w"), 1, (0, 1), ("O", "B-V")),
+        Instance("e", ("q",), 0, (1,), ("B-V",)),
+    ]
+
+    def external(self):
+        rng = np.random.default_rng(0)
+        return ExternalEmbeddings(dim=3, by_sentence={
+            inst.sentence_id: rng.normal(size=(len(inst), 3)).astype(np.float32)
+            for inst in self.CORPUS
+        })
+
+    def test_rows_equal_per_instance_stacking(self):
+        # mixed lengths, length-1 sentences among them, and external vectors
+        corpus, external = self.CORPUS, self.external()
+        vocab = build_vocab(corpus, min_frequency=2)
+        table = TokenTable.build(corpus, vocab, external)
+        assert len(table) == len(corpus)
+        assert table.word_ids.shape == table.bits.shape == (10,)
+        for job in ([0, 2], [2, 0], [1, 4], [4], [3]):
+            rows = table.rows(job)
+            np.testing.assert_array_equal(
+                table.word_ids[rows], np.stack([vocab.word_ids(corpus[i].tokens) for i in job]))
+            np.testing.assert_array_equal(
+                table.bits[rows], np.stack([corpus[i].predicate_bits for i in job]))
+            ext = table.external[rows]
+            assert ext.dtype == np.float32
+            np.testing.assert_array_equal(
+                ext, np.stack([external.vectors(corpus[i].sentence_id) for i in job]))
+        parts = table.split(table.bits)
+        assert [p.tolist() for p in parts] == [list(i.predicate_bits) for i in corpus]
+
+    def test_without_external_vectors(self):
+        table = TokenTable.build(self.CORPUS, build_vocab(self.CORPUS))
+        assert table.external is None
+        assert table.starts.tolist() == [0, 3, 4, 7, 9]
+        assert table.lengths.tolist() == [3, 1, 3, 2, 1]
+
+    def test_empty_corpus(self):
+        table = TokenTable.build([], build_vocab(self.CORPUS), self.external())
+        assert len(table) == 0 and table.word_ids.shape == (0,)
+        assert table.external.shape == (0, 3)
+        assert table.split(table.bits) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pnma.dataio import Instance, build_vocab
+from pnma.dataio import Instance, TokenTable, build_vocab
 from pnma.encoder import (
     _matmul_rows,
     EncoderParams,
@@ -11,13 +11,17 @@ from pnma.encoder import (
     embed_tokens,
     encode_backward,
     encode_batch,
+    encode_corpus,
+    encode_rows,
     init_encoder_params,
     layer_direction,
+    length_grouped_jobs,
     lstm_layer_backward,
     lstm_layer_forward,
 )
 from pnma.errors import DimensionError, DomainError
 from pnma.numeric import finite_difference_check, make_rng
+from pnma.synthetic import generate_split
 
 
 def small_params(rng, vocab_size=10, d_word=4, d_pred=3, d_hidden=5, n_layers=2):
@@ -322,6 +326,47 @@ class TestEncodeSequence:
         batch = encode_batch(w, b, params)
         for i, inst in enumerate(insts):
             np.testing.assert_allclose(batch[i], encode_one(inst, params, vocab), atol=1e-12)
+
+
+class TestEncodeRows:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        instances, _ = generate_split("train", 60, 0.05, seed=5)
+        vocab = build_vocab(instances, min_frequency=1)
+        params = init_encoder_params(vocab.n_words, d_word=6, d_pred=3, d_hidden=8,
+                                     n_layers=3, rng=make_rng(14))
+        return instances, vocab, params, TokenTable.build(instances, vocab)
+
+    def test_rows_are_each_jobs_batch(self, corpus):
+        instances, vocab, params, table = corpus
+        h = encode_rows(table, params, batch_size=4)
+        assert h.shape == (sum(len(i) for i in instances), 8) and h.dtype == np.float32
+        jobs = length_grouped_jobs([len(i) for i in instances], 4)
+        assert len(jobs) > 1
+        for job in jobs:
+            w = np.stack([vocab.word_ids(instances[i].tokens) for i in job])
+            b = np.stack([np.array(instances[i].predicate_bits) for i in job])
+            np.testing.assert_array_equal(h[table.rows(job)], encode_batch(w, b, params))
+
+    def test_threads_equal_one_thread(self, corpus):
+        instances, vocab, params, table = corpus
+        one = encode_rows(table, params, batch_size=4)
+        two = encode_rows(table, params, batch_size=4, threads=2)
+        assert one.tobytes() == two.tobytes()
+
+    def test_encode_corpus_is_a_view_of_the_rows(self, corpus):
+        instances, vocab, params, table = corpus
+        h = encode_rows(table, params)
+        encoded = encode_corpus(instances, params, vocab)
+        assert list(encoded) == [i.sentence_id for i in instances]
+        for inst, start in zip(instances, table.starts):
+            view = encoded[inst.sentence_id]
+            assert view.base is not None
+            np.testing.assert_array_equal(view, h[start : start + len(inst)])
+
+    def test_empty_table(self, corpus):
+        _, vocab, params, _ = corpus
+        assert encode_rows(TokenTable.build([], vocab), params).shape == (0, 8)
 
 
 class TestFullStackGradients:

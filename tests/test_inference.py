@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 from pnma.crf import emission_scores, init_crf_params, viterbi_decode_batch
-from pnma.dataio import build_vocab
-from pnma.encoder import (
-    encode_batch,
-    encode_corpus,
-    init_encoder_params,
-    length_grouped_jobs,
-    stack_inputs,
-)
-from pnma.inference import _chunks, predict_base_corpus, predict_pnma_corpus
-from pnma.memory import build_memory, corpus_neighbor_cache, knn_entry_ids
+from pnma.dataio import TokenTable, build_vocab
+from pnma.encoder import encode_batch, encode_rows, init_encoder_params, length_grouped_jobs
+from pnma.inference import _chunks, predict_base_corpus, predict_pnma_corpus, tag_rows
+from pnma.memory import build_memory, knn_entry_ids, self_exclusions
 from pnma.neighborhood import init_neighborhood_params, neighborhood_forward, pnma_predict
 from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
@@ -20,21 +14,30 @@ K = 5
 
 
 def per_job_tags(instances, encoder, crf, vocab, batch_size, nbr=None, memory=None,
-                 encoded=None, neighbor_ids=None, neighbor_dists=None, exclude_self=False):
+                 h_all=None, ids_all=None, dists_all=None, exclude_self=False):
     """The tagging loop with one retrieval and one decode per same-length job,
-    kept as the oracle for the chunked taggers."""
+    kept as the oracle for the chunked taggers.  Given flat (T, ...) arrays in
+    instance order (``h_all``, and ``ids_all``/``dists_all``), a job stacks its
+    sentences' slices of them instead of encoding (and retrieving)."""
+    starts = np.cumsum([0] + [len(inst) for inst in instances])
     preds = [None] * len(instances)
-    for job in length_grouped_jobs(instances, batch_size):
-        if encoded is None:
-            word_ids, bits, ext = stack_inputs(instances, job, vocab, None)
-            h = encode_batch(word_ids, bits, encoder, training=False, external_vectors=ext)
+    for job in length_grouped_jobs([len(inst) for inst in instances], batch_size):
+        n = len(instances[job[0]])
+
+        def stack(flat):
+            return np.stack([flat[starts[i] : starts[i] + n] for i in job])
+
+        if h_all is None:
+            word_ids = np.stack([vocab.word_ids(instances[i].tokens) for i in job])
+            bits = np.stack([np.array(instances[i].predicate_bits) for i in job])
+            h = encode_batch(word_ids, bits, encoder, training=False)
         else:
-            h = np.stack([encoded[instances[i].sentence_id] for i in job])
+            h = stack(h_all)
         if nbr is None:
             em = emission_scores(h, crf)
         else:
             bsz, n, d = h.shape
-            if neighbor_ids is None:
+            if ids_all is None:
                 exclude = None
                 if exclude_self:
                     exclude = [[(instances[i].sentence_id, t)] for i in job for t in range(n)]
@@ -42,8 +45,7 @@ def per_job_tags(instances, encoder, crf, vocab, batch_size, nbr=None, memory=No
                 ids, dists = knn_entry_ids(flat, memory, K, exclude=exclude)
                 ids, dists = ids.reshape(bsz, n, K), dists.reshape(bsz, n, K)
             else:
-                ids = np.stack([neighbor_ids[instances[i].sentence_id] for i in job])
-                dists = np.stack([neighbor_dists[instances[i].sentence_id] for i in job])
+                ids, dists = stack(ids_all), stack(dists_all)
             m = memory.vectors[ids].astype(h.dtype, copy=False)
             _, repr_ = neighborhood_forward(h, m, nbr, distances=dists.astype(h.dtype))
             em = emission_scores(repr_, crf)
@@ -86,7 +88,7 @@ def test_chunked_tagging_equals_per_job_loop(model, mode):
     nbr = init_neighborhood_params(K, 8, make_rng(22), mode=mode)
     nbr.n *= 50.0
     batch_size = 3
-    jobs = length_grouped_jobs(instances, batch_size)
+    jobs = length_grouped_jobs([len(inst) for inst in instances], batch_size)
     chunks = _chunks(jobs, batch_size)
     # chunks split between jobs, some chunk is one full job, another holds several
     assert [i for c in chunks for job in c for i in job] == [i for job in jobs for i in job]
@@ -98,10 +100,10 @@ def test_chunked_tagging_equals_per_job_loop(model, mode):
         predict_base_corpus(instances, encoder, crf, vocab, batch_size=batch_size),
         per_job_tags(instances, encoder, crf, vocab, batch_size),
     )
-    encoded = encode_corpus(instances, encoder, vocab, batch_size=batch_size)
+    table = TokenTable.build(instances, vocab)
+    h = encode_rows(table, encoder, batch_size)
     assert_same_tags(
-        predict_base_corpus(instances, encoder, crf, vocab, batch_size=batch_size,
-                            encoded=encoded),
+        tag_rows(table, h, crf, batch_size=batch_size),
         per_job_tags(instances, encoder, crf, vocab, batch_size),
     )
     for exclude_self in (False, True):
@@ -110,17 +112,12 @@ def test_chunked_tagging_equals_per_job_loop(model, mode):
         got = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
                                   batch_size=batch_size, exclude_self=exclude_self)
         assert_same_tags(got, want)
-        ids, dists = corpus_neighbor_cache(instances, encoded, memory, K,
-                                           exclude_self=exclude_self)
-        cached = dict(encoded=encoded, neighbor_ids=ids, neighbor_dists=dists)
-        assert_same_tags(
-            predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
-                                batch_size=batch_size, **cached),
-            per_job_tags(instances, encoder, crf, vocab, batch_size, nbr, memory, **cached),
-        )
-        assert_same_tags(got, predict_pnma_corpus(
-            instances, encoder, crf, nbr, memory, vocab, K, batch_size=batch_size, **cached
-        ))
+        ids, dists = knn_entry_ids(h.astype(np.float32), memory, K,
+                                   exclude=self_exclusions(instances) if exclude_self else None)
+        cached = tag_rows(table, h, crf, nbr, memory, ids, dists, batch_size)
+        assert_same_tags(cached, per_job_tags(instances, encoder, crf, vocab, batch_size, nbr,
+                                              memory, h_all=h, ids_all=ids, dists_all=dists))
+        assert_same_tags(got, cached)
     # the tags must depend on the memory, or the comparisons above prove little
     base = predict_base_corpus(instances, encoder, crf, vocab)
     assert any(not np.array_equal(a, b) for a, b in zip(got, base))

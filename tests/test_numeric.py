@@ -126,6 +126,11 @@ class TestRng:
         b = make_rng(5, 2).random(10)
         assert not np.array_equal(a, b)
 
+    def test_negative_seed_is_a_domain_error(self):
+        assert make_rng(0).random() == make_rng(0).random()
+        with pytest.raises(DomainError, match="seed must be at least 0, got -1"):
+            make_rng(-1)
+
 
 def test_relative_error_floor():
     assert relative_error(np.array([0.0]), np.array([0.0]))[0] == 0.0

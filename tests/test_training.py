@@ -10,7 +10,7 @@ from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
 from pnma import training
 from pnma.encoder import encode_corpus
-from pnma.memory import corpus_neighbor_cache
+from pnma.memory import knn_entry_ids
 from pnma.neighborhood import init_neighborhood_params
 from pnma.training import (
     _ADAM_CHUNK,
@@ -154,11 +154,10 @@ def test_training_batches_match_inline_grouping(seed):
     rng = make_rng(seed, 9)
     for _ in range(25):
         lengths = rng.integers(1, int(rng.integers(2, 12)), size=int(rng.integers(0, 60)))
-        items = [[0] * int(n) for n in lengths]
         batch_size = int(rng.integers(1, 20))
         draw = int(rng.integers(0, 2**31))
         new_rng, old_rng = make_rng(draw), make_rng(draw)
-        assert _training_batches(items, batch_size, new_rng) == inline_training_batches(
+        assert _training_batches(lengths, batch_size, new_rng) == inline_training_batches(
             [int(n) for n in lengths], batch_size, old_rng
         )
         # the same draws, so every later batch order is the same too
@@ -335,12 +334,18 @@ class TestTrainPnma:
         monkeypatch.setattr(training, "crf_log_likelihood_batch", spy_crf)
         train_pnma(result.encoder, result.crf, digest, memory, train, None, vocab, cfg2)
 
-        # the per-sentence stacking that the flat token arrays replace
+        # the per-sentence stacking that the flat token arrays replace, with one
+        # retrieval per sentence
         encoded = encode_corpus(train, result.encoder, vocab)
-        ids, dists = corpus_neighbor_cache(train, encoded, memory, cfg2.k_neighbors,
-                                           exclude_self=True)
+        ids, dists = {}, {}
+        for inst in train:
+            sid = inst.sentence_id
+            ids[sid], dists[sid] = knn_entry_ids(
+                encoded[sid].astype(np.float32), memory, cfg2.k_neighbors,
+                exclude=[[(sid, t)] for t in range(len(inst))],
+            )
         rng = make_rng(cfg2.seed, STREAM_SHUFFLE + 100)
-        batches = _training_batches(train, cfg2.batch_size, rng)
+        batches = _training_batches([len(i) for i in train], cfg2.batch_size, rng)
         assert len(seen["forward"]) == len(seen["gather"]) == len(seen["gold"]) == len(batches)
         for batch, (h, d), i, g in zip(batches, seen["forward"], seen["gather"], seen["gold"]):
             sids = [train[j].sentence_id for j in batch]
@@ -406,6 +411,12 @@ class TestTrainingLoop:
         assert longer.keys() == shorter.keys()
         for name in shorter:
             assert longer[name].tobytes() == shorter[name].tobytes(), name
+
+    @pytest.mark.parametrize("phase", ["base", "pnma"])
+    def test_no_epoch_reports_nan_not_a_score(self, base_setup, phase):
+        result = run_phase(phase, base_setup, 0)
+        assert result.best_epoch == 0 and np.isnan(result.best_f1)
+        assert result.log_lines == []
 
     @pytest.mark.parametrize("phase", ["base", "pnma"])
     def test_non_finite_loss_aborts_with_diagnostics(self, base_setup, monkeypatch, phase):
