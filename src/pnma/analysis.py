@@ -17,7 +17,7 @@ import numpy as np
 from .crf import CrfParams
 from .dataio import Instance, TokenTable, Vocabulary, bio_decode_spans, read_text
 from .encoder import EncoderParams, encode_rows
-from .errors import CoverageError, DimensionError, FormatError
+from .errors import CoverageError, DimensionError, DomainError, FormatError
 from .inference import tag_rows
 from .memory import ActivationMemory, knn_entry_ids, knn_query, self_exclusions
 
@@ -231,7 +231,7 @@ class DisagreementReport:
     """Scenario counts: 1 corrected, 2 both wrong, 3 both correct, 4 regressed."""
 
     scenario_counts: tuple[int, int, int, int]
-    ratio: float  # scenario1 / scenario4, inf when nothing regressed
+    ratio: float  # scenario1 / scenario4: inf when only corrections, nan when neither
     freq_buckets: list[tuple[str, tuple[int, int, int, int]]]
     nbr_buckets: list[tuple[str, tuple[int, int, int, int]]]
 
@@ -301,7 +301,10 @@ def disagreement_report(
                 lo = (c // nbr_bucket_width) * nbr_bucket_width
                 nb = f"{lo}-{lo + nbr_bucket_width - 1}"
                 nbr_buckets.setdefault(nb, [0, 0, 0, 0])[s] += 1
-    ratio = counts[0] / counts[3] if counts[3] else math.inf
+    if counts[3]:
+        ratio = counts[0] / counts[3]
+    else:  # nothing regressed: unbounded after a correction, undefined without one
+        ratio = math.inf if counts[0] else math.nan
 
     def bucket_sort_key(name: str):
         return int(name.split("-")[0])
@@ -358,6 +361,10 @@ def neighbor_dump(
     The neighbor token is bracketed and the predicate of its sentence starred;
     snippets are clamped at sentence boundaries.
     """
+    if context_window < 0:
+        raise DomainError(
+            f"neighbor_dump: context window must be at least 0, got {context_window}"
+        )
     if sources is None:
         raise CoverageError("neighbor_dump: provenance sentences required")
     if not (0 <= token_index < len(instance)):
@@ -452,8 +459,7 @@ def write_disagreement(report: DisagreementReport, path: str) -> None:
         names = ("corrected", "both_wrong", "both_correct", "regressed")
         for name, c in zip(names, report.scenario_counts):
             fh.write(f"{name}\t{c}\n")
-        ratio = "inf" if math.isinf(report.ratio) else f"{report.ratio:.6f}"
-        fh.write(f"corrected_over_regressed\t{ratio}\n")
+        fh.write(f"corrected_over_regressed\t{report.ratio:.6f}\n")  # writes inf and nan as such
         fh.write("\npredicate_frequency\tcorrected\tboth_wrong\tboth_correct\tregressed\n")
         for bucket, cs in report.freq_buckets:
             fh.write(bucket + "\t" + "\t".join(str(c) for c in cs) + "\n")

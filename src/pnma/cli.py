@@ -10,6 +10,7 @@ file); timing information goes to stderr so report files stay reproducible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -112,6 +113,8 @@ def _threads(args) -> int:
 def _best_epoch(result) -> str:
     if not result.best_epoch:
         return "no epoch ran"
+    if math.isnan(result.best_f1):  # a validation F1 is never NaN
+        return f"last epoch {result.best_epoch} (no validation data)"
     return f"best epoch {result.best_epoch} (F1 {result.best_f1:.4f})"
 
 
@@ -369,10 +372,9 @@ def cmd_analyze_disagreement(args) -> int:
         neighborhood_counts=nbr_counts,
     )
     analysis.write_disagreement(report, args.out)
-    ratio = "inf" if report.ratio == float("inf") else f"{report.ratio:.2f}"
     print(
         f"analyze disagreement: corrected {report.scenario_counts[0]}, "
-        f"regressed {report.scenario_counts[3]} (ratio {ratio}) -> {args.out}",
+        f"regressed {report.scenario_counts[3]} (ratio {report.ratio:.2f}) -> {args.out}",
         file=sys.stderr,
     )
     return 0

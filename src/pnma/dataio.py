@@ -431,8 +431,12 @@ class TokenTable:
         return len(self.lengths)
 
     def rows(self, job: Sequence[int]) -> np.ndarray:
-        """Row index (B, n) of a job of same-length sentences."""
-        return self.starts[job][:, None] + np.arange(self.lengths[job[0]])
+        """Row index (B, n) of a job of sentences right-padded to the longest
+        length n; a shorter sentence's padding repeats its last row."""
+        job = np.asarray(job)  # one conversion for both lookups
+        lengths = self.lengths[job]
+        steps = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+        return self.starts[job][:, None] + steps
 
     def split(self, a: np.ndarray) -> list[np.ndarray]:
         """Per-sentence views of an array (T, ...) in row order."""

@@ -5,11 +5,16 @@ connection -> LSTM layer 2 (backward) -> ... -> final LSTM layer, whose
 per-token outputs are the sequence representation consumed by the CRF head
 and stored in the activation memory.  Directions alternate starting forward.
 
-All kernels operate on same-length batches (B, n, ...); a single sequence is
-the batch-of-one case.  Each forward has an explicit backward that is
-verified by finite differences in the test suite.  ``encode_rows`` runs the
-stack over a whole ``dataio.TokenTable`` in same-length batches and returns
-one activation row per token, (T, d) in the table's row order.
+All kernels operate on batches (B, n, ...); a single sequence is the
+batch-of-one case.  Each forward has an explicit backward that is verified by
+finite differences in the test suite.  A batch is same-length (training), or
+right-padded with its ``lengths`` given (inference).  Padding needs no mask:
+a forward LSTM layer reaches the padding only after a row's real steps, and a
+backward layer reverses each row within its own length, so the padding comes
+last there too; every other layer is per token.  ``encode_rows`` runs the
+stack over a whole ``dataio.TokenTable`` in ``length_sorted_chunks``, one
+padded batch each, and returns one activation row per token, (T, d) in the
+table's row order.
 
 Products with a weight matrix that do not depend on the previous timestep
 (the LSTM input projection and its input gradient, both connection products)
@@ -37,6 +42,9 @@ D_PRED_DEFAULT = 50
 D_WORD_DEFAULT = 64
 D_HIDDEN_DEFAULT = 300
 N_LAYERS_DEFAULT = 4
+# padded tokens per inference chunk: bounds a chunk's activations however
+# long its sentences are
+CHUNK_TOKENS = 512
 
 
 def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -209,15 +217,35 @@ class LstmCache:
     tanh_c: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
+    lengths: np.ndarray | None = None
+
+
+def _reverse_steps(a: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
+    """Row b of a (B, n, ...) with its first ``lengths[b]`` steps reversed and
+    its padding left in place; ``lengths=None`` reverses every whole row.  The
+    map is its own inverse."""
+    if lengths is None:
+        return a[:, ::-1]
+    t = np.arange(a.shape[1])
+    steps = np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
+    return a[np.arange(len(a))[:, None], steps]
 
 
 def lstm_layer_forward(
-    x: np.ndarray, direction: str, weights: LstmWeights, want_cache: bool = False
+    x: np.ndarray,
+    direction: str,
+    weights: LstmWeights,
+    want_cache: bool = False,
+    lengths: np.ndarray | None = None,
 ):
     """Standard LSTM recurrence with zero initial state over (B, n, d_in).
 
     The backward direction is the forward recurrence on the reversed sequence
-    with the output reversed back.
+    with the output reversed back.  With ``lengths`` (B,), row b is a
+    sentence of ``lengths[b]`` steps right-padded to n: a forward layer runs
+    over the padding after the real steps, which never feed back into them,
+    and a backward layer reverses each row within its own length, so the
+    padding stays last.  Outputs at padded steps are finite and meaningless.
     """
     if direction not in ("f", "b"):
         raise DomainError(f"direction must be 'f' or 'b', got {direction!r}")
@@ -227,9 +255,13 @@ def lstm_layer_forward(
         x = x[None, :, :]
     if x.ndim != 3 or x.shape[2] != weights.d_in:
         raise DimensionError(f"lstm input {x.shape} vs wx {weights.wx.shape}")
-    if direction == "b":
-        x = x[:, ::-1]
     bsz, n, _ = x.shape
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (bsz,) or np.any(lengths < 1) or np.any(lengths > n):
+            raise DomainError(f"lstm: lengths must be {bsz} integers in 1..{n}, got {lengths}")
+    if direction == "b":
+        x = _reverse_steps(x, lengths)
     d = weights.d_hidden
     pre_x = _matmul_rows(x, weights.wx.T) + weights.b
     h = np.zeros((bsz, d), dtype=pre_x.dtype)
@@ -245,10 +277,11 @@ def lstm_layer_forward(
         cp = np.empty_like(hs)
     for t in range(n):
         pre = pre_x[:, t] + h @ weights.wh.T
-        i = _sigmoid(pre[:, :d])
-        f = _sigmoid(pre[:, d : 2 * d])
+        # one sigmoid over all four gates is one ufunc pass instead of three;
+        # the g slice of it goes unused
+        gates = _sigmoid(pre)
+        i, f, o = gates[:, :d], gates[:, d : 2 * d], gates[:, 3 * d :]
         g = np.tanh(pre[:, 2 * d : 3 * d])
-        o = _sigmoid(pre[:, 3 * d :])
         if want_cache:
             hp[:, t] = h
             cp[:, t] = c
@@ -258,12 +291,12 @@ def lstm_layer_forward(
         hs[:, t] = h
         if want_cache:
             gi[:, t], gf[:, t], gg[:, t], go[:, t], tc[:, t] = i, f, g, o, tanh_c
-    out = hs[:, ::-1] if direction == "b" else hs
+    out = _reverse_steps(hs, lengths) if direction == "b" else hs
     if squeeze:
         out = out[0]
     if not want_cache:
         return out
-    cache = LstmCache(direction, x, gi, gf, gg, go, tc, hp, cp)
+    cache = LstmCache(direction, x, gi, gf, gg, go, tc, hp, cp, lengths)
     return out, cache
 
 
@@ -276,7 +309,7 @@ def lstm_layer_backward(
     if squeeze:
         d_out = d_out[None, :, :]
     if cache.direction == "b":
-        d_out = d_out[:, ::-1]
+        d_out = _reverse_steps(d_out, cache.lengths)
     bsz, n, d = d_out.shape
     # every timestep's gate gradient, for the batch-wide GEMMs after the loop
     dpres = np.empty((bsz, n, 4 * d), dtype=np.result_type(d_out, cache.i, weights.wh))
@@ -300,7 +333,7 @@ def lstm_layer_backward(
         dh_next = dpre @ weights.wh
     d_x = _matmul_rows(dpres, weights.wx).astype(cache.x.dtype, copy=False)
     if cache.direction == "b":
-        d_x = d_x[:, ::-1]
+        d_x = _reverse_steps(d_x, cache.lengths)
     if squeeze:
         d_x = d_x[0]
     dt = weights.wx.dtype
@@ -368,12 +401,15 @@ def encode_batch(
     drop_rng: np.random.Generator | None = None,
     external_vectors: np.ndarray | None = None,
     want_cache: bool = False,
+    lengths: np.ndarray | None = None,
 ):
-    """Run the full stack on a same-length batch; returns h_L (B, n, d) [+ cache].
+    """Run the full stack on a batch; returns h_L (B, n, d) [+ cache].
 
-    Dropout (training mode only) is applied to the embedding concat and to
-    each LSTM output feeding a connection layer; evaluation mode is a pure
-    function of the inputs.
+    ``lengths=None`` is a same-length batch; with ``lengths`` (B,) row b is
+    right-padded after its first ``lengths[b]`` tokens (``lstm_layer_forward``),
+    and its outputs there are meaningless.  Dropout (training mode only) is
+    applied to the embedding concat and to each LSTM output feeding a
+    connection layer; evaluation mode is a pure function of the inputs.
     """
     if training and (dropout_embed > 0 or dropout_layer > 0) and drop_rng is None:
         raise DomainError("training-mode dropout requires a generator")
@@ -392,10 +428,11 @@ def encode_batch(
     for l in range(n_layers):
         cache.x_inputs.append(x)
         if want_cache:
-            h, lc = lstm_layer_forward(x, layer_direction(l), params.layers[l], want_cache=True)
+            h, lc = lstm_layer_forward(x, layer_direction(l), params.layers[l],
+                                       want_cache=True, lengths=lengths)
             cache.lstm_caches.append(lc)
         else:
-            h = lstm_layer_forward(x, layer_direction(l), params.layers[l])
+            h = lstm_layer_forward(x, layer_direction(l), params.layers[l], lengths=lengths)
         if l == n_layers - 1:
             break
         if training and dropout_layer > 0:
@@ -472,35 +509,60 @@ def length_grouped_jobs(
     return jobs
 
 
+def length_sorted_chunks(
+    lengths: Sequence[int], batch_size: int, max_tokens: int = CHUNK_TOKENS
+) -> list[np.ndarray]:
+    """Sentence indices in stable ascending length order, cut into chunks of at
+    most ``batch_size`` sentences and ``max_tokens`` padded tokens (sentences
+    times the chunk's longest length), whichever binds first; a sentence
+    longer than ``max_tokens`` is a chunk of its own.  ``lengths[i]`` is
+    sentence i's length."""
+    order = np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
+    chunks: list[np.ndarray] = []
+    start = 0
+    for end, i in enumerate(order, start=1):
+        # order[start:end] is the chunk if it takes sentence i, its longest
+        size = end - start
+        if size > 1 and (size > batch_size or size * int(lengths[i]) > max_tokens):
+            chunks.append(order[start : end - 1])
+            start = end - 1
+    if start < len(order):
+        chunks.append(order[start:])
+    return chunks
+
+
 def encode_rows(
     table: TokenTable, params: EncoderParams, batch_size: int = 256, threads: int = 1
 ) -> np.ndarray:
     """Evaluation-mode final activations (T, d) of every row of ``table``.
 
-    Sentences are encoded in same-length batches of at most ``batch_size``,
-    ``threads`` batches at a time; the result does not depend on ``threads``.
+    Sentences are encoded in ``length_sorted_chunks``, each one right-padded
+    batch, ``threads`` chunks at a time; the result does not depend on
+    ``threads``.
     """
-    def run(job: list[int]):
-        rows = table.rows(job)
+    def run(chunk: np.ndarray):
+        rows, lengths = table.rows(chunk), table.lengths[chunk]
         ext = table.external[rows] if table.external is not None else None
-        return rows, encode_batch(table.word_ids[rows], table.bits[rows], params,
-                                  training=False, external_vectors=ext)
+        h = encode_batch(table.word_ids[rows], table.bits[rows], params, training=False,
+                         external_vectors=ext, lengths=lengths)
+        real = np.arange(rows.shape[1]) < lengths[:, None]
+        return rows[real], h[real]
 
     def scatter(results) -> np.ndarray:
         out = np.zeros((0, params.d_hidden), dtype=params.pred_emb.dtype)  # an empty table
         for i, (rows, h) in enumerate(results):
             if i == 0:
                 out = np.empty((len(table.word_ids), h.shape[-1]), dtype=h.dtype)
-            out[rows] = h  # copied out as it arrives: no batch outputs pile up
+            out[rows] = h  # copied out as it arrives: no chunk outputs pile up
         return out
 
-    jobs = length_grouped_jobs(table.lengths, batch_size)
-    if threads > 1 and len(jobs) > 1:
+    chunks = length_sorted_chunks(table.lengths, batch_size)
+    if threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return scatter(pool.map(run, jobs))
-    return scatter(map(run, jobs))
+            return scatter(pool.map(run, chunks))
+    return scatter(map(run, chunks))
 
 
 def encode_corpus(

@@ -6,13 +6,15 @@ Tagging is one pipeline over a ``dataio.TokenTable``: encode every row
 caller that already holds the activations or the neighbors, such as phase
 2's validation pass, enters at ``tag_rows``.
 
-``tag_rows`` scores each same-length job at its own shape, so the neighbor
-gather, the neighborhood layer and the emission layer never carry padding,
-and decodes consecutive whole jobs, at most ``batch_size`` sentences, with
-one Viterbi call over their right-padded emissions.  Exact K-NN returns the
-same neighbors however queries are blocked, and the ragged decode repeats
-every per-row operation of a same-length one, so the tags are those of one
-retrieval and one decode per job.
+Encoding and tagging both walk ``encoder.length_sorted_chunks``: sentences
+in length order, cut at ``batch_size`` sentences or a budget of padded
+tokens.  ``tag_rows`` runs the neighbor gather, the neighborhood layer and
+the emission layer once per chunk over its real rows only, then decodes the
+chunk with one Viterbi call over right-padded emissions in which each row
+stops at its own length.  Exact K-NN returns the same neighbors however
+queries are blocked, and the ragged decode repeats every per-row operation
+of a same-length one, so a chunk differs from one pass per sentence only by
+the round-off of products whose blocking depends on the row count.
 """
 
 from __future__ import annotations
@@ -23,22 +25,9 @@ import numpy as np
 
 from .crf import CrfParams, emission_scores, viterbi_decode_batch
 from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
-from .encoder import EncoderParams, encode_rows, length_grouped_jobs
+from .encoder import EncoderParams, encode_rows, length_sorted_chunks
 from .memory import ActivationMemory, knn_entry_ids, self_exclusions
 from .neighborhood import NeighborhoodParams, gather_neighbors, neighborhood_forward
-
-
-def _chunks(jobs: list[list[int]], batch_size: int) -> list[list[list[int]]]:
-    """Consecutive whole jobs packed into chunks of at most ``batch_size`` sentences."""
-    chunks: list[list[list[int]]] = []
-    size = 0
-    for job in jobs:
-        if not chunks or size + len(job) > batch_size:
-            chunks.append([])
-            size = 0
-        chunks[-1].append(job)
-        size += len(job)
-    return chunks
 
 
 def tag_rows(
@@ -56,26 +45,21 @@ def tag_rows(
     With ``nbr``, each token is scored on the neighborhood representation of
     its memory neighbors ``ids`` (T, K) at ``dists`` (T, K); without, on h.
     """
-    def emissions(rows: np.ndarray) -> np.ndarray:
-        x = h[rows]
-        if nbr is not None:
-            m = gather_neighbors(memory.vectors, ids[rows]).astype(x.dtype, copy=False)
-            _, x = neighborhood_forward(x, m, nbr, distances=dists[rows].astype(x.dtype))
-        return emission_scores(x, crf)
-
     preds: list[np.ndarray | None] = [None] * len(table)
-    for chunk in _chunks(length_grouped_jobs(table.lengths, batch_size), batch_size):
-        ems = [emissions(table.rows(job)) for job in chunk]
-        sentences = [i for job in chunk for i in job]
-        lengths = table.lengths[sentences]
-        padded = np.zeros((len(sentences), lengths.max(), crf.n_tags), dtype=ems[0].dtype)
-        start = 0
-        for em in ems:
-            padded[start : start + len(em), : em.shape[1]] = em
-            start += len(em)
+    for chunk in length_sorted_chunks(table.lengths, batch_size):
+        rows, lengths = table.rows(chunk), table.lengths[chunk]
+        real = np.arange(rows.shape[1]) < lengths[:, None]
+        flat = rows[real]
+        x = h[flat]
+        if nbr is not None:
+            m = gather_neighbors(memory.vectors, ids[flat]).astype(x.dtype, copy=False)
+            _, x = neighborhood_forward(x, m, nbr, distances=dists[flat].astype(x.dtype))
+        em = emission_scores(x, crf)
+        padded = np.zeros(rows.shape + (crf.n_tags,), dtype=em.dtype)
+        padded[real] = em
         paths = viterbi_decode_batch(padded, crf, lengths)
-        for row, (i, n) in enumerate(zip(sentences, lengths)):
-            preds[i] = paths[row, :n]
+        for i, path, n in zip(chunk, paths, lengths):
+            preds[i] = path[:n]
     return preds  # type: ignore[return-value]
 
 

@@ -217,18 +217,30 @@ def _resolve_exclusions(
 
 
 def _block_top_k(q, slack, memory: ActivationMemory, k: int, ex_rows, ex_cols):
-    """Exact top-k of one query block: BLAS prefilter, then certified re-rank."""
+    """Exact top-k of one query block: BLAS prefilter, then certified re-rank.
+
+    The re-rank keeps, per row, every entry within the limit a_(k) + 2 delta
+    of the row's k-th smallest prefilter value a_(k).  One partition at k
+    yields a_(k), the largest of the first k, and the (k+1)-th value a_(k+1)
+    beside it.  When every row's a_(k+1) exceeds its limit, no entry beyond
+    the first k survives, so those k are the candidates without a pass over
+    the full rows (the certificate); otherwise every row's survivors are
+    counted and the partition widens to the largest count.
+    """
     m = memory._vectors64
     approx = (-2.0 * q) @ m.T
     approx += memory._sq_norms
     approx[ex_rows, ex_cols] = np.inf  # every threshold below is finite
-    cand = np.argpartition(approx, k - 1, axis=1)
-    kth = np.take_along_axis(approx, cand[:, k - 1 : k], axis=1)
+    n_m = approx.shape[1]
+    cand = np.argpartition(approx, min(k, n_m - 1), axis=1)
+    head = np.take_along_axis(approx, cand[:, : k + 1], axis=1)
     # every entry of the true top-k has a <= a_(k) + 2 delta
-    limit = kth + slack[:, None]
-    width = int(np.count_nonzero(approx <= limit, axis=1).max())
-    if width > k:  # near-ties at the k-th distance: widen to all survivors
-        cand = np.argpartition(approx, width - 1, axis=1)
+    limit = head[:, :k].max(axis=1, keepdims=True) + slack[:, None]
+    width = k
+    if k < n_m and not np.all(head[:, k:] > limit):
+        width = int(np.count_nonzero(approx <= limit, axis=1).max())
+        if width > k + 1:  # near-ties at the k-th distance: widen to all survivors
+            cand = np.argpartition(approx, width - 1, axis=1)
     cand = np.sort(cand[:, :width], axis=1)
     exact = _squared_distances(q, m[cand])
     exact[~(np.take_along_axis(approx, cand, axis=1) <= limit)] = np.inf

@@ -288,6 +288,8 @@ def train_base(
     """End-to-end phase-1 training; keeps the best-validation-F1 parameters."""
     if not train_instances:
         raise DomainError("train_base: empty training set")
+    if valid_instances is not None and not valid_instances:
+        raise DomainError("train_base: empty validation set")
     started = time.perf_counter()
     dtype = np.dtype(config.dtype)
     init_rng = make_rng(config.seed, STREAM_INIT)
@@ -366,6 +368,8 @@ def train_pnma(
         )
     if not train_instances:
         raise DomainError("train_pnma: empty training set")
+    if valid_instances is not None and not valid_instances:
+        raise DomainError("train_pnma: empty validation set")
     started = time.perf_counter()
     dtype = np.dtype(config.dtype)
     k = config.k_neighbors

@@ -161,6 +161,13 @@ class TestDisagreement:
         assert r.scenario_counts[0] == 0
         assert r.scenario_counts[3] == 0
         assert r.scenario_counts[2] == 6
+        assert math.isnan(r.ratio)  # neither corrected nor regressed: no ratio
+
+    def test_corrections_without_regressions_are_an_infinite_ratio(self):
+        insts, gold = self._fixture()
+        base = [["B-A0", "B-V", "O"], gold[1]]
+        r = disagreement_report(insts, gold, base, gold, {"hits": 2})
+        assert r.scenario_counts[0] == 1 and r.scenario_counts[3] == 0
         assert math.isinf(r.ratio)
 
     def test_counts_partition_tokens(self):
@@ -411,3 +418,12 @@ class TestWriters:
         text = open(path).read()
         assert "corrected\t4" in text
         assert "corrected_over_regressed\t4.000000" in text
+
+    @pytest.mark.parametrize("counts, ratio, written", [((3, 0, 5, 0), math.inf, "inf"),
+                                                        ((0, 0, 5, 0), math.nan, "nan")])
+    def test_disagreement_ratio_without_regressions(self, tmp_path, counts, ratio, written):
+        r = DisagreementReport(scenario_counts=counts, ratio=ratio,
+                               freq_buckets=[], nbr_buckets=[])
+        path = str(tmp_path / "d.tsv")
+        write_disagreement(r, path)
+        assert f"corrected_over_regressed\t{written}\n" in open(path).read()

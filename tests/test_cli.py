@@ -543,6 +543,44 @@ class TestArgumentLimits:
                               f"--threads must be at least 1, got {threads}")
         assert list(tmp_path.iterdir()) == []
 
+    def test_analyze_neighbors_negative_window(self, smoke_chain, tmp_path, capsys):
+        from pnma.dataio import parse_conll_file
+
+        valid = parse_conll_file(f"{smoke_chain['data']}/valid.conll")
+        code = run("analyze", "neighbors", "--checkpoint", smoke_chain["base"],
+                   "--memory", smoke_chain["memory"],
+                   "--input", f"{smoke_chain['data']}/valid.conll",
+                   "--vocab", smoke_chain["vocab"],
+                   "--sources", f"{smoke_chain['data']}/train.conll",
+                   "--sentence-id", valid[0].sentence_id, "--token-index", "0",
+                   "--out", str(tmp_path / "nbr.tsv"), "--k", "5", "--window", "-3")
+        assert_one_line_error(code, capsys.readouterr().err,
+                              "context window must be at least 0, got -3")
+        assert not (tmp_path / "nbr.tsv").exists()
+
+    @staticmethod
+    def train_without_valid(chain, tmp_path, command, *extra):
+        phase = {"train-base": ("--epochs", "2"),
+                 "train-pnma": ("--checkpoint", chain["base"], "--memory", chain["memory"],
+                                "--phase2-epochs", "2")}[command]
+        return run(command, "--config", chain["cfg"], "--train", f"{chain['data']}/train.conll",
+                   "--vocab", chain["vocab"], "--out", str(tmp_path / "x.ckpt"), *phase, *extra)
+
+    @pytest.mark.parametrize("command", ["train-base", "train-pnma"])
+    def test_empty_validation_file(self, smoke_chain, tmp_path, capsys, command):
+        empty = tmp_path / "empty.conll"
+        empty.write_text("", encoding="utf-8")
+        code = self.train_without_valid(smoke_chain, tmp_path, command, "--valid", str(empty))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"{command.replace('-', '_')}: empty validation set")
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train-base", "train-pnma"])
+    def test_no_validation_says_last_epoch(self, smoke_chain, tmp_path, capsys, command):
+        assert self.train_without_valid(smoke_chain, tmp_path, command) == 0
+        err = capsys.readouterr().err
+        assert "last epoch 2 (no validation data)" in err and "nan" not in err
+
     def test_predict_base_checkpoint_with_memory(self, smoke_chain, tmp_path, capsys):
         code = run("predict", "--checkpoint", smoke_chain["base"],
                    "--memory", smoke_chain["memory"],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pnma.dataio import Instance, TokenTable, build_vocab
 from pnma.encoder import (
@@ -16,6 +18,7 @@ from pnma.encoder import (
     init_encoder_params,
     layer_direction,
     length_grouped_jobs,
+    length_sorted_chunks,
     lstm_layer_backward,
     lstm_layer_forward,
 )
@@ -367,6 +370,164 @@ class TestEncodeRows:
     def test_empty_table(self, corpus):
         _, vocab, params, _ = corpus
         assert encode_rows(TokenTable.build([], vocab), params).shape == (0, 8)
+
+
+# a few ulps of one elementwise step (sigmoid, tanh, product, sum), in units
+# of u, relative to operands of magnitude at most 1 or to the step's terms
+ELEMENTWISE_ULPS = 8
+
+
+def reference_with_bound(word_ids, bits, params, u):
+    """One sentence through the stack in float64, with a first-order bound on
+    how far an evaluation at unit round-off u can land from it.
+
+    A product with a weight matrix is a sum of m terms, off by at most
+    gamma_m = m u / (1 - m u) times the sum of |terms| (in any summation
+    order), plus its operands' errors through |W|.  Sigmoid and tanh are 1/4-
+    and 1-Lipschitz, ReLU 1-Lipschitz, and every elementwise step adds a few
+    ulps.  Two evaluations that differ only in how their products are
+    blocked both lie within the bound, so they differ by at most twice it.
+    """
+    def gamma(m):
+        return m * u / (1 - m * u)
+
+    ulps = ELEMENTWISE_ULPS * u
+    x = embed_tokens(word_ids, bits, params).astype(np.float64)  # exact lookups
+    ex = np.zeros_like(x)
+    for l, w in enumerate(params.layers):
+        wx, wh, b = (a.astype(np.float64) for a in (w.wx, w.wh, w.b))
+        d = w.d_hidden
+        step = -1 if layer_direction(l) == "b" else 1
+        h = c = eh = ec = np.zeros(d)
+        hs, ehs = [], []
+        for xt, ext in zip(x[::step], ex[::step]):
+            a = wx @ xt + b + wh @ h
+            ea = (gamma(w.d_in + d + 2) * (abs(wx) @ abs(xt) + abs(b) + abs(wh) @ abs(h))
+                  + abs(wx) @ ext + abs(wh) @ eh)
+            sig = 1.0 / (1.0 + np.exp(-a))
+            i, f, o = sig[:d], sig[d : 2 * d], sig[3 * d :]
+            ei, ef, eo = (ea[s] / 4 + ulps for s in (slice(0, d), slice(d, 2 * d),
+                                                    slice(3 * d, 4 * d)))
+            g = np.tanh(a[2 * d : 3 * d])
+            eg = ea[2 * d : 3 * d] + ulps
+            ec = (ef * abs(c) + f * ec + ei * abs(g) + i * eg
+                  + ulps * (abs(f * c) + abs(i * g)))
+            c = f * c + i * g
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            eh = eo * abs(tanh_c) + o * (ec + ulps) + ulps * abs(h)
+            hs.append(h)
+            ehs.append(eh)
+        h, eh = np.array(hs)[::step], np.array(ehs)[::step]
+        if l == params.n_layers - 1:
+            return h, eh
+        wc = params.connections[l].astype(np.float64)
+        cat, ecat = np.concatenate([h, x], axis=1), np.concatenate([eh, ex], axis=1)
+        x = np.maximum(cat @ wc.T, 0.0)
+        ex = gamma(cat.shape[1]) * abs(cat) @ abs(wc).T + ecat @ abs(wc).T
+
+
+def ragged_table(rng, lengths, vocab_size):
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    return TokenTable(word_ids=rng.integers(0, vocab_size, size=total),
+                      bits=rng.integers(0, 2, size=total), external=None,
+                      starts=np.cumsum(lengths) - lengths, lengths=lengths)
+
+
+class TestRaggedEncode:
+    LENGTHS = [1, 4, 1, 7, 3, 7, 2, 1, 5]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_ragged_rows_within_round_off_of_per_sentence(self, dtype, n_layers):
+        rng = make_rng(30)
+        params = init_encoder_params(12, d_word=6, d_pred=3, d_hidden=8, n_layers=n_layers,
+                                     rng=rng, dtype=dtype)
+        table = ragged_table(rng, self.LENGTHS, 12)
+        # batch_size 4 cuts [1, 1, 1, 2], [3, 4, 5, 7], [7]: padded, mixed-length chunks
+        h = encode_rows(table, params, batch_size=4)
+        assert h.dtype == dtype
+        u = np.finfo(dtype).eps / 2
+        for s, n in zip(table.starts, table.lengths):
+            words, bits = table.word_ids[s : s + n], table.bits[s : s + n]
+            alone = encode_batch(words[None], bits[None], params)[0]
+            _, bound = reference_with_bound(words, bits, params, u)
+            assert np.all(bound < 1e3 * u)  # round-off, not a loose tolerance
+            err = np.abs(h[s : s + n].astype(np.float64) - alone)
+            assert np.all(err <= 2 * bound)
+
+    @pytest.mark.parametrize("direction", ["f", "b"])
+    def test_lengths_none_equals_equal_lengths_bit_for_bit(self, direction):
+        rng = make_rng(31)
+        w = LstmWeights(rng.normal(size=(20, 4)).astype(np.float32),
+                        rng.normal(size=(20, 5)).astype(np.float32),
+                        rng.normal(size=20).astype(np.float32))
+        x = rng.normal(size=(3, 6, 4)).astype(np.float32)
+        a, ca = lstm_layer_forward(x, direction, w, want_cache=True)
+        b, cb = lstm_layer_forward(x, direction, w, want_cache=True, lengths=np.full(3, 6))
+        assert a.tobytes() == b.tobytes()
+        d_out = rng.normal(size=a.shape).astype(np.float32)
+        (dxa, ga), (dxb, gb) = lstm_layer_backward(d_out, ca, w), lstm_layer_backward(d_out, cb, w)
+        assert dxa.tobytes() == dxb.tobytes()
+        assert all(getattr(ga, n).tobytes() == getattr(gb, n).tobytes() for n in ("wx", "wh", "b"))
+        params = init_encoder_params(9, d_word=4, d_pred=2, d_hidden=5, n_layers=3, rng=rng)
+        words, bits = rng.integers(0, 9, size=(3, 6)), rng.integers(0, 2, size=(3, 6))
+        assert (encode_batch(words, bits, params).tobytes()
+                == encode_batch(words, bits, params, lengths=np.full(3, 6)).tobytes())
+
+    @pytest.mark.parametrize("direction", ["f", "b"])
+    def test_padded_backward_equals_per_sentence_sums(self, direction):
+        # zero gradient on the padding: each row's d_x is its sentence's, and
+        # the weight gradients are the per-sentence gradients summed
+        rng = make_rng(32)
+        lengths = np.array([3, 1, 5])
+        w = LstmWeights(rng.normal(size=(12, 4)), rng.normal(size=(12, 3)), rng.normal(size=12))
+        x = rng.normal(size=(3, 5, 4))
+        d_out = rng.normal(size=(3, 5, 3)) * (np.arange(5) < lengths[:, None])[..., None]
+        out, cache = lstm_layer_forward(x, direction, w, want_cache=True, lengths=lengths)
+        d_x, grads = lstm_layer_backward(d_out, cache, w)
+        sums = {"wx": 0.0, "wh": 0.0, "b": 0.0}
+        for r, n in enumerate(lengths):
+            out_r, cache_r = lstm_layer_forward(x[r, :n], direction, w, want_cache=True)
+            np.testing.assert_allclose(out[r, :n], out_r, rtol=0, atol=1e-14)
+            d_x_r, g = lstm_layer_backward(d_out[r, :n], cache_r, w)
+            np.testing.assert_allclose(d_x[r, :n], d_x_r, rtol=0, atol=1e-13)
+            for name in sums:
+                sums[name] = sums[name] + getattr(g, name)
+        for name, total in sums.items():
+            np.testing.assert_allclose(getattr(grads, name), total, rtol=0, atol=1e-12)
+
+    def test_lengths_outside_the_batch_are_a_domain_error(self):
+        w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
+        for lengths in ([4, 0], [4, 5], [4]):
+            with pytest.raises(DomainError, match="lengths"):
+                lstm_layer_forward(np.ones((2, 4, 3)), "b", w, lengths=np.array(lengths))
+
+
+class TestLengthSortedChunks:
+    @given(st.lists(st.integers(1, 40), max_size=60), st.integers(1, 9),
+           st.integers(1, 120))
+    def test_each_index_once_in_length_order_within_both_budgets(
+            self, lengths, batch_size, max_tokens):
+        chunks = length_sorted_chunks(lengths, batch_size, max_tokens)
+        flat = [int(i) for c in chunks for i in c]
+        assert flat == sorted(range(len(lengths)), key=lambda i: lengths[i])
+        for c in chunks:
+            longest = max(lengths[i] for i in c)
+            assert 1 <= len(c) <= batch_size
+            assert len(c) * longest <= max_tokens or len(c) == 1
+        # greedy: a chunk stops only where the next sentence breaks a budget
+        for c, nxt in zip(chunks, chunks[1:]):
+            grown = len(c) + 1
+            assert grown > batch_size or grown * lengths[nxt[0]] > max_tokens
+
+    def test_over_budget_sentence_is_its_own_chunk(self):
+        chunks = length_sorted_chunks([3, 30, 2, 3, 20], batch_size=8, max_tokens=16)
+        assert [c.tolist() for c in chunks] == [[2, 0, 3], [4], [1]]
+
+    def test_empty(self):
+        assert length_sorted_chunks([], 4) == []
 
 
 class TestFullStackGradients:

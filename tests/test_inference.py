@@ -3,8 +3,14 @@ import pytest
 
 from pnma.crf import emission_scores, init_crf_params, viterbi_decode_batch
 from pnma.dataio import TokenTable, build_vocab
-from pnma.encoder import encode_batch, encode_rows, init_encoder_params, length_grouped_jobs
-from pnma.inference import _chunks, predict_base_corpus, predict_pnma_corpus, tag_rows
+from pnma.encoder import (
+    encode_batch,
+    encode_rows,
+    init_encoder_params,
+    length_grouped_jobs,
+    length_sorted_chunks,
+)
+from pnma.inference import predict_base_corpus, predict_pnma_corpus, tag_rows
 from pnma.memory import build_memory, knn_entry_ids, self_exclusions
 from pnma.neighborhood import init_neighborhood_params, neighborhood_forward, pnma_predict
 from pnma.numeric import make_rng
@@ -15,10 +21,11 @@ K = 5
 
 def per_job_tags(instances, encoder, crf, vocab, batch_size, nbr=None, memory=None,
                  h_all=None, ids_all=None, dists_all=None, exclude_self=False):
-    """The tagging loop with one retrieval and one decode per same-length job,
-    kept as the oracle for the chunked taggers.  Given flat (T, ...) arrays in
-    instance order (``h_all``, and ``ids_all``/``dists_all``), a job stacks its
-    sentences' slices of them instead of encoding (and retrieving)."""
+    """The tagging loop with one encoder pass, one retrieval and one decode
+    per same-length job, kept as the oracle for the ragged chunked taggers.
+    Given flat (T, ...) arrays in instance order (``h_all``, and
+    ``ids_all``/``dists_all``), a job stacks its sentences' slices of them
+    instead of encoding (and retrieving)."""
     starts = np.cumsum([0] + [len(inst) for inst in instances])
     preds = [None] * len(instances)
     for job in length_grouped_jobs([len(inst) for inst in instances], batch_size):
@@ -88,13 +95,11 @@ def test_chunked_tagging_equals_per_job_loop(model, mode):
     nbr = init_neighborhood_params(K, 8, make_rng(22), mode=mode)
     nbr.n *= 50.0
     batch_size = 3
-    jobs = length_grouped_jobs([len(inst) for inst in instances], batch_size)
-    chunks = _chunks(jobs, batch_size)
-    # chunks split between jobs, some chunk is one full job, another holds several
-    assert [i for c in chunks for job in c for i in job] == [i for job in jobs for i in job]
-    assert all(sum(map(len, c)) <= batch_size for c in chunks)
-    assert any(len(c) == 1 and len(c[0]) == batch_size for c in chunks)
-    assert any(len(c) > 1 for c in chunks)
+    lengths = [len(inst) for inst in instances]
+    chunks = length_sorted_chunks(lengths, batch_size)
+    # some chunk mixes lengths, and some full chunk has one length
+    assert any(len({lengths[i] for i in c}) > 1 for c in chunks)
+    assert any(len(c) == batch_size and len({lengths[i] for i in c}) == 1 for c in chunks)
 
     assert_same_tags(
         predict_base_corpus(instances, encoder, crf, vocab, batch_size=batch_size),

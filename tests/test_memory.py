@@ -165,6 +165,32 @@ class TestKnnQuery:
         assert ids[0, 0] == n - 1 and dists[0, 0] == 0.0
         assert expansion_misorders > 0
 
+    @pytest.mark.parametrize("k, certified", [(2, True), (3, False), (4, False),
+                                              (5, True), (30, True)])
+    def test_kth_value_certificate_and_its_fallback(self, monkeypatch, k, certified):
+        # squared distances from the origin: 1, 2, 3, 3, 3, 4, 5 among far
+        # entries, so the k-th and (k+1)-th values tie at k = 3 (and a third
+        # entry ties too) and at k = 4, and are apart at k = 2 and k = 5;
+        # k = 30 is the whole memory
+        near = [[1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1],
+                [2, 0, 0, 0], [2, 1, 0, 0]]
+        rng = make_rng(23)
+        vectors = np.concatenate([near, rng.normal(size=(23, 4)) + 40.0])
+        vectors = vectors[rng.permutation(30)].astype(np.float32)
+        mem = ActivationMemory(vectors=vectors, labels=np.zeros(30, dtype=np.int64),
+                               provenance=[("s", i) for i in range(30)])
+        queries = np.zeros((3, 4), dtype=np.float32)
+        counted = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero",
+                            lambda *a, **kw: counted.append(1) or count_nonzero(*a, **kw))
+        ids, dists = knn_entry_ids(queries, mem, k)
+        assert (not counted) == certified  # the full-row pass runs only without it
+        for qi in range(3):
+            ref_ids, ref_dists = naive_knn(queries[qi], mem, k)
+            np.testing.assert_array_equal(ids[qi], ref_ids)
+            np.testing.assert_array_equal(dists[qi], ref_dists)
+
     def test_non_finite_query_raises(self):
         rng = make_rng(22)
         mem = random_memory(rng, n=20)
