@@ -201,6 +201,8 @@ def confusion_diff(
     Rows index gold labels, columns predicted labels, both restricted to the
     ``top_n_labels`` most frequent gold labels (descending frequency order).
     """
+    if top_n_labels < 1:
+        raise DomainError(f"confusion_diff: top_n_labels must be at least 1, got {top_n_labels}")
     freq: Counter[str] = Counter()
     for seq in gold:
         freq.update(seq)

@@ -58,9 +58,16 @@ class TrainConfig:
         for name, least in _INT_MINIMA.items():
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        for name in ("base_lr", "phase2_lr", "memory_fraction"):
+        for f in dataclasses.fields(self):
+            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be a finite number, got {getattr(self, f.name)}")
+        for name in ("base_lr", "phase2_lr", "clip_norm"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.memory_fraction <= 1.0:
+            raise ConfigError(f"memory_fraction must lie in (0, 1], got {self.memory_fraction}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be at least 0, got {self.weight_decay}")
         pts = tuple(self.lr_halving_epochs)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ConfigError(f"lr_halving_epochs must be strictly increasing, got {pts}")

@@ -8,8 +8,9 @@ parameter, retrieves each training token's neighbors once (the encoder being
 frozen makes activations and retrievals reusable across epochs), and trains
 only the neighborhood vectors and the head on the neighborhood
 representation.  Each phase keeps its trainables as views into one flat
-buffer, so an optimizer step is one Adam pass and the best-epoch snapshot is
-one copy.
+buffer, so an optimizer step is one Adam pass, with moments in the buffer's
+dtype, and the best-epoch snapshot is one copy, taken only when a validation
+pass improves.
 
 Runs are deterministic given the seed: shuffling, initialization and
 dropout draw from separate named streams, batches are same-length groups,
@@ -18,6 +19,7 @@ and gradient accumulation follows a fixed order.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -65,7 +67,7 @@ STREAM_NBR = 4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements per Adam chunk: the float64 temporaries of one chunk stay in cache
+# elements per Adam chunk: a chunk's gradient and scratch buffers stay in cache
 _ADAM_CHUNK = 1 << 14
 
 
@@ -77,7 +79,8 @@ class AdamState:
 
 
 def init_adam_state(theta: np.ndarray) -> AdamState:
-    return AdamState(m=np.zeros(theta.size), v=np.zeros(theta.size))
+    """Zero moments of the buffer's size and dtype."""
+    return AdamState(m=np.zeros(theta.size, theta.dtype), v=np.zeros(theta.size, theta.dtype))
 
 
 def adam_step(
@@ -91,11 +94,15 @@ def adam_step(
 
     ``grads`` are the gradients of the buffer's consecutive segments, in
     layout order, of any shape and float dtype.  Weight decay is added to the
-    gradient before the moment updates; moments are kept in double precision
-    regardless of the parameter dtype.  The update runs over chunks of the
-    buffer, gathering each chunk's float64 gradient from the pieces that
-    cover it; being elementwise, it gives the same bits as one whole-array
-    pass per segment.
+    gradient before the moment updates.  The moments have the buffer's dtype,
+    and the bias corrections are folded into one step size and one epsilon
+    (Kingma & Ba 2015, section 2): with ``c1 = 1 - beta1**t`` and
+    ``c2 = 1 - beta2**t``, ``lr * (m/c1) / (sqrt(v/c2) + eps)`` equals
+    ``lr_t * m / (sqrt(v) + eps_t)`` for ``lr_t = lr * sqrt(c2) / c1`` and
+    ``eps_t = eps * sqrt(c2)``.  The update runs over chunks of the buffer,
+    gathering each chunk's gradient, in the buffer's dtype, from the pieces
+    that cover it into one reused buffer; being elementwise, it gives the
+    same bits as one whole-array pass per segment.
     """
     if theta.ndim != 1 or not theta.flags.c_contiguous:
         raise DomainError(f"adam_step: parameters must be one flat C-contiguous buffer, "
@@ -106,30 +113,39 @@ def adam_step(
         raise DimensionError(f"adam_step: gradients hold {n_grads} elements "
                              f"for {theta.size} parameters")
     state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    c2_root = math.sqrt(1.0 - ADAM_BETA2 ** state.t)
+    lr_t = lr * c2_root / (1.0 - ADAM_BETA1 ** state.t)
+    eps_t = ADAM_EPS * c2_root
+    g_buf = np.empty(min(theta.size, _ADAM_CHUNK), theta.dtype)
+    tmp_buf = np.empty_like(g_buf)
     piece, offset = 0, 0  # the next gradient element to gather
     for s in range(0, theta.size, _ADAM_CHUNK):
         chunk = slice(s, s + _ADAM_CHUNK)
-        th = theta[chunk]
-        parts, filled = [], 0
+        th, m, v = theta[chunk], state.m[chunk], state.v[chunk]
+        g, tmp = g_buf[: th.size], tmp_buf[: th.size]
+        filled = 0
         while filled < th.size:
             take = min(pieces[piece].size - offset, th.size - filled)
-            parts.append(pieces[piece][offset : offset + take])
+            g[filled : filled + take] = pieces[piece][offset : offset + take]
             filled += take
             offset += take
             if offset == pieces[piece].size:
                 piece, offset = piece + 1, 0
-        g64 = np.concatenate(parts, dtype=np.float64)
         if weight_decay:
-            g64 = g64 + weight_decay * th.astype(np.float64)
-        m, v = state.m[chunk], state.v[chunk]
+            np.multiply(th, weight_decay, out=tmp)
+            g += tmp
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g64
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m += tmp
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g64 * g64
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        th -= update.astype(theta.dtype)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += eps_t
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr_t
+        th -= tmp
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -213,19 +229,23 @@ def _train_loop(
     config: TrainConfig,
     flat: np.ndarray,
     trainables: dict[str, np.ndarray],
-    lrs: Sequence[float],
+    epochs: int,
+    lr_for_epoch: Callable[[int], float],
     shuffle_rng: np.random.Generator,
     forward: Callable[[np.ndarray], tuple[np.ndarray, Backward]],
     predict_valid: Callable[[], list[np.ndarray]],
 ) -> tuple[list[str], int, float]:
-    """Train the head over ``forward``'s representation, one epoch per rate.
+    """Train the head over ``forward``'s representation for ``epochs`` epochs.
 
     ``trainables`` are views into ``flat``, the head's five among them.
+    ``lr_for_epoch`` gives each 1-based epoch's rate when that epoch starts.
     ``forward`` maps a batch's rows of ``table``, the training set's token
     table, to its representation and a backward function; ``predict_valid``
     tags the validation set with the current parameters.  With validation
-    data the best-F1 epoch's parameters are restored at the end.  Returns the
-    log lines, the best epoch (0 when no epoch ran) and its F1 (NaN without
+    data the best-F1 epoch's parameters are restored at the end; they are
+    copied aside when an epoch improves on the best, after the epoch's last
+    step has released its gradients and backward cache.  Returns the log
+    lines, the best epoch (0 when no epoch ran) and its F1 (NaN without
     validation data or epochs).
     """
     crf = crf_from_dict(trainables)
@@ -233,35 +253,41 @@ def _train_loop(
     gold_all = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
     gold_valid = [list(inst.gold_labels) for inst in (valid_instances or [])]
 
+    def step(epoch: int, bi: int, batch: list[int], lr: float) -> float:
+        """One optimizer update on batch ``bi`` of ``epoch``; returns its summed
+        NLL.  Its gradients and backward cache are freed when it returns."""
+        bsz = len(batch)
+        rows = table.rows(batch)
+        repr_, backward = forward(rows)
+        em = emission_scores(repr_, crf)
+        ll, cg = crf_log_likelihood_batch(em, gold_all[rows], crf)
+        nll = -float(ll.sum())
+        if not np.isfinite(nll):
+            raise NumericError(f"{name}: non-finite loss at epoch {epoch}, batch {bi}")
+        d_em = (-cg.emissions / bsz).astype(repr_.dtype)
+        d_repr, d_ew, d_eb = emission_backward(d_em, repr_, crf)
+        grads = backward(d_repr, {
+            "emit.w": d_ew,
+            "emit.b": d_eb,
+            "crf.trans": -cg.trans / bsz,
+            "crf.start": -cg.start / bsz,
+            "crf.stop": -cg.stop / bsz,
+        })
+        if config.clip_enabled:
+            clip_gradients(grads, config.clip_norm)
+        adam_step(flat, [grads[k] for k in trainables], state, lr, config.weight_decay)
+        return nll
+
     log_lines: list[str] = []
     best_f1 = float("nan")
     best_epoch = 0
-    best_flat = flat.copy()
-    for epoch, lr in enumerate(lrs, start=1):
-        total_nll = 0.0
+    best_flat: np.ndarray | None = None
+    for epoch in range(1, epochs + 1):
+        lr = lr_for_epoch(epoch)
         batches = _training_batches(table.lengths, config.batch_size, shuffle_rng)
+        total_nll = 0.0
         for bi, batch in enumerate(batches):
-            bsz = len(batch)
-            rows = table.rows(batch)
-            repr_, backward = forward(rows)
-            em = emission_scores(repr_, crf)
-            ll, cg = crf_log_likelihood_batch(em, gold_all[rows], crf)
-            nll = -float(ll.sum())
-            if not np.isfinite(nll):
-                raise NumericError(f"{name}: non-finite loss at epoch {epoch}, batch {bi}")
-            total_nll += nll
-            d_em = (-cg.emissions / bsz).astype(repr_.dtype)
-            d_repr, d_ew, d_eb = emission_backward(d_em, repr_, crf)
-            grads = backward(d_repr, {
-                "emit.w": d_ew,
-                "emit.b": d_eb,
-                "crf.trans": -cg.trans / bsz,
-                "crf.start": -cg.start / bsz,
-                "crf.stop": -cg.stop / bsz,
-            })
-            if config.clip_enabled:
-                clip_gradients(grads, config.clip_norm)
-            adam_step(flat, [grads[k] for k in trainables], state, lr, config.weight_decay)
+            total_nll += step(epoch, bi, batch, lr)
         report = None
         if valid_instances:
             pred_labels = [vocab.tag_strings(p) for p in predict_valid()]
@@ -269,12 +295,15 @@ def _train_loop(
             if best_epoch == 0 or report.f1 > best_f1:
                 best_f1 = report.f1
                 best_epoch = epoch
-                best_flat = flat.copy()
+                if best_flat is None:
+                    best_flat = flat.copy()
+                else:
+                    best_flat[...] = flat
         log_lines.append(log_line(epoch, lr, total_nll / len(instances), report))
-    if valid_instances:
+    if not valid_instances:
+        best_epoch = epochs
+    elif best_epoch < epochs:
         flat[...] = best_flat
-    else:
-        best_epoch = len(lrs)
     return log_lines, best_epoch, best_f1
 
 
@@ -324,7 +353,8 @@ def train_base(
 
     log_lines, best_epoch, best_f1 = _train_loop(
         "train_base", train_instances, table, valid_instances, vocab, config, flat, trainables,
-        lrs=[config.lr_for_epoch(e) for e in range(1, config.epochs + 1)],
+        epochs=config.epochs,
+        lr_for_epoch=config.lr_for_epoch,
         shuffle_rng=make_rng(config.seed, STREAM_SHUFFLE),
         forward=forward,
         predict_valid=lambda: predict_base_corpus(
@@ -422,7 +452,8 @@ def train_pnma(
 
     log_lines, best_epoch, best_f1 = _train_loop(
         "train_pnma", train_instances, table, valid_instances, vocab, config, flat, trainables,
-        lrs=[config.phase2_lr] * config.phase2_epochs,
+        epochs=config.phase2_epochs,
+        lr_for_epoch=lambda epoch: config.phase2_lr,
         shuffle_rng=make_rng(config.seed, STREAM_SHUFFLE + 100),
         forward=forward,
         predict_valid=lambda: tag_rows(valid_table, valid_h, crf, nbr, memory,

@@ -581,6 +581,84 @@ class TestArgumentLimits:
         err = capsys.readouterr().err
         assert "last epoch 2 (no validation data)" in err and "nan" not in err
 
+    @pytest.mark.parametrize("flag, value, text", [
+        ("--base-lr", "nan", "base_lr must be a finite number, got nan"),
+        ("--base-lr", "inf", "base_lr must be a finite number, got inf"),
+        ("--phase2-lr", "nan", "phase2_lr must be a finite number, got nan"),
+        ("--phase2-lr", "inf", "phase2_lr must be a finite number, got inf"),
+        ("--dropout-layer", "nan", "dropout_layer must be a finite number, got nan"),
+        ("--memory-fraction", "nan", "memory_fraction must be a finite number, got nan"),
+        ("--memory-fraction", "7", "memory_fraction must lie in (0, 1], got 7.0"),
+        ("--memory-fraction", "0", "memory_fraction must lie in (0, 1], got 0.0"),
+    ])
+    @pytest.mark.parametrize("command", ["train_base", "train_pnma"])
+    def test_float_flag_out_of_range(self, smoke_chain, tmp_path, capsys, command, flag,
+                                     value, text):
+        code = getattr(self, command)(smoke_chain, tmp_path, flag, value)
+        assert_one_line_error(code, capsys.readouterr().err, text)
+        assert not list(tmp_path.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("line, text", [
+        ("clip_norm = -3", "clip_norm must be positive, got -3.0"),
+        ("clip_norm = 0", "clip_norm must be positive, got 0.0"),
+        ("weight_decay = -1", "weight_decay must be at least 0, got -1.0"),
+        ("memory_fraction = 7", "memory_fraction must lie in (0, 1], got 7.0"),
+    ])
+    def test_float_config_key_out_of_range(self, smoke_chain, tmp_path, capsys, line, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(open(smoke_chain["cfg"]).read() + "clip_enabled = true\n" + line + "\n",
+                       encoding="utf-8")
+        code = run("train-base", "--config", str(cfg),
+                   "--train", f"{smoke_chain['data']}/train.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "b.ckpt"))
+        assert_one_line_error(code, capsys.readouterr().err, text)
+        assert not (tmp_path / "b.ckpt").exists()
+
+    @pytest.mark.parametrize("command, epochs_flag, lr_flag", [
+        ("train_base", "--epochs", "--base-lr"),
+        ("train_pnma", "--phase2-epochs", "--phase2-lr"),
+    ])
+    def test_huge_epoch_count_is_not_scheduled_ahead(self, smoke_chain, tmp_path, capsys,
+                                                     monkeypatch, command, epochs_flag,
+                                                     lr_flag):
+        # a rate that overflows float32 makes the first update non-finite; an
+        # eager schedule would build 1e20 rates first, so it must fail fast
+        from pnma import training
+        from pnma.config import TrainConfig
+
+        rate, batches = TrainConfig.lr_for_epoch, training._training_batches
+        calls = {"rates": 0, "epochs": 0}
+
+        def few_rates(config, epoch):
+            calls["rates"] += 1
+            if calls["rates"] > 3:
+                raise AssertionError("the epoch schedule was built ahead of training")
+            return rate(config, epoch)
+
+        def count_epochs(*args):
+            calls["epochs"] += 1
+            return batches(*args)
+
+        monkeypatch.setattr(TrainConfig, "lr_for_epoch", few_rates)
+        monkeypatch.setattr(training, "_training_batches", count_epochs)
+        code = getattr(self, command)(smoke_chain, tmp_path, epochs_flag,
+                                      "100000000000000000000", lr_flag, "1e300")
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert calls["epochs"] == 1
+        assert err.splitlines()[-1].startswith("numeric failure: ")
+        assert not list(tmp_path.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_confusion_diff_top_n_below_one(self, smoke_chain, tmp_path, capsys, top_n):
+        out = tmp_path / "conf.tsv"
+        code = run("analyze", "confusion-diff", "--gold", f"{smoke_chain['data']}/test.conll",
+                   "--pred-a", smoke_chain["base_preds"], "--pred-b", smoke_chain["pnma_preds"],
+                   "--out", str(out), "--top-n", top_n)
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"top_n_labels must be at least 1, got {top_n}")
+        assert not out.exists()
+
     def test_predict_base_checkpoint_with_memory(self, smoke_chain, tmp_path, capsys):
         code = run("predict", "--checkpoint", smoke_chain["base"],
                    "--memory", smoke_chain["memory"],

@@ -1,3 +1,6 @@
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,46 @@ class TestAdam:
         assert theta.dtype == np.float32
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_moments_have_the_buffer_dtype(self, dtype):
+        theta = np.ones(5, dtype=dtype)
+        state = init_adam_state(theta)
+        adam_step(theta, [np.ones(5)], state, lr=0.1)
+        assert state.m.dtype == state.v.dtype == theta.dtype == dtype
+        assert state.m.shape == state.v.shape == (5,)
+
+    def test_float32_tracks_float64_textbook_recurrence(self):
+        # 100 steps of mixed-scale gradients, exactly representable in float32
+        # so that only the optimizer's own round-off separates the two runs
+        lr, wd, steps = 0.01, 0.1, 100
+        rng = make_rng(9)
+        theta0 = rng.normal(size=200).astype(np.float32)
+        scales = rng.choice([1e-3, 1.0, 1e3], size=200)
+        grads = (rng.normal(size=(steps, 200)) * scales).astype(np.float32)
+        theta = theta0.astype(np.float64)
+        m = np.zeros(200)
+        v = np.zeros(200)
+        largest = np.abs(theta)
+        for t in range(1, steps + 1):  # the textbook recurrence, in float64
+            g = grads[t - 1] + wd * theta
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            mhat = m / (1 - ADAM_BETA1 ** t)
+            vhat = v / (1 - ADAM_BETA2 ** t)
+            theta = theta - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            largest = np.maximum(largest, np.abs(theta))
+
+        flat = theta0.copy()
+        state = init_adam_state(flat)
+        for g in grads:
+            adam_step(flat, [g], state, lr=lr, weight_decay=wd)
+        # each float32 step rounds theta once (at most u * |theta|) and moves
+        # it by at most a few lr, computed with a few u of relative error
+        u = np.finfo(np.float32).eps / 2
+        bound = steps * u * (largest + 4 * lr)
+        assert flat.dtype == np.float32
+        assert np.all(np.abs(flat - theta) <= bound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_chunked_equals_whole_array_reference(self, dtype, wd):
         # the big piece straddles chunks; the float64 pieces after it share one
@@ -91,26 +134,29 @@ class TestAdam:
         grad_dtypes = {"big": dtype}
         params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
         flat, views = _flat_views(params, dtype)
-        ref_m = {k: np.zeros(v.shape) for k, v in params.items()}
-        ref_v = {k: np.zeros(v.shape) for k, v in params.items()}
+        ref_m = {k: np.zeros(v.shape, dtype) for k, v in params.items()}
+        ref_v = {k: np.zeros(v.shape, dtype) for k, v in params.items()}
         state = init_adam_state(flat)
         lr = 0.01
         for t in range(1, 4):
             grads = {k: rng.normal(size=s).astype(grad_dtypes.get(k, np.float64))
                      for k, s in shapes.items()}
             adam_step(flat, list(grads.values()), state, lr=lr, weight_decay=wd)
-            bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+            # the bias corrections folded into one step size and one epsilon
+            c2_root = math.sqrt(1.0 - ADAM_BETA2 ** t)
+            lr_t = lr * c2_root / (1.0 - ADAM_BETA1 ** t)
+            eps_t = ADAM_EPS * c2_root
             for k, theta in params.items():  # one pass over each whole array
-                g64 = grads[k].astype(np.float64)
+                g = grads[k].astype(dtype)
                 if wd:
-                    g64 = g64 + wd * theta.astype(np.float64)
+                    g = g + wd * theta
                 m, v = ref_m[k], ref_v[k]
                 m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g64
+                m += (1.0 - ADAM_BETA1) * g
                 v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g64 * g64
-                theta -= (lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)).astype(dtype)
-        assert flat.dtype == dtype
+                v += g * g * (1.0 - ADAM_BETA2)
+                theta -= lr_t * (m / (np.sqrt(v) + eps_t))
+        assert flat.dtype == state.m.dtype == state.v.dtype == dtype
         for k in shapes:
             assert np.shares_memory(views[k], flat)
             assert views[k].tobytes() == params[k].tobytes(), k
@@ -381,9 +427,11 @@ class TestTrainPnma:
         assert out.nbr.mode == "distance"
 
 
-def run_phase(phase, setup, epochs):
+def run_phase(phase, setup, epochs, with_valid=True):
     """Phase 1 or phase 2 on the tiny task for ``epochs`` epochs."""
     train, valid, vocab, cfg, result, memory, digest = setup
+    if not with_valid:
+        valid = None
     if phase == "base":
         return train_base(train, valid, vocab, tiny_config(epochs=epochs))
     return train_pnma(result.encoder, result.crf, digest, memory, train, valid, vocab,
@@ -411,6 +459,44 @@ class TestTrainingLoop:
         assert longer.keys() == shorter.keys()
         for name in shorter:
             assert longer[name].tobytes() == shorter[name].tobytes(), name
+
+    @pytest.mark.parametrize("phase", ["base", "pnma"])
+    def test_without_validation_the_last_step_is_kept(self, base_setup, monkeypatch, phase):
+        after_step = []
+        adam = training.adam_step
+
+        def spy_adam(theta, *args, **kwargs):
+            adam(theta, *args, **kwargs)
+            after_step[:] = [theta, theta.copy()]
+
+        monkeypatch.setattr(training, "adam_step", spy_adam)
+        result = run_phase(phase, base_setup, 2, with_valid=False)
+        flat, last = after_step
+        assert result.best_epoch == 2 and np.isnan(result.best_f1)
+        assert flat.tobytes() == last.tobytes()
+        assert all(np.shares_memory(a, flat) for a in trained_arrays(result).values())
+
+    @pytest.mark.parametrize("phase", ["base", "pnma"])
+    def test_step_cache_released_before_validation(self, base_setup, monkeypatch, phase):
+        # the backward closure holds the encoder (phase 1) or neighborhood
+        # (phase 2) cache; none may be alive beside the best-epoch snapshot
+        caches = []
+        forward_name, predict_name = {"base": ("encode_batch", "predict_base_corpus"),
+                                      "pnma": ("neighborhood_forward", "tag_rows")}[phase]
+        forward, predict = getattr(training, forward_name), getattr(training, predict_name)
+
+        def spy_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            caches.append(weakref.ref(out[-1]))
+            return out
+
+        def spy_predict(*args, **kwargs):
+            assert caches and all(ref() is None for ref in caches)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(training, forward_name, spy_forward)
+        monkeypatch.setattr(training, predict_name, spy_predict)
+        assert run_phase(phase, base_setup, 1).best_epoch == 1
 
     @pytest.mark.parametrize("phase", ["base", "pnma"])
     def test_no_epoch_reports_nan_not_a_score(self, base_setup, phase):
