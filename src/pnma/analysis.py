@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .crf import CrfParams
-from .dataio import Instance, TokenTable, Vocabulary, bio_decode_spans, read_text
+from .dataio import NULL_ROLE, Instance, TokenTable, Vocabulary, bio_decode_spans, read_text
 from .encoder import EncoderParams, encode_rows
 from .errors import CoverageError, DimensionError, DomainError, FormatError
 from .inference import tag_rows
@@ -78,9 +78,9 @@ def span_prf(
 def token_accuracy(
     gold: Sequence[Sequence[str]],
     predicted: Sequence[Sequence[str]],
-    null_label: str = "_",
 ) -> EvalReport:
-    """P/R/F1 over non-null labels (dependency-style argument classification)."""
+    """P/R/F1 over labels other than ``dataio.NULL_ROLE`` (dependency-style
+    argument classification)."""
     if len(gold) != len(predicted):
         raise DimensionError(f"token_accuracy: {len(gold)} gold vs {len(predicted)} predicted")
     matched = n_pred = n_gold = 0
@@ -91,13 +91,13 @@ def token_accuracy(
                 f"token_accuracy: sequence lengths {len(g_seq)} vs {len(p_seq)}"
             )
         for g, p in zip(g_seq, p_seq):
-            if p != null_label:
+            if p != NULL_ROLE:
                 n_pred += 1
                 per_label.setdefault(p, [0, 0, 0])[1] += 1
-            if g != null_label:
+            if g != NULL_ROLE:
                 n_gold += 1
                 per_label.setdefault(g, [0, 0, 0])[2] += 1
-            if g == p and g != null_label:
+            if g == p and g != NULL_ROLE:
                 matched += 1
                 per_label.setdefault(g, [0, 0, 0])[0] += 1
     prec, rec, f1 = _prf(matched, n_pred, n_gold)
@@ -228,6 +228,10 @@ def confusion_diff(
     return mat, labels
 
 
+# width of the disagreement report's bins of same-label neighbor counts
+NBR_BUCKET_WIDTH = 8
+
+
 @dataclass
 class DisagreementReport:
     """Scenario counts: 1 corrected, 2 both wrong, 3 both correct, 4 regressed."""
@@ -268,13 +272,12 @@ def disagreement_report(
     pnma_preds: Sequence[Sequence[str]],
     predicate_freq: Mapping[str, int],
     neighborhood_counts: Sequence[np.ndarray] | None = None,
-    nbr_bucket_width: int = 8,
 ) -> DisagreementReport:
     """Token-level base-vs-adapted outcome analysis.
 
     Buckets by training-corpus predicate frequency (powers of two) and, when
     ``neighborhood_counts`` (per-token count of same-gold-label neighbors) is
-    given, by that count in fixed-width bins.
+    given, by that count in bins of ``NBR_BUCKET_WIDTH``.
 
     The corrected/regressed ratio is reported, never asserted: as a reference
     point, on full-scale news-text SRL benchmarks memory adaptation lands
@@ -291,17 +294,15 @@ def disagreement_report(
     for i, inst in enumerate(instances):
         if not (len(gold[i]) == len(base_preds[i]) == len(pnma_preds[i]) == len(inst)):
             raise DimensionError(f"disagreement_report: length mismatch at instance {i}")
-        pred_word = inst.tokens[inst.predicate_index] if inst.predicate_index >= 0 else ""
-        pf = predicate_freq.get(pred_word, 0)
-        fb = power_of_two_bucket(pf)
+        fb = power_of_two_bucket(predicate_freq.get(inst.tokens[inst.predicate_index], 0))
         for t in range(len(inst)):
             s = _scenario(base_preds[i][t] == gold[i][t], pnma_preds[i][t] == gold[i][t])
             counts[s] += 1
             freq_buckets.setdefault(fb, [0, 0, 0, 0])[s] += 1
             if neighborhood_counts is not None:
                 c = int(neighborhood_counts[i][t])
-                lo = (c // nbr_bucket_width) * nbr_bucket_width
-                nb = f"{lo}-{lo + nbr_bucket_width - 1}"
+                lo = (c // NBR_BUCKET_WIDTH) * NBR_BUCKET_WIDTH
+                nb = f"{lo}-{lo + NBR_BUCKET_WIDTH - 1}"
                 nbr_buckets.setdefault(nb, [0, 0, 0, 0])[s] += 1
     if counts[3]:
         ratio = counts[0] / counts[3]

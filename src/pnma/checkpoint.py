@@ -4,12 +4,13 @@ Layout (little-endian): magic "PNMACKPT1", u32 config-echo length + UTF-8
 bytes, u32 section count, then per section u32 name length + bytes, u32 rank,
 u32 extents, f32 payload; a trailing sha256 digest covers everything before
 it.  The digest hex doubles as the checkpoint identity that memory files
-reference.
+reference.  ``load_model`` also requires the sections to form one model.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -104,6 +105,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], str, str]:
         except ValueError:  # an empty section whose other extents overflow
             raise FormatError(f"{path}: section {name!r} has unrepresentable shape "
                               f"{shape}") from None
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: non-finite value in section {name!r}")
         params[name] = arr.copy()
     if off != len(body):
         raise FormatError(f"{path}: trailing bytes in checkpoint")
@@ -154,9 +157,48 @@ def save_model(path: str, model: Model) -> str:
     return digest
 
 
+def _check_layout(path: str, params: dict[str, np.ndarray], cfg: TrainConfig) -> None:
+    """Raise ``FormatError`` unless the sections are exactly those of one
+    model, with every shape agreeing with the first LSTM layer's, the
+    predicate table's and the emission weights', and the neighborhood
+    vectors, if any, with the config echo's mode and K."""
+    def extent(name: str, axis: int) -> int:
+        if name not in params or params[name].ndim != 2:
+            raise FormatError(f"{path}: section {name!r} is missing or not a matrix")
+        return params[name].shape[axis]
+
+    n_tags, d = extent("emit.w", 0), extent("emit.w", 1)
+    if n_tags == 0:
+        raise FormatError(f"{path}: section 'emit.w' holds no tags")
+    d_in, d_pred = extent("lstm0.wx", 1), extent("embed.pred", 1)
+    want = {"embed.pred": (2, d_pred), "emit.w": (n_tags, d), "emit.b": (n_tags,),
+            "crf.trans": (n_tags, n_tags), "crf.start": (n_tags,), "crf.stop": (n_tags,)}
+    if "embed.word" in params:
+        want["embed.word"] = (extent("embed.word", 0), d_in - d_pred)
+    n_layers = next(l for l in itertools.count() if f"lstm{l}.wx" not in params)
+    for l in range(n_layers):
+        want.update({f"lstm{l}.wx": (4 * d, d_in), f"lstm{l}.wh": (4 * d, d),
+                     f"lstm{l}.b": (4 * d,)})
+        if l < n_layers - 1:
+            want[f"conn{l}.w"] = (d, d + d_in)
+        d_in = d
+    if "nbr.n" in params:
+        want["nbr.n"] = (1 if cfg.neighborhood_mode == "shared" else cfg.k_neighbors, d)
+    for name in sorted(want.keys() | params.keys()):
+        if name not in params:
+            raise FormatError(f"{path}: missing section {name!r}")
+        if name not in want:
+            raise FormatError(f"{path}: unexpected section {name!r}")
+        if params[name].shape != want[name]:
+            raise FormatError(f"{path}: section {name!r} has shape {params[name].shape}, "
+                              f"expected {want[name]}")
+
+
 def load_model(path: str) -> Model:
+    """A checkpoint as a model; sections that do not form one raise ``FormatError``."""
     params, echo, digest = load_checkpoint(path)
     cfg = config_from_echo(echo)
+    _check_layout(path, params, cfg)
     nbr = None
     if "nbr.n" in params:
         nbr = NeighborhoodParams(n=params["nbr.n"], mode=cfg.neighborhood_mode)

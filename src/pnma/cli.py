@@ -33,6 +33,7 @@ from .errors import (
 )
 from .inference import predict_base_corpus, predict_pnma_corpus
 from .memory import build_memory, deserialize_memory, serialize_memory
+from .neighborhood import MODES
 from .training import predicate_frequency_table, train_base, train_pnma
 
 USAGE_EXIT = 1
@@ -78,8 +79,8 @@ _CONFIG_FLAGS: tuple[tuple[str, str, type | tuple[str, ...]], ...] = (
     ("--n-layers", "n_layers", int),
     ("--dropout-embed", "dropout_embed", float),
     ("--dropout-layer", "dropout_layer", float),
-    ("--scheme", "scheme", ("bio-span", "per-token-role")),
-    ("--neighborhood-mode", "neighborhood_mode", ("distinct", "shared", "distance")),
+    ("--scheme", "scheme", dataio.SCHEMES),
+    ("--neighborhood-mode", "neighborhood_mode", MODES),
 )
 
 
@@ -456,7 +457,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scheme", choices=("bio-span", "per-token-role"), default="bio-span")
+    p.add_argument("--scheme", choices=dataio.SCHEMES, default="bio-span")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gen-synthetic", help="generate a seeded synthetic corpus")
@@ -490,7 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred-b", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--top-n", type=int, default=10)
-    p.add_argument("--scheme", choices=("bio-span", "per-token-role"), default="bio-span")
+    p.add_argument("--scheme", choices=dataio.SCHEMES, default="bio-span")
     p.set_defaults(func=cmd_analyze_confusion_diff)
 
     p = asub.add_parser("disagreement", help="base-vs-adapted scenario statistics")
@@ -504,7 +505,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab")
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--threads", type=int)
-    p.add_argument("--scheme", choices=("bio-span", "per-token-role"), default="bio-span")
+    p.add_argument("--scheme", choices=dataio.SCHEMES, default="bio-span")
     p.set_defaults(func=cmd_analyze_disagreement)
 
     p = asub.add_parser("neighbors", help="dump the nearest neighbors of one token")
@@ -536,7 +537,9 @@ def dispatch(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     try:
-        return args.func(args)
+        # a non-finite value is reported once, by the check that raises NumericError
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (NumericError, *_DATA_ERRORS, UsageError) as exc:
         code = exit_code_for(exc)
         kind = {NUMERIC_EXIT: "numeric failure", USAGE_EXIT: "usage error"}.get(code, "error")

@@ -10,8 +10,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .dataio import read_text
+from .dataio import SCHEMES, read_text
 from .errors import ConfigError
+from .neighborhood import MODES
 
 ENV_CONFIG = "PNMA_CONFIG"
 
@@ -74,8 +75,10 @@ class TrainConfig:
         self.lr_halving_epochs = pts
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if self.scheme not in ("bio-span", "per-token-role"):
+        if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
+        if self.neighborhood_mode not in MODES:
+            raise ConfigError(f"unknown neighborhood_mode {self.neighborhood_mode!r}")
         if not (0.0 <= self.dropout_embed < 1.0 and 0.0 <= self.dropout_layer < 1.0):
             raise ConfigError("dropout rates must lie in [0, 1)")
 

@@ -46,12 +46,6 @@ class CrfParams:
     def n_tags(self) -> int:
         return self.trans.shape[0]
 
-    def copy(self) -> "CrfParams":
-        return CrfParams(
-            self.emit_w.copy(), self.emit_b.copy(), self.trans.copy(),
-            self.start.copy(), self.stop.copy(),
-        )
-
 
 def init_crf_params(d: int, n_tags: int, rng: np.random.Generator, dtype=np.float32) -> CrfParams:
     r = 1.0 / np.sqrt(d)

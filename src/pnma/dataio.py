@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 import os
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -100,16 +99,12 @@ def read_text(path: str, error: type[PnmaError]) -> str:
         raise error(f"{path}:{line_no}: not UTF-8 text") from None
 
 
-def parse_conll_file(
-    path: str, scheme: str = "bio-span", allow_missing_predicate: bool = False
-) -> list[Instance]:
+def parse_conll_file(path: str, scheme: str = "bio-span") -> list[Instance]:
     """Parse a column corpus into instances, one per blank-line block.
 
-    A block must mark exactly one predicate bit.  Zero-predicate blocks are
-    accepted only with ``allow_missing_predicate`` (a warning is printed and
-    ``predicate_index`` is set to -1); multiple bits always fail.  Sentence
-    ids, given or generated, must be unique: a repeat fails, naming its line
-    and the line of the first use.
+    A block must mark exactly one predicate bit.  Sentence ids, given or
+    generated, must be unique: a repeat fails, naming its line and the line
+    of the first use.
     """
     if scheme not in SCHEMES:
         raise DomainError(f"unknown tag scheme {scheme!r}")
@@ -129,22 +124,12 @@ def parse_conll_file(
             pending_id = None
             return
         ones = [i for i, b in enumerate(bits) if b == 1]
+        if not ones:
+            raise ParseError(f"{path}:{block_start_line}: block marks no predicate bit")
         if len(ones) > 1:
             raise ParseError(
                 f"{path}:{block_start_line}: block marks {len(ones)} predicate bits, expected 1"
             )
-        if not ones:
-            if not allow_missing_predicate:
-                raise ParseError(
-                    f"{path}:{block_start_line}: block marks no predicate bit"
-                )
-            print(
-                f"warning: {path}:{block_start_line}: block has no predicate bit",
-                file=sys.stderr,
-            )
-            pred = -1
-        else:
-            pred = ones[0]
         if pending_id is not None:
             sid, id_line = pending_id, pending_id_line
         else:
@@ -159,7 +144,7 @@ def parse_conll_file(
             Instance(
                 sentence_id=sid,
                 tokens=tuple(tokens),
-                predicate_index=pred,
+                predicate_index=ones[0],
                 predicate_bits=tuple(bits),
                 gold_labels=tuple(labels),
                 tag_scheme=scheme,

@@ -13,8 +13,9 @@ a forward LSTM layer reaches the padding only after a row's real steps, and a
 backward layer reverses each row within its own length, so the padding comes
 last there too; every other layer is per token.  ``encode_rows`` runs the
 stack over a whole ``dataio.TokenTable`` in ``length_sorted_chunks``, one
-padded batch each, and returns one activation row per token, (T, d) in the
-table's row order.
+padded batch of at most ``CHUNK_TOKENS`` padded tokens each, and returns one
+activation row per token, (T, d) in the table's row order.  Training batches
+are same-length groups instead (``training._training_batches``).
 
 Products with a weight matrix that do not depend on the previous timestep
 (the LSTM input projection and its input gradient, both connection products)
@@ -42,8 +43,8 @@ D_PRED_DEFAULT = 50
 D_WORD_DEFAULT = 64
 D_HIDDEN_DEFAULT = 300
 N_LAYERS_DEFAULT = 4
-# padded tokens per inference chunk: bounds a chunk's activations however
-# long its sentences are
+# padded tokens per inference chunk, the one limit on its size: bounds a
+# chunk's activations however long or short its sentences are
 CHUNK_TOKENS = 512
 
 
@@ -377,7 +378,6 @@ def connection_backward(
 class EncoderCache:
     word_ids: np.ndarray
     pred_bits: np.ndarray
-    x_inputs: list[np.ndarray] = field(default_factory=list)
     lstm_caches: list[LstmCache] = field(default_factory=list)
     conn_caches: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     embed_mask: np.ndarray | None = None
@@ -426,7 +426,6 @@ def encode_batch(
     n_layers = params.n_layers
     h = None
     for l in range(n_layers):
-        cache.x_inputs.append(x)
         if want_cache:
             h, lc = lstm_layer_forward(x, layer_direction(l), params.layers[l],
                                        want_cache=True, lengths=lengths)
@@ -489,41 +488,18 @@ def encode_backward(
     return grads
 
 
-def length_grouped_jobs(
-    lengths: Sequence[int], batch_size: int, order: Sequence[int] | None = None
-) -> list[list[int]]:
-    """Same-length batches over sentence indices, shortest length first;
-    ``lengths[i]`` is sentence i's length.
-
-    Within a length, indices keep the order they are visited in: ``order``
-    (a permutation of the indices) or, by default, ascending.
-    """
-    groups: dict[int, list[int]] = {}
-    for i in range(len(lengths)) if order is None else order:
-        groups.setdefault(int(lengths[i]), []).append(int(i))
-    jobs: list[list[int]] = []
-    for length in sorted(groups):
-        idxs = groups[length]
-        for s in range(0, len(idxs), batch_size):
-            jobs.append(idxs[s : s + batch_size])
-    return jobs
-
-
-def length_sorted_chunks(
-    lengths: Sequence[int], batch_size: int, max_tokens: int = CHUNK_TOKENS
-) -> list[np.ndarray]:
+def length_sorted_chunks(lengths: Sequence[int]) -> list[np.ndarray]:
     """Sentence indices in stable ascending length order, cut into chunks of at
-    most ``batch_size`` sentences and ``max_tokens`` padded tokens (sentences
-    times the chunk's longest length), whichever binds first; a sentence
-    longer than ``max_tokens`` is a chunk of its own.  ``lengths[i]`` is
-    sentence i's length."""
+    most ``CHUNK_TOKENS`` padded tokens (sentences times the chunk's longest
+    length); a sentence longer than that is a chunk of its own.
+    ``lengths[i]`` is sentence i's length."""
     order = np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
     chunks: list[np.ndarray] = []
     start = 0
     for end, i in enumerate(order, start=1):
         # order[start:end] is the chunk if it takes sentence i, its longest
         size = end - start
-        if size > 1 and (size > batch_size or size * int(lengths[i]) > max_tokens):
+        if size > 1 and size * int(lengths[i]) > CHUNK_TOKENS:
             chunks.append(order[start : end - 1])
             start = end - 1
     if start < len(order):
@@ -531,9 +507,7 @@ def length_sorted_chunks(
     return chunks
 
 
-def encode_rows(
-    table: TokenTable, params: EncoderParams, batch_size: int = 256, threads: int = 1
-) -> np.ndarray:
+def encode_rows(table: TokenTable, params: EncoderParams, threads: int = 1) -> np.ndarray:
     """Evaluation-mode final activations (T, d) of every row of ``table``.
 
     Sentences are encoded in ``length_sorted_chunks``, each one right-padded
@@ -556,7 +530,7 @@ def encode_rows(
             out[rows] = h  # copied out as it arrives: no chunk outputs pile up
         return out
 
-    chunks = length_sorted_chunks(table.lengths, batch_size)
+    chunks = length_sorted_chunks(table.lengths)
     if threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -570,7 +544,6 @@ def encode_corpus(
     params: EncoderParams,
     vocab: Vocabulary,
     external: ExternalEmbeddings | None = None,
-    batch_size: int = 256,
     threads: int = 1,
 ) -> dict[str, np.ndarray]:
     """``encode_rows`` keyed by sentence id: each value is a (n, d) view of its rows.
@@ -578,5 +551,5 @@ def encode_corpus(
     Sentence ids must be unique within the corpus.
     """
     table = TokenTable.build(instances, vocab, external)
-    h = encode_rows(table, params, batch_size, threads)
+    h = encode_rows(table, params, threads)
     return dict(zip((inst.sentence_id for inst in instances), table.split(h)))

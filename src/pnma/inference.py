@@ -7,11 +7,11 @@ caller that already holds the activations or the neighbors, such as phase
 2's validation pass, enters at ``tag_rows``.
 
 Encoding and tagging both walk ``encoder.length_sorted_chunks``: sentences
-in length order, cut at ``batch_size`` sentences or a budget of padded
-tokens.  ``tag_rows`` runs the neighbor gather, the neighborhood layer and
-the emission layer once per chunk over its real rows only, then decodes the
-chunk with one Viterbi call over right-padded emissions in which each row
-stops at its own length.  Exact K-NN returns the same neighbors however
+in length order, cut at a budget of ``encoder.CHUNK_TOKENS`` padded tokens.
+``tag_rows`` runs the neighbor gather, the neighborhood layer and the
+emission layer once per chunk over its real rows only, then decodes the chunk
+with one Viterbi call over right-padded emissions in which each row stops at
+its own length.  Exact K-NN returns the same neighbors however
 queries are blocked, and the ragged decode repeats every per-row operation
 of a same-length one, so a chunk differs from one pass per sentence only by
 the round-off of products whose blocking depends on the row count.
@@ -26,7 +26,7 @@ import numpy as np
 from .crf import CrfParams, emission_scores, viterbi_decode_batch
 from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
 from .encoder import EncoderParams, encode_rows, length_sorted_chunks
-from .memory import ActivationMemory, knn_entry_ids, self_exclusions
+from .memory import ActivationMemory, knn_entry_ids
 from .neighborhood import NeighborhoodParams, gather_neighbors, neighborhood_forward
 
 
@@ -38,7 +38,6 @@ def tag_rows(
     memory: ActivationMemory | None = None,
     ids: np.ndarray | None = None,
     dists: np.ndarray | None = None,
-    batch_size: int = 256,
 ) -> list[np.ndarray]:
     """Viterbi tag ids for every sentence of ``table`` from its activations h (T, d).
 
@@ -46,7 +45,7 @@ def tag_rows(
     its memory neighbors ``ids`` (T, K) at ``dists`` (T, K); without, on h.
     """
     preds: list[np.ndarray | None] = [None] * len(table)
-    for chunk in length_sorted_chunks(table.lengths, batch_size):
+    for chunk in length_sorted_chunks(table.lengths):
         rows, lengths = table.rows(chunk), table.lengths[chunk]
         real = np.arange(rows.shape[1]) < lengths[:, None]
         flat = rows[real]
@@ -69,11 +68,10 @@ def predict_base_corpus(
     crf: CrfParams,
     vocab: Vocabulary,
     external: ExternalEmbeddings | None = None,
-    batch_size: int = 256,
 ) -> list[np.ndarray]:
     """Viterbi tag ids for every instance under the base model."""
     table = TokenTable.build(instances, vocab, external)
-    return tag_rows(table, encode_rows(table, encoder, batch_size), crf, batch_size=batch_size)
+    return tag_rows(table, encode_rows(table, encoder), crf)
 
 
 def predict_pnma_corpus(
@@ -85,18 +83,12 @@ def predict_pnma_corpus(
     vocab: Vocabulary,
     k: int,
     external: ExternalEmbeddings | None = None,
-    batch_size: int = 256,
     threads: int = 1,
-    exclude_self: bool = False,
 ) -> list[np.ndarray]:
-    """Memory-adapted tag ids for every instance.
-
-    With ``exclude_self`` the retrieval for token t of a sentence skips the
-    memory entry recorded from that same token.
-    """
+    """Memory-adapted tag ids for every instance; any memory entry may be a
+    neighbor.  To keep tokens from finding their own entries, retrieve with
+    ``memory.self_exclusions`` and tag with ``tag_rows``."""
     table = TokenTable.build(instances, vocab, external)
-    h = encode_rows(table, encoder, batch_size, threads)
-    exclude = self_exclusions(instances) if exclude_self else None
-    ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k,
-                               exclude=exclude, threads=threads)
-    return tag_rows(table, h, crf, nbr, memory, ids, dists, batch_size)
+    h = encode_rows(table, encoder, threads)
+    ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, threads=threads)
+    return tag_rows(table, h, crf, nbr, memory, ids, dists)

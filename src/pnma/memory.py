@@ -3,9 +3,9 @@
 The memory holds final-layer activations of a sampled subset of training
 tokens together with their gold labels and provenance.  It is built by
 sampling rows of ``encoder.encode_rows`` over the training set's token
-table, and callers retrieve for a whole table's rows at once, with
-``self_exclusions`` as the per-token exclusions when a token must not find
-its own entry.
+table, and callers retrieve for a whole table's rows at once.  Exclusions
+take one form: a collection of provenance keys per query, such as
+``self_exclusions``, which keeps each token from finding its own entry.
 
 Retrieval is exact brute force in two stages per block of queries.  A BLAS
 prefilter computes every squared distance in double precision by the flat-L2
@@ -43,6 +43,9 @@ _STREAM_SAMPLE = 101
 # float64 prefilter distances stay within _BLOCK_DISTANCES (8 MiB)
 _QUERY_BLOCK = 128
 _BLOCK_DISTANCES = 1 << 20
+
+# per query, the provenance keys (sentence id, token index) of entries it must not return
+Exclusions = Sequence[Sequence[tuple[str, int]]]
 
 
 @dataclass
@@ -101,15 +104,6 @@ class ActivationMemory:
     @property
     def d(self) -> int:
         return self.vectors.shape[1]
-
-    def entry_ids_for(self, provenance: Sequence[tuple[str, int]]) -> list[int]:
-        """Entry ids of the given provenance keys that are present in the memory."""
-        out = []
-        for key in provenance:
-            hit = self._prov_to_id.get(key)
-            if hit is not None:
-                out.append(hit)
-        return out
 
 
 def build_memory(
@@ -195,25 +189,26 @@ def _rounding_bound(q_sq: np.ndarray, m_sq_max: float, d: int) -> np.ndarray:
 
 
 def _resolve_exclusions(
-    exclude, memory: ActivationMemory, n_q: int
+    exclude: Exclusions | None, memory: ActivationMemory, n_q: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize ``exclude`` to the excluded (query row, entry id) pairs, rows ascending."""
-    items = [] if exclude is None else list(exclude)
-    if not items:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    first = items[0]
-    is_provenance = (
-        isinstance(first, tuple) and len(first) == 2 and isinstance(first[0], str)
-    )
-    if is_provenance:
-        shared = np.array(memory.entry_ids_for(items), dtype=np.int64)
-        return np.repeat(np.arange(n_q, dtype=np.int64), len(shared)), np.tile(shared, n_q)
-    if len(items) != n_q:
-        raise DimensionError(f"per-query exclusions: {len(items)} lists for {n_q} queries")
-    per_query = [memory.entry_ids_for(list(e)) for e in items]
-    rows = np.repeat(np.arange(n_q, dtype=np.int64), [len(ids) for ids in per_query])
-    cols = np.array([i for ids in per_query for i in ids], dtype=np.int64)
-    return rows, cols
+    """The excluded (query row, entry id) pairs, rows ascending, of one
+    collection of provenance keys per query."""
+    rows: list[int] = []
+    cols: list[int] = []
+    if exclude is not None:
+        if len(exclude) != n_q:
+            raise DimensionError(f"exclusions: {len(exclude)} collections for {n_q} queries")
+        for q, keys in enumerate(exclude):
+            hits = set()
+            for key in keys:
+                if not (isinstance(key, tuple) and len(key) == 2):
+                    raise DimensionError(f"exclusions of query {q}: {key!r} is not a "
+                                         f"(sentence id, token index) key")
+                hits.add(memory._prov_to_id.get(key))
+            hits.discard(None)  # keys of tokens the memory did not sample
+            rows += [q] * len(hits)
+            cols += hits
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
 def _block_top_k(q, slack, memory: ActivationMemory, k: int, ex_rows, ex_cols):
@@ -252,16 +247,18 @@ def knn_entry_ids(
     queries: np.ndarray,
     memory: ActivationMemory,
     k: int,
-    exclude: Sequence[tuple[str, int]] | Sequence[Sequence[tuple[str, int]]] | None = None,
+    exclude: Exclusions | None = None,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by Euclidean distance: (entry ids (Q, k) int64, distances (Q, k) float64).
 
     ``queries`` is one vector (d,) or a batch (Q, d).  Rows are ascending by
-    distance, ties broken by lower entry id.  ``exclude`` is either one
-    provenance collection applied to every query or a per-query sequence of
-    collections; excluded entries are never returned.  A non-finite query
-    raises ``NumericError``.
+    distance, ties broken by lower entry id.  ``exclude`` holds one
+    collection of provenance keys per query, such as ``self_exclusions``;
+    query q never returns the entries of its collection's keys.  A count of
+    collections other than Q, or an item that is not a (sentence id, token
+    index) pair, raises ``DimensionError``; a non-finite query raises
+    ``NumericError``.
     """
     queries = np.asarray(queries)
     if queries.ndim == 1:
@@ -318,7 +315,7 @@ def knn_query(
     queries: np.ndarray,
     memory: ActivationMemory,
     k: int,
-    exclude: Sequence[tuple[str, int]] | Sequence[Sequence[tuple[str, int]]] | None = None,
+    exclude: Exclusions | None = None,
     threads: int = 1,
 ) -> NeighborSet | list[NeighborSet]:
     """``knn_entry_ids`` as neighbor sets: one for a query (d,), a list for a batch (Q, d)."""

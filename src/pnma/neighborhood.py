@@ -236,7 +236,6 @@ def pnma_predict(
     vocab: Vocabulary,
     k: int,
     external=None,
-    exclude_self: bool = False,
 ) -> np.ndarray:
     """Memory-adapted tag prediction for one instance: the batch-of-one case
     of ``inference.predict_pnma_corpus``.
@@ -247,4 +246,4 @@ def pnma_predict(
     from .inference import predict_pnma_corpus  # inference builds on this module
 
     return predict_pnma_corpus([instance], encoder, crf, nbr, memory, vocab, k,
-                               external=external, exclude_self=exclude_self)[0]
+                               external=external)[0]

@@ -44,7 +44,6 @@ from .encoder import (
     encode_batch,
     encode_rows,
     init_encoder_params,
-    length_grouped_jobs,
 )
 from .errors import CompatibilityError, DimensionError, DomainError, NumericError
 from .inference import predict_base_corpus, tag_rows
@@ -149,15 +148,13 @@ def adam_step(
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    norm = float(np.sqrt(total))
+    """Scale all gradients in place so the global L2 norm is at most
+    ``max_norm``; returns the norm before scaling, taken in float64."""
+    norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * scale
+        for g in grads.values():
+            g *= scale
     return norm
 
 
@@ -165,9 +162,16 @@ def _training_batches(
     lengths: Sequence[int], batch_size: int, rng: np.random.Generator
 ) -> list[list[int]]:
     """Shuffled same-length batches of sentence indices, given each sentence's
-    length; composition is a pure function of the rng."""
-    order = rng.permutation(len(lengths))
-    batches = length_grouped_jobs(lengths, batch_size, order=order)
+    length: the indices, in one random order, are grouped by length (shortest
+    first) and cut into batches of ``batch_size``, which a second draw
+    shuffles.  Composition is a pure function of the rng."""
+    groups: dict[int, list[int]] = {}
+    for i in rng.permutation(len(lengths)):
+        groups.setdefault(int(lengths[i]), []).append(int(i))
+    batches: list[list[int]] = []
+    for length in sorted(groups):
+        idxs = groups[length]
+        batches.extend(idxs[s : s + batch_size] for s in range(0, len(idxs), batch_size))
     return [batches[int(i)] for i in rng.permutation(len(batches))]
 
 
@@ -367,11 +371,7 @@ def train_base(
 
 def predicate_frequency_table(instances: Sequence[Instance]) -> Counter:
     """Training-corpus frequency of each predicate word."""
-    freq: Counter[str] = Counter()
-    for inst in instances:
-        if inst.predicate_index >= 0:
-            freq[inst.tokens[inst.predicate_index]] += 1
-    return freq
+    return Counter(inst.tokens[inst.predicate_index] for inst in instances)
 
 
 def train_pnma(

@@ -164,6 +164,46 @@ class TestModelBundle:
         save_model(path, Model(encoder=enc, crf=crf, nbr=None, config=cfg))
         assert load_model(path).nbr is None
 
+    def test_every_section_alteration_is_format_error(self, tmp_path):
+        enc, crf = make_params()
+        cfg = TrainConfig(d_word=4, d_pred=3, d_hidden=5, n_layers=2, k_neighbors=6)
+        good = Model(encoder=enc, crf=crf, nbr=init_neighborhood_params(6, 5, make_rng(2)),
+                     config=cfg).params()
+        path = str(tmp_path / "x.ckpt")
+        # a model may lack a word table (external embeddings) or rank vectors
+        # (phase 1), so only those two sections may go
+        optional = {"embed.word", "nbr.n"}
+        altered = [(f"drop {n}", {k: a for k, a in good.items() if k != n})
+                   for n in good if n not in optional]
+        altered += [(f"trim {n}", {**good, n: a[..., :-1]}) for n, a in good.items()]
+        altered += [(f"flatten {n}", {**good, n: a.reshape(-1)}) for n, a in good.items()
+                    if a.ndim > 1]
+        altered += [(f"stray {n}", {**good, n: good["lstm0.wx"]})
+                    for n in ("lstm2.wx", "lstm7.wx", "conn1.w", "embed.extra")]
+        for what, params in altered:
+            save_checkpoint(path, params, cfg.to_echo())
+            with pytest.raises(FormatError, match="x.ckpt: "):
+                load_model(path)
+        save_checkpoint(path, good, cfg.to_echo())
+        assert load_model(path).params().keys() == good.keys()
+
+    def test_model_without_tags_is_format_error(self, tmp_path):
+        enc, _ = make_params()
+        crf = init_crf_params(5, 0, make_rng(3))
+        path = str(tmp_path / "t.ckpt")
+        save_model(path, Model(encoder=enc, crf=crf, nbr=None, config=TrainConfig()))
+        with pytest.raises(FormatError, match="holds no tags"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_section_is_format_error(self, tmp_path, value):
+        enc, crf = make_params()
+        crf.trans[1, 2] = value
+        path = str(tmp_path / "n.ckpt")
+        save_checkpoint(path, {**enc.to_dict(), **crf_to_dict(crf)}, "a = 1\n")
+        with pytest.raises(FormatError, match="non-finite value in section 'crf.trans'"):
+            load_checkpoint(path)
+
     def test_encoder_param_predicate(self):
         assert is_encoder_param("embed.word")
         assert is_encoder_param("lstm0.wx")

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -666,6 +668,98 @@ class TestArgumentLimits:
                    "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "x.conll"))
         assert_one_line_error(code, capsys.readouterr().err, "base model")
         assert not (tmp_path / "x.conll").exists()
+
+
+def crafted_copy(path: str, out, edit) -> str:
+    """A copy of checkpoint ``path`` whose sections ``edit`` rewrote, saved
+    with a valid digest."""
+    from pnma.checkpoint import load_checkpoint, save_checkpoint
+
+    params, echo, _ = load_checkpoint(path)
+    edit(params)
+    save_checkpoint(str(out), params, echo)
+    return str(out)
+
+
+class TestCraftedCheckpoints:
+    """A checkpoint whose digest is valid but whose sections do not form one
+    model exits 2 with one error line naming the file."""
+
+    @pytest.mark.parametrize("edit, text", [
+        (lambda p: p.pop("embed.pred"), "section 'embed.pred' is missing or not a matrix"),
+        (lambda p: p.pop("crf.trans"), "missing section 'crf.trans'"),
+        (lambda p: p.update({"lstm0.wh": p["lstm0.wh"][:, :-1]}),
+         "section 'lstm0.wh' has shape (64, 15), expected (64, 16)"),
+        (lambda p: p.update({"lstm9.wx": p["lstm0.wx"]}), "unexpected section 'lstm9.wx'"),
+        (lambda p: p.update({"conn0.w": p["conn0.w"][:, :-2]}), "section 'conn0.w'"),
+        (lambda p: p.update({"nbr.n": p["nbr.n"][:-1]}),
+         "section 'nbr.n' has shape (7, 16), expected (8, 16)"),
+        (lambda p: p.update({"emit.w": p["emit.w"][0]}),
+         "section 'emit.w' is missing or not a matrix"),
+    ], ids=["no-embed.pred", "no-crf.trans", "lstm0.wh-shape", "stray-lstm9.wx",
+            "conn0.w-shape", "nbr.n-rows", "emit.w-rank"])
+    def test_predict_exits_two(self, smoke_chain, tmp_path, capsys, edit, text):
+        ckpt = crafted_copy(smoke_chain["pnma"], tmp_path / "crafted.ckpt", edit)
+        code = run("predict", "--checkpoint", ckpt, "--memory", smoke_chain["memory"],
+                   "--input", f"{smoke_chain['data']}/test.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "x.conll"))
+        assert_one_line_error(code, capsys.readouterr().err, f"{ckpt}: {text}")
+        assert not (tmp_path / "x.conll").exists()
+
+    def test_shared_mode_needs_one_rank_vector(self, smoke_chain, tmp_path, capsys):
+        from pnma.checkpoint import load_checkpoint, save_checkpoint
+
+        params, echo, _ = load_checkpoint(smoke_chain["pnma"])
+        echo = echo.replace("neighborhood_mode = distinct", "neighborhood_mode = shared")
+        save_checkpoint(str(tmp_path / "shared.ckpt"), params, echo)
+        code = run("predict", "--checkpoint", str(tmp_path / "shared.ckpt"),
+                   "--memory", smoke_chain["memory"],
+                   "--input", f"{smoke_chain['data']}/test.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "x.conll"))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              "section 'nbr.n' has shape (8, 16), expected (1, 16)")
+
+
+def test_unknown_neighborhood_mode_exits_two_before_training(smoke_chain, tmp_path, capsys,
+                                                             monkeypatch):
+    from pnma import cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train_base", no_training)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(open(smoke_chain["cfg"]).read() + "neighborhood_mode = bogus\n",
+                   encoding="utf-8")
+    code = run("train-base", "--config", str(cfg), "--train", f"{smoke_chain['data']}/train.conll",
+               "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "b.ckpt"))
+    assert_one_line_error(code, capsys.readouterr().err, "unknown neighborhood_mode 'bogus'")
+    assert not (tmp_path / "b.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, lr_flag", [("train-base", "--base-lr"),
+                                              ("train-pnma", "--phase2-lr")])
+def test_numeric_failure_is_one_stderr_line(smoke_chain, tmp_path, command, lr_flag):
+    # a rate that overflows float32 makes the first update non-finite; numpy's
+    # floating-point warnings must not precede the one failure line
+    c = smoke_chain
+    phase = {"train-base": ("--epochs", "1"),
+             "train-pnma": ("--checkpoint", c["base"], "--memory", c["memory"],
+                            "--phase2-epochs", "1")}[command]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pnma.cli", command, "--config", c["cfg"],
+         "--train", f"{c['data']}/train.conll", "--vocab", c["vocab"],
+         "--out", str(tmp_path / "x.ckpt"), *phase, lr_flag, "1e300"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    lines = [line for line in proc.stderr.splitlines()
+             if not line.startswith("config: using defaults")]
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestEvaluateCommand:

@@ -72,14 +72,11 @@ class TestParse:
         with pytest.raises(ParseError, match="2 predicate bits"):
             parse_conll_file(str(p))
 
-    def test_zero_predicates_need_permissive_flag(self, tmp_path, capsys):
+    def test_zero_predicates_rejected(self, tmp_path):
         p = tmp_path / "none.conll"
-        p.write_text("a 0 O\nb 0 O\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="no predicate bit"):
+        p.write_text("a 1 O\n\na 0 O\nb 0 O\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":3: block marks no predicate bit"):
             parse_conll_file(str(p))
-        insts = parse_conll_file(str(p), allow_missing_predicate=True)
-        assert insts[0].predicate_index == -1
-        assert "warning" in capsys.readouterr().err
 
     def test_default_sentence_ids_from_stem(self, tmp_path):
         p = tmp_path / "corpus.conll"

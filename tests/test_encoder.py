@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pnma import encoder
 from pnma.dataio import Instance, TokenTable, build_vocab
 from pnma.encoder import (
     _matmul_rows,
@@ -17,7 +20,6 @@ from pnma.encoder import (
     encode_rows,
     init_encoder_params,
     layer_direction,
-    length_grouped_jobs,
     length_sorted_chunks,
     lstm_layer_backward,
     lstm_layer_forward,
@@ -340,21 +342,27 @@ class TestEncodeRows:
                                      n_layers=3, rng=make_rng(14))
         return instances, vocab, params, TokenTable.build(instances, vocab)
 
-    def test_rows_are_each_jobs_batch(self, corpus):
+    def test_rows_are_each_jobs_batch(self, corpus, monkeypatch):
         instances, vocab, params, table = corpus
-        h = encode_rows(table, params, batch_size=4)
+        monkeypatch.setattr(encoder, "CHUNK_TOKENS", 16)  # several padded chunks
+        assert len(length_sorted_chunks(table.lengths)) > 1
+        h = encode_rows(table, params)
         assert h.shape == (sum(len(i) for i in instances), 8) and h.dtype == np.float32
-        jobs = length_grouped_jobs([len(i) for i in instances], 4)
-        assert len(jobs) > 1
+        by_length = {}
+        for i, inst in enumerate(instances):
+            by_length.setdefault(len(inst), []).append(i)
+        jobs = [group[s : s + 4] for _, group in sorted(by_length.items())
+                for s in range(0, len(group), 4)]
         for job in jobs:
             w = np.stack([vocab.word_ids(instances[i].tokens) for i in job])
             b = np.stack([np.array(instances[i].predicate_bits) for i in job])
             np.testing.assert_array_equal(h[table.rows(job)], encode_batch(w, b, params))
 
-    def test_threads_equal_one_thread(self, corpus):
+    def test_threads_equal_one_thread(self, corpus, monkeypatch):
         instances, vocab, params, table = corpus
-        one = encode_rows(table, params, batch_size=4)
-        two = encode_rows(table, params, batch_size=4, threads=2)
+        monkeypatch.setattr(encoder, "CHUNK_TOKENS", 16)
+        one = encode_rows(table, params)
+        two = encode_rows(table, params, threads=2)
         assert one.tobytes() == two.tobytes()
 
     def test_encode_corpus_is_a_view_of_the_rows(self, corpus):
@@ -440,13 +448,17 @@ class TestRaggedEncode:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    def test_ragged_rows_within_round_off_of_per_sentence(self, dtype, n_layers):
+    def test_ragged_rows_within_round_off_of_per_sentence(self, dtype, n_layers, monkeypatch):
         rng = make_rng(30)
         params = init_encoder_params(12, d_word=6, d_pred=3, d_hidden=8, n_layers=n_layers,
                                      rng=rng, dtype=dtype)
         table = ragged_table(rng, self.LENGTHS, 12)
-        # batch_size 4 cuts [1, 1, 1, 2], [3, 4, 5, 7], [7]: padded, mixed-length chunks
-        h = encode_rows(table, params, batch_size=4)
+        # a 14-token budget cuts [1, 1, 1, 2], [3, 4], [5, 7], [7]: padded,
+        # mixed-length chunks
+        monkeypatch.setattr(encoder, "CHUNK_TOKENS", 14)
+        assert [sorted(table.lengths[c]) for c in length_sorted_chunks(table.lengths)] == [
+            [1, 1, 1, 2], [3, 4], [5, 7], [7]]
+        h = encode_rows(table, params)
         assert h.dtype == dtype
         u = np.finfo(dtype).eps / 2
         for s, n in zip(table.starts, table.lengths):
@@ -506,28 +518,30 @@ class TestRaggedEncode:
 
 
 class TestLengthSortedChunks:
-    @given(st.lists(st.integers(1, 40), max_size=60), st.integers(1, 9),
-           st.integers(1, 120))
-    def test_each_index_once_in_length_order_within_both_budgets(
-            self, lengths, batch_size, max_tokens):
-        chunks = length_sorted_chunks(lengths, batch_size, max_tokens)
+    @given(st.lists(st.integers(1, 40), max_size=60), st.integers(1, 120))
+    def test_each_index_once_in_length_order_within_the_budget(self, lengths, max_tokens):
+        with mock.patch.object(encoder, "CHUNK_TOKENS", max_tokens):
+            chunks = length_sorted_chunks(lengths)
         flat = [int(i) for c in chunks for i in c]
         assert flat == sorted(range(len(lengths)), key=lambda i: lengths[i])
         for c in chunks:
             longest = max(lengths[i] for i in c)
-            assert 1 <= len(c) <= batch_size
             assert len(c) * longest <= max_tokens or len(c) == 1
-        # greedy: a chunk stops only where the next sentence breaks a budget
+        # greedy: a chunk stops only where the next sentence breaks the budget
         for c, nxt in zip(chunks, chunks[1:]):
-            grown = len(c) + 1
-            assert grown > batch_size or grown * lengths[nxt[0]] > max_tokens
+            assert (len(c) + 1) * lengths[nxt[0]] > max_tokens
 
-    def test_over_budget_sentence_is_its_own_chunk(self):
-        chunks = length_sorted_chunks([3, 30, 2, 3, 20], batch_size=8, max_tokens=16)
+    def test_over_budget_sentence_is_its_own_chunk(self, monkeypatch):
+        monkeypatch.setattr(encoder, "CHUNK_TOKENS", 16)
+        chunks = length_sorted_chunks([3, 30, 2, 3, 20])
         assert [c.tolist() for c in chunks] == [[2, 0, 3], [4], [1]]
 
+    def test_only_the_token_budget_limits_a_chunk(self):
+        # only the token budget cuts: 512 one-token sentences fill one chunk
+        assert [len(c) for c in length_sorted_chunks([1] * 600)] == [512, 88]
+
     def test_empty(self):
-        assert length_sorted_chunks([], 4) == []
+        assert length_sorted_chunks([]) == []
 
 
 class TestFullStackGradients:

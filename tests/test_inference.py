@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
+from pnma import encoder as encoder_module
 from pnma.crf import emission_scores, init_crf_params, viterbi_decode_batch
 from pnma.dataio import TokenTable, build_vocab
-from pnma.encoder import (
-    encode_batch,
-    encode_rows,
-    init_encoder_params,
-    length_grouped_jobs,
-    length_sorted_chunks,
-)
+from pnma.encoder import encode_batch, encode_rows, init_encoder_params, length_sorted_chunks
 from pnma.inference import predict_base_corpus, predict_pnma_corpus, tag_rows
 from pnma.memory import build_memory, knn_entry_ids, self_exclusions
 from pnma.neighborhood import init_neighborhood_params, neighborhood_forward, pnma_predict
@@ -17,18 +12,24 @@ from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
 
 K = 5
+JOB_SIZE = 3
 
 
-def per_job_tags(instances, encoder, crf, vocab, batch_size, nbr=None, memory=None,
+def per_job_tags(instances, encoder, crf, vocab, nbr=None, memory=None,
                  h_all=None, ids_all=None, dists_all=None, exclude_self=False):
     """The tagging loop with one encoder pass, one retrieval and one decode
-    per same-length job, kept as the oracle for the ragged chunked taggers.
-    Given flat (T, ...) arrays in instance order (``h_all``, and
-    ``ids_all``/``dists_all``), a job stacks its sentences' slices of them
-    instead of encoding (and retrieving)."""
+    per same-length job of up to JOB_SIZE sentences, kept as the oracle for
+    the ragged chunked taggers.  Given flat (T, ...) arrays in instance order
+    (``h_all``, and ``ids_all``/``dists_all``), a job stacks its sentences'
+    slices of them instead of encoding (and retrieving)."""
     starts = np.cumsum([0] + [len(inst) for inst in instances])
     preds = [None] * len(instances)
-    for job in length_grouped_jobs([len(inst) for inst in instances], batch_size):
+    by_length = {}
+    for i, inst in enumerate(instances):
+        by_length.setdefault(len(inst), []).append(i)
+    jobs = [group[s : s + JOB_SIZE] for _, group in sorted(by_length.items())
+            for s in range(0, len(group), JOB_SIZE)]
+    for job in jobs:
         n = len(instances[job[0]])
 
         def stack(flat):
@@ -90,39 +91,36 @@ def model():
 
 
 @pytest.mark.parametrize("mode", ["distinct", "distance"])
-def test_chunked_tagging_equals_per_job_loop(model, mode):
+def test_chunked_tagging_equals_per_job_loop(model, mode, monkeypatch):
     instances, vocab, encoder, crf, memory = model
     nbr = init_neighborhood_params(K, 8, make_rng(22), mode=mode)
     nbr.n *= 50.0
-    batch_size = 3
+    monkeypatch.setattr(encoder_module, "CHUNK_TOKENS", 24)
     lengths = [len(inst) for inst in instances]
-    chunks = length_sorted_chunks(lengths, batch_size)
-    # some chunk mixes lengths, and some full chunk has one length
+    chunks = length_sorted_chunks(lengths)
+    # some chunk mixes lengths, and some chunk of one length holds a whole job
     assert any(len({lengths[i] for i in c}) > 1 for c in chunks)
-    assert any(len(c) == batch_size and len({lengths[i] for i in c}) == 1 for c in chunks)
+    assert any(len(c) >= JOB_SIZE and len({lengths[i] for i in c}) == 1 for c in chunks)
 
     assert_same_tags(
-        predict_base_corpus(instances, encoder, crf, vocab, batch_size=batch_size),
-        per_job_tags(instances, encoder, crf, vocab, batch_size),
+        predict_base_corpus(instances, encoder, crf, vocab),
+        per_job_tags(instances, encoder, crf, vocab),
     )
     table = TokenTable.build(instances, vocab)
-    h = encode_rows(table, encoder, batch_size)
-    assert_same_tags(
-        tag_rows(table, h, crf, batch_size=batch_size),
-        per_job_tags(instances, encoder, crf, vocab, batch_size),
-    )
+    h = encode_rows(table, encoder)
+    assert_same_tags(tag_rows(table, h, crf), per_job_tags(instances, encoder, crf, vocab))
+    got = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K)
+    assert_same_tags(got, per_job_tags(instances, encoder, crf, vocab, nbr, memory))
     for exclude_self in (False, True):
-        want = per_job_tags(instances, encoder, crf, vocab, batch_size, nbr, memory,
-                            exclude_self=exclude_self)
-        got = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
-                                  batch_size=batch_size, exclude_self=exclude_self)
-        assert_same_tags(got, want)
         ids, dists = knn_entry_ids(h.astype(np.float32), memory, K,
                                    exclude=self_exclusions(instances) if exclude_self else None)
-        cached = tag_rows(table, h, crf, nbr, memory, ids, dists, batch_size)
-        assert_same_tags(cached, per_job_tags(instances, encoder, crf, vocab, batch_size, nbr,
-                                              memory, h_all=h, ids_all=ids, dists_all=dists))
-        assert_same_tags(got, cached)
+        cached = tag_rows(table, h, crf, nbr, memory, ids, dists)
+        assert_same_tags(cached, per_job_tags(instances, encoder, crf, vocab, nbr, memory,
+                                              exclude_self=exclude_self))
+        assert_same_tags(cached, per_job_tags(instances, encoder, crf, vocab, nbr, memory,
+                                              h_all=h, ids_all=ids, dists_all=dists))
+        if not exclude_self:
+            assert_same_tags(got, cached)
     # the tags must depend on the memory, or the comparisons above prove little
     base = predict_base_corpus(instances, encoder, crf, vocab)
     assert any(not np.array_equal(a, b) for a, b in zip(got, base))
@@ -131,26 +129,19 @@ def test_chunked_tagging_equals_per_job_loop(model, mode):
 def test_threads_equal_one_thread(model):
     instances, vocab, encoder, crf, memory = model
     nbr = init_neighborhood_params(K, 8, make_rng(23))
-    # one chunk holds more queries than one 128-query K-NN block
-    assert sum(len(i) for i in instances) > 128 and len(instances) <= 256
-    for exclude_self in (False, True):
-        one = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
-                                  exclude_self=exclude_self)
-        two = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
-                                  threads=2, exclude_self=exclude_self)
-        assert_same_tags(two, one)
+    # the corpus holds more queries than one 128-query K-NN block
+    assert sum(len(i) for i in instances) > 128
+    one = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K)
+    two = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K, threads=2)
+    assert_same_tags(two, one)
 
 
 def test_pnma_predict_is_batch_of_one(model):
     instances, vocab, encoder, crf, memory = model
     nbr = init_neighborhood_params(K, 8, make_rng(24))
-    for exclude_self in (False, True):
-        corpus = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K,
-                                     exclude_self=exclude_self)
-        for inst, tags in zip(instances, corpus):
-            single = pnma_predict(inst, encoder, crf, nbr, memory, vocab, K,
-                                  exclude_self=exclude_self)
-            assert np.array_equal(single, tags)
+    corpus = predict_pnma_corpus(instances, encoder, crf, nbr, memory, vocab, K)
+    for inst, tags in zip(instances, corpus):
+        assert np.array_equal(pnma_predict(inst, encoder, crf, nbr, memory, vocab, K), tags)
 
 
 def test_empty_corpus(model):

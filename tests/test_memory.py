@@ -84,7 +84,7 @@ class TestKnnQuery:
     def test_capacity_counts_exclusions(self):
         rng = make_rng(4)
         mem = random_memory(rng, n=10)
-        exclude = [mem.provenance[0]]
+        exclude = [[mem.provenance[0]]]
         with pytest.raises(CapacityError):
             knn_query(mem.vectors[0], mem, 10, exclude=exclude)
 
@@ -92,7 +92,7 @@ class TestKnnQuery:
         rng = make_rng(5)
         mem = random_memory(rng, n=30)
         q = mem.vectors[4]
-        res = knn_query(q, mem, 5, exclude=[mem.provenance[4]])
+        res = knn_query(q, mem, 5, exclude=[[mem.provenance[4]]])
         assert 4 not in res.entry_ids
         ids, dists = naive_knn(q, mem, 5, excluded_ids={4})
         np.testing.assert_array_equal(res.entry_ids, ids)
@@ -106,6 +106,23 @@ class TestKnnQuery:
         res = knn_query(queries, mem, 4, exclude=exclude)
         assert 0 not in res[0].entry_ids
         assert 1 not in res[1].entry_ids
+
+    def test_repeated_key_excludes_its_entry_once(self):
+        mem = random_memory(make_rng(6), n=6)
+        key = mem.provenance[2]
+        ids, _ = knn_entry_ids(mem.vectors[:1], mem, 5, exclude=[[key, key, ("absent", 0)]])
+        assert sorted(ids[0].tolist()) == [0, 1, 3, 4, 5]
+
+    @pytest.mark.parametrize("exclude", [
+        [("s0", 4)],  # a bare key where the query's collection belongs
+        [[("s0", 4)], [("s0", 3)]],  # two collections for one query
+        ("s0", 4),
+        [["s0"]],
+    ], ids=["bare-key", "two-collections", "key-as-exclusions", "id-alone"])
+    def test_exclusions_not_one_collection_of_keys_per_query(self, exclude):
+        mem = random_memory(make_rng(6), n=20)
+        with pytest.raises(DimensionError):
+            knn_query(mem.vectors[0], mem, 4, exclude=exclude)
 
     def test_batched_equals_one_at_a_time(self):
         rng = make_rng(7)

@@ -402,10 +402,3 @@ class TestPredict:
         crf.emit_w[:] = 0.0
         pred = pnma_predict(instances[0], encoder, crf, nbr, one_label, vocab, k=4)
         assert all(vocab.tag_labels[t] == "B-V" for t in pred)
-
-    def test_self_exclusion_flag(self):
-        instances, vocab, encoder, crf, memory, nbr = self._setup()
-        tags = pnma_predict(
-            instances[0], encoder, crf, nbr, memory, vocab, k=4, exclude_self=True
-        )
-        assert tags.shape == (3,)

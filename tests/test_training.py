@@ -181,6 +181,37 @@ def test_clip_gradients():
     np.testing.assert_array_equal(grads2["a"], [0.3, 0.4])
 
 
+def copying_clip_gradients(grads, max_norm):
+    """Gradient clipping as first written, with a float64 copy and its square
+    per gradient and a scaled copy per clipped gradient; kept as the oracle."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0:
+        scale = max_norm / norm
+        for name in grads:
+            grads[name] = grads[name] * scale
+    return norm
+
+
+@pytest.mark.parametrize("max_norm", [1e-3, 0.7, 1e6])
+def test_clip_gradients_in_place_matches_copying_oracle(max_norm):
+    rng = make_rng(17)
+    shapes = {"w32": ((40, 30), np.float32), "b32": ((40,), np.float32),
+              "w64": ((7, 3), np.float64), "n": ((1, 5), np.float32)}
+    grads = {name: (rng.normal(size=shape) * 3.0).astype(dtype)
+             for name, (shape, dtype) in shapes.items()}
+    want = {name: g.copy() for name, g in grads.items()}
+    before = dict(grads)
+    want_norm = copying_clip_gradients(want, max_norm)
+    norm = clip_gradients(grads, max_norm)
+    assert norm == want_norm
+    for name, g in grads.items():
+        assert g is before[name]
+        assert g.dtype == want[name].dtype and g.tobytes() == want[name].tobytes()
+
+
 def inline_training_batches(lengths, batch_size, rng):
     """The shuffled grouping as it was written out inside training, kept as the oracle."""
     order = rng.permutation(len(lengths))
