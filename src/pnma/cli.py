@@ -119,6 +119,20 @@ def _best_epoch(result) -> str:
     return f"best epoch {result.best_epoch} (F1 {result.best_f1:.4f})"
 
 
+def _load_vocab_for(model: Model, path: str) -> dataio.Vocabulary:
+    """The vocabulary at ``path``, which must be the one ``model`` was trained
+    with: as many tags as its CRF and, with a word table, as many words."""
+    vocab = dataio.load_vocab(path)
+    if model.crf.n_tags != vocab.n_tags:
+        raise CompatibilityError(f"{path}: vocabulary has {vocab.n_tags} tags, "
+                                 f"the checkpoint {model.crf.n_tags}")
+    words = model.encoder.word_emb
+    if words is not None and words.shape[0] != vocab.n_words:
+        raise CompatibilityError(f"{path}: vocabulary has {vocab.n_words} words, "
+                                 f"the checkpoint's word table {words.shape[0]}")
+    return vocab
+
+
 def _maybe_external(path: str | None, instances):
     if path is None:
         return None
@@ -160,7 +174,7 @@ def cmd_train_base(args) -> int:
 
 def cmd_build_memory(args) -> int:
     model = load_model(args.checkpoint)
-    vocab = dataio.load_vocab(args.vocab)
+    vocab = _load_vocab_for(model, args.vocab)
     instances = _load_corpus(args.train, model.config.scheme)
     external = _maybe_external(args.embeddings, instances)
     memory = build_memory(
@@ -191,7 +205,7 @@ def cmd_train_pnma(args) -> int:
         cfg = TrainConfig(**merged)
     else:
         cfg, _ = load_run_config(args.config, overrides)
-    vocab = dataio.load_vocab(args.vocab)
+    vocab = _load_vocab_for(base, args.vocab)
     memory = deserialize_memory(args.memory)
     train_set = _load_corpus(args.train, cfg.scheme)
     valid_set = _load_corpus(args.valid, cfg.scheme) if args.valid else None
@@ -222,7 +236,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("predict: this checkpoint needs --memory (neighborhood model)")
     if model.nbr is None and args.memory is not None:
         raise ConfigError("predict: --memory given, but this checkpoint is a base model")
-    vocab = dataio.load_vocab(args.vocab)
+    vocab = _load_vocab_for(model, args.vocab)
     instances = _load_corpus(args.input, model.config.scheme)
     external = _maybe_external(args.embeddings, instances)
     if model.nbr is not None:
@@ -286,7 +300,7 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_analyze_rank_dist(args) -> int:
     threads = _threads(args)
     model = load_model(args.checkpoint)
-    vocab = dataio.load_vocab(args.vocab)
+    vocab = _load_vocab_for(model, args.vocab)
     memory = deserialize_memory(args.memory)
     instances = _load_corpus(args.input, model.config.scheme)
     external = _maybe_external(args.embeddings, instances)
@@ -357,12 +371,13 @@ def cmd_analyze_disagreement(args) -> int:
     nbr_counts = None
     if args.checkpoint and args.memory:
         model = load_model(args.checkpoint)
-        vocab = dataio.load_vocab(args.vocab) if args.vocab else None
-        if vocab is None:
+        if not args.vocab:
             raise ConfigError("analyze disagreement: --vocab required with --checkpoint")
+        vocab = _load_vocab_for(model, args.vocab)
         memory = deserialize_memory(args.memory)
         nbr_counts = analysis.neighborhood_label_counts(
-            model.encoder, vocab, memory, gold, k=args.k, threads=threads
+            model.encoder, vocab, memory, gold, k=args.k,
+            external=_maybe_external(args.embeddings, gold), threads=threads,
         )
     report = analysis.disagreement_report(
         gold,
@@ -383,7 +398,7 @@ def cmd_analyze_disagreement(args) -> int:
 
 def cmd_analyze_neighbors(args) -> int:
     model = load_model(args.checkpoint)
-    vocab = dataio.load_vocab(args.vocab)
+    vocab = _load_vocab_for(model, args.vocab)
     memory = deserialize_memory(args.memory)
     instances = _load_corpus(args.input, model.config.scheme)
     sources = {i.sentence_id: i for i in _load_corpus(args.sources, model.config.scheme)}
@@ -393,6 +408,7 @@ def cmd_analyze_neighbors(args) -> int:
     rows = analysis.neighbor_dump(
         model.encoder, vocab, memory, target, args.token_index,
         k=args.k, context_window=args.window, sources=sources,
+        external=_maybe_external(args.embeddings, [target]),
     )
     analysis.write_neighbor_dump(rows, args.out)
     print(f"analyze neighbors: {len(rows)} neighbors -> {args.out}", file=sys.stderr)
@@ -504,6 +520,7 @@ def build_parser() -> _Parser:
     p.add_argument("--memory")
     p.add_argument("--vocab")
     p.add_argument("--k", type=int, default=64)
+    p.add_argument("--embeddings")
     p.add_argument("--threads", type=int)
     p.add_argument("--scheme", choices=dataio.SCHEMES, default="bio-span")
     p.set_defaults(func=cmd_analyze_disagreement)
@@ -519,6 +536,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--window", type=int, default=5)
+    p.add_argument("--embeddings")
     p.set_defaults(func=cmd_analyze_neighbors)
 
     return parser

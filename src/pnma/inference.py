@@ -42,7 +42,9 @@ def tag_rows(
     """Viterbi tag ids for every sentence of ``table`` from its activations h (T, d).
 
     With ``nbr``, each token is scored on the neighborhood representation of
-    its memory neighbors ``ids`` (T, K) at ``dists`` (T, K); without, on h.
+    its memory neighbors ``ids`` (T, K); ``dists`` (T, K) weigh them in
+    ``distance`` mode only, and may be None in the other modes.  Without
+    ``nbr``, each token is scored on h.
     """
     preds: list[np.ndarray | None] = [None] * len(table)
     for chunk in length_sorted_chunks(table.lengths):
@@ -52,7 +54,8 @@ def tag_rows(
         x = h[flat]
         if nbr is not None:
             m = gather_neighbors(memory.vectors, ids[flat]).astype(x.dtype, copy=False)
-            _, x = neighborhood_forward(x, m, nbr, distances=dists[flat].astype(x.dtype))
+            dist = dists[flat].astype(x.dtype) if nbr.mode == "distance" else None
+            _, x = neighborhood_forward(x, m, nbr, distances=dist)
         em = emission_scores(x, crf)
         padded = np.zeros(rows.shape + (crf.n_tags,), dtype=em.dtype)
         padded[real] = em

@@ -10,20 +10,28 @@ take one form: a collection of provenance keys per query, such as
 Retrieval is exact brute force in two stages per block of queries.  A BLAS
 prefilter computes every squared distance in double precision by the flat-L2
 expansion ||q||^2 + ||m||^2 - 2 q.m (Johnson, Douze & Jegou 2017,
-arXiv:1702.08734), less the row constant ||q||^2.  A certified re-rank keeps
-each entry within 2 delta of the row's k-th smallest prefilter value, where
-delta bounds the rounding gap between the expansion and the explicit
-difference sum((q - m)^2) (``_rounding_bound``), recomputes the kept
-entries' distances as explicit differences, and orders them by (distance,
-entry id).  Every entry of the true top-k survives the prefilter, so batched
-queries return bit for bit what a naive one-at-a-time explicit-difference
-scan would, ties broken toward the lower entry id.
+arXiv:1702.08734), less the row constant ||q||^2, as one GEMM of the block's
+rows [-2q, 1] with the memory's prefilter operand: the (d + 1, N) float64
+array of the vectors transposed, their squared norms as the last row.  A
+certified re-rank keeps each entry within 2 delta of the row's k-th smallest
+prefilter value, where delta bounds the rounding gap between the expansion
+and the explicit difference sum((q - m)^2) over the d + 1 products of the
+GEMM (``_rounding_bound``), recomputes the kept entries' distances as
+explicit differences of their float32 rows cast to float64, and orders them
+by (distance, entry id).  Every entry of the true top-k survives the
+prefilter, so batched queries return bit for bit what a naive one-at-a-time
+explicit-difference scan would, ties broken toward the lower entry id.
+
+Bulk retrieval holds its outputs and one block's working set: the (Q, k)
+ids and distances are allocated once and each block, on any thread, writes
+its own rows of them; queries are cast to float64 a block at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -72,9 +80,9 @@ class ActivationMemory:
     fraction: float = 1.0
     source_digest: str = ""
     _prov_to_id: dict[tuple[str, int], int] = field(init=False, repr=False)
-    # float64 vectors and squared norms for the K-NN prefilter
-    _vectors64: np.ndarray = field(init=False, repr=False)
-    _sq_norms: np.ndarray = field(init=False, repr=False)
+    # the K-NN prefilter operand (d + 1, N) float64: the vectors transposed,
+    # their squared norms as the last row
+    _operand: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
@@ -95,8 +103,10 @@ class ActivationMemory:
         self.vectors.setflags(write=False)
         self.labels.setflags(write=False)
         self._prov_to_id = {p: i for i, p in enumerate(self.provenance)}
-        self._vectors64 = self.vectors.astype(np.float64)
-        self._sq_norms = np.einsum("ij,ij->i", self._vectors64, self._vectors64)
+        n, d = self.vectors.shape
+        self._operand = np.empty((d + 1, n))
+        self._operand[:d] = self.vectors.T  # cast in place: no float64 copy of the memory
+        np.einsum("ij,ij->j", self._operand[:d], self._operand[:d], out=self._operand[d])
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -153,20 +163,45 @@ def build_memory(
     )
 
 
-def self_exclusions(instances: Sequence[Instance]) -> list[list[tuple[str, int]]]:
+class _SelfExclusions(abc.Sequence):
+    """Per token row, the one-key collection ``((sentence id, token index),)``,
+    made on access: a corpus of T tokens holds no T lists of keys."""
+
+    def __init__(self, instances: Sequence[Instance]) -> None:
+        self._sentences = [(inst.sentence_id, len(inst)) for inst in instances]
+        self._starts = np.cumsum([0] + [n for _, n in self._sentences])
+
+    def __len__(self) -> int:
+        return int(self._starts[-1])
+
+    def __getitem__(self, row: int) -> tuple[tuple[str, int]]:
+        row = range(len(self))[row]  # counts from the end if negative; IndexError outside
+        s = int(np.searchsorted(self._starts, row, side="right")) - 1
+        return ((self._sentences[s][0], row - int(self._starts[s])),)
+
+    def __iter__(self):
+        for sid, n in self._sentences:
+            for t in range(n):
+                yield ((sid, t),)
+
+
+def self_exclusions(instances: Sequence[Instance]) -> Exclusions:
     """Per token, in row order, the provenance key of its own memory entry:
     ``knn_entry_ids``' ``exclude`` that keeps each token from retrieving itself."""
-    return [[(inst.sentence_id, t)] for inst in instances for t in range(len(inst))]
+    return _SelfExclusions(instances)
 
 
 def _squared_distances(queries: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distances (B, C) of queries (B, d) to entries (B, C, d).
+    """Exact squared Euclidean distances (B, C) of float64 queries (B, d) to
+    float32 entries (B, C, d).
 
-    Computed as an explicit difference, the arithmetic of a naive per-pair
-    scan, so re-ranked distances equal that scan's bit for bit (m - q is
-    exactly -(q - m)).  The dot-product expansion only prefilters.
+    The entries are cast to float64 (exactly) and the difference formed in
+    place: the arithmetic of a naive per-pair scan, so re-ranked distances
+    equal that scan's bit for bit (m - q is exactly -(q - m)).  The
+    dot-product expansion only prefilters.
     """
-    diff = entries - queries[:, None, :]
+    diff = entries.astype(np.float64)
+    diff -= queries[:, None, :]
     np.square(diff, out=diff)
     return diff.sum(axis=2)
 
@@ -174,18 +209,31 @@ def _squared_distances(queries: np.ndarray, entries: np.ndarray) -> np.ndarray:
 def _rounding_bound(q_sq: np.ndarray, m_sq_max: float, d: int) -> np.ndarray:
     """Per query, a bound delta on |(a + ||q||^2) - r| for every memory entry.
 
-    a = ||m||^2 - 2 q.m is the BLAS prefilter distance less the row constant
-    ||q||^2, and r the explicit-difference distance.  With u = 2^-53,
-    Q = ||q||^2, M = ||m||^2 and gamma_n = n u / (1 - n u): a length-d dot
-    product summed in any order (BLAS blocking, FMA) is off by at most
-    gamma_d times the sum of its |products|, and |q.m| <= (Q + M) / 2, so
-    M and 2 q.m carry at most 2 gamma_d (Q + M) and the addition 2u (Q + M).
+    a = [-2q, 1] . [m, M'] is the folded prefilter distance less the row
+    constant ||q||^2, M' the operand's rounded squared norm ||m||^2, and r
+    the explicit-difference distance.  With u = 2^-53, Q = ||q||^2,
+    M = ||m||^2 and gamma_n = n u / (1 - n u): M' is a length-d sum of
+    exact squares, off by at most gamma_d M.  The GEMM's length-(d + 1) dot
+    product, summed in any order (BLAS blocking, FMA), is off by at most
+    gamma_{d+1} times the sum of its |products|, and that sum is at most
+    2 |q|.|m| + M' <= Q + M + M' <= Q + 2M + gamma_d M.  So a is off by at
+    most d u M + (d + 1) u (Q + 2M) <= (3d + 2) u (Q + M) to first order.
     r rounds each term d + 2 times and is at most 2 (Q + M), so it is off by
     at most 2 gamma_{d+2} (Q + M).  Hence the gap is at most
-    (4d + 6) u (Q + M) to first order; 8 (d + 2) covers the second-order
-    terms and the rounding of the threshold a_(k) + 2 delta itself.
+    (5d + 6) u (Q + M) to first order; 8 (d + 2) covers the second-order
+    terms, the rounding of the computed Q and max M' this bound is taken
+    over, and the rounding of the threshold a_(k) + 2 delta itself.
     """
     return 8.0 * (d + 2) * 2.0**-53 * (q_sq + m_sq_max)
+
+
+def _prefilter(q: np.ndarray, memory: ActivationMemory) -> np.ndarray:
+    """Prefilter distances ||m||^2 - 2 q.m (B, N) of float64 queries (B, d):
+    one GEMM of the rows [-2q, 1] with the memory's operand."""
+    lhs = np.empty((len(q), q.shape[1] + 1))
+    np.multiply(q, -2.0, out=lhs[:, :-1])
+    lhs[:, -1] = 1.0
+    return lhs @ memory._operand
 
 
 def _resolve_exclusions(
@@ -211,20 +259,22 @@ def _resolve_exclusions(
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
-def _block_top_k(q, slack, memory: ActivationMemory, k: int, ex_rows, ex_cols):
-    """Exact top-k of one query block: BLAS prefilter, then certified re-rank.
+def _block_top_k(queries, slack, memory: ActivationMemory, k: int, ex_rows, ex_cols,
+                 ids: np.ndarray, dists: np.ndarray) -> None:
+    """Exact top-k of one query block, written to its rows ``ids`` and ``dists``.
 
-    The re-rank keeps, per row, every entry within the limit a_(k) + 2 delta
-    of the row's k-th smallest prefilter value a_(k).  One partition at k
-    yields a_(k), the largest of the first k, and the (k+1)-th value a_(k+1)
-    beside it.  When every row's a_(k+1) exceeds its limit, no entry beyond
-    the first k survives, so those k are the candidates without a pass over
-    the full rows (the certificate); otherwise every row's survivors are
-    counted and the partition widens to the largest count.
+    The queries are cast to float64 here, a block at a time.  After the BLAS
+    prefilter (``_prefilter``), a certified re-rank keeps, per row, every
+    entry within the limit a_(k) + 2 delta of the row's k-th smallest
+    prefilter value a_(k).  One partition at k yields a_(k), the largest of
+    the first k, and the (k+1)-th value a_(k+1) beside it.  When every row's
+    a_(k+1) exceeds its limit, no entry beyond the first k survives, so those
+    k are the candidates without a pass over the full rows (the certificate);
+    otherwise every row's survivors are counted and the partition widens to
+    the largest count.
     """
-    m = memory._vectors64
-    approx = (-2.0 * q) @ m.T
-    approx += memory._sq_norms
+    q = queries.astype(np.float64)
+    approx = _prefilter(q, memory)
     approx[ex_rows, ex_cols] = np.inf  # every threshold below is finite
     n_m = approx.shape[1]
     cand = np.argpartition(approx, min(k, n_m - 1), axis=1)
@@ -237,10 +287,13 @@ def _block_top_k(q, slack, memory: ActivationMemory, k: int, ex_rows, ex_cols):
         if width > k + 1:  # near-ties at the k-th distance: widen to all survivors
             cand = np.argpartition(approx, width - 1, axis=1)
     cand = np.sort(cand[:, :width], axis=1)
-    exact = _squared_distances(q, m[cand])
-    exact[~(np.take_along_axis(approx, cand, axis=1) <= limit)] = np.inf
+    kept = np.take_along_axis(approx, cand, axis=1) <= limit
+    del approx  # free the (B, N) prefilter rows before the gather
+    exact = _squared_distances(q, memory.vectors[cand])
+    exact[~kept] = np.inf
     order = np.argsort(exact, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(exact, order, axis=1)
+    ids[:] = np.take_along_axis(cand, order, axis=1)
+    np.sqrt(np.take_along_axis(exact, order, axis=1), out=dists)
 
 
 def knn_entry_ids(
@@ -266,9 +319,8 @@ def knn_entry_ids(
     if queries.ndim != 2 or queries.shape[1] != memory.d:
         raise DimensionError(f"queries {queries.shape} vs memory width {memory.d}")
     n_q, n_m = queries.shape[0], len(memory)
-    q64 = queries.astype(np.float64)
-    q_sq = np.einsum("ij,ij->i", q64, q64)
-    m_sq_max = float(memory._sq_norms.max(initial=0.0))
+    q_sq = np.einsum("ij,ij->i", queries, queries, dtype=np.float64)
+    m_sq_max = float(memory._operand[-1].max(initial=0.0))
     # squared distances are at most 2 (||q||^2 + ||m||^2); keep them finite
     bad = np.nonzero(~np.isfinite(4.0 * (q_sq + m_sq_max)))[0]
     if bad.size:
@@ -287,28 +339,28 @@ def knn_entry_ids(
         )
     if k < 1:
         raise DomainError(f"knn_query: K must be >= 1, got {k}")
-    if n_q == 0:
-        return np.zeros((0, k), dtype=np.int64), np.zeros((0, k))
 
     slack = 2.0 * _rounding_bound(q_sq, m_sq_max, memory.d)
-    rows_per_block = max(1, min(_QUERY_BLOCK, _BLOCK_DISTANCES // n_m))
+    rows_per_block = max(1, min(_QUERY_BLOCK, _BLOCK_DISTANCES // max(n_m, 1)))
+    ids = np.empty((n_q, k), dtype=np.int64)
+    dists = np.empty((n_q, k))
 
-    def run_block(start: int, stop: int):
+    def run_block(start: int) -> None:
+        stop = min(start + rows_per_block, n_q)
         lo, hi = np.searchsorted(ex_rows, (start, stop))
-        return _block_top_k(q64[start:stop], slack[start:stop], memory, k,
-                            ex_rows[lo:hi] - start, ex_cols[lo:hi])
+        _block_top_k(queries[start:stop], slack[start:stop], memory, k,
+                     ex_rows[lo:hi] - start, ex_cols[lo:hi], ids[start:stop], dists[start:stop])
 
-    blocks = [(s, min(s + rows_per_block, n_q)) for s in range(0, n_q, rows_per_block)]
-    if threads > 1 and len(blocks) > 1:
+    starts = range(0, n_q, rows_per_block)
+    if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: run_block(*b), blocks))
+            list(pool.map(run_block, starts))
     else:
-        parts = [run_block(*b) for b in blocks]
-    ids = np.concatenate([p[0] for p in parts])
-    d2 = np.concatenate([p[1] for p in parts])
-    return ids, np.sqrt(d2)
+        for start in starts:
+            run_block(start)
+    return ids, dists
 
 
 def knn_query(

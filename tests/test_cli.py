@@ -720,6 +720,111 @@ class TestCraftedCheckpoints:
                               "section 'nbr.n' has shape (8, 16), expected (1, 16)")
 
 
+class TestVocabularyMismatch:
+    """A vocabulary whose tag or word count is not the checkpoint's exits 2
+    with one error line, in every command that pairs --checkpoint with --vocab."""
+
+    COMMANDS = ["build-memory", "train-pnma", "predict", "rank-dist", "disagreement",
+                "neighbors"]
+
+    @staticmethod
+    def argv(chain, command, vocab, out):
+        from pnma.dataio import parse_conll_file
+
+        data = chain["data"]
+        sentence_id = parse_conll_file(f"{data}/valid.conll")[0].sentence_id
+        return {
+            "build-memory": ("build-memory", "--checkpoint", chain["base"],
+                             "--train", f"{data}/train.conll"),
+            "train-pnma": ("train-pnma", "--config", chain["cfg"], "--checkpoint", chain["base"],
+                           "--memory", chain["memory"], "--train", f"{data}/train.conll"),
+            "predict": ("predict", "--checkpoint", chain["pnma"], "--memory", chain["memory"],
+                        "--input", f"{data}/test.conll"),
+            "rank-dist": ("analyze", "rank-dist", "--checkpoint", chain["pnma"],
+                          "--memory", chain["memory"], "--input", f"{data}/test.conll"),
+            "disagreement": ("analyze", "disagreement", "--gold", f"{data}/test.conll",
+                             "--pred-base", chain["base_preds"],
+                             "--pred-pnma", chain["pnma_preds"],
+                             "--train", f"{data}/train.conll", "--checkpoint", chain["pnma"],
+                             "--memory", chain["memory"]),
+            "neighbors": ("analyze", "neighbors", "--checkpoint", chain["base"],
+                          "--memory", chain["memory"], "--input", f"{data}/valid.conll",
+                          "--sources", f"{data}/train.conll", "--sentence-id", sentence_id,
+                          "--token-index", "0"),
+        }[command] + ("--vocab", vocab, "--out", out)
+
+    @staticmethod
+    def edited_vocab(chain, path, fewer_tags=0, more_words=0) -> str:
+        from dataclasses import replace
+
+        from pnma.dataio import load_vocab, save_vocab
+
+        vocab = load_vocab(chain["vocab"])
+        words = vocab.id_to_word + [f"extra-{i}" for i in range(more_words)]
+        edited = replace(vocab, id_to_word=words,
+                         word_to_id={w: i for i, w in enumerate(words)},
+                         tag_labels=vocab.tag_labels[: vocab.n_tags - fewer_tags])
+        save_vocab(edited, str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fewer_tags(self, smoke_chain, tmp_path, capsys, command):
+        vocab = self.edited_vocab(smoke_chain, tmp_path / "v.txt", fewer_tags=1)
+        n_tags = load_model(smoke_chain["base"]).crf.n_tags
+        code = run(*self.argv(smoke_chain, command, vocab, str(tmp_path / "out")))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"v.txt: vocabulary has {n_tags - 1} tags, the checkpoint {n_tags}")
+        assert [f.name for f in tmp_path.iterdir()] == ["v.txt"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_more_words(self, smoke_chain, tmp_path, capsys, command):
+        vocab = self.edited_vocab(smoke_chain, tmp_path / "v.txt", more_words=2)
+        n_words = load_model(smoke_chain["base"]).encoder.word_emb.shape[0]
+        code = run(*self.argv(smoke_chain, command, vocab, str(tmp_path / "out")))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"v.txt: vocabulary has {n_words + 2} words, "
+                              f"the checkpoint's word table {n_words}")
+        assert [f.name for f in tmp_path.iterdir()] == ["v.txt"]
+
+
+def test_analyze_a_model_trained_on_embeddings(tmp_path, capsys):
+    """``analyze neighbors`` and ``analyze disagreement`` read a model trained
+    and memorised with --embeddings, given the same file."""
+    for name, text in (("c.conll", TOY_CORPUS), ("run.cfg", TOY_CONFIG),
+                       ("emb.txt", TOY_EMBEDDINGS)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    path = {name: str(tmp_path / name) for name in
+            ("c.conll", "run.cfg", "emb.txt", "v.txt", "m.ckpt", "mem.bin", "p.conll")}
+    emb = ("--embeddings", path["emb.txt"])
+    for step in [
+        ("prepare", "--train", path["c.conll"], "--out", path["v.txt"], "--min-frequency", "1"),
+        ("train-base", "--config", path["run.cfg"], "--train", path["c.conll"],
+         "--vocab", path["v.txt"], "--out", path["m.ckpt"], *emb),
+        ("build-memory", "--checkpoint", path["m.ckpt"], "--train", path["c.conll"],
+         "--vocab", path["v.txt"], "--out", path["mem.bin"], "--fraction", "1.0", *emb),
+        ("predict", "--checkpoint", path["m.ckpt"], "--input", path["c.conll"],
+         "--vocab", path["v.txt"], "--out", path["p.conll"], *emb),
+    ]:
+        assert run(*step) == 0, step[0]
+    neighbors = ("analyze", "neighbors", "--checkpoint", path["m.ckpt"],
+                 "--memory", path["mem.bin"], "--input", path["c.conll"],
+                 "--vocab", path["v.txt"], "--sources", path["c.conll"],
+                 "--sentence-id", "s1", "--token-index", "1", "--k", "2",
+                 "--out", str(tmp_path / "n.tsv"))
+    disagreement = ("analyze", "disagreement", "--gold", path["c.conll"],
+                    "--pred-base", path["p.conll"], "--pred-pnma", path["c.conll"],
+                    "--train", path["c.conll"], "--checkpoint", path["m.ckpt"],
+                    "--memory", path["mem.bin"], "--vocab", path["v.txt"], "--k", "2",
+                    "--out", str(tmp_path / "d.tsv"))
+    for argv in (neighbors, disagreement):
+        capsys.readouterr()
+        assert_one_line_error(run(*argv), capsys.readouterr().err,
+                              "encoder has no word table; external vectors required")
+        assert run(*argv, *emb) == 0, argv[1]
+    assert len((tmp_path / "n.tsv").read_text(encoding="utf-8").splitlines()) == 3
+    assert "corrected_over_regressed" in (tmp_path / "d.tsv").read_text(encoding="utf-8")
+
+
 def test_unknown_neighborhood_mode_exits_two_before_training(smoke_chain, tmp_path, capsys,
                                                              monkeypatch):
     from pnma import cli

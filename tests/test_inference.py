@@ -126,6 +126,18 @@ def test_chunked_tagging_equals_per_job_loop(model, mode, monkeypatch):
     assert any(not np.array_equal(a, b) for a, b in zip(got, base))
 
 
+@pytest.mark.parametrize("mode", ["distinct", "shared"])
+def test_distances_unused_outside_distance_mode(model, mode):
+    instances, vocab, encoder, crf, memory = model
+    nbr = init_neighborhood_params(K, 8, make_rng(26), mode=mode)
+    nbr.n *= 50.0
+    table = TokenTable.build(instances, vocab)
+    h = encode_rows(table, encoder)
+    ids, dists = knn_entry_ids(h.astype(np.float32), memory, K)
+    assert_same_tags(tag_rows(table, h, crf, nbr, memory, ids, None),
+                     tag_rows(table, h, crf, nbr, memory, ids, dists))
+
+
 def test_threads_equal_one_thread(model):
     instances, vocab, encoder, crf, memory = model
     nbr = init_neighborhood_params(K, 8, make_rng(23))

@@ -1,20 +1,27 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pnma.dataio import Instance, build_vocab
 from pnma.encoder import init_encoder_params
 from pnma.errors import CapacityError, DimensionError, DomainError, FormatError, NumericError
+from pnma import memory as memory_module
 from pnma.memory import (
+    _BLOCK_DISTANCES,
+    _QUERY_BLOCK,
     MEMORY_MAGIC,
     ActivationMemory,
+    _prefilter,
+    _rounding_bound,
     build_memory,
     deserialize_memory,
     knn_entry_ids,
     knn_query,
+    self_exclusions,
     serialize_memory,
 )
 from pnma.numeric import make_rng
@@ -232,12 +239,87 @@ class TestKnnQuery:
             knn_query(np.zeros(5, dtype=np.float32), mem, 2)
 
 
+class TestFoldedPrefilter:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), offset=st.sampled_from([0.0, 1.0, 1e2, 1e4, 1e6]),
+           scale=st.sampled_from([1e-3, 2e-3, 1.0, 1e3]), d=st.integers(1, 24),
+           k=st.integers(1, 10))
+    @example(seed=21, offset=1e4, scale=2e-3, d=16, k=8)  # as in the re-rank test above
+    def test_within_rounding_bound_and_exact(self, monkeypatch, seed, offset, scale, d, k):
+        # vectors around a large common offset, where the expansion cancels
+        rng = np.random.default_rng(seed)
+        n, n_q = 60, 13
+        center = rng.normal(size=d) * offset
+        vectors = (center + rng.normal(scale=scale, size=(n, d))).astype(np.float32)
+        vectors[n - 5 :] = vectors[:5]  # plant exact ties
+        queries = (center + rng.normal(scale=scale, size=(n_q, d))).astype(np.float32)
+        queries[:3] = vectors[:3]
+        mem = ActivationMemory(vectors=vectors, labels=np.zeros(n, dtype=np.int64),
+                               provenance=[(f"s{i}", 0) for i in range(n)])
+
+        q = queries.astype(np.float64)
+        q_sq = np.einsum("ij,ij->i", q, q)
+        delta = _rounding_bound(q_sq, float(mem._operand[-1].max()), d)
+        explicit = np.square(vectors.astype(np.float64)[None] - q[:, None]).sum(axis=2)
+        # (a + ||q||^2) - r, the squares exact and the sums nearly so in long double
+        exact_q_sq = np.square(q.astype(np.longdouble)).sum(axis=1)
+        gap = np.abs(_prefilter(q, mem).astype(np.longdouble) + exact_q_sq[:, None] - explicit)
+        assert np.all(gap <= delta[:, None])
+
+        monkeypatch.setattr(memory_module, "_QUERY_BLOCK", 4)  # several blocks per call
+        excluded = [{i % n, (7 * i + 3) % n} for i in range(n_q)]
+        for exclude in (None, [[mem.provenance[i] for i in sorted(e)] for e in excluded]):
+            refs = [naive_knn(queries[qi], mem, k, () if exclude is None else excluded[qi])
+                    for qi in range(n_q)]
+            for threads in (1, 4):
+                ids, dists = knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads)
+                np.testing.assert_array_equal(ids, [r[0] for r in refs])
+                np.testing.assert_array_equal(dists, [r[1] for r in refs])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bulk_retrieval_holds_outputs_and_one_block_per_thread(threads):
+    rng = make_rng(31)
+    n_q, n, d, k = 4000, 1000, 16, 64
+    mem = random_memory(rng, n=n, d=d)
+    queries = rng.normal(size=(n_q, d)).astype(np.float32)
+    exclude = [[mem.provenance[i % n]] for i in range(n_q)]
+    rows = min(_QUERY_BLOCK, _BLOCK_DISTANCES // n)
+    # a block's float64 prefilter rows, their int64 partition and the
+    # survivor mask; later, in their place, the re-rank's k candidates per
+    # query: their ids, kept flags, and rows gathered in float32 and cast to
+    # float64
+    block = max(rows * n * 17, rows * k * (17 + 12 * d))
+    # the first call loads the thread pool's modules; measure a later one
+    knn_entry_ids(queries[: 2 * rows], mem, k, exclude=exclude[: 2 * rows], threads=threads)
+    tracemalloc.start()
+    try:
+        knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n_q * k * 16 + threads * block + (1 << 20)
+
+
 def synthetic_corpus():
     return [
         Instance("t-0", ("the", "cat", "runs"), 2, (0, 0, 1), ("B-A0", "I-A0", "B-V")),
         Instance("t-1", ("a", "dog", "runs"), 2, (0, 0, 1), ("B-A0", "I-A0", "B-V")),
         Instance("t-2", ("the", "dog", "sits"), 2, (0, 0, 1), ("B-A0", "I-A0", "B-V")),
     ]
+
+
+def test_self_exclusions_hold_one_key_per_token():
+    instances = synthetic_corpus() + [Instance("t-3", ("go",), 0, (1,), ("B-V",))]
+    want = [((inst.sentence_id, t),) for inst in instances for t in range(len(inst))]
+    exclude = self_exclusions(instances)
+    assert len(exclude) == 10 and list(exclude) == want
+    assert [exclude[i] for i in range(-10, 10)] == want + want
+    for row in (10, -11):
+        with pytest.raises(IndexError):
+            exclude[row]
+    assert len(self_exclusions([])) == 0
 
 
 class TestBuildMemory:
