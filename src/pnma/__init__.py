@@ -16,8 +16,9 @@ from .dataio import (
     load_external_embeddings,
     parse_conll_file,
 )
+from .inference import predict_pnma_corpus
 from .memory import ActivationMemory, NeighborSet, build_memory, knn_query
-from .neighborhood import NeighborhoodParams, pnma_predict
+from .neighborhood import NeighborhoodParams
 
 __all__ = [
     "ActivationMemory",
@@ -33,7 +34,7 @@ __all__ = [
     "knn_query",
     "load_external_embeddings",
     "parse_conll_file",
-    "pnma_predict",
+    "predict_pnma_corpus",
 ]
 
 __version__ = "0.1.0"

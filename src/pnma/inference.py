@@ -8,13 +8,20 @@ caller that already holds the activations or the neighbors, such as phase
 
 Encoding and tagging both walk ``encoder.length_sorted_chunks``: sentences
 in length order, cut at a budget of ``encoder.CHUNK_TOKENS`` padded tokens.
-``tag_rows`` runs the neighbor gather, the neighborhood layer and the
-emission layer once per chunk over its real rows only, then decodes the chunk
-with one Viterbi call over right-padded emissions in which each row stops at
-its own length.  Exact K-NN returns the same neighbors however
-queries are blocked, and the ragged decode repeats every per-row operation
-of a same-length one, so a chunk differs from one pass per sentence only by
-the round-off of products whose blocking depends on the row count.
+``tag_rows`` runs the emission layer once per chunk over its real rows only,
+then decodes the chunk with one Viterbi call over right-padded emissions in
+which each row stops at its own length.  Exact K-NN returns the same
+neighbors however queries are blocked, and the ragged decode repeats every
+per-row operation of a same-length one, so a chunk differs from one pass per
+sentence only by the round-off of products whose blocking depends on the row
+count.
+
+The adapted tagger's neighbor gather and neighborhood layer run over
+consecutive blocks of a chunk's real rows, each of about
+``GATHER_NEIGHBORS`` gathered neighbor vectors (tokens x K), and write each
+block's representation into the chunk's (T, d) array.  A pass thus holds one
+block's gather and ``|m - h|``, not a whole chunk's.  The blocks change no
+bit; ``_blocks`` says why.
 """
 
 from __future__ import annotations
@@ -28,6 +35,48 @@ from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
 from .encoder import EncoderParams, encode_rows, length_sorted_chunks
 from .memory import ActivationMemory, knn_entry_ids
 from .neighborhood import NeighborhoodParams, gather_neighbors, neighborhood_forward
+
+# gathered neighbor vectors (tokens x K) per neighborhood block: 128 tokens at K 64
+GATHER_NEIGHBORS = 8192
+# a block's token count is a multiple of this many rows (see _blocks)
+_BLOCK_ALIGN = 32
+
+
+def _blocks(n_rows: int, k: int) -> list[slice]:
+    """Consecutive blocks of ``n_rows`` rows for K neighbors each: as many
+    whole ``_BLOCK_ALIGN``-row groups as ``GATHER_NEIGHBORS`` allows (one at
+    least), the last block taking whatever is left.
+
+    A token's softmax and weighted sum in ``neighborhood_forward`` read only
+    its own row, but its logits come from a matrix-vector product, whose
+    rounding depends on a row's place within the BLAS kernel's row groups,
+    and on one row alone from a dot product, rounded differently again.  So
+    blocks start at aligned rows, and a one-row remainder joins the block
+    before it: each row is then rounded as in one pass over all ``n_rows``.
+    """
+    step = max(1, GATHER_NEIGHBORS // (k * _BLOCK_ALIGN)) * _BLOCK_ALIGN
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
+def _neighborhood_rows(
+    h: np.ndarray,
+    flat: np.ndarray,
+    nbr: NeighborhoodParams,
+    memory: ActivationMemory,
+    ids: np.ndarray,
+    dists: np.ndarray | None,
+) -> np.ndarray:
+    """Neighborhood representation (T, d) of the rows ``flat`` (T,), whose
+    activations are h (T, d), gathered and computed one block at a time."""
+    out = np.empty_like(h)
+    for b in _blocks(len(flat), ids.shape[1]):
+        m = gather_neighbors(memory.vectors, ids[flat[b]]).astype(h.dtype, copy=False)
+        dist = dists[flat[b]] if nbr.mode == "distance" else None
+        _, out[b] = neighborhood_forward(h[b], m, nbr, distances=dist)
+    return out
 
 
 def tag_rows(
@@ -53,9 +102,7 @@ def tag_rows(
         flat = rows[real]
         x = h[flat]
         if nbr is not None:
-            m = gather_neighbors(memory.vectors, ids[flat]).astype(x.dtype, copy=False)
-            dist = dists[flat].astype(x.dtype) if nbr.mode == "distance" else None
-            _, x = neighborhood_forward(x, m, nbr, distances=dist)
+            x = _neighborhood_rows(x, flat, nbr, memory, ids, dists)
         em = emission_scores(x, crf)
         padded = np.zeros(rows.shape + (crf.n_tags,), dtype=em.dtype)
         padded[real] = em

@@ -174,7 +174,10 @@ class _SelfExclusions(abc.Sequence):
     def __len__(self) -> int:
         return int(self._starts[-1])
 
-    def __getitem__(self, row: int) -> tuple[tuple[str, int]]:
+    def __getitem__(self, row):
+        """The one-key collection of token row ``row``, or a list of them for a slice."""
+        if isinstance(row, slice):
+            return [self[i] for i in range(len(self))[row]]
         row = range(len(self))[row]  # counts from the end if negative; IndexError outside
         s = int(np.searchsorted(self._starts, row, side="right")) - 1
         return ((self._sentences[s][0], row - int(self._starts[s])),)

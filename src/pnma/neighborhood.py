@@ -1,4 +1,4 @@
-"""Parameterized neighborhood representation and memory-adapted prediction.
+"""Parameterized neighborhood representation.
 
 For a query representation h and its K nearest memory vectors m_1..m_K, the
 weights are a softmax over per-neighbor scores <n_i, |m_i - h|> computed from
@@ -31,11 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crf import CrfParams
-from .dataio import Instance, Vocabulary
-from .encoder import EncoderParams
 from .errors import DimensionError, DomainError, NumericError
-from .memory import ActivationMemory
 from .numeric import softmax
 
 MODES = ("distinct", "shared", "distance")
@@ -226,24 +222,3 @@ def neighborhood_backward(
         d_h = np.zeros_like(h)
     return d_n, d_h, _move_axis(d_m, 0, -2)
 
-
-def pnma_predict(
-    instance: Instance,
-    encoder: EncoderParams,
-    crf: CrfParams,
-    nbr: NeighborhoodParams,
-    memory: ActivationMemory,
-    vocab: Vocabulary,
-    k: int,
-    external=None,
-) -> np.ndarray:
-    """Memory-adapted tag prediction for one instance: the batch-of-one case
-    of ``inference.predict_pnma_corpus``.
-
-    encode -> per-token K-NN -> neighborhood representation -> emission
-    scores on that representation (not on the encoder output) -> Viterbi.
-    """
-    from .inference import predict_pnma_corpus  # inference builds on this module
-
-    return predict_pnma_corpus([instance], encoder, crf, nbr, memory, vocab, k,
-                               external=external)[0]

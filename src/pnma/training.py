@@ -422,6 +422,8 @@ def train_pnma(
         valid_ids, valid_dists = knn_entry_ids(
             valid_h.astype(np.float32, copy=False), memory, k, threads=config.threads
         )
+        valid_dists = (valid_dists.astype(valid_h.dtype)
+                       if config.neighborhood_mode == "distance" else None)
 
     init_rng = make_rng(config.seed, STREAM_NBR)
     nbr = init_neighborhood_params(

@@ -13,7 +13,6 @@ from pnma.dataio import (
 from pnma.encoder import encode_corpus
 from pnma.inference import predict_base_corpus, predict_pnma_corpus
 from pnma.memory import build_memory
-from pnma.neighborhood import pnma_predict
 from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
 from pnma.training import train_base, train_pnma
@@ -126,8 +125,8 @@ class TestDegenerateCorpus:
         assert set(memory.labels.tolist()) == {0}
         out = train_pnma(base.encoder, base.crf, digest, memory, instances, None,
                         vocab, cfg)
-        tags = pnma_predict(instances[0], out.encoder, out.crf, out.nbr, memory,
-                            vocab, k=cfg.k_neighbors)
+        tags = predict_pnma_corpus([instances[0]], out.encoder, out.crf, out.nbr, memory,
+                                   vocab, k=cfg.k_neighbors)[0]
         assert all(vocab.tag_labels[t] == "B-X" for t in tags)
 
 

@@ -1,11 +1,11 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from pnma.dataio import Instance, build_vocab
 from pnma.encoder import init_encoder_params
 from pnma.errors import CapacityError, DimensionError, DomainError, FormatError, NumericError
@@ -291,14 +291,7 @@ def test_bulk_retrieval_holds_outputs_and_one_block_per_thread(threads):
     # query: their ids, kept flags, and rows gathered in float32 and cast to
     # float64
     block = max(rows * n * 17, rows * k * (17 + 12 * d))
-    # the first call loads the thread pool's modules; measure a later one
-    knn_entry_ids(queries[: 2 * rows], mem, k, exclude=exclude[: 2 * rows], threads=threads)
-    tracemalloc.start()
-    try:
-        knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads))
     assert peak <= n_q * k * 16 + threads * block + (1 << 20)
 
 
@@ -320,6 +313,15 @@ def test_self_exclusions_hold_one_key_per_token():
         with pytest.raises(IndexError):
             exclude[row]
     assert len(self_exclusions([])) == 0
+
+
+def test_self_exclusions_slice_as_a_list():
+    instances = synthetic_corpus() + [Instance("t-3", ("go",), 0, (1,), ("B-V",))]
+    exclude = self_exclusions(instances)
+    rows = list(exclude)
+    for s in (slice(2, 7), slice(-4, None), slice(None, -8), slice(-7, -2), slice(1, 9, 3),
+              slice(None, None, -2), slice(8, 2, -3), slice(5, 5), slice(20, 30)):
+        assert exclude[s] == rows[s]
 
 
 class TestBuildMemory:

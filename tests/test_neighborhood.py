@@ -6,6 +6,7 @@ from pnma.crf import init_crf_params
 from pnma.dataio import Instance, build_vocab
 from pnma.encoder import init_encoder_params
 from pnma.errors import DimensionError, DomainError, NumericError
+from pnma.inference import predict_pnma_corpus
 from pnma.memory import ActivationMemory, build_memory
 from pnma.neighborhood import (
     NeighborhoodParams,
@@ -14,7 +15,6 @@ from pnma.neighborhood import (
     neighborhood_backward,
     neighborhood_forward,
     neighborhood_param_grad,
-    pnma_predict,
 )
 from pnma.numeric import finite_difference_check, make_rng
 
@@ -384,8 +384,8 @@ class TestPredict:
 
     def test_deterministic(self):
         instances, vocab, encoder, crf, memory, nbr = self._setup()
-        a = pnma_predict(instances[0], encoder, crf, nbr, memory, vocab, k=4)
-        b = pnma_predict(instances[0], encoder, crf, nbr, memory, vocab, k=4)
+        a = predict_pnma_corpus([instances[0]], encoder, crf, nbr, memory, vocab, k=4)[0]
+        b = predict_pnma_corpus([instances[0]], encoder, crf, nbr, memory, vocab, k=4)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_single_label_memory_predicts_that_label(self):
@@ -400,5 +400,5 @@ class TestPredict:
         crf.emit_b[:] = -5.0
         crf.emit_b[vocab.tag_to_id["B-V"]] = 5.0
         crf.emit_w[:] = 0.0
-        pred = pnma_predict(instances[0], encoder, crf, nbr, one_label, vocab, k=4)
+        pred = predict_pnma_corpus([instances[0]], encoder, crf, nbr, one_label, vocab, k=4)[0]
         assert all(vocab.tag_labels[t] == "B-V" for t in pred)

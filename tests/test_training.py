@@ -450,6 +450,36 @@ class TestTrainPnma:
         assert np.array_equal(out.nbr.n, initial.n) == (mode == "distance")
         assert not np.array_equal(out.crf.trans, result.crf.trans)
 
+    @pytest.mark.parametrize("mode", ["distinct", "shared", "distance"])
+    def test_validation_distances_kept_only_in_distance_mode(self, base_setup, monkeypatch,
+                                                             mode):
+        train, valid, vocab, cfg, result, memory, digest = base_setup
+        cfg2 = tiny_config(neighborhood_mode=mode, phase2_epochs=2)
+        tag_rows = training.tag_rows
+        seen = []
+
+        def spy_tag(table, h, crf, nbr, memory, ids, dists):
+            seen.append((h.dtype, dists))
+            return tag_rows(table, h, crf, nbr, memory, ids, dists)
+
+        def float64_tag(table, h, crf, nbr, memory, ids, dists):
+            # every epoch, the distances as retrieval returns them
+            _, dists = knn_entry_ids(h.astype(np.float32), memory, ids.shape[1])
+            return tag_rows(table, h, crf, nbr, memory, ids, dists)
+
+        monkeypatch.setattr(training, "tag_rows", spy_tag)
+        out = train_pnma(result.encoder, result.crf, digest, memory, train, valid, vocab, cfg2)
+        assert len(seen) == 2 and seen[0][1] is seen[1][1]
+        if mode == "distance":
+            assert seen[0][1].dtype == seen[0][0]
+        else:
+            assert seen[0][1] is None
+        monkeypatch.setattr(training, "tag_rows", float64_tag)
+        ref = train_pnma(result.encoder, result.crf, digest, memory, train, valid, vocab, cfg2)
+        assert out.log_lines == ref.log_lines and out.best_epoch == ref.best_epoch
+        for name, a in trained_arrays(ref).items():
+            assert np.array_equal(trained_arrays(out)[name], a)
+
     def test_distance_mode_trains_head_only(self, base_setup):
         train, valid, vocab, cfg, result, memory, digest = base_setup
         cfg2 = tiny_config(neighborhood_mode="distance", phase2_epochs=2)
