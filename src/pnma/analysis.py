@@ -178,7 +178,7 @@ def rank_distribution(
     preds = tag_rows(table, h, crf)
     exclude = self_exclusions(instances) if exclude_self else None
     ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k,
-                           exclude=exclude, threads=threads)
+                           exclude=exclude, threads=threads, distances=False)
     gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
     hits = memory.labels[ids] == gold[:, None]  # (T, k)
     ranks = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)  # 0: absent
@@ -336,7 +336,8 @@ def neighborhood_label_counts(
     """Per token: how many of its K neighbors carry the token's gold label."""
     table = TokenTable.build(instances, vocab, external)
     h = encode_rows(table, encoder, threads=threads)
-    ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, threads=threads)
+    ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, threads=threads,
+                           distances=False)
     gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
     return table.split((memory.labels[ids] == gold[:, None]).sum(axis=1))
 

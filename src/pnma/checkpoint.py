@@ -20,7 +20,7 @@ import numpy as np
 from .config import TrainConfig, config_from_echo
 from .crf import CrfParams
 from .encoder import EncoderParams
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .neighborhood import NeighborhoodParams
 
 CHECKPOINT_MAGIC = b"PNMACKPT1"
@@ -195,9 +195,13 @@ def _check_layout(path: str, params: dict[str, np.ndarray], cfg: TrainConfig) ->
 
 
 def load_model(path: str) -> Model:
-    """A checkpoint as a model; sections that do not form one raise ``FormatError``."""
+    """A checkpoint as a model; a config echo that ``config_from_echo``
+    rejects, or sections that do not form one model, raise ``FormatError``."""
     params, echo, digest = load_checkpoint(path)
-    cfg = config_from_echo(echo)
+    try:
+        cfg = config_from_echo(echo)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     _check_layout(path, params, cfg)
     nbr = None
     if "nbr.n" in params:

@@ -32,7 +32,7 @@ from .errors import (
     PnmaError,
 )
 from .inference import predict_base_corpus, predict_pnma_corpus
-from .memory import build_memory, deserialize_memory, serialize_memory
+from .memory import ActivationMemory, build_memory, deserialize_memory, serialize_memory
 from .neighborhood import MODES
 from .training import predicate_frequency_table, train_base, train_pnma
 
@@ -133,6 +133,15 @@ def _load_vocab_for(model: Model, path: str) -> dataio.Vocabulary:
     return vocab
 
 
+def _load_memory_for(path: str, vocab: dataio.Vocabulary) -> ActivationMemory:
+    """The memory at ``path``, whose gold labels must all be tags of ``vocab``."""
+    memory = deserialize_memory(path)
+    if len(memory) and memory.labels.max() >= vocab.n_tags:
+        raise CompatibilityError(f"{path}: memory label {int(memory.labels.max())} is not "
+                                 f"one of the vocabulary's {vocab.n_tags} tags")
+    return memory
+
+
 def _maybe_external(path: str | None, instances):
     if path is None:
         return None
@@ -206,7 +215,7 @@ def cmd_train_pnma(args) -> int:
     else:
         cfg, _ = load_run_config(args.config, overrides)
     vocab = _load_vocab_for(base, args.vocab)
-    memory = deserialize_memory(args.memory)
+    memory = _load_memory_for(args.memory, vocab)
     train_set = _load_corpus(args.train, cfg.scheme)
     valid_set = _load_corpus(args.valid, cfg.scheme) if args.valid else None
     external = _maybe_external(args.embeddings, train_set + (valid_set or []))
@@ -240,7 +249,7 @@ def cmd_predict(args) -> int:
     instances = _load_corpus(args.input, model.config.scheme)
     external = _maybe_external(args.embeddings, instances)
     if model.nbr is not None:
-        memory = deserialize_memory(args.memory)
+        memory = _load_memory_for(args.memory, vocab)
         preds = predict_pnma_corpus(
             instances, model.encoder, model.crf, model.nbr, memory, vocab,
             model.config.k_neighbors, external=external, threads=threads,
@@ -301,7 +310,7 @@ def cmd_analyze_rank_dist(args) -> int:
     threads = _threads(args)
     model = load_model(args.checkpoint)
     vocab = _load_vocab_for(model, args.vocab)
-    memory = deserialize_memory(args.memory)
+    memory = _load_memory_for(args.memory, vocab)
     instances = _load_corpus(args.input, model.config.scheme)
     external = _maybe_external(args.embeddings, instances)
     hist = analysis.rank_distribution(
@@ -374,7 +383,7 @@ def cmd_analyze_disagreement(args) -> int:
         if not args.vocab:
             raise ConfigError("analyze disagreement: --vocab required with --checkpoint")
         vocab = _load_vocab_for(model, args.vocab)
-        memory = deserialize_memory(args.memory)
+        memory = _load_memory_for(args.memory, vocab)
         nbr_counts = analysis.neighborhood_label_counts(
             model.encoder, vocab, memory, gold, k=args.k,
             external=_maybe_external(args.embeddings, gold), threads=threads,
@@ -399,7 +408,7 @@ def cmd_analyze_disagreement(args) -> int:
 def cmd_analyze_neighbors(args) -> int:
     model = load_model(args.checkpoint)
     vocab = _load_vocab_for(model, args.vocab)
-    memory = deserialize_memory(args.memory)
+    memory = _load_memory_for(args.memory, vocab)
     instances = _load_corpus(args.input, model.config.scheme)
     sources = {i.sentence_id: i for i in _load_corpus(args.sources, model.config.scheme)}
     target = next((i for i in instances if i.sentence_id == args.sentence_id), None)

@@ -185,7 +185,14 @@ def load_run_config(
 
 
 def config_from_echo(echo: str) -> TrainConfig:
-    """Rebuild a TrainConfig from a checkpoint's config echo."""
-    raw = parse_config_lines(echo.splitlines(), "<checkpoint echo>")
+    """Rebuild a TrainConfig from a checkpoint's config echo, which must hold
+    one ``format_version = 1`` line, as ``to_echo`` writes it."""
+    lines = echo.splitlines()
+    versions = [line.split("=", 1)[-1].strip() for line in lines
+                if line.split("=", 1)[0].strip() == "format_version"]
+    if versions != ["1"]:
+        raise ConfigError(f"config echo: format_version {', '.join(versions) or 'missing'}, "
+                          f"expected 1")
+    raw = parse_config_lines(lines, "config echo")
     kwargs = {k: _convert(k, v) for k, v in raw.items() if k in _FIELDS}
     return TrainConfig(**kwargs)  # type: ignore[arg-type]

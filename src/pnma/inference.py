@@ -140,5 +140,6 @@ def predict_pnma_corpus(
     ``memory.self_exclusions`` and tag with ``tag_rows``."""
     table = TokenTable.build(instances, vocab, external)
     h = encode_rows(table, encoder, threads)
-    ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, threads=threads)
+    ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, threads=threads,
+                               distances=nbr.mode == "distance")
     return tag_rows(table, h, crf, nbr, memory, ids, dists)

@@ -16,15 +16,23 @@ array of the vectors transposed, their squared norms as the last row.  A
 certified re-rank keeps each entry within 2 delta of the row's k-th smallest
 prefilter value, where delta bounds the rounding gap between the expansion
 and the explicit difference sum((q - m)^2) over the d + 1 products of the
-GEMM (``_rounding_bound``), recomputes the kept entries' distances as
-explicit differences of their float32 rows cast to float64, and orders them
-by (distance, entry id).  Every entry of the true top-k survives the
-prefilter, so batched queries return bit for bit what a naive one-at-a-time
+GEMM (``_rounding_bound``).  When exactly k entries survive in every row,
+the prefilter also orders them wherever adjacent values lie more than
+2 delta apart; the kept entries of other rows are re-ranked by the explicit
+differences of their float32 rows cast to float64, ordered by (distance,
+entry id).  Every entry of the true top-k survives the prefilter, so
+batched queries return bit for bit what a naive one-at-a-time
 explicit-difference scan would, ties broken toward the lower entry id.
 
+Distances are the explicit differences of the final ids, computed only for
+callers that read them (``knn_entry_ids(distances=True)``): ``knn_query``,
+and phase 2 and ``predict_pnma_corpus`` in ``distance`` mode.  Tagging in
+the other modes, ``analysis.rank_distribution`` and
+``analysis.neighborhood_label_counts`` ask for ids only.
+
 Bulk retrieval holds its outputs and one block's working set: the (Q, k)
-ids and distances are allocated once and each block, on any thread, writes
-its own rows of them; queries are cast to float64 a block at a time.
+ids, and distances when asked for, are allocated once and each block, on
+any thread, writes its own rows of them; queries are cast to float64 a block at a time.
 """
 
 from __future__ import annotations
@@ -226,6 +234,16 @@ def _rounding_bound(q_sq: np.ndarray, m_sq_max: float, d: int) -> np.ndarray:
     (5d + 6) u (Q + M) to first order; 8 (d + 2) covers the second-order
     terms, the rounding of the computed Q and max M' this bound is taken
     over, and the rounding of the threshold a_(k) + 2 delta itself.
+
+    The same bound orders the candidates.  For prefilter values a_i <= a_j
+    with a_j - a_i > 2 delta, the explicit distances satisfy
+    r_j >= a_j + Q - delta > a_i + Q + delta >= r_i, so r_i < r_j strictly.
+    The gap a_j - a_i is itself rounded, but round-to-nearest is monotone
+    and fixes every double, so if the exact gap were at most the double
+    2 delta, the computed gap would be too: a computed gap above 2 delta is
+    an exact one.  A row whose adjacent sorted values all pass this test is
+    therefore in strictly increasing explicit distance, with no tie to
+    break by entry id.
     """
     return 8.0 * (d + 2) * 2.0**-53 * (q_sq + m_sq_max)
 
@@ -262,9 +280,22 @@ def _resolve_exclusions(
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
+def _rerank(q: np.ndarray, memory: ActivationMemory, cand: np.ndarray, k: int,
+            kept: np.ndarray | None) -> np.ndarray:
+    """The k of each row's candidates ``cand`` (B, C), ascending by entry id,
+    with the smallest explicit-difference distances, ties to the lower id;
+    candidates not ``kept`` are never chosen."""
+    exact = _squared_distances(q, memory.vectors[cand])
+    if kept is not None:
+        exact[~kept] = np.inf
+    order = np.argsort(exact, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cand, order, axis=1)
+
+
 def _block_top_k(queries, slack, memory: ActivationMemory, k: int, ex_rows, ex_cols,
-                 ids: np.ndarray, dists: np.ndarray) -> None:
-    """Exact top-k of one query block, written to its rows ``ids`` and ``dists``.
+                 ids: np.ndarray, dists: np.ndarray | None) -> None:
+    """Exact top-k of one query block, written to its rows ``ids`` and, if
+    given, ``dists``.
 
     The queries are cast to float64 here, a block at a time.  After the BLAS
     prefilter (``_prefilter``), a certified re-rank keeps, per row, every
@@ -272,9 +303,12 @@ def _block_top_k(queries, slack, memory: ActivationMemory, k: int, ex_rows, ex_c
     prefilter value a_(k).  One partition at k yields a_(k), the largest of
     the first k, and the (k+1)-th value a_(k+1) beside it.  When every row's
     a_(k+1) exceeds its limit, no entry beyond the first k survives, so those
-    k are the candidates without a pass over the full rows (the certificate);
-    otherwise every row's survivors are counted and the partition widens to
-    the largest count.
+    k are the top-k without a pass over the full rows (the certificate).
+    They are then ordered by prefilter value: where adjacent values differ by
+    more than 2 delta, that is the exact order; only rows with a smaller gap
+    are re-ranked by explicit distance.  Otherwise every row's survivors are
+    counted, the partition widens to the largest count, and all rows are
+    re-ranked.  Distances are computed for the final ids only.
     """
     q = queries.astype(np.float64)
     approx = _prefilter(q, memory)
@@ -284,19 +318,27 @@ def _block_top_k(queries, slack, memory: ActivationMemory, k: int, ex_rows, ex_c
     head = np.take_along_axis(approx, cand[:, : k + 1], axis=1)
     # every entry of the true top-k has a <= a_(k) + 2 delta
     limit = head[:, :k].max(axis=1, keepdims=True) + slack[:, None]
-    width = k
-    if k < n_m and not np.all(head[:, k:] > limit):
+    if k == n_m or np.all(head[:, k:] > limit):
+        order = np.argsort(head[:, :k], axis=1)
+        cand = np.take_along_axis(cand, order, axis=1)  # frees the (B, N) partition
+        del approx
+        # a gap above 2 delta between adjacent prefilter values is a strict
+        # gap between their explicit distances
+        gaps = np.diff(np.take_along_axis(head, order, axis=1), axis=1)
+        near = ~np.all(gaps > slack[:, None], axis=1)
+        ids[:] = cand
+        if near.any():
+            ids[near] = _rerank(q[near], memory, np.sort(cand[near], axis=1), k, None)
+    else:
         width = int(np.count_nonzero(approx <= limit, axis=1).max())
         if width > k + 1:  # near-ties at the k-th distance: widen to all survivors
             cand = np.argpartition(approx, width - 1, axis=1)
-    cand = np.sort(cand[:, :width], axis=1)
-    kept = np.take_along_axis(approx, cand, axis=1) <= limit
-    del approx  # free the (B, N) prefilter rows before the gather
-    exact = _squared_distances(q, memory.vectors[cand])
-    exact[~kept] = np.inf
-    order = np.argsort(exact, axis=1, kind="stable")[:, :k]
-    ids[:] = np.take_along_axis(cand, order, axis=1)
-    np.sqrt(np.take_along_axis(exact, order, axis=1), out=dists)
+        cand = np.sort(cand[:, :width], axis=1)
+        kept = np.take_along_axis(approx, cand, axis=1) <= limit
+        del approx  # free the (B, N) prefilter rows before the gather
+        ids[:] = _rerank(q, memory, cand, k, kept)
+    if dists is not None:
+        np.sqrt(_squared_distances(q, memory.vectors[ids]), out=dists)
 
 
 def knn_entry_ids(
@@ -305,8 +347,10 @@ def knn_entry_ids(
     k: int,
     exclude: Exclusions | None = None,
     threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k by Euclidean distance: (entry ids (Q, k) int64, distances (Q, k) float64).
+    distances: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact top-k by Euclidean distance: (entry ids (Q, k) int64, distances
+    (Q, k) float64), or (entry ids, None) without ``distances``.
 
     ``queries`` is one vector (d,) or a batch (Q, d).  Rows are ascending by
     distance, ties broken by lower entry id.  ``exclude`` holds one
@@ -314,7 +358,9 @@ def knn_entry_ids(
     query q never returns the entries of its collection's keys.  A count of
     collections other than Q, or an item that is not a (sentence id, token
     index) pair, raises ``DimensionError``; a non-finite query raises
-    ``NumericError``.
+    ``NumericError``.  The ids are the same with or without ``distances``;
+    callers that only read ids, such as tagging outside ``distance`` mode,
+    skip the distances' gather and their (Q, k) array.
     """
     queries = np.asarray(queries)
     if queries.ndim == 1:
@@ -346,13 +392,14 @@ def knn_entry_ids(
     slack = 2.0 * _rounding_bound(q_sq, m_sq_max, memory.d)
     rows_per_block = max(1, min(_QUERY_BLOCK, _BLOCK_DISTANCES // max(n_m, 1)))
     ids = np.empty((n_q, k), dtype=np.int64)
-    dists = np.empty((n_q, k))
+    dists = np.empty((n_q, k)) if distances else None
 
     def run_block(start: int) -> None:
         stop = min(start + rows_per_block, n_q)
         lo, hi = np.searchsorted(ex_rows, (start, stop))
         _block_top_k(queries[start:stop], slack[start:stop], memory, k,
-                     ex_rows[lo:hi] - start, ex_cols[lo:hi], ids[start:stop], dists[start:stop])
+                     ex_rows[lo:hi] - start, ex_cols[lo:hi], ids[start:stop],
+                     None if dists is None else dists[start:stop])
 
     starts = range(0, n_q, rows_per_block)
     if threads > 1 and len(starts) > 1:

@@ -407,23 +407,26 @@ def train_pnma(
     table = TokenTable.build(train_instances, vocab, external)
     h_all = encode_rows(table, encoder, threads=config.threads)
     retrieval_started = time.perf_counter()
+    # distances weigh the neighbors in distance mode only
+    weigh = config.neighborhood_mode == "distance"
     nbr_ids, nbr_dists = knn_entry_ids(
         h_all.astype(np.float32, copy=False), memory, k,
-        exclude=self_exclusions(train_instances), threads=config.threads,
+        exclude=self_exclusions(train_instances), threads=config.threads, distances=weigh,
     )
     retrieval_seconds = time.perf_counter() - retrieval_started
     h_all = h_all.astype(dtype, copy=False)
-    # distances weigh the neighbors in distance mode only
-    nbr_dists = nbr_dists.astype(dtype) if config.neighborhood_mode == "distance" else None
+    if weigh:
+        nbr_dists = nbr_dists.astype(dtype)
 
     if valid_instances:
         valid_table = TokenTable.build(valid_instances, vocab, external)
         valid_h = encode_rows(valid_table, encoder, threads=config.threads)
         valid_ids, valid_dists = knn_entry_ids(
-            valid_h.astype(np.float32, copy=False), memory, k, threads=config.threads
+            valid_h.astype(np.float32, copy=False), memory, k, threads=config.threads,
+            distances=weigh,
         )
-        valid_dists = (valid_dists.astype(valid_h.dtype)
-                       if config.neighborhood_mode == "distance" else None)
+        if weigh:
+            valid_dists = valid_dists.astype(valid_h.dtype)
 
     init_rng = make_rng(config.seed, STREAM_NBR)
     nbr = init_neighborhood_params(

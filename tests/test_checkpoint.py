@@ -187,6 +187,17 @@ class TestModelBundle:
         save_checkpoint(path, good, cfg.to_echo())
         assert load_model(path).params().keys() == good.keys()
 
+    @pytest.mark.parametrize("old, new", [("format_version = 1", "format_version = 7"),
+                                          ("epochs = 100", "epochs = -1"),
+                                          ("epochs = 100", "epochs")])
+    def test_rejected_config_echo_is_format_error(self, tmp_path, old, new):
+        enc, crf = make_params()
+        path = str(tmp_path / "e.ckpt")
+        echo = TrainConfig(d_word=4, d_pred=3, d_hidden=5, n_layers=2).to_echo()
+        save_checkpoint(path, {**enc.to_dict(), **crf_to_dict(crf)}, echo.replace(old, new))
+        with pytest.raises(FormatError, match="e.ckpt: "):
+            load_model(path)
+
     def test_model_without_tags_is_format_error(self, tmp_path):
         enc, _ = make_params()
         crf = init_crf_params(5, 0, make_rng(3))

@@ -720,6 +720,29 @@ class TestCraftedCheckpoints:
                               "section 'nbr.n' has shape (8, 16), expected (1, 16)")
 
 
+    @pytest.mark.parametrize("old, new, text", [
+        ("format_version = 1", "format_version = 7", "config echo: format_version 7, expected 1"),
+        ("format_version = 1\n", "", "config echo: format_version missing, expected 1"),
+        ("epochs = 4", "epochs = x", "config key epochs: expected an integer, got 'x'"),
+        ("epochs = 4", "bogus = 4", "config echo:2: unknown config key 'bogus'"),
+        ("epochs = 4", "epochs = -1", "epochs must be at least 0, got -1"),
+        ("epochs = 4", "epochs 4", "config echo:2: expected 'key = value', got 'epochs 4'"),
+    ], ids=["version-7", "no-version", "epochs-x", "unknown-key", "epochs-negative",
+            "no-equals"])
+    def test_crafted_config_echo_exits_two(self, smoke_chain, tmp_path, capsys, old, new, text):
+        from pnma.checkpoint import load_checkpoint, save_checkpoint
+
+        params, echo, _ = load_checkpoint(smoke_chain["pnma"])
+        assert old in echo
+        ckpt = str(tmp_path / "echo.ckpt")
+        save_checkpoint(ckpt, params, echo.replace(old, new, 1))
+        code = run("predict", "--checkpoint", ckpt, "--memory", smoke_chain["memory"],
+                   "--input", f"{smoke_chain['data']}/test.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "x.conll"))
+        assert_one_line_error(code, capsys.readouterr().err, f"{ckpt}: {text}")
+        assert not (tmp_path / "x.conll").exists()
+
+
 class TestVocabularyMismatch:
     """A vocabulary whose tag or word count is not the checkpoint's exits 2
     with one error line, in every command that pairs --checkpoint with --vocab."""
@@ -785,6 +808,35 @@ class TestVocabularyMismatch:
                               f"v.txt: vocabulary has {n_words + 2} words, "
                               f"the checkpoint's word table {n_words}")
         assert [f.name for f in tmp_path.iterdir()] == ["v.txt"]
+
+
+class TestMemoryLabels:
+    """A memory, valid digest and all, holding a label that is not a tag of
+    the vocabulary exits 2 with one error line, in every command that pairs
+    --memory with --vocab."""
+
+    COMMANDS = ["train-pnma", "predict", "rank-dist", "disagreement", "neighbors"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_label_beyond_the_tags(self, smoke_chain, tmp_path, capsys, command):
+        from pnma.dataio import load_vocab
+        from pnma.memory import ActivationMemory, deserialize_memory, serialize_memory
+
+        n_tags = load_vocab(smoke_chain["vocab"]).n_tags
+        mem = deserialize_memory(smoke_chain["memory"])
+        labels = mem.labels.copy()
+        labels[3] = n_tags
+        path = str(tmp_path / "bad.mem")
+        serialize_memory(ActivationMemory(vectors=mem.vectors, labels=labels,
+                                          provenance=mem.provenance, seed=mem.seed,
+                                          fraction=mem.fraction,
+                                          source_digest=mem.source_digest), path)
+        argv = TestVocabularyMismatch.argv({**smoke_chain, "memory": path}, command,
+                                           smoke_chain["vocab"], str(tmp_path / "out"))
+        assert_one_line_error(run(*argv), capsys.readouterr().err,
+                              f"{path}: memory label {n_tags} is not one of the "
+                              f"vocabulary's {n_tags} tags")
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.mem"]
 
 
 def test_analyze_a_model_trained_on_embeddings(tmp_path, capsys):

@@ -21,6 +21,12 @@ class TestTrainConfig:
                           d_hidden=32, neighborhood_mode="shared")
         assert config_from_echo(cfg.to_echo()) == cfg
 
+    @pytest.mark.parametrize("version", ["format_version = 7\n", "", "format_version = 1\n" * 2])
+    def test_echo_needs_one_version_one_line(self, version):
+        echo = TrainConfig().to_echo().replace("format_version = 1\n", version)
+        with pytest.raises(ConfigError, match="format_version"):
+            config_from_echo(echo)
+
     def test_validation_rejects_bad_schedule(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr_halving_epochs=(50, 50))

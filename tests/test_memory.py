@@ -278,6 +278,63 @@ class TestFoldedPrefilter:
                 np.testing.assert_array_equal(dists, [r[1] for r in refs])
 
 
+class TestIdsOnly:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), k=st.integers(1, 12),
+           spread=st.integers(1, 3), offset=st.sampled_from([0.0, 0.5, 1e3]))
+    def test_equal_the_naive_scan_through_ties(self, monkeypatch, seed, d, k, spread, offset):
+        # lattice points: many entries equidistant from a query, and exact
+        # duplicates, so rows reach the re-rank on both paths
+        rng = np.random.default_rng(seed)
+        n, n_q = 80, 17
+        vectors = (offset + rng.integers(-spread, spread + 1, size=(n, d))).astype(np.float32)
+        vectors[n - 6 :] = vectors[:6]
+        queries = (offset + rng.integers(-spread, spread + 1, size=(n_q, d))
+                   + rng.choice([0.0, 0.5], size=(n_q, 1))).astype(np.float32)
+        queries[:4] = vectors[:4]
+        mem = ActivationMemory(vectors=vectors, labels=np.zeros(n, dtype=np.int64),
+                               provenance=[(f"s{i}", 0) for i in range(n)])
+        reranked = []
+        rerank = memory_module._rerank
+        monkeypatch.setattr(memory_module, "_rerank",
+                            lambda q, *a: reranked.append(len(q)) or rerank(q, *a))
+        monkeypatch.setattr(memory_module, "_QUERY_BLOCK", 4)  # several blocks per call
+        excluded = [{i % n, (5 * i + 1) % n} for i in range(n_q)]
+        for exclude in (None, [[mem.provenance[i] for i in sorted(e)] for e in excluded]):
+            refs = [naive_knn(queries[qi], mem, k, () if exclude is None else excluded[qi])[0]
+                    for qi in range(n_q)]
+            for threads in (1, 4):
+                ids, dists = knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads,
+                                           distances=False)
+                assert dists is None
+                np.testing.assert_array_equal(ids, refs)
+        assert reranked or k == 1
+
+    def test_certified_rows_rerank_only_near_ties(self, monkeypatch):
+        # generic distances, apart by far more than 2 delta, except between
+        # the duplicate entries 0 and 199, which query 0 and a few others
+        # find among their nearest
+        rng = make_rng(41)
+        mem = random_memory(rng, n=200, d=8, duplicates=1)
+        queries = rng.normal(size=(30, 8)).astype(np.float32)
+        queries[0] = mem.vectors[0] + np.float32(1e-3)
+        refs = [naive_knn(queries[qi], mem, 5) for qi in range(30)]
+        twins = [qi for qi, (ref_ids, _) in enumerate(refs) if {0, 199} <= set(ref_ids.tolist())]
+        assert twins[0] == 0 and len(twins) < 5
+        reranked = []
+        rerank = memory_module._rerank
+        monkeypatch.setattr(memory_module, "_rerank",
+                            lambda q, *a: reranked.append((q, a[-1])) or rerank(q, *a))
+        ids, _ = knn_entry_ids(queries, mem, 5, distances=False)
+        assert len(reranked) == 1 and reranked[0][1] is None  # the certified path: no kept mask
+        np.testing.assert_array_equal(reranked[0][0], queries[twins].astype(np.float64))
+        full_ids, dists = knn_entry_ids(queries, mem, 5)
+        np.testing.assert_array_equal(full_ids, ids)
+        np.testing.assert_array_equal(ids, [ref_ids for ref_ids, _ in refs])
+        np.testing.assert_array_equal(dists, [ref_dists for _, ref_dists in refs])
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_bulk_retrieval_holds_outputs_and_one_block_per_thread(threads):
     rng = make_rng(31)
@@ -293,6 +350,21 @@ def test_bulk_retrieval_holds_outputs_and_one_block_per_thread(threads):
     block = max(rows * n * 17, rows * k * (17 + 12 * d))
     peak = traced_peak(lambda: knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads))
     assert peak <= n_q * k * 16 + threads * block + (1 << 20)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ids_only_retrieval_holds_no_distances(threads):
+    # as above, less the (Q, k) float64 distances
+    rng = make_rng(31)
+    n_q, n, d, k = 4000, 1000, 16, 64
+    mem = random_memory(rng, n=n, d=d)
+    queries = rng.normal(size=(n_q, d)).astype(np.float32)
+    exclude = [[mem.provenance[i % n]] for i in range(n_q)]
+    rows = min(_QUERY_BLOCK, _BLOCK_DISTANCES // n)
+    block = max(rows * n * 17, rows * k * (17 + 12 * d))
+    peak = traced_peak(lambda: knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads,
+                                             distances=False))
+    assert peak <= n_q * k * 8 + threads * block + (1 << 20)
 
 
 def synthetic_corpus():
