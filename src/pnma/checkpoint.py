@@ -1,15 +1,18 @@
 """Versioned binary checkpoints: named parameter tensors plus a config echo.
 
-Layout (little-endian): magic "PNMACKPT1", u32 config-echo length + UTF-8
-bytes, u32 section count, then per section u32 name length + bytes, u32 rank,
-u32 extents, f32 payload; a trailing sha256 digest covers everything before
-it.  The digest hex doubles as the checkpoint identity that memory files
-reference.  ``load_model`` also requires the sections to form one model.
+Layout (little-endian, framed by ``dataio.framed_bytes``): magic
+"PNMACKPT2", u32 config-echo length + UTF-8 bytes, u32 section count, then
+per section u32 name length + bytes, u32 rank, u32 extents, f32 payload; a
+trailing sha256 digest covers everything before it.  The magic's last byte
+is the format version, and the only one: the echo holds ``TrainConfig``
+keys alone, and a format-1 file ("PNMACKPT1") is refused as an unsupported
+version.  The digest hex doubles as the checkpoint identity that memory
+files reference.  ``load_model`` also requires the sections to form one
+model.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import struct
@@ -19,11 +22,12 @@ import numpy as np
 
 from .config import TrainConfig, config_from_echo
 from .crf import CrfParams
+from .dataio import framed_bytes, read_framed
 from .encoder import EncoderParams
 from .errors import ConfigError, FormatError
 from .neighborhood import NeighborhoodParams
 
-CHECKPOINT_MAGIC = b"PNMACKPT1"
+CHECKPOINT_MAGIC = b"PNMACKPT2"
 
 ENCODER_PREFIXES = ("embed.", "lstm", "conn")
 
@@ -33,24 +37,21 @@ def is_encoder_param(name: str) -> bool:
 
 
 def checkpoint_bytes(params: dict[str, np.ndarray], config_echo: str) -> bytes:
-    payload = bytearray()
-    payload += CHECKPOINT_MAGIC
+    body = bytearray()
     echo = config_echo.encode("utf-8")
-    payload += struct.pack("<I", len(echo))
-    payload += echo
-    payload += struct.pack("<I", len(params))
+    body += struct.pack("<I", len(echo))
+    body += echo
+    body += struct.pack("<I", len(params))
     for name in sorted(params):
         arr = np.ascontiguousarray(params[name], dtype="<f4")
         name_b = name.encode("utf-8")
-        payload += struct.pack("<I", len(name_b))
-        payload += name_b
-        payload += struct.pack("<I", arr.ndim)
+        body += struct.pack("<I", len(name_b))
+        body += name_b
+        body += struct.pack("<I", arr.ndim)
         for ext in arr.shape:
-            payload += struct.pack("<I", ext)
-        payload += arr.tobytes()
-    digest = hashlib.sha256(bytes(payload)).digest()
-    payload += digest
-    return bytes(payload)
+            body += struct.pack("<I", ext)
+        body += arr.tobytes()
+    return framed_bytes(CHECKPOINT_MAGIC, body)
 
 
 def save_checkpoint(path: str, params: dict[str, np.ndarray], config_echo: str) -> str:
@@ -63,54 +64,22 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray], config_echo: str) 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], str, str]:
     """Read (params, config echo, digest hex); validates magic and digest."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 32:
-        raise FormatError(f"{path}: truncated checkpoint")
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        if blob[:8] == CHECKPOINT_MAGIC[:8]:
-            raise FormatError(f"{path}: unsupported checkpoint format version")
-        raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise FormatError(f"{path}: checkpoint content digest mismatch")
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(body):
-            raise FormatError(f"{path}: truncated checkpoint")
-        out = body[off : off + n]
-        off += n
-        return out
-
-    def text(raw: bytes, what: str) -> str:
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: {what} is not UTF-8") from None
-
-    echo_len = struct.unpack("<I", take(4))[0]
-    echo = text(take(echo_len), "config echo")
-    n_sections = struct.unpack("<I", take(4))[0]
     params: dict[str, np.ndarray] = {}
-    for s in range(n_sections):
-        name_len = struct.unpack("<I", take(4))[0]
-        name = text(take(name_len), f"name of section {s}")
-        rank = struct.unpack("<I", take(4))[0]
-        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
-        raw = take(4 * math.prod(shape))  # Python ints: no int64 wrap
-        try:
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        except ValueError:  # an empty section whose other extents overflow
-            raise FormatError(f"{path}: section {name!r} has unrepresentable shape "
-                              f"{shape}") from None
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: non-finite value in section {name!r}")
-        params[name] = arr.copy()
-    if off != len(body):
-        raise FormatError(f"{path}: trailing bytes in checkpoint")
-    return params, echo, digest.hex()
+    with read_framed(path, CHECKPOINT_MAGIC, "checkpoint") as r:
+        echo = r.text(r.u32(), "config echo")
+        for s in range(r.u32()):
+            name = r.text(r.u32(), f"name of section {s}")
+            shape = tuple(r.u32() for _ in range(r.u32()))
+            raw = r.take(4 * math.prod(shape))  # Python ints: no int64 wrap
+            try:
+                arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            except ValueError:  # an empty section whose other extents overflow
+                raise FormatError(f"{path}: section {name!r} has unrepresentable shape "
+                                  f"{shape}") from None
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{path}: non-finite value in section {name!r}")
+            params[name] = arr.copy()
+    return params, echo, r.digest
 
 
 @dataclass

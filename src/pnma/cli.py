@@ -10,6 +10,7 @@ file); timing information goes to stderr so report files stay reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import analysis, dataio, synthetic
 from .checkpoint import Model, load_model, save_model
-from .config import TrainConfig, load_run_config
+from .config import load_run_config
 from .errors import (
     CapacityError,
     CompatibilityError,
@@ -209,9 +210,7 @@ def cmd_train_pnma(args) -> int:
     overrides = _overrides_from_args(args)
     if args.config is None:
         # inherit the base run's configuration unless overridden
-        merged = {k: v for k, v in base.config.__dict__.items()}
-        merged.update(overrides)
-        cfg = TrainConfig(**merged)
+        cfg = dataclasses.replace(base.config, **overrides)
     else:
         cfg, _ = load_run_config(args.config, overrides)
     vocab = _load_vocab_for(base, args.vocab)
@@ -372,13 +371,16 @@ def cmd_analyze_confusion_diff(args) -> int:
 
 def cmd_analyze_disagreement(args) -> int:
     threads = _threads(args)
+    if (args.checkpoint is None) != (args.memory is None):
+        raise ConfigError("analyze disagreement: --checkpoint and --memory must be given "
+                          "together")
     gold = _load_corpus(args.gold, args.scheme)
     base_preds = _load_corpus(args.pred_base, args.scheme)
     pnma_preds = _load_corpus(args.pred_pnma, args.scheme)
     train_set = _load_corpus(args.train, args.scheme)
     freq = predicate_frequency_table(train_set)
     nbr_counts = None
-    if args.checkpoint and args.memory:
+    if args.checkpoint is not None:
         model = load_model(args.checkpoint)
         if not args.vocab:
             raise ConfigError("analyze disagreement: --vocab required with --checkpoint")

@@ -42,7 +42,6 @@ class TrainConfig:
     memory_fraction: float = 0.15
     phase2_epochs: int = 20
     phase2_lr: float = 4e-4
-    phase2_fresh_head: bool = False
     dropout_embed: float = 0.5
     dropout_layer: float = 0.1
     d_word: int = 64
@@ -51,7 +50,6 @@ class TrainConfig:
     n_layers: int = 4
     dtype: str = "float32"
     scheme: str = "bio-span"
-    min_frequency: int = 2
     neighborhood_mode: str = "distinct"
     threads: int = 1
 
@@ -88,7 +86,7 @@ class TrainConfig:
         return self.base_lr * (0.5 ** halvings)
 
     def to_echo(self) -> str:
-        lines = ["format_version = 1"]
+        lines = []
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if isinstance(v, tuple):
@@ -139,8 +137,6 @@ def parse_config_lines(lines, source: str) -> dict[str, str]:
             raise ConfigError(f"{source}:{no}: expected 'key = value', got {line!r}")
         key, val = line.split("=", 1)
         key = key.strip()
-        if key == "format_version":
-            continue
         if key not in _FIELDS and key not in PATH_KEYS:
             raise ConfigError(f"{source}:{no}: unknown config key {key!r}")
         out[key] = val.strip()
@@ -185,14 +181,12 @@ def load_run_config(
 
 
 def config_from_echo(echo: str) -> TrainConfig:
-    """Rebuild a TrainConfig from a checkpoint's config echo, which must hold
-    one ``format_version = 1`` line, as ``to_echo`` writes it."""
-    lines = echo.splitlines()
-    versions = [line.split("=", 1)[-1].strip() for line in lines
-                if line.split("=", 1)[0].strip() == "format_version"]
-    if versions != ["1"]:
-        raise ConfigError(f"config echo: format_version {', '.join(versions) or 'missing'}, "
-                          f"expected 1")
-    raw = parse_config_lines(lines, "config echo")
-    kwargs = {k: _convert(k, v) for k, v in raw.items() if k in _FIELDS}
-    return TrainConfig(**kwargs)  # type: ignore[arg-type]
+    """Rebuild a TrainConfig from a checkpoint's config echo, as ``to_echo``
+    writes it: one line per ``TrainConfig`` key and nothing else.  The
+    checkpoint's magic is its only format version, so the echo holds no
+    version line, and any key that is not a field is unknown."""
+    raw = parse_config_lines(echo.splitlines(), "config echo")
+    stray = raw.keys() - _FIELDS.keys()  # path keys, which run-config files allow
+    if stray:
+        raise ConfigError(f"config echo: unknown config key {min(stray)!r}")
+    return TrainConfig(**{k: _convert(k, v) for k, v in raw.items()})  # type: ignore[arg-type]

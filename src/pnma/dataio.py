@@ -8,15 +8,22 @@ a block without one gets the id ``<filestem>-<block index>``.
 
 A ``TokenTable`` holds a corpus as flat per-token arrays, one row per token
 in instance order; encoding, retrieval, tagging and training index its rows.
+
+Binary files (checkpoints, memories) share one framing: a magic whose last
+byte is the format version, a body, and the sha256 digest of both
+(``framed_bytes``, ``read_framed``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import os
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +104,68 @@ def read_text(path: str, error: type[PnmaError]) -> str:
         head = data[: exc.start]
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{path}:{line_no}: not UTF-8 text") from None
+
+
+def framed_bytes(magic: bytes, body: bytes | bytearray) -> bytes:
+    """A binary file's bytes: ``magic``, ``body``, then the sha256 digest of
+    both, which is the file's identity."""
+    digest = hashlib.sha256(magic)
+    digest.update(body)
+    return b"".join((magic, body, digest.digest()))
+
+
+@dataclass
+class FramedReader:
+    """A framed file's body, read front to back from ``off``; a read past its
+    end is a ``FormatError`` naming the file."""
+
+    path: str
+    kind: str
+    body: bytes
+    off: int
+    digest: str  # hex, the file's identity
+
+    def take(self, n: int) -> bytes:
+        if self.off + n > len(self.body):
+            raise FormatError(f"{self.path}: truncated {self.kind}")
+        self.off += n
+        return self.body[self.off - n : self.off]
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: {what} is not UTF-8") from None
+
+
+@contextlib.contextmanager
+def read_framed(path: str, magic: bytes, kind: str) -> Iterator[FramedReader]:
+    """Read the file at ``path`` as ``framed_bytes(magic, body)`` and yield a
+    reader of its body, which must be read to its last byte.
+
+    A file too short to hold the magic and digest, or read past its end, is
+    truncated; a magic that differs from ``magic`` only in its last byte is an
+    unsupported format version; any other is a bad magic; a digest that does
+    not match, or bytes left unread, are ``FormatError``s naming the file too.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < len(magic) + 32:
+        raise FormatError(f"{path}: truncated {kind}")
+    if blob[: len(magic)] != magic:
+        if blob[: len(magic) - 1] == magic[:-1]:
+            raise FormatError(f"{path}: unsupported {kind} format version")
+        raise FormatError(f"{path}: not a {kind} (bad magic)")
+    body, digest = blob[:-32], blob[-32:]
+    if hashlib.sha256(body).digest() != digest:
+        raise FormatError(f"{path}: {kind} content digest mismatch")
+    reader = FramedReader(path, kind, body, len(magic), digest.hex())
+    yield reader
+    if reader.off != len(body):
+        raise FormatError(f"{path}: trailing bytes in {kind}")
 
 
 def parse_conll_file(path: str, scheme: str = "bio-span") -> list[Instance]:

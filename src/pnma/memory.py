@@ -37,7 +37,6 @@ any thread, writes its own rows of them; queries are cast to float64 a block at 
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from collections import abc
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import Instance, TokenTable, Vocabulary
+from .dataio import Instance, TokenTable, Vocabulary, framed_bytes, read_framed
 from .encoder import EncoderParams, encode_rows
 from .errors import CapacityError, DimensionError, DomainError, FormatError, NumericError
 from .numeric import make_rng
@@ -440,77 +439,43 @@ def _metadata_blob(memory: ActivationMemory) -> bytes:
 
 def serialize_memory(memory: ActivationMemory, path: str) -> None:
     """Write the documented binary format; round-trips bit-identically."""
-    payload = bytearray()
-    payload += MEMORY_MAGIC
-    payload += struct.pack("<I", memory.d)
-    payload += struct.pack("<Q", len(memory))
+    body = bytearray()
+    body += struct.pack("<I", memory.d)
+    body += struct.pack("<Q", len(memory))
     for i in range(len(memory)):
-        payload += memory.vectors[i].astype("<f4").tobytes()
-        payload += struct.pack("<I", int(memory.labels[i]))
+        body += memory.vectors[i].astype("<f4").tobytes()
+        body += struct.pack("<I", int(memory.labels[i]))
         sid, tix = memory.provenance[i]
         sid_b = sid.encode("utf-8")
-        payload += struct.pack("<I", len(sid_b))
-        payload += sid_b
-        payload += struct.pack("<I", tix)
+        body += struct.pack("<I", len(sid_b))
+        body += sid_b
+        body += struct.pack("<I", tix)
     meta = _metadata_blob(memory)
-    payload += struct.pack("<I", len(meta))
-    payload += meta
-    digest = hashlib.sha256(bytes(payload)).digest()
-    payload += digest
+    body += struct.pack("<I", len(meta))
+    body += meta
     with open(path, "wb") as fh:
-        fh.write(bytes(payload))
+        fh.write(framed_bytes(MEMORY_MAGIC, body))
 
 
 def deserialize_memory(path: str) -> ActivationMemory:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MEMORY_MAGIC) + 32:
-        raise FormatError(f"{path}: truncated memory file")
-    if blob[: len(MEMORY_MAGIC)] != MEMORY_MAGIC:
-        if blob[:7] == MEMORY_MAGIC[:7]:
-            raise FormatError(f"{path}: unsupported memory format version")
-        raise FormatError(f"{path}: not a memory file (bad magic)")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise FormatError(f"{path}: memory content digest mismatch")
-    off = len(MEMORY_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(body):
-            raise FormatError(f"{path}: truncated memory file")
-        out = body[off : off + n]
-        off += n
-        return out
-
-    def text(raw: bytes, what: str) -> str:
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: {what} is not UTF-8") from None
-
-    d = struct.unpack("<I", take(4))[0]
-    count = struct.unpack("<Q", take(8))[0]
-    # each entry takes at least its vector, label, id length and token index
-    if count * (4 * d + 12) > len(body) - off:
-        raise FormatError(f"{path}: header declares {count} entries of width {d}, "
-                          f"more than the file holds")
-    vectors = np.empty((count, d), dtype=np.float32)
-    labels = np.empty(count, dtype=np.int64)
-    provenance: list[tuple[str, int]] = []
-    for i in range(count):
-        vectors[i] = np.frombuffer(take(4 * d), dtype="<f4")
-        labels[i] = struct.unpack("<I", take(4))[0]
-        sid_len = struct.unpack("<I", take(4))[0]
-        sid = text(take(sid_len), f"sentence id of entry {i}")
-        tix = struct.unpack("<I", take(4))[0]
-        provenance.append((sid, tix))
-    if not np.isfinite(vectors).all():
-        raise FormatError(f"{path}: non-finite vector in memory file")
-    meta_len = struct.unpack("<I", take(4))[0]
-    meta = text(take(meta_len), "metadata")
-    if off != len(body):
-        raise FormatError(f"{path}: trailing bytes in memory file")
+    with read_framed(path, MEMORY_MAGIC, "memory file") as r:
+        d = r.u32()
+        count = struct.unpack("<Q", r.take(8))[0]
+        # each entry takes at least its vector, label, id length and token index
+        if count * (4 * d + 12) > len(r.body) - r.off:
+            raise FormatError(f"{path}: header declares {count} entries of width {d}, "
+                              f"more than the file holds")
+        vectors = np.empty((count, d), dtype=np.float32)
+        labels = np.empty(count, dtype=np.int64)
+        provenance: list[tuple[str, int]] = []
+        for i in range(count):
+            vectors[i] = np.frombuffer(r.take(4 * d), dtype="<f4")
+            labels[i] = r.u32()
+            sid = r.text(r.u32(), f"sentence id of entry {i}")
+            provenance.append((sid, r.u32()))
+        if not np.isfinite(vectors).all():
+            raise FormatError(f"{path}: non-finite vector in memory file")
+        meta = r.text(r.u32(), "metadata")
     try:
         fields = dict(line.split("=", 1) for line in meta.splitlines() if line)
         seed = int(fields.get("seed", "0"))

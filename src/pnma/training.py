@@ -428,15 +428,11 @@ def train_pnma(
         if weigh:
             valid_dists = valid_dists.astype(valid_h.dtype)
 
-    init_rng = make_rng(config.seed, STREAM_NBR)
     nbr = init_neighborhood_params(
-        k, encoder.d_hidden, init_rng, mode=config.neighborhood_mode, dtype=dtype
+        k, encoder.d_hidden, make_rng(config.seed, STREAM_NBR),
+        mode=config.neighborhood_mode, dtype=dtype,
     )
-    if config.phase2_fresh_head:
-        head = init_crf_params(encoder.d_hidden, vocab.n_tags, init_rng, dtype=dtype)
-    else:
-        head = base_crf
-    initial = crf_to_dict(head)
+    initial = crf_to_dict(base_crf)
     if nbr.mode != "distance":  # distance mode has no rank vectors to train
         initial["nbr.n"] = nbr.n
     flat, trainables = _flat_views(initial, dtype)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pnma.config import TrainConfig
 from pnma.crf import init_crf_params
 from pnma.dataio import build_vocab
 from pnma.encoder import init_encoder_params
@@ -70,3 +71,21 @@ def test_predict_calls_take_positional_arguments(workloads, toy):
             assert p.shape == (len(inst),) and np.issubdtype(p.dtype, np.integer)
     assert 0.0 <= workloads.f1(test, base, vocab, "bio-span") <= 1.0
     assert len(workloads.preds_digest(adapted)) == 64
+
+
+@pytest.mark.parametrize("adapted", [False, True], ids=["base", "adapted"])
+def test_tag_checkpoint_round_trip(workloads, toy, tmp_path, adapted):
+    # the tag set-up digests its base model with model_bytes and saves its
+    # adapted model with save_model; the job reads the latter with load_model
+    _, _, _, enc, crf, nbr, _ = toy
+    cfg = TrainConfig(seed=1, memory_fraction=0.5, **(workloads.DESK | {
+        "phase2_epochs": workloads.TAG_PHASE2_EPOCHS, "k_neighbors": K}))
+    model = workloads.checkpoint.Model(enc, crf, nbr if adapted else None, cfg)
+    blob = workloads.model_bytes(model)
+    path = str(tmp_path / "tag.ckpt")
+    digest = workloads.checkpoint.save_model(path, model)
+    assert open(path, "rb").read() == blob
+    assert digest == blob[-32:].hex() == workloads.file_digest(path)
+    loaded = workloads.checkpoint.load_model(path)
+    assert loaded.config == cfg and loaded.digest == digest
+    assert workloads.model_bytes(loaded) == blob

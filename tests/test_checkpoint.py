@@ -50,7 +50,7 @@ class TestCheckpointFile:
         enc, crf = make_params()
         params = {**enc.to_dict(), **crf_to_dict(crf)}
         path = str(tmp_path / "c.ckpt")
-        digest = save_checkpoint(path, params, "format_version = 1\n")
+        digest = save_checkpoint(path, params, "epochs = 1\n")
         loaded, echo, digest2 = load_checkpoint(path)
         assert digest == digest2
         assert set(loaded) == set(params)
@@ -64,8 +64,8 @@ class TestCheckpointFile:
             load_checkpoint(str(path))
 
     def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "v2.ckpt"
-        path.write_bytes(b"PNMACKPT2" + b"\x00" * 64)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"PNMACKPT1" + b"\x00" * 64)
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(str(path))
 
@@ -187,7 +187,7 @@ class TestModelBundle:
         save_checkpoint(path, good, cfg.to_echo())
         assert load_model(path).params().keys() == good.keys()
 
-    @pytest.mark.parametrize("old, new", [("format_version = 1", "format_version = 7"),
+    @pytest.mark.parametrize("old, new", [("epochs = 100", "format_version = 2\nepochs = 100"),
                                           ("epochs = 100", "epochs = -1"),
                                           ("epochs = 100", "epochs")])
     def test_rejected_config_echo_is_format_error(self, tmp_path, old, new):
@@ -197,6 +197,19 @@ class TestModelBundle:
         save_checkpoint(path, {**enc.to_dict(), **crf_to_dict(crf)}, echo.replace(old, new))
         with pytest.raises(FormatError, match="e.ckpt: "):
             load_model(path)
+
+    def test_format_1_model_is_format_error(self, tmp_path):
+        # a format-1 file as the old writer made it: its magic, a version line
+        # in the echo, and a digest valid over both
+        enc, crf = make_params()
+        echo = "format_version = 1\n" + TrainConfig(d_word=4, d_pred=3, d_hidden=5,
+                                                    n_layers=2).to_echo()
+        blob = checkpoint_bytes({**enc.to_dict(), **crf_to_dict(crf)}, echo)
+        body = b"PNMACKPT1" + blob[len(CHECKPOINT_MAGIC) : -32]
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(FormatError, match="v1.ckpt: unsupported checkpoint format version"):
+            load_model(str(path))
 
     def test_model_without_tags_is_format_error(self, tmp_path):
         enc, _ = make_params()

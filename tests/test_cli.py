@@ -44,6 +44,17 @@ class TestDispatchBasics:
         assert code == 2
         assert "wibble" in capsys.readouterr().err
 
+    def test_version_line_in_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format_version = 7\nepochs = 2\n", encoding="utf-8")
+        corpus = tmp_path / "c.conll"
+        corpus.write_text("a 1 B-V\n", encoding="utf-8")
+        code = run("prepare", "--train", str(corpus), "--out",
+                   str(tmp_path / "v.txt"), "--config", str(cfg))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"{cfg}:1: unknown config key 'format_version'")
+        assert not (tmp_path / "v.txt").exists()
+
     def test_missing_file_exits_two(self):
         assert run("prepare", "--train", "/nonexistent/x.conll", "--out", "/tmp/v") == 2
 
@@ -455,6 +466,18 @@ class TestSmokeChain:
         assert model.config.d_hidden == 16  # inherited from the base run
         assert model.config.phase2_epochs == 1  # flag override
 
+    def test_train_pnma_inherited_config_is_validated(self, smoke_chain, tmp_path, capsys):
+        code = run(
+            "train-pnma", "--checkpoint", smoke_chain["base"],
+            "--memory", smoke_chain["memory"],
+            "--train", f"{smoke_chain['data']}/train.conll",
+            "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "x.ckpt"),
+            "--phase2-epochs", "-1",
+        )
+        assert_one_line_error(code, capsys.readouterr().err,
+                              "phase2_epochs must be at least 0, got -1")
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_train_pnma_digest_mismatch_exits_two(self, smoke_chain, tmp_path, capsys):
         # the adapted checkpoint is not the one the memory was built from
         code = run(
@@ -543,6 +566,19 @@ class TestArgumentLimits:
         code = run(*argv, "--threads", threads)
         assert_one_line_error(code, capsys.readouterr().err,
                               f"--threads must be at least 1, got {threads}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("given", ["checkpoint", "memory"])
+    def test_disagreement_needs_checkpoint_with_memory(self, smoke_chain, tmp_path, capsys,
+                                                       given):
+        c = smoke_chain
+        code = run("analyze", "disagreement", "--gold", f"{c['data']}/test.conll",
+                   "--pred-base", c["base_preds"], "--pred-pnma", c["pnma_preds"],
+                   "--train", f"{c['data']}/train.conll", "--vocab", c["vocab"],
+                   "--out", str(tmp_path / "d.tsv"),
+                   f"--{given}", c["base"] if given == "checkpoint" else c["memory"])
+        assert_one_line_error(code, capsys.readouterr().err,
+                              "--checkpoint and --memory must be given together")
         assert list(tmp_path.iterdir()) == []
 
     def test_analyze_neighbors_negative_window(self, smoke_chain, tmp_path, capsys):
@@ -706,6 +742,23 @@ class TestCraftedCheckpoints:
         assert_one_line_error(code, capsys.readouterr().err, f"{ckpt}: {text}")
         assert not (tmp_path / "x.conll").exists()
 
+    def test_format_1_checkpoint_exits_two(self, smoke_chain, tmp_path, capsys):
+        import hashlib
+
+        from pnma.checkpoint import CHECKPOINT_MAGIC, checkpoint_bytes, load_checkpoint
+
+        params, echo, _ = load_checkpoint(smoke_chain["pnma"])
+        blob = checkpoint_bytes(params, "format_version = 1\n" + echo)
+        body = b"PNMACKPT1" + blob[len(CHECKPOINT_MAGIC) : -32]
+        ckpt = tmp_path / "v1.ckpt"
+        ckpt.write_bytes(body + hashlib.sha256(body).digest())
+        code = run("predict", "--checkpoint", str(ckpt), "--memory", smoke_chain["memory"],
+                   "--input", f"{smoke_chain['data']}/test.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "x.conll"))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"{ckpt}: unsupported checkpoint format version")
+        assert not (tmp_path / "x.conll").exists()
+
     def test_shared_mode_needs_one_rank_vector(self, smoke_chain, tmp_path, capsys):
         from pnma.checkpoint import load_checkpoint, save_checkpoint
 
@@ -721,14 +774,13 @@ class TestCraftedCheckpoints:
 
 
     @pytest.mark.parametrize("old, new, text", [
-        ("format_version = 1", "format_version = 7", "config echo: format_version 7, expected 1"),
-        ("format_version = 1\n", "", "config echo: format_version missing, expected 1"),
+        ("epochs = 4", "format_version = 2\nepochs = 4",
+         "config echo:1: unknown config key 'format_version'"),
         ("epochs = 4", "epochs = x", "config key epochs: expected an integer, got 'x'"),
-        ("epochs = 4", "bogus = 4", "config echo:2: unknown config key 'bogus'"),
+        ("epochs = 4", "bogus = 4", "config echo:1: unknown config key 'bogus'"),
         ("epochs = 4", "epochs = -1", "epochs must be at least 0, got -1"),
-        ("epochs = 4", "epochs 4", "config echo:2: expected 'key = value', got 'epochs 4'"),
-    ], ids=["version-7", "no-version", "epochs-x", "unknown-key", "epochs-negative",
-            "no-equals"])
+        ("epochs = 4", "epochs 4", "config echo:1: expected 'key = value', got 'epochs 4'"),
+    ], ids=["version-line", "epochs-x", "unknown-key", "epochs-negative", "no-equals"])
     def test_crafted_config_echo_exits_two(self, smoke_chain, tmp_path, capsys, old, new, text):
         from pnma.checkpoint import load_checkpoint, save_checkpoint
 

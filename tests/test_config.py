@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pnma.cli import exit_code_for
@@ -21,11 +23,16 @@ class TestTrainConfig:
                           d_hidden=32, neighborhood_mode="shared")
         assert config_from_echo(cfg.to_echo()) == cfg
 
-    @pytest.mark.parametrize("version", ["format_version = 7\n", "", "format_version = 1\n" * 2])
-    def test_echo_needs_one_version_one_line(self, version):
-        echo = TrainConfig().to_echo().replace("format_version = 1\n", version)
-        with pytest.raises(ConfigError, match="format_version"):
+    @pytest.mark.parametrize("key", ["format_version", "train"])
+    def test_echo_holds_no_other_key(self, key):
+        echo = f"{key} = 2\n" + TrainConfig().to_echo()
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             config_from_echo(echo)
+
+    def test_echo_holds_only_the_fields(self):
+        keys = [line.split(" = ")[0] for line in TrainConfig().to_echo().splitlines()]
+        assert keys == [f.name for f in dataclasses.fields(TrainConfig)]
+        assert len(keys) == 22
 
     def test_validation_rejects_bad_schedule(self):
         with pytest.raises(ConfigError):
@@ -67,6 +74,12 @@ class TestRunConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text("frobs = 2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="frobs"):
+            load_run_config(str(p), quiet=True)
+
+    def test_version_line_is_unknown_key(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("format_version = 7\nepochs = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="run.cfg:1: unknown config key 'format_version'"):
             load_run_config(str(p), quiet=True)
 
     def test_flags_win_over_file(self, tmp_path):
