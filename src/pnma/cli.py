@@ -134,9 +134,15 @@ def _load_vocab_for(model: Model, path: str) -> dataio.Vocabulary:
     return vocab
 
 
-def _load_memory_for(path: str, vocab: dataio.Vocabulary) -> ActivationMemory:
-    """The memory at ``path``, whose gold labels must all be tags of ``vocab``."""
+def _load_memory_for(path: str, vocab: dataio.Vocabulary, model: Model) -> ActivationMemory:
+    """The memory at ``path``, whose gold labels must all be tags of ``vocab``;
+    with a base ``model``, it must have been built from that checkpoint.  An
+    adapted checkpoint records no base digest to compare with."""
     memory = deserialize_memory(path)
+    if model.nbr is None and memory.source_digest != model.digest:
+        raise CompatibilityError(f"{path}: memory built from checkpoint "
+                                 f"{memory.source_digest[:12]}..., not from this one "
+                                 f"({model.digest[:12]}...)")
     if len(memory) and memory.labels.max() >= vocab.n_tags:
         raise CompatibilityError(f"{path}: memory label {int(memory.labels.max())} is not "
                                  f"one of the vocabulary's {vocab.n_tags} tags")
@@ -214,7 +220,7 @@ def cmd_train_pnma(args) -> int:
     else:
         cfg, _ = load_run_config(args.config, overrides)
     vocab = _load_vocab_for(base, args.vocab)
-    memory = _load_memory_for(args.memory, vocab)
+    memory = _load_memory_for(args.memory, vocab, base)
     train_set = _load_corpus(args.train, cfg.scheme)
     valid_set = _load_corpus(args.valid, cfg.scheme) if args.valid else None
     external = _maybe_external(args.embeddings, train_set + (valid_set or []))
@@ -248,7 +254,7 @@ def cmd_predict(args) -> int:
     instances = _load_corpus(args.input, model.config.scheme)
     external = _maybe_external(args.embeddings, instances)
     if model.nbr is not None:
-        memory = _load_memory_for(args.memory, vocab)
+        memory = _load_memory_for(args.memory, vocab, model)
         preds = predict_pnma_corpus(
             instances, model.encoder, model.crf, model.nbr, memory, vocab,
             model.config.k_neighbors, external=external, threads=threads,
@@ -309,7 +315,7 @@ def cmd_analyze_rank_dist(args) -> int:
     threads = _threads(args)
     model = load_model(args.checkpoint)
     vocab = _load_vocab_for(model, args.vocab)
-    memory = _load_memory_for(args.memory, vocab)
+    memory = _load_memory_for(args.memory, vocab, model)
     instances = _load_corpus(args.input, model.config.scheme)
     external = _maybe_external(args.embeddings, instances)
     hist = analysis.rank_distribution(
@@ -385,7 +391,7 @@ def cmd_analyze_disagreement(args) -> int:
         if not args.vocab:
             raise ConfigError("analyze disagreement: --vocab required with --checkpoint")
         vocab = _load_vocab_for(model, args.vocab)
-        memory = _load_memory_for(args.memory, vocab)
+        memory = _load_memory_for(args.memory, vocab, model)
         nbr_counts = analysis.neighborhood_label_counts(
             model.encoder, vocab, memory, gold, k=args.k,
             external=_maybe_external(args.embeddings, gold), threads=threads,
@@ -410,7 +416,7 @@ def cmd_analyze_disagreement(args) -> int:
 def cmd_analyze_neighbors(args) -> int:
     model = load_model(args.checkpoint)
     vocab = _load_vocab_for(model, args.vocab)
-    memory = _load_memory_for(args.memory, vocab)
+    memory = _load_memory_for(args.memory, vocab, model)
     instances = _load_corpus(args.input, model.config.scheme)
     sources = {i.sentence_id: i for i in _load_corpus(args.sources, model.config.scheme)}
     target = next((i for i in instances if i.sentence_id == args.sentence_id), None)

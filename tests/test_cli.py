@@ -891,6 +891,28 @@ class TestMemoryLabels:
         assert [f.name for f in tmp_path.iterdir()] == ["bad.mem"]
 
 
+class TestMemoryFromAnotherCheckpoint:
+    """A base checkpoint paired with a memory built from another checkpoint
+    exits 2 with one error line, as train-pnma does."""
+
+    @pytest.mark.parametrize("command", ["rank-dist", "disagreement", "neighbors"])
+    def test_base_checkpoint_is_not_the_memory_source(self, smoke_chain, tmp_path, capsys,
+                                                      command):
+        from pnma.memory import deserialize_memory, serialize_memory
+
+        other = load_model(smoke_chain["pnma"]).digest
+        mem = deserialize_memory(smoke_chain["memory"])
+        mem.source_digest = other
+        path = str(tmp_path / "other.mem")
+        serialize_memory(mem, path)
+        chain = {**smoke_chain, "pnma": smoke_chain["base"], "memory": path}
+        argv = TestVocabularyMismatch.argv(chain, command, smoke_chain["vocab"],
+                                           str(tmp_path / "out"))
+        assert_one_line_error(run(*argv), capsys.readouterr().err,
+                              f"{path}: memory built from checkpoint {other[:12]}...")
+        assert [f.name for f in tmp_path.iterdir()] == ["other.mem"]
+
+
 def test_analyze_a_model_trained_on_embeddings(tmp_path, capsys):
     """``analyze neighbors`` and ``analyze disagreement`` read a model trained
     and memorised with --embeddings, given the same file."""

@@ -285,6 +285,88 @@ def test_weight_gradients_within_round_off_of_per_step_sums(dtype, direction, bs
     assert np.all(err_b <= 2 * gamma * abs_dpre.sum(axis=0))
 
 
+def _row_major_lstm(x, direction, w, lengths, d_out):
+    """The LSTM layer with its gates in (B, 4d) rows, ``pre_x[:, t] + h @ wh.T``
+    at every step, kept as the oracle of the (4d, B) recurrence: returns the
+    output, the cache arrays by ``LstmCache`` field, d_x and the weight grads."""
+    if direction == "b":
+        x = encoder._reverse_steps(x, lengths)
+    bsz, n, _ = x.shape
+    d = w.d_hidden
+    pre_x = _matmul_rows(x, w.wx.T) + w.b
+    h = np.zeros((bsz, d), dtype=pre_x.dtype)
+    c = np.zeros_like(h)
+    names = ("i", "f", "g", "o", "tanh_c", "h_prev", "c_prev")
+    cache = {name: np.empty((bsz, n, d), dtype=pre_x.dtype) for name in names}
+    hs = np.empty((bsz, n, d), dtype=pre_x.dtype)
+    for t in range(n):
+        pre = pre_x[:, t] + h @ w.wh.T
+        gates = 0.5 * (np.tanh(0.5 * pre) + 1.0)
+        i, f, o = gates[:, :d], gates[:, d : 2 * d], gates[:, 3 * d :]
+        g = np.tanh(pre[:, 2 * d : 3 * d])
+        cache["h_prev"][:, t], cache["c_prev"][:, t] = h, c
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        hs[:, t] = h
+        for name, value in zip(names, (i, f, g, o, tanh_c)):
+            cache[name][:, t] = value
+    cache["x"] = x
+    if direction == "b":
+        d_out = encoder._reverse_steps(d_out, lengths)
+    dpres = np.empty((bsz, n, 4 * d), dtype=np.result_type(d_out, pre_x, w.wh))
+    dh_next = np.zeros((bsz, d), dtype=d_out.dtype)
+    dc_next = np.zeros_like(dh_next)
+    for t in range(n - 1, -1, -1):
+        i, f, g, o = (cache[name][:, t] for name in "ifgo")
+        tanh_c = cache["tanh_c"][:, t]
+        dh = d_out[:, t] + dh_next
+        dct = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+        dc_next = dct * f
+        dpres[:, t] = np.concatenate([dct * g * i * (1.0 - i),
+                                      dct * cache["c_prev"][:, t] * f * (1.0 - f),
+                                      dct * i * (1.0 - g * g), dh * tanh_c * o * (1.0 - o)],
+                                     axis=1)
+        dh_next = dpres[:, t] @ w.wh
+    d_x = _matmul_rows(dpres, w.wx).astype(x.dtype, copy=False)
+    flat = dpres.reshape(bsz * n, 4 * d).astype(w.wx.dtype, copy=False)
+    grads = {"wx": flat.T @ x.reshape(bsz * n, -1), "wh": flat.T @ cache["h_prev"].reshape(-1, d),
+             "b": flat.sum(axis=0, dtype=np.float64).astype(w.wx.dtype)}
+    out = encoder._reverse_steps(hs, lengths) if direction == "b" else hs
+    d_x = encoder._reverse_steps(d_x, lengths) if direction == "b" else d_x
+    return out, cache, d_x, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("direction", ["f", "b"])
+@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("d_in, d", [(48, 48), (114, 300)])
+@pytest.mark.parametrize("bsz", [1, 3, 8, 32, 85, 170])
+def test_gate_layout_equals_row_major_gates_bit_for_bit(dtype, direction, ragged, d_in, d, bsz):
+    rng = make_rng(bsz * d)
+    w = LstmWeights(rng.uniform(-0.3, 0.3, size=(4 * d, d_in)).astype(dtype),
+                    rng.uniform(-0.3, 0.3, size=(4 * d, d)).astype(dtype),
+                    rng.normal(size=4 * d).astype(dtype))
+    n = 5
+    x = rng.normal(size=(bsz, n, d_in)).astype(dtype)
+    d_out = rng.normal(size=(bsz, n, d)).astype(dtype)
+    lengths = rng.integers(1, n + 1, size=bsz) if ragged else None
+    out, cache = lstm_layer_forward(x, direction, w, want_cache=True, lengths=lengths)
+    d_x, grads = lstm_layer_backward(d_out, cache, w)
+    ref_out, ref_cache, ref_d_x, ref_grads = _row_major_lstm(x, direction, w, lengths, d_out)
+    got = {"output": out, "d_x": d_x, **{f"cache.{k}": getattr(cache, k) for k in ref_cache},
+           **{f"grad.{k}": getattr(grads, k) for k in ref_grads}}
+    want = {"output": ref_out, "d_x": ref_d_x, **{f"cache.{k}": v for k, v in ref_cache.items()},
+            **{f"grad.{k}": v for k, v in ref_grads.items()}}
+    differ = [k for k in want if got[k].dtype != want[k].dtype or got[k].shape != want[k].shape
+              or got[k].tobytes() != want[k].tobytes()]
+    assert not differ, (
+        f"{differ} differ from the row-major gate formulation: lstm_layer_forward "
+        f"assumes that BLAS rounds wh @ h.T (h row-major, read transposed) as it "
+        f"rounds h @ wh.T, and rounds each input-projection row the same with the "
+        f"rows in step order as in sentence order; this numpy/BLAS build does not")
+
+
 def encode_one(inst, params, vocab, **kw):
     """Final activations of one instance: the batch-of-one ``encode_batch``."""
     words = vocab.word_ids(inst.tokens)[None, :]
