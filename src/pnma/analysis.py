@@ -356,11 +356,12 @@ def neighbor_dump(
     instance: Instance,
     token_index: int,
     k: int,
+    sources: Mapping[str, Instance],
     context_window: int = 5,
-    sources: Mapping[str, Instance] | None = None,
     external=None,
 ) -> list[NeighborContext]:
-    """Top-k neighbors of one token with context snippets from their sentences.
+    """Top-k neighbors of one token with context snippets from their sentences,
+    which ``sources`` maps from the memory's sentence ids.
 
     The neighbor token is bracketed and the predicate of its sentence starred;
     snippets are clamped at sentence boundaries.
@@ -369,8 +370,6 @@ def neighbor_dump(
         raise DomainError(
             f"neighbor_dump: context window must be at least 0, got {context_window}"
         )
-    if sources is None:
-        raise CoverageError("neighbor_dump: provenance sentences required")
     if not (0 <= token_index < len(instance)):
         raise CoverageError(
             f"neighbor_dump: token index {token_index} outside sentence of length {len(instance)}"

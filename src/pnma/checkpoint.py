@@ -165,18 +165,23 @@ def _check_layout(path: str, params: dict[str, np.ndarray], cfg: TrainConfig) ->
 
 def load_model(path: str) -> Model:
     """A checkpoint as a model; a config echo that ``config_from_echo``
-    rejects, or sections that do not form one model, raise ``FormatError``."""
+    rejects, sections that do not form one model, or an echo whose model
+    shape the sections contradict raise ``FormatError``."""
     params, echo, digest = load_checkpoint(path)
     try:
         cfg = config_from_echo(echo)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
     _check_layout(path, params, cfg)
+    encoder = EncoderParams.from_dict(params)
+    conflict = encoder.config_conflict(cfg)
+    if conflict:
+        raise FormatError(f"{path}: the sections contradict the config echo: {conflict}")
     nbr = None
     if "nbr.n" in params:
         nbr = NeighborhoodParams(n=params["nbr.n"], mode=cfg.neighborhood_mode)
     return Model(
-        encoder=EncoderParams.from_dict(params),
+        encoder=encoder,
         crf=crf_from_dict(params),
         nbr=nbr,
         config=cfg,

@@ -5,6 +5,11 @@ evaluate, analyze {rank-dist | confusion-diff | disagreement | neighbors},
 gen-synthetic.  Exit codes: 0 success, 1 usage error, 2 data/format error,
 3 numeric failure.  All randomness is governed by --seed (or the config
 file); timing information goes to stderr so report files stay reproducible.
+
+Every flag changes a result.  The training commands take each
+``TrainConfig`` key as a flag over the run-config file; ``prepare`` takes
+only the scheme, which it records in the vocabulary file; ``evaluate
+--scheme`` picks the F1 definition.  Corpora parse alike under either scheme.
 """
 
 from __future__ import annotations
@@ -99,10 +104,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
             if getattr(args, dest, None) is not None}
 
 
-def _load_corpus(path: str, scheme: str) -> list[dataio.Instance]:
-    return dataio.parse_conll_file(path, scheme=scheme)
-
-
 def _threads(args) -> int:
     """``--threads``, 1 when not given; like ``TrainConfig.threads``, at least 1."""
     if args.threads is None:
@@ -156,8 +157,8 @@ def _maybe_external(path: str | None, instances):
 
 
 def cmd_prepare(args) -> int:
-    cfg, _ = load_run_config(args.config, _overrides_from_args(args), quiet=True)
-    instances = _load_corpus(args.train, cfg.scheme)
+    cfg = load_run_config(args.config, _overrides_from_args(args), quiet=True)
+    instances = dataio.parse_conll_file(args.train)
     vocab = dataio.build_vocab(instances, min_frequency=args.min_frequency, scheme=cfg.scheme)
     dataio.save_vocab(vocab, args.out)
     print(
@@ -169,10 +170,10 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train_base(args) -> int:
-    cfg, _ = load_run_config(args.config, _overrides_from_args(args))
+    cfg = load_run_config(args.config, _overrides_from_args(args))
     vocab = dataio.load_vocab(args.vocab)
-    train_set = _load_corpus(args.train, cfg.scheme)
-    valid_set = _load_corpus(args.valid, cfg.scheme) if args.valid else None
+    train_set = dataio.parse_conll_file(args.train)
+    valid_set = dataio.parse_conll_file(args.valid) if args.valid else None
     external = _maybe_external(args.embeddings, train_set + (valid_set or []))
     result = train_base(train_set, valid_set, vocab, cfg, external=external)
     model = Model(encoder=result.encoder, crf=result.crf, nbr=None, config=cfg)
@@ -191,13 +192,13 @@ def cmd_train_base(args) -> int:
 def cmd_build_memory(args) -> int:
     model = load_model(args.checkpoint)
     vocab = _load_vocab_for(model, args.vocab)
-    instances = _load_corpus(args.train, model.config.scheme)
+    instances = dataio.parse_conll_file(args.train)
     external = _maybe_external(args.embeddings, instances)
     memory = build_memory(
         model.encoder,
         vocab,
         instances,
-        fraction=args.fraction,
+        fraction=model.config.memory_fraction if args.fraction is None else args.fraction,
         seed=args.seed,
         stratified=args.stratified,
         source_digest=model.digest,
@@ -218,11 +219,11 @@ def cmd_train_pnma(args) -> int:
         # inherit the base run's configuration unless overridden
         cfg = dataclasses.replace(base.config, **overrides)
     else:
-        cfg, _ = load_run_config(args.config, overrides)
+        cfg = load_run_config(args.config, overrides)
     vocab = _load_vocab_for(base, args.vocab)
     memory = _load_memory_for(args.memory, vocab, base)
-    train_set = _load_corpus(args.train, cfg.scheme)
-    valid_set = _load_corpus(args.valid, cfg.scheme) if args.valid else None
+    train_set = dataio.parse_conll_file(args.train)
+    valid_set = dataio.parse_conll_file(args.valid) if args.valid else None
     external = _maybe_external(args.embeddings, train_set + (valid_set or []))
     result = train_pnma(
         base.encoder, base.crf, base.digest, memory,
@@ -251,7 +252,7 @@ def cmd_predict(args) -> int:
     if model.nbr is None and args.memory is not None:
         raise ConfigError("predict: --memory given, but this checkpoint is a base model")
     vocab = _load_vocab_for(model, args.vocab)
-    instances = _load_corpus(args.input, model.config.scheme)
+    instances = dataio.parse_conll_file(args.input)
     external = _maybe_external(args.embeddings, instances)
     if model.nbr is not None:
         memory = _load_memory_for(args.memory, vocab, model)
@@ -269,8 +270,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    gold = _load_corpus(args.gold, args.scheme)
-    pred = _load_corpus(args.pred, args.scheme)
+    gold = dataio.parse_conll_file(args.gold)
+    pred = dataio.parse_conll_file(args.pred)
     if len(gold) != len(pred):
         raise DomainError(f"evaluate: {len(gold)} gold vs {len(pred)} predicted sentences")
     for g, p in zip(gold, pred):
@@ -316,7 +317,7 @@ def cmd_analyze_rank_dist(args) -> int:
     model = load_model(args.checkpoint)
     vocab = _load_vocab_for(model, args.vocab)
     memory = _load_memory_for(args.memory, vocab, model)
-    instances = _load_corpus(args.input, model.config.scheme)
+    instances = dataio.parse_conll_file(args.input)
     external = _maybe_external(args.embeddings, instances)
     hist = analysis.rank_distribution(
         model.encoder, model.crf, vocab, memory, instances,
@@ -361,9 +362,9 @@ def _render_rank_plot(hist, path: str) -> None:
 
 
 def cmd_analyze_confusion_diff(args) -> int:
-    gold = _load_corpus(args.gold, args.scheme)
-    pred_a = _load_corpus(args.pred_a, args.scheme)
-    pred_b = _load_corpus(args.pred_b, args.scheme)
+    gold = dataio.parse_conll_file(args.gold)
+    pred_a = dataio.parse_conll_file(args.pred_a)
+    pred_b = dataio.parse_conll_file(args.pred_b)
     mat, labels = analysis.confusion_diff(
         [list(i.gold_labels) for i in gold],
         [list(i.gold_labels) for i in pred_a],
@@ -380,10 +381,10 @@ def cmd_analyze_disagreement(args) -> int:
     if (args.checkpoint is None) != (args.memory is None):
         raise ConfigError("analyze disagreement: --checkpoint and --memory must be given "
                           "together")
-    gold = _load_corpus(args.gold, args.scheme)
-    base_preds = _load_corpus(args.pred_base, args.scheme)
-    pnma_preds = _load_corpus(args.pred_pnma, args.scheme)
-    train_set = _load_corpus(args.train, args.scheme)
+    gold = dataio.parse_conll_file(args.gold)
+    base_preds = dataio.parse_conll_file(args.pred_base)
+    pnma_preds = dataio.parse_conll_file(args.pred_pnma)
+    train_set = dataio.parse_conll_file(args.train)
     freq = predicate_frequency_table(train_set)
     nbr_counts = None
     if args.checkpoint is not None:
@@ -417,8 +418,8 @@ def cmd_analyze_neighbors(args) -> int:
     model = load_model(args.checkpoint)
     vocab = _load_vocab_for(model, args.vocab)
     memory = _load_memory_for(args.memory, vocab, model)
-    instances = _load_corpus(args.input, model.config.scheme)
-    sources = {i.sentence_id: i for i in _load_corpus(args.sources, model.config.scheme)}
+    instances = dataio.parse_conll_file(args.input)
+    sources = {i.sentence_id: i for i in dataio.parse_conll_file(args.sources)}
     target = next((i for i in instances if i.sentence_id == args.sentence_id), None)
     if target is None:
         raise CoverageError(f"analyze neighbors: no sentence with id {args.sentence_id!r}")
@@ -440,7 +441,8 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-frequency", type=int, default=2)
-    _add_config_flags(p)
+    p.add_argument("--config", help="run-config file; prepare reads its scheme")
+    p.add_argument("--scheme", choices=dataio.SCHEMES)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train-base", help="phase-1 end-to-end base training")
@@ -458,7 +460,8 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fraction", type=float, default=0.15)
+    p.add_argument("--fraction", type=float,
+                   help="memory fraction; default: the checkpoint's memory_fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--embeddings")
@@ -524,7 +527,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pred-b", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--top-n", type=int, default=10)
-    p.add_argument("--scheme", choices=dataio.SCHEMES, default="bio-span")
     p.set_defaults(func=cmd_analyze_confusion_diff)
 
     p = asub.add_parser("disagreement", help="base-vs-adapted scenario statistics")
@@ -539,7 +541,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--embeddings")
     p.add_argument("--threads", type=int)
-    p.add_argument("--scheme", choices=dataio.SCHEMES, default="bio-span")
     p.set_defaults(func=cmd_analyze_disagreement)
 
     p = asub.add_parser("neighbors", help="dump the nearest neighbors of one token")

@@ -1,5 +1,9 @@
 """Run configuration: a flat dataclass, a line-oriented config-file format,
 and flag overrides (flags win over file values, file values over defaults).
+
+A config file holds ``TrainConfig`` keys alone; file paths are flags, so any
+other key, a path key among them, is unknown.  ``TrainConfig`` is the one
+source of the model-shape defaults.
 """
 
 from __future__ import annotations
@@ -95,9 +99,6 @@ class TrainConfig:
         return "\n".join(lines) + "\n"
 
 
-# keys that name files/directories rather than hyperparameters
-PATH_KEYS = ("train", "valid", "test", "vocab", "checkpoint", "memory", "out", "out_dir")
-
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
@@ -137,7 +138,7 @@ def parse_config_lines(lines, source: str) -> dict[str, str]:
             raise ConfigError(f"{source}:{no}: expected 'key = value', got {line!r}")
         key, val = line.split("=", 1)
         key = key.strip()
-        if key not in _FIELDS and key not in PATH_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"{source}:{no}: unknown config key {key!r}")
         out[key] = val.strip()
     return out
@@ -145,39 +146,26 @@ def parse_config_lines(lines, source: str) -> dict[str, str]:
 
 def load_run_config(
     path: str | None, overrides: dict[str, object] | None = None, quiet: bool = False
-) -> tuple[TrainConfig, dict[str, str]]:
-    """Merge defaults <- config file <- overrides; returns (config, path values).
+) -> TrainConfig:
+    """Merge defaults <- config file <- overrides (``None`` overrides are unset).
 
-    Defaulted hyperparameter keys are reported once on stderr so a run's
-    effective configuration is never a surprise.
+    Defaulted keys are reported once on stderr so a run's effective
+    configuration is never a surprise.
     """
     raw: dict[str, str] = {}
     if path is None:
         path = os.environ.get(ENV_CONFIG) or None
     if path is not None:
         raw = parse_config_lines(read_text(path, ConfigError).splitlines(), path)
-    paths = {k: v for k, v in raw.items() if k in PATH_KEYS}
-    kwargs: dict[str, object] = {
-        k: _convert(k, v) for k, v in raw.items() if k in _FIELDS
-    }
-    if overrides:
-        for k, v in overrides.items():
-            if v is None:
-                continue
-            if k in PATH_KEYS:
-                paths[k] = str(v)
-            elif k in _FIELDS:
-                kwargs[k] = v
-            else:
-                raise ConfigError(f"unknown config key {k!r}")
+    kwargs: dict[str, object] = {k: _convert(k, v) for k, v in raw.items()}
+    kwargs.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     defaulted = sorted(set(_FIELDS) - set(kwargs))
     if defaulted and not quiet:
         print(f"config: using defaults for: {', '.join(defaulted)}", file=sys.stderr)
     try:
-        cfg = TrainConfig(**kwargs)  # type: ignore[arg-type]
-    except TypeError as exc:
+        return TrainConfig(**kwargs)  # type: ignore[arg-type]
+    except TypeError as exc:  # an override that is not a key
         raise ConfigError(str(exc)) from exc
-    return cfg, paths
 
 
 def config_from_echo(echo: str) -> TrainConfig:
@@ -186,7 +174,4 @@ def config_from_echo(echo: str) -> TrainConfig:
     checkpoint's magic is its only format version, so the echo holds no
     version line, and any key that is not a field is unknown."""
     raw = parse_config_lines(echo.splitlines(), "config echo")
-    stray = raw.keys() - _FIELDS.keys()  # path keys, which run-config files allow
-    if stray:
-        raise ConfigError(f"config echo: unknown config key {min(stray)!r}")
     return TrainConfig(**{k: _convert(k, v) for k, v in raw.items()})  # type: ignore[arg-type]

@@ -47,7 +47,6 @@ class Instance:
     predicate_index: int
     predicate_bits: tuple[int, ...]
     gold_labels: tuple[str, ...]
-    tag_scheme: str = "bio-span"
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -168,15 +167,13 @@ def read_framed(path: str, magic: bytes, kind: str) -> Iterator[FramedReader]:
         raise FormatError(f"{path}: trailing bytes in {kind}")
 
 
-def parse_conll_file(path: str, scheme: str = "bio-span") -> list[Instance]:
+def parse_conll_file(path: str) -> list[Instance]:
     """Parse a column corpus into instances, one per blank-line block.
 
     A block must mark exactly one predicate bit.  Sentence ids, given or
     generated, must be unique: a repeat fails, naming its line and the line
     of the first use.
     """
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown tag scheme {scheme!r}")
     stem = os.path.splitext(os.path.basename(path))[0]
     instances: list[Instance] = []
     tokens: list[str] = []
@@ -216,7 +213,6 @@ def parse_conll_file(path: str, scheme: str = "bio-span") -> list[Instance]:
                 predicate_index=ones[0],
                 predicate_bits=tuple(bits),
                 gold_labels=tuple(labels),
-                tag_scheme=scheme,
             )
         )
         tokens, bits, labels = [], [], []

@@ -48,12 +48,7 @@ import numpy as np
 
 from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
 from .errors import DimensionError, DomainError
-from .numeric import make_rng
 
-D_PRED_DEFAULT = 50
-D_WORD_DEFAULT = 64
-D_HIDDEN_DEFAULT = 300
-N_LAYERS_DEFAULT = 4
 # padded tokens per inference chunk, the one limit on its size: bounds a
 # chunk's activations however long or short its sentences are
 CHUNK_TOKENS = 512
@@ -110,6 +105,23 @@ class EncoderParams:
             return self.word_emb.shape[1]
         return self.layers[0].d_in - self.pred_emb.shape[1]
 
+    @property
+    def d_pred(self) -> int:
+        return self.pred_emb.shape[1]
+
+    def config_conflict(self, config) -> str | None:
+        """The first model-shape key on which ``config`` (a ``TrainConfig``)
+        contradicts these tensors, as ``"key = config value, but the tensors
+        have tensor value"``; None when none does.  ``d_word`` counts only with
+        a word table: external embeddings set the first layer's input width."""
+        keys = ["d_pred", "d_hidden", "n_layers"]
+        if self.word_emb is not None:
+            keys.insert(0, "d_word")
+        for key in keys:
+            if getattr(config, key) != getattr(self, key):
+                return f"{key} = {getattr(config, key)}, but the tensors have {getattr(self, key)}"
+        return None
+
     def to_dict(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         if self.word_emb is not None:
@@ -146,11 +158,11 @@ def layer_direction(layer_index: int) -> str:
 
 def init_encoder_params(
     vocab_size: int,
-    d_word: int = D_WORD_DEFAULT,
-    d_pred: int = D_PRED_DEFAULT,
-    d_hidden: int = D_HIDDEN_DEFAULT,
-    n_layers: int = N_LAYERS_DEFAULT,
-    rng: np.random.Generator | None = None,
+    d_word: int,
+    d_pred: int,
+    d_hidden: int,
+    n_layers: int,
+    rng: np.random.Generator,
     dtype=np.float32,
     external_dim: int | None = None,
 ) -> EncoderParams:
@@ -159,8 +171,6 @@ def init_encoder_params(
     With ``external_dim`` set, no word table is allocated and the first layer
     consumes vectors of that width instead.
     """
-    if rng is None:
-        rng = make_rng(0)
     if external_dim is not None:
         word_emb = None
         d_word = external_dim

@@ -382,11 +382,11 @@ def knn_entry_ids(
     if over.size:
         qi = int(over[0])
         raise CapacityError(
-            f"knn_query: K={k} exceeds usable memory size {usable[qi]} "
+            f"knn_entry_ids: K={k} exceeds usable memory size {usable[qi]} "
             f"(|M|={n_m}, excluded={n_m - usable[qi]}) for query {qi}"
         )
     if k < 1:
-        raise DomainError(f"knn_query: K must be >= 1, got {k}")
+        raise DomainError(f"knn_entry_ids: K must be >= 1, got {k}")
 
     slack = 2.0 * _rounding_bound(q_sq, m_sq_max, memory.d)
     rows_per_block = max(1, min(_QUERY_BLOCK, _BLOCK_DISTANCES // max(n_m, 1)))

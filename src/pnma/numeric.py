@@ -54,13 +54,6 @@ def logsumexp(z: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
-def relative_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise |a - b| / max(|a|, |b|, floor)."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERR_FLOOR)
-    return np.abs(a - b) / denom
-
-
 def finite_difference_check(
     f: Callable[[np.ndarray], float],
     theta: np.ndarray,

@@ -114,7 +114,6 @@ def _sentence(rng: np.random.Generator, sid: str, exception: bool) -> Instance:
         predicate_index=predicate_index,
         predicate_bits=tuple(bits),
         gold_labels=tuple(tags),
-        tag_scheme="bio-span",
     )
 
 
@@ -144,12 +143,6 @@ def generate_split(
         exception_tokens=exc_tokens,
     )
     return instances, stats
-
-
-def expected_exception_tokens(size: int, exception_rate: float) -> float:
-    """Planted count times the mean object-phrase length."""
-    n_exc = round(exception_rate * size)
-    return n_exc * (1.0 + P_DETERMINER)
 
 
 def gen_synthetic(

@@ -388,14 +388,19 @@ def train_pnma(
     """Phase-2 training: frozen encoder, neighborhood + head updates only.
 
     The memory must have been built from the same base checkpoint (digests
-    are compared).  Self-provenance neighbors are excluded for training
-    tokens so stored activations never vouch for themselves.
+    are compared), and ``config``, which the adapted checkpoint echoes, must
+    give the base encoder's shape.  Self-provenance neighbors are excluded
+    for training tokens so stored activations never vouch for themselves.
     """
     if memory.source_digest != base_digest:
         raise CompatibilityError(
             f"memory built from checkpoint {memory.source_digest[:12]}... but "
             f"phase-2 base checkpoint is {base_digest[:12]}..."
         )
+    conflict = encoder.config_conflict(config)
+    if conflict:
+        raise CompatibilityError(f"train_pnma: the base encoder contradicts the config: "
+                                 f"{conflict}")
     if not train_instances:
         raise DomainError("train_pnma: empty training set")
     if valid_instances is not None and not valid_instances:

@@ -22,6 +22,7 @@ from pnma.synthetic import generate_split
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 K = 6
+TOY_SHAPE = dict(d_word=6, d_pred=3, d_hidden=8, n_layers=2)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ def toy():
     test, _ = generate_split("test", 30, 0.05, seed=31)
     vocab = build_vocab(train, min_frequency=1)
     rng = make_rng(32)
-    enc = init_encoder_params(vocab.n_words, d_word=6, d_pred=3, d_hidden=8, n_layers=2, rng=rng)
+    enc = init_encoder_params(vocab.n_words, **TOY_SHAPE, rng=rng)
     crf = init_crf_params(8, vocab.n_tags, rng)
     nbr = init_neighborhood_params(K, 8, rng)
     mem = build_memory(enc, vocab, train, fraction=0.5, seed=33)
@@ -78,7 +79,8 @@ def test_tag_checkpoint_round_trip(workloads, toy, tmp_path, adapted):
     # the tag set-up digests its base model with model_bytes and saves its
     # adapted model with save_model; the job reads the latter with load_model
     _, _, _, enc, crf, nbr, _ = toy
-    cfg = TrainConfig(seed=1, memory_fraction=0.5, **(workloads.DESK | {
+    # the tag set-up's config, at the toy's shape: load_model checks the two agree
+    cfg = TrainConfig(seed=1, memory_fraction=0.5, **(workloads.DESK | TOY_SHAPE | {
         "phase2_epochs": workloads.TAG_PHASE2_EPOCHS, "k_neighbors": K}))
     model = workloads.checkpoint.Model(enc, crf, nbr if adapted else None, cfg)
     blob = workloads.model_bytes(model)

@@ -99,7 +99,7 @@ def test_config_flag_overrides_its_field(tmp_path, monkeypatch, flag, field, raw
     (tmp_path / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")
     assert run("prepare", "--train", str(tmp_path / "c.conll"), "--out",
                str(tmp_path / "v.txt"), "--min-frequency", "1") == 0
-    unflagged, _ = load_run_config(str(tmp_path / "run.cfg"), quiet=True)
+    unflagged = load_run_config(str(tmp_path / "run.cfg"), quiet=True)
     want = type(getattr(unflagged, field))(raw)
     assert getattr(unflagged, field) != want
     ckpt = str(tmp_path / "m.ckpt")
@@ -1015,3 +1015,173 @@ class TestEvaluateCommand:
         assert report.scheme == "per-token-role"
         assert report.precision == pytest.approx(0.5)
         assert report.recall == pytest.approx(1.0)
+
+
+def assert_one_line_usage_error(code: int, err: str, text: str) -> None:
+    assert code == 1, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ") and text in lines[0], err
+
+
+class TestRetiredInputs:
+    """Inputs that no code read are refused, not silently accepted: prepare's
+    training flags, --scheme on the commands whose reports it never changed,
+    and file-path keys in a run-config file."""
+
+    @pytest.mark.parametrize("flag, value", [("--epochs", "5"), ("--d-hidden", "7"),
+                                             ("--neighborhood-mode", "shared"),
+                                             ("--threads", "9")])
+    def test_prepare_takes_no_training_flag(self, tmp_path, capsys, flag, value):
+        (tmp_path / "c.conll").write_text(TOY_CORPUS, encoding="utf-8")
+        code = run("prepare", "--train", str(tmp_path / "c.conll"),
+                   "--out", str(tmp_path / "v.txt"), flag, value)
+        assert_one_line_usage_error(code, capsys.readouterr().err, flag)
+        assert not (tmp_path / "v.txt").exists()
+
+    def test_prepare_records_the_scheme(self, tmp_path):
+        from pnma.dataio import load_vocab
+
+        (tmp_path / "c.conll").write_text(TOY_CORPUS, encoding="utf-8")
+        (tmp_path / "run.cfg").write_text("scheme = per-token-role\n", encoding="utf-8")
+        for argv, scheme in [((), "bio-span"), (("--scheme", "per-token-role"), "per-token-role"),
+                             (("--config", str(tmp_path / "run.cfg")), "per-token-role")]:
+            out = str(tmp_path / "v.txt")
+            assert run("prepare", "--train", str(tmp_path / "c.conll"), "--out", out,
+                       *argv) == 0
+            assert load_vocab(out).scheme == scheme
+
+    @pytest.mark.parametrize("command", ["confusion-diff", "disagreement"])
+    def test_analyze_takes_no_scheme(self, smoke_chain, tmp_path, capsys, command):
+        c = smoke_chain
+        argv = {
+            "confusion-diff": ("--pred-a", c["base_preds"], "--pred-b", c["pnma_preds"]),
+            "disagreement": ("--pred-base", c["base_preds"], "--pred-pnma", c["pnma_preds"],
+                             "--train", f"{c['data']}/train.conll"),
+        }[command]
+        code = run("analyze", command, "--gold", f"{c['data']}/test.conll", *argv,
+                   "--out", str(tmp_path / "r.tsv"), "--scheme", "per-token-role")
+        assert_one_line_usage_error(code, capsys.readouterr().err, "--scheme")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["train", "vocab", "out"])
+    def test_path_key_in_run_config_exits_two(self, smoke_chain, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(open(smoke_chain["cfg"]).read() + f"{key} = x\n", encoding="utf-8")
+        code = run("train-base", "--config", str(cfg),
+                   "--train", f"{smoke_chain['data']}/train.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "b.ckpt"))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"{cfg}:13: unknown config key '{key}'")
+        assert not (tmp_path / "b.ckpt").exists()
+
+
+class TestConfigShapeAgreesWithTensors:
+    """A config that contradicts the base encoder's shape is refused before
+    train-pnma writes a checkpoint, and a checkpoint whose config echo
+    contradicts its sections does not load."""
+
+    def train_pnma(self, chain, tmp_path, *extra):
+        return run("train-pnma", "--checkpoint", chain["base"], "--memory", chain["memory"],
+                   "--train", f"{chain['data']}/train.conll", "--vocab", chain["vocab"],
+                   "--out", str(tmp_path / "p.ckpt"), "--phase2-epochs", "1", *extra)
+
+    def test_inherited_config_with_other_shape_flags(self, smoke_chain, tmp_path, capsys):
+        code = self.train_pnma(smoke_chain, tmp_path, "--d-hidden", "999", "--n-layers", "7")
+        assert_one_line_error(code, capsys.readouterr().err,
+                              "train_pnma: the base encoder contradicts the config: "
+                              "d_hidden = 999, but the tensors have 16")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value", [("d_word", 12), ("d_pred", 8), ("d_hidden", 16),
+                                            ("n_layers", 2)])
+    def test_run_config_with_other_shape(self, smoke_chain, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        text = open(smoke_chain["cfg"]).read()
+        assert f"{key} = {value}\n" in text
+        cfg.write_text(text.replace(f"{key} = {value}\n", f"{key} = 3\n"), encoding="utf-8")
+        code = self.train_pnma(smoke_chain, tmp_path, "--config", str(cfg))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"{key} = 3, but the tensors have {value}")
+        assert not (tmp_path / "p.ckpt").exists()
+
+    @pytest.mark.parametrize("key, value", [("d_word", 12), ("d_pred", 8), ("d_hidden", 16),
+                                            ("n_layers", 2)])
+    @pytest.mark.parametrize("which", ["base", "pnma"])
+    def test_crafted_echo_is_format_error(self, smoke_chain, tmp_path, which, key, value):
+        from pnma.checkpoint import load_checkpoint, save_checkpoint
+        from pnma.errors import FormatError
+
+        params, echo, _ = load_checkpoint(smoke_chain[which])
+        assert f"\n{key} = {value}\n" in echo
+        ckpt = str(tmp_path / "echo.ckpt")
+        save_checkpoint(ckpt, params, echo.replace(f"\n{key} = {value}\n", f"\n{key} = 999\n"))
+        with pytest.raises(FormatError, match=f"echo.ckpt: the sections contradict the config "
+                                              f"echo: {key} = 999, but the tensors have {value}"):
+            load_model(ckpt)
+
+    def test_external_embeddings_leave_d_word_free(self, tmp_path):
+        # with --embeddings the first layer reads the embeddings' width, so the
+        # echoed d_word is not a tensor width, and train-pnma may change it
+        for name, text in (("c.conll", TOY_CORPUS), ("run.cfg", TOY_CONFIG),
+                           ("emb.txt", TOY_EMBEDDINGS)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        path = {name: str(tmp_path / name) for name in
+                ("c.conll", "run.cfg", "emb.txt", "v.txt", "m.ckpt", "mem.bin", "p.ckpt")}
+        emb = ("--embeddings", path["emb.txt"])
+        for step in [
+            ("prepare", "--train", path["c.conll"], "--out", path["v.txt"],
+             "--min-frequency", "1"),
+            ("train-base", "--config", path["run.cfg"], "--train", path["c.conll"],
+             "--vocab", path["v.txt"], "--out", path["m.ckpt"], *emb),
+            ("build-memory", "--checkpoint", path["m.ckpt"], "--train", path["c.conll"],
+             "--vocab", path["v.txt"], "--out", path["mem.bin"], "--fraction", "1.0", *emb),
+            ("train-pnma", "--checkpoint", path["m.ckpt"], "--memory", path["mem.bin"],
+             "--train", path["c.conll"], "--vocab", path["v.txt"], "--out", path["p.ckpt"],
+             "--k", "2", "--phase2-epochs", "1", "--d-word", "9", *emb),
+        ]:
+            assert run(*step) == 0, step[0]
+        assert load_model(path["m.ckpt"]).config.d_word == 4
+        assert load_model(path["p.ckpt"]).config.d_word == 9
+
+
+class TestBuildMemoryFraction:
+    """build-memory samples the checkpoint's memory_fraction unless --fraction
+    is given."""
+
+    @pytest.fixture
+    def base_at_0_3(self, smoke_chain, tmp_path):
+        ckpt = str(tmp_path / "b.ckpt")
+        assert run("train-base", "--config", smoke_chain["cfg"], "--epochs", "0",
+                   "--memory-fraction", "0.3", "--train", f"{smoke_chain['data']}/train.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", ckpt) == 0
+        return ckpt
+
+    def build(self, chain, tmp_path, ckpt, *extra):
+        from pnma.memory import deserialize_memory
+
+        out = str(tmp_path / "m.bin")
+        assert run("build-memory", "--checkpoint", ckpt,
+                   "--train", f"{chain['data']}/train.conll", "--vocab", chain["vocab"],
+                   "--out", out, *extra) == 0
+        return deserialize_memory(out)
+
+    def test_default_is_the_checkpoints_fraction(self, smoke_chain, tmp_path, base_at_0_3):
+        from pnma.dataio import parse_conll_file
+
+        tokens = sum(len(i) for i in parse_conll_file(f"{smoke_chain['data']}/train.conll"))
+        memory = self.build(smoke_chain, tmp_path, base_at_0_3)
+        assert memory.fraction == 0.3
+        assert len(memory) == round(0.3 * tokens)
+
+    def test_flag_wins(self, smoke_chain, tmp_path, base_at_0_3):
+        memory = self.build(smoke_chain, tmp_path, base_at_0_3, "--fraction", "0.15")
+        assert memory.fraction == 0.15
+
+
+def test_knn_argument_errors_name_knn_entry_ids(smoke_chain, tmp_path, capsys):
+    c = smoke_chain
+    code = run("analyze", "rank-dist", "--checkpoint", c["base"], "--memory", c["memory"],
+               "--input", f"{c['data']}/valid.conll", "--vocab", c["vocab"],
+               "--out", str(tmp_path / "r"), "--k", "0")
+    assert_one_line_error(code, capsys.readouterr().err, "knn_entry_ids: K must be >= 1, got 0")
+    assert list(tmp_path.iterdir()) == []

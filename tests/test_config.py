@@ -59,16 +59,14 @@ class TestRunConfigFile:
             "epochs = 9\n"
             "base_lr = 5e-4\n"
             "lr_halving_epochs = 4,8\n"
-            "clip_enabled = true\n"
-            "train = /data/train.conll\n",
+            "clip_enabled = true\n",
             encoding="utf-8",
         )
-        cfg, paths = load_run_config(str(p), quiet=True)
+        cfg = load_run_config(str(p), quiet=True)
         assert cfg.epochs == 9
         assert cfg.base_lr == 5e-4
         assert cfg.lr_halving_epochs == (4, 8)
         assert cfg.clip_enabled is True
-        assert paths == {"train": "/data/train.conll"}
 
     def test_unknown_key_named(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -85,7 +83,7 @@ class TestRunConfigFile:
     def test_flags_win_over_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("epochs = 9\n", encoding="utf-8")
-        cfg, _ = load_run_config(str(p), overrides={"epochs": 3}, quiet=True)
+        cfg = load_run_config(str(p), overrides={"epochs": 3}, quiet=True)
         assert cfg.epochs == 3
 
     def test_defaulted_keys_logged(self, tmp_path, capsys):
@@ -100,7 +98,7 @@ class TestRunConfigFile:
         p = tmp_path / "env.cfg"
         p.write_text("epochs = 13\n", encoding="utf-8")
         monkeypatch.setenv("PNMA_CONFIG", str(p))
-        cfg, _ = load_run_config(None, quiet=True)
+        cfg = load_run_config(None, quiet=True)
         assert cfg.epochs == 13
 
     def test_malformed_line(self, tmp_path):
@@ -159,3 +157,13 @@ class TestIntegerKeys:
         path.write_text("batch_size = 0\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="batch_size"):
             load_run_config(str(path), quiet=True)
+
+
+@pytest.mark.parametrize("key", ["train", "valid", "test", "vocab", "checkpoint", "memory",
+                                 "out", "out_dir"])
+def test_path_key_is_unknown(tmp_path, key):
+    # file paths are flags; a run-config file holds TrainConfig keys alone
+    p = tmp_path / "run.cfg"
+    p.write_text(f"epochs = 2\n{key} = x\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"run.cfg:2: unknown config key '{key}'"):
+        load_run_config(str(p), quiet=True)

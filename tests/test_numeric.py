@@ -9,7 +9,6 @@ from pnma.numeric import (
     finite_difference_check,
     logsumexp,
     make_rng,
-    relative_error,
     softmax,
 )
 
@@ -130,8 +129,3 @@ class TestRng:
         assert make_rng(0).random() == make_rng(0).random()
         with pytest.raises(DomainError, match="seed must be at least 0, got -1"):
             make_rng(-1)
-
-
-def test_relative_error_floor():
-    assert relative_error(np.array([0.0]), np.array([0.0]))[0] == 0.0
-    assert relative_error(np.array([1e-12]), np.array([0.0]))[0] < 1e-3

@@ -5,9 +5,9 @@ from pnma.dataio import bio_decode_spans, build_vocab
 from pnma.errors import DomainError
 from pnma.synthetic import (
     EXCEPTION_VERBS,
+    P_DETERMINER,
     RARE_EXCEPTION_VERBS,
     REGULAR_VERBS,
-    expected_exception_tokens,
     gen_synthetic,
     generate_split,
 )
@@ -37,7 +37,8 @@ class TestGenerateSplit:
 
     def test_exception_token_count_near_expectation(self):
         _, stats = generate_split("train", 500, exception_rate=0.05, seed=1)
-        expected = expected_exception_tokens(500, 0.05)
+        # 25 planted objects, each a noun with a determiner at rate P_DETERMINER
+        expected = 25 * (1.0 + P_DETERMINER)
         assert abs(stats.exception_tokens - expected) <= 0.2 * expected
 
     def test_every_sentence_has_one_predicate(self):
