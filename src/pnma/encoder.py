@@ -37,6 +37,11 @@ rows of width 300 the product takes 0.17 against 0.29 ms
 with the row-major formulation).  The zero state at t = 0 needs no product,
 and the backward forms ``dpre @ wh`` only where its gradient is read, not
 into the initial state.
+
+``encode_backward`` consumes the saved activations: it pops each layer's
+LSTM and connection cache off the ``EncoderCache`` as that layer's backward
+reads it, so each is freed before the layers below run, and a cache serves
+one backward only.
 """
 
 from __future__ import annotations
@@ -387,19 +392,21 @@ def connection_forward(h: np.ndarray, x: np.ndarray, w: np.ndarray, want_cache: 
     cat = np.concatenate([h, x], axis=-1)
     if cat.shape[-1] != w.shape[1]:
         raise DimensionError(f"connection_forward: concat {cat.shape} vs W {w.shape}")
-    pre = _matmul_rows(cat, w.T)
-    out = np.maximum(pre, 0.0)
+    out = np.maximum(_matmul_rows(cat, w.T), 0.0)
     if want_cache:
-        return out, (cat, pre)
+        # out > 0 exactly where the pre-activation is, and out is the next
+        # layer's input already, so caching it holds no extra array
+        return out, (cat, out)
     return out
 
 
 def connection_backward(
     d_out: np.ndarray, cache: tuple[np.ndarray, np.ndarray], w: np.ndarray, d_hidden: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (d_h, d_x, d_w) given d_loss/d_output."""
-    cat, pre = cache
-    dpre = d_out * (pre > 0)
+    """Returns (d_h, d_x, d_w) given d_loss/d_output and the forward's
+    ``(cat, out)`` cache."""
+    cat, out = cache
+    dpre = d_out * (out > 0)
     flat_p = dpre.reshape(-1, dpre.shape[-1])
     flat_c = cat.reshape(-1, cat.shape[-1])
     d_w = (flat_p.T @ flat_c).astype(w.dtype)
@@ -409,6 +416,10 @@ def connection_backward(
 
 @dataclass
 class EncoderCache:
+    """What ``encode_backward`` reads of a training forward.  It pops the
+    per-layer LSTM caches and the ``(cat, out)`` connection caches as it
+    consumes them, so a cache is single-use; the ids and dropout masks stay."""
+
     word_ids: np.ndarray
     pred_bits: np.ndarray
     lstm_caches: list[LstmCache] = field(default_factory=list)
@@ -487,26 +498,31 @@ def encode_batch(
 def encode_backward(
     d_h_final: np.ndarray, cache: EncoderCache, params: EncoderParams
 ) -> dict[str, np.ndarray]:
-    """Backpropagate through the whole stack; returns grads keyed like ``to_dict``."""
+    """Backpropagate through the whole stack; returns grads keyed like ``to_dict``.
+
+    Each layer's LSTM and connection cache is popped off ``cache`` as its
+    backward consumes it, so only the layers not yet reached hold their
+    activations, and ``cache`` cannot serve a second backward.
+    """
     grads: dict[str, np.ndarray] = {}
     n_layers = params.n_layers
     d = params.d_hidden
-    d_x, lg = lstm_layer_backward(d_h_final, cache.lstm_caches[-1], params.layers[-1])
+    d_x, lg = lstm_layer_backward(d_h_final, cache.lstm_caches.pop(), params.layers[-1])
     grads[f"lstm{n_layers - 1}.wx"] = lg.wx
     grads[f"lstm{n_layers - 1}.wh"] = lg.wh
     grads[f"lstm{n_layers - 1}.b"] = lg.b
     for l in range(n_layers - 2, -1, -1):
         d_h, d_x_direct, d_w = connection_backward(
-            d_x, cache.conn_caches[l], params.connections[l], d
+            d_x, cache.conn_caches.pop(), params.connections[l], d
         )
         grads[f"conn{l}.w"] = d_w
         if cache.layer_masks[l] is not None:
-            d_h = d_h * cache.layer_masks[l]
-        d_x, lg = lstm_layer_backward(d_h, cache.lstm_caches[l], params.layers[l])
+            d_h *= cache.layer_masks[l]
+        d_x, lg = lstm_layer_backward(d_h, cache.lstm_caches.pop(), params.layers[l])
         grads[f"lstm{l}.wx"] = lg.wx
         grads[f"lstm{l}.wh"] = lg.wh
         grads[f"lstm{l}.b"] = lg.b
-        d_x = d_x + d_x_direct
+        d_x += d_x_direct
     if cache.embed_mask is not None:
         d_x = d_x * cache.embed_mask
     d_word_part = d_x[..., : params.d_word]

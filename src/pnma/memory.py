@@ -127,7 +127,7 @@ def build_memory(
     encoder: EncoderParams,
     vocab: Vocabulary,
     instances: Sequence[Instance],
-    fraction: float = 0.15,
+    fraction: float,
     seed: int = 0,
     stratified: bool = False,
     source_digest: str = "",

@@ -259,7 +259,8 @@ def _train_loop(
 
     def step(epoch: int, bi: int, batch: list[int], lr: float) -> float:
         """One optimizer update on batch ``bi`` of ``epoch``; returns its summed
-        NLL.  Its gradients and backward cache are freed when it returns."""
+        NLL.  Its activations and backward cache are released before clipping
+        and Adam, and its gradients when it returns."""
         bsz = len(batch)
         rows = table.rows(batch)
         repr_, backward = forward(rows)
@@ -277,6 +278,7 @@ def _train_loop(
             "crf.start": -cg.start / bsz,
             "crf.stop": -cg.stop / bsz,
         })
+        del repr_, backward, em, cg, d_em, d_repr
         if config.clip_enabled:
             clip_gradients(grads, config.clip_norm)
         adam_step(flat, [grads[k] for k in trainables], state, lr, config.weight_decay)

@@ -192,6 +192,38 @@ class TestConnection:
         assert finite_difference_check(loss_h, h, d_h) < 1e-4
         assert finite_difference_check(loss_x, x, d_x) < 1e-4
 
+    def test_cache_holds_the_output_itself(self):
+        rng = make_rng(9)
+        w = rng.normal(size=(4, 7))
+        out, (cat, cached) = connection_forward(rng.normal(size=(2, 3, 4)),
+                                                rng.normal(size=(2, 3, 3)), w, want_cache=True)
+        assert cached is out
+        assert cat.shape == (2, 3, 7)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_mask_from_output_equals_mask_from_preactivation(self, dtype):
+        # ReLU(pre) > 0 exactly where pre > 0, at signed zeros and subnormals too,
+        # so the backward reads its mask off the cached output
+        tiny = np.finfo(dtype).smallest_subnormal
+        d, d_in = 8, 3
+        boundary = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -5 * tiny, 1.5, -2.25],
+                            dtype=dtype)
+        rng = make_rng(10)
+        pre = np.stack([boundary, rng.permutation(boundary),
+                        rng.normal(size=d).astype(dtype)])[None]  # (1, 3, d)
+        assert np.signbit(pre[0, 0, 1]) and pre[0, 0, 2] > 0
+        cat = rng.normal(size=(1, 3, d + d_in)).astype(dtype)
+        w = rng.normal(size=(d, d + d_in)).astype(dtype)
+        d_out = rng.normal(size=(1, 3, d)).astype(dtype)
+        d_h, d_x, d_w = connection_backward(d_out, (cat, np.maximum(pre, 0.0)), w, d)
+
+        dpre = d_out * (pre > 0)
+        want_w = (dpre.reshape(-1, d).T @ cat.reshape(-1, d + d_in)).astype(w.dtype)
+        want_cat = (dpre.reshape(-1, d) @ w).reshape(1, 3, d + d_in)
+        assert d_w.tobytes() == want_w.tobytes()
+        assert d_h.tobytes() == want_cat[..., :d].tobytes()
+        assert d_x.tobytes() == want_cat[..., d:].tobytes()
+
 
 @pytest.mark.parametrize("shape, d_out", [((32, 7, 64), 192), ((8, 5, 300), 1200),
                                           ((4, 30, 300), 1200)])
@@ -697,6 +729,19 @@ class TestFullStackGradients:
 
             err = finite_difference_check(loss, base.copy(), grads[name])
             assert err < 1e-4, f"dropout gradient check failed for {name}: {err}"
+
+    def test_backward_consumes_the_layer_caches(self):
+        params = small_params(make_rng(19), n_layers=3)
+        _, cache = encode_batch(
+            np.array([[1, 2, 3]]), np.array([[1, 0, 0]]), params, training=True,
+            dropout_embed=0.4, dropout_layer=0.25, drop_rng=make_rng(20), want_cache=True,
+        )
+        assert (len(cache.lstm_caches), len(cache.conn_caches)) == (3, 2)
+        encode_backward(make_rng(21).normal(size=(1, 3, 5)), cache, params)
+        assert cache.lstm_caches == [] and cache.conn_caches == []
+        # the dropout masks stay, for a caller that replays the forward
+        assert cache.embed_mask is not None
+        assert len(cache.layer_masks) == 2
 
 
 def test_forget_gate_bias_init():

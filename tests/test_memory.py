@@ -409,12 +409,6 @@ class TestBuildMemory:
         mem = build_memory(self.encoder, self.vocab, self.instances, fraction=1.0)
         assert len(mem) == 9
 
-    def test_default_fraction_is_fifteen_percent(self):
-        import inspect
-
-        sig = inspect.signature(build_memory)
-        assert sig.parameters["fraction"].default == 0.15
-
     def test_same_seed_same_provenance(self):
         a = build_memory(self.encoder, self.vocab, self.instances, fraction=0.5, seed=3)
         b = build_memory(self.encoder, self.vocab, self.instances, fraction=0.5, seed=3)
