@@ -1,11 +1,12 @@
 """Versioned binary checkpoints: named parameter tensors plus a config echo.
 
 Layout (little-endian, framed by ``dataio.framed_bytes``): magic
-"PNMACKPT2", u32 config-echo length + UTF-8 bytes, u32 section count, then
+"PNMACKPT3", u32 config-echo length + UTF-8 bytes, u32 section count, then
 per section u32 name length + bytes, u32 rank, u32 extents, f32 payload; a
 trailing sha256 digest covers everything before it.  The magic's last byte
-is the format version, and the only one: the echo holds ``TrainConfig``
-keys alone, and a format-1 file ("PNMACKPT1") is refused as an unsupported
+is the format version, and the only one: the echo holds the ``TrainConfig``
+keys that ``TrainConfig.to_echo`` writes, every field but ``threads``, and
+an older file ("PNMACKPT1" or "PNMACKPT2") is refused as an unsupported
 version.  The digest hex doubles as the checkpoint identity that memory
 files reference.  ``load_model`` also requires the sections to form one
 model.
@@ -27,7 +28,7 @@ from .encoder import EncoderParams
 from .errors import ConfigError, FormatError
 from .neighborhood import NeighborhoodParams
 
-CHECKPOINT_MAGIC = b"PNMACKPT2"
+CHECKPOINT_MAGIC = b"PNMACKPT3"
 
 ENCODER_PREFIXES = ("embed.", "lstm", "conn")
 

@@ -200,7 +200,6 @@ def cmd_build_memory(args) -> int:
         instances,
         fraction=model.config.memory_fraction if args.fraction is None else args.fraction,
         seed=args.seed,
-        stratified=args.stratified,
         source_digest=model.digest,
         external=external,
     )
@@ -463,7 +462,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fraction", type=float,
                    help="memory fraction; default: the checkpoint's memory_fraction")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stratified", action="store_true")
     p.add_argument("--embeddings")
     p.set_defaults(func=cmd_build_memory)
 

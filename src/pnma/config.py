@@ -3,14 +3,14 @@ and flag overrides (flags win over file values, file values over defaults).
 
 A config file holds ``TrainConfig`` keys alone; file paths are flags, so any
 other key, a path key among them, is unknown.  ``TrainConfig`` is the one
-source of the model-shape defaults.
+source of the model-shape defaults.  The phase-1 schedule's halving epochs
+are a recipe constant, not a key.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -18,7 +18,8 @@ from .dataio import SCHEMES, read_text
 from .errors import ConfigError
 from .neighborhood import MODES
 
-ENV_CONFIG = "PNMA_CONFIG"
+# the phase-1 learning rate halves after each of these epochs
+LR_HALVING_EPOCHS = (50, 75)
 
 # least value of each integer key that sizes the model or a run
 _INT_MINIMA = {"seed": 0, "epochs": 0, "phase2_epochs": 0, "batch_size": 1, "n_layers": 1,
@@ -29,19 +30,16 @@ _INT_MINIMA = {"seed": 0, "epochs": 0, "phase2_epochs": 0, "batch_size": 1, "n_l
 class TrainConfig:
     """Hyperparameters for both training phases plus model dimensions.
 
-    Defaults are the full-scale settings: 100 epochs at 1e-3 halved after
-    epochs 50 and 75, weight decay 1e-4, K=64 neighbors over a 15% memory,
-    20 phase-2 epochs at a constant 4e-4.
+    Defaults are the full-scale settings: 100 epochs at 1e-3 (halved after
+    each of ``LR_HALVING_EPOCHS``), K=64 neighbors over a 15% memory, 20
+    phase-2 epochs at a constant 4e-4.  A checkpoint echoes every field but
+    ``threads``, which never changes a result.
     """
 
     epochs: int = 100
     base_lr: float = 1e-3
-    lr_halving_epochs: tuple[int, ...] = (50, 75)
-    weight_decay: float = 1e-4
     batch_size: int = 32
     seed: int = 0
-    clip_norm: float = 5.0
-    clip_enabled: bool = False
     k_neighbors: int = 64
     memory_fraction: float = 0.15
     phase2_epochs: int = 20
@@ -52,7 +50,6 @@ class TrainConfig:
     d_pred: int = 50
     d_hidden: int = 300
     n_layers: int = 4
-    dtype: str = "float32"
     scheme: str = "bio-span"
     neighborhood_mode: str = "distinct"
     threads: int = 1
@@ -64,19 +61,11 @@ class TrainConfig:
         for f in dataclasses.fields(self):
             if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be a finite number, got {getattr(self, f.name)}")
-        for name in ("base_lr", "phase2_lr", "clip_norm"):
+        for name in ("base_lr", "phase2_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.memory_fraction <= 1.0:
             raise ConfigError(f"memory_fraction must lie in (0, 1], got {self.memory_fraction}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be at least 0, got {self.weight_decay}")
-        pts = tuple(self.lr_halving_epochs)
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ConfigError(f"lr_halving_epochs must be strictly increasing, got {pts}")
-        self.lr_halving_epochs = pts
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.neighborhood_mode not in MODES:
@@ -86,20 +75,17 @@ class TrainConfig:
 
     def lr_for_epoch(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch: halved after each schedule point."""
-        halvings = sum(1 for p in self.lr_halving_epochs if epoch > p)
+        halvings = sum(1 for p in LR_HALVING_EPOCHS if epoch > p)
         return self.base_lr * (0.5 ** halvings)
 
     def to_echo(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
+        """One ``key = value`` line per echoed field, in field order."""
+        return "".join(f"{name} = {getattr(self, name)}\n" for name in _ECHOED)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+# worker threads never change a result, so a checkpoint does not record them
+_ECHOED = tuple(name for name in _FIELDS if name != "threads")
 
 
 def _convert(name: str, raw: str):
@@ -113,22 +99,15 @@ def _convert(name: str, raw: str):
             if not math.isfinite(value):
                 raise ValueError
             return value
-        if f.name == "lr_halving_epochs":
-            return tuple(int(x) for x in raw.split(",")) if raw else ()
     except ValueError:
-        what = {"int": "an integer", "float": "a finite number"}.get(f.type, "integers")
+        what = "an integer" if f.type in ("int", int) else "a finite number"
         raise ConfigError(f"config key {name}: expected {what}, got {raw!r}") from None
-    if f.type in ("bool", bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {name}: expected a boolean, got {raw!r}")
     return raw
 
 
-def parse_config_lines(lines, source: str) -> dict[str, str]:
-    """key = value pairs, '#' comments, blank lines ignored."""
+def parse_config_lines(lines, source: str, keys) -> dict[str, str]:
+    """key = value pairs, '#' comments, blank lines ignored; a key not in
+    ``keys`` is unknown."""
     out: dict[str, str] = {}
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -138,7 +117,7 @@ def parse_config_lines(lines, source: str) -> dict[str, str]:
             raise ConfigError(f"{source}:{no}: expected 'key = value', got {line!r}")
         key, val = line.split("=", 1)
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in keys:
             raise ConfigError(f"{source}:{no}: unknown config key {key!r}")
         out[key] = val.strip()
     return out
@@ -153,10 +132,8 @@ def load_run_config(
     configuration is never a surprise.
     """
     raw: dict[str, str] = {}
-    if path is None:
-        path = os.environ.get(ENV_CONFIG) or None
     if path is not None:
-        raw = parse_config_lines(read_text(path, ConfigError).splitlines(), path)
+        raw = parse_config_lines(read_text(path, ConfigError).splitlines(), path, _FIELDS)
     kwargs: dict[str, object] = {k: _convert(k, v) for k, v in raw.items()}
     kwargs.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     defaulted = sorted(set(_FIELDS) - set(kwargs))
@@ -170,8 +147,8 @@ def load_run_config(
 
 def config_from_echo(echo: str) -> TrainConfig:
     """Rebuild a TrainConfig from a checkpoint's config echo, as ``to_echo``
-    writes it: one line per ``TrainConfig`` key and nothing else.  The
+    writes it: one line per echoed ``TrainConfig`` key and nothing else.  The
     checkpoint's magic is its only format version, so the echo holds no
-    version line, and any key that is not a field is unknown."""
-    raw = parse_config_lines(echo.splitlines(), "config echo")
+    version line, and any key that is not an echoed field is unknown."""
+    raw = parse_config_lines(echo.splitlines(), "config echo", _ECHOED)
     return TrainConfig(**{k: _convert(k, v) for k, v in raw.items()})  # type: ignore[arg-type]

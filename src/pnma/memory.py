@@ -37,6 +37,7 @@ any thread, writes its own rows of them; queries are cast to float64 a block at 
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import abc
 from dataclasses import dataclass, field
@@ -129,14 +130,13 @@ def build_memory(
     instances: Sequence[Instance],
     fraction: float,
     seed: int = 0,
-    stratified: bool = False,
     source_digest: str = "",
     external=None,
 ) -> ActivationMemory:
     """Encode the training set in evaluation mode and sample token activations.
 
-    Sampling is uniform without replacement over all tokens (or proportional
-    per gold label with ``stratified``), driven entirely by ``seed``.
+    Sampling is uniform without replacement over all tokens, driven entirely
+    by ``seed``.
     """
     if not instances:
         raise DomainError("build_memory: empty training set")
@@ -147,16 +147,8 @@ def build_memory(
     h = encode_rows(table, encoder)
     labels = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
 
-    if stratified:
-        chosen = []
-        for lab in np.unique(labels):
-            group = np.flatnonzero(labels == lab)
-            count = max(1, int(round(fraction * len(group))))
-            chosen.append(group[rng.choice(len(group), size=count, replace=False)])
-        chosen = np.sort(np.concatenate(chosen))
-    else:
-        count = max(1, int(round(fraction * len(labels))))
-        chosen = np.sort(rng.choice(len(labels), size=count, replace=False))
+    count = max(1, int(round(fraction * len(labels))))
+    chosen = np.sort(rng.choice(len(labels), size=count, replace=False))
 
     sentence = np.repeat(np.arange(len(instances)), table.lengths)[chosen]
     tokens = chosen - table.starts[sentence]
@@ -437,6 +429,35 @@ def _metadata_blob(memory: ActivationMemory) -> bytes:
     return text.encode("utf-8")
 
 
+def _read_metadata(path: str, meta: str) -> tuple[int, float, str]:
+    """(seed, fraction, source digest) from the metadata ``_metadata_blob``
+    writes: each key exactly once, ``seed`` a non-negative integer and
+    ``fraction`` in (0, 1]; anything else is a ``FormatError``."""
+    def malformed(what: str) -> FormatError:
+        return FormatError(f"{path}: malformed memory metadata: {what}")
+
+    keys = ("seed", "fraction", "source_digest")
+    fields: dict[str, str] = {}
+    for line in meta.splitlines():
+        key, eq, value = line.partition("=")
+        if not eq or key not in keys or key in fields:
+            raise malformed(f"line {line!r}")
+        fields[key] = value
+    missing = [key for key in keys if key not in fields]
+    if missing:
+        raise malformed(f"no {', '.join(missing)}")
+    seed, fraction = fields["seed"], fields["fraction"]
+    if not (seed.isascii() and seed.isdigit()):
+        raise malformed(f"seed must be a non-negative integer, got {seed!r}")
+    try:
+        value = float(fraction)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise malformed(f"fraction must lie in (0, 1], got {fraction!r}")
+    return int(seed), value, fields["source_digest"]
+
+
 def serialize_memory(memory: ActivationMemory, path: str) -> None:
     """Write the documented binary format; round-trips bit-identically."""
     body = bytearray()
@@ -476,17 +497,12 @@ def deserialize_memory(path: str) -> ActivationMemory:
         if not np.isfinite(vectors).all():
             raise FormatError(f"{path}: non-finite vector in memory file")
         meta = r.text(r.u32(), "metadata")
-    try:
-        fields = dict(line.split("=", 1) for line in meta.splitlines() if line)
-        seed = int(fields.get("seed", "0"))
-        fraction = float(fields.get("fraction", "1.0"))
-    except ValueError:
-        raise FormatError(f"{path}: malformed memory metadata") from None
+    seed, fraction, source_digest = _read_metadata(path, meta)
     return ActivationMemory(
         vectors=vectors,
         labels=labels,
         provenance=provenance,
         seed=seed,
         fraction=fraction,
-        source_digest=fields.get("source_digest", ""),
+        source_digest=source_digest,
     )

@@ -2,15 +2,16 @@
 
 Both phases minimise the CRF negative log-likelihood of the emission/CRF
 head with Adam; they differ only in the representation under the head.
-Phase 1 trains the whole base tagger end to end on the encoder output, with
-the halving learning-rate schedule.  Phase 2 freezes every encoder
-parameter, retrieves each training token's neighbors once (the encoder being
-frozen makes activations and retrievals reusable across epochs), and trains
-only the neighborhood vectors and the head on the neighborhood
-representation.  Each phase keeps its trainables as views into one flat
-buffer, so an optimizer step is one Adam pass, with moments in the buffer's
-dtype, and the best-epoch snapshot is one copy, taken only when a validation
-pass improves.
+Phase 1 trains the whole base tagger end to end on the encoder output, in
+float32, with the halving learning-rate schedule.  Phase 2 freezes every
+encoder parameter, retrieves each training token's neighbors once (the
+encoder being frozen makes activations and retrievals reusable across
+epochs), and trains only the neighborhood vectors and the head on the
+neighborhood representation, in the base encoder's dtype.  Both phases
+apply the recipe's weight decay, ``WEIGHT_DECAY``.  Each phase keeps its
+trainables as views into one flat buffer, so an optimizer step is one Adam
+pass, with moments in the buffer's dtype, and the best-epoch snapshot is one
+copy, taken only when a validation pass improves.
 
 Runs are deterministic given the seed: shuffling, initialization and
 dropout draw from separate named streams, batches are same-length groups,
@@ -68,6 +69,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # elements per Adam chunk: a chunk's gradient and scratch buffers stay in cache
 _ADAM_CHUNK = 1 << 14
+# the recipe's weight decay, in both phases
+WEIGHT_DECAY = 1e-4
 
 
 @dataclass
@@ -147,17 +150,6 @@ def adam_step(
         th -= tmp
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so the global L2 norm is at most
-    ``max_norm``; returns the norm before scaling, taken in float64."""
-    norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
-    return norm
-
-
 def _training_batches(
     lengths: Sequence[int], batch_size: int, rng: np.random.Generator
 ) -> list[list[int]]:
@@ -220,7 +212,7 @@ def _flat_views(
     return flat, views
 
 
-# (d_repr, head gradients) -> every trainable's gradient, in clipping order
+# (d_repr, head gradients) -> every trainable's gradient
 Backward = Callable[[np.ndarray, dict[str, np.ndarray]], dict[str, np.ndarray]]
 
 
@@ -259,8 +251,8 @@ def _train_loop(
 
     def step(epoch: int, bi: int, batch: list[int], lr: float) -> float:
         """One optimizer update on batch ``bi`` of ``epoch``; returns its summed
-        NLL.  Its activations and backward cache are released before clipping
-        and Adam, and its gradients when it returns."""
+        NLL.  Its activations and backward cache are released before Adam,
+        and its gradients when it returns."""
         bsz = len(batch)
         rows = table.rows(batch)
         repr_, backward = forward(rows)
@@ -279,9 +271,7 @@ def _train_loop(
             "crf.stop": -cg.stop / bsz,
         })
         del repr_, backward, em, cg, d_em, d_repr
-        if config.clip_enabled:
-            clip_gradients(grads, config.clip_norm)
-        adam_step(flat, [grads[k] for k in trainables], state, lr, config.weight_decay)
+        adam_step(flat, [grads[k] for k in trainables], state, lr, WEIGHT_DECAY)
         return nll
 
     log_lines: list[str] = []
@@ -326,7 +316,6 @@ def train_base(
     if valid_instances is not None and not valid_instances:
         raise DomainError("train_base: empty validation set")
     started = time.perf_counter()
-    dtype = np.dtype(config.dtype)
     init_rng = make_rng(config.seed, STREAM_INIT)
     encoder = init_encoder_params(
         vocab_size=vocab.n_words,
@@ -335,15 +324,13 @@ def train_base(
         d_hidden=config.d_hidden,
         n_layers=config.n_layers,
         rng=init_rng,
-        dtype=dtype,
         external_dim=external.dim if external is not None else None,
     )
-    crf = init_crf_params(config.d_hidden, vocab.n_tags, init_rng, dtype=dtype)
-    flat, trainables = _flat_views({**encoder.to_dict(), **crf_to_dict(crf)}, dtype)
+    crf = init_crf_params(config.d_hidden, vocab.n_tags, init_rng)
+    flat, trainables = _flat_views({**encoder.to_dict(), **crf_to_dict(crf)}, np.float32)
     encoder, crf = EncoderParams.from_dict(trainables), crf_from_dict(trainables)
     drop_rng = make_rng(config.seed, STREAM_DROPOUT)
     table = TokenTable.build(train_instances, vocab, external)
-    ext = None if table.external is None else table.external.astype(dtype, copy=False)
 
     def forward(rows: np.ndarray) -> tuple[np.ndarray, Backward]:
         h, cache = encode_batch(
@@ -352,7 +339,7 @@ def train_base(
             dropout_embed=config.dropout_embed,
             dropout_layer=config.dropout_layer,
             drop_rng=drop_rng,
-            external_vectors=ext[rows] if ext is not None else None,
+            external_vectors=None if table.external is None else table.external[rows],
             want_cache=True,
         )
         return h, lambda d_h, head: {**encode_backward(d_h, cache, encoder), **head}
@@ -408,7 +395,7 @@ def train_pnma(
     if valid_instances is not None and not valid_instances:
         raise DomainError("train_pnma: empty validation set")
     started = time.perf_counter()
-    dtype = np.dtype(config.dtype)
+    dtype = encoder.pred_emb.dtype
     k = config.k_neighbors
 
     table = TokenTable.build(train_instances, vocab, external)

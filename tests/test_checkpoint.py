@@ -26,6 +26,12 @@ from pnma.neighborhood import init_neighborhood_params
 from pnma.numeric import make_rng
 
 
+# the echo lines of the keys a format-2 checkpoint held and format 3 retired
+RETIRED_ECHO_LINES = ("lr_halving_epochs = 50,75\n", "weight_decay = 0.0001\n",
+                      "clip_norm = 5.0\n", "clip_enabled = False\n", "dtype = float32\n",
+                      "threads = 1\n")
+
+
 def make_params():
     rng = make_rng(1)
     enc = init_encoder_params(vocab_size=7, d_word=4, d_pred=3, d_hidden=5,
@@ -64,9 +70,15 @@ class TestCheckpointFile:
             load_checkpoint(str(path))
 
     def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(b"PNMACKPT1" + b"\x00" * 64)
-        with pytest.raises(FormatError, match="version"):
+        # a file as the format-2 writer made it: its magic, the retired keys in
+        # the echo, and a digest valid over both
+        enc, crf = make_params()
+        blob = checkpoint_bytes({**enc.to_dict(), **crf_to_dict(crf)},
+                                TrainConfig().to_echo() + "".join(RETIRED_ECHO_LINES))
+        body = b"PNMACKPT2" + blob[len(CHECKPOINT_MAGIC) : -32]
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(FormatError, match="v2.ckpt: unsupported checkpoint format version"):
             load_checkpoint(str(path))
 
     def test_digest_validates(self, tmp_path):
@@ -196,6 +208,17 @@ class TestModelBundle:
         echo = TrainConfig(d_word=4, d_pred=3, d_hidden=5, n_layers=2).to_echo()
         save_checkpoint(path, {**enc.to_dict(), **crf_to_dict(crf)}, echo.replace(old, new))
         with pytest.raises(FormatError, match="e.ckpt: "):
+            load_model(path)
+
+    @pytest.mark.parametrize("line", RETIRED_ECHO_LINES)
+    def test_retired_key_in_echo_is_format_error(self, tmp_path, line):
+        enc, crf = make_params()
+        path = str(tmp_path / "r.ckpt")
+        echo = TrainConfig(d_word=4, d_pred=3, d_hidden=5, n_layers=2).to_echo()
+        save_checkpoint(path, {**enc.to_dict(), **crf_to_dict(crf)}, echo + line)
+        key = line.split(" = ")[0]
+        with pytest.raises(FormatError, match=f"r.ckpt: config echo:17: unknown config key "
+                                              f"'{key}'"):
             load_model(path)
 
     def test_format_1_model_is_format_error(self, tmp_path):

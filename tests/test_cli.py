@@ -11,6 +11,7 @@ from pnma.analysis import read_eval_report
 from pnma.checkpoint import load_model
 from pnma.cli import dispatch
 from pnma.config import load_run_config
+from pnma.training import train_base
 
 
 def run(*argv):
@@ -61,7 +62,7 @@ class TestDispatchBasics:
 
 TOY_CORPUS = "# id: s1\nthe 0 O\ncat 1 B-V\n\n# id: s2\ndog 1 B-V\n"
 TOY_CONFIG = (
-    "epochs = 1\nbatch_size = 2\nbase_lr = 0.001\nlr_halving_epochs = 1,2\n"
+    "epochs = 1\nbatch_size = 2\nbase_lr = 0.001\n"
     "d_word = 4\nd_pred = 2\nd_hidden = 4\nn_layers = 1\ndropout_embed = 0.1\nseed = 3\n"
 )
 TOY_EMBEDDINGS = "s1 0 0.5 -0.25\ns1 1 1.75 0.125\ns2 0 0.75 1.5\n"
@@ -94,7 +95,15 @@ CONFIG_FLAG_VALUES = [
 @pytest.mark.parametrize("flag, field, raw", CONFIG_FLAG_VALUES,
                          ids=[f[0] for f in CONFIG_FLAG_VALUES])
 def test_config_flag_overrides_its_field(tmp_path, monkeypatch, flag, field, raw):
-    monkeypatch.delenv("PNMA_CONFIG", raising=False)
+    from pnma import cli
+
+    configs = []
+
+    def recording_train_base(train, valid, vocab, config, **kwargs):
+        configs.append(config)
+        return train_base(train, valid, vocab, config, **kwargs)
+
+    monkeypatch.setattr(cli, "train_base", recording_train_base)
     (tmp_path / "c.conll").write_text(TOY_CORPUS, encoding="utf-8")
     (tmp_path / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")
     assert run("prepare", "--train", str(tmp_path / "c.conll"), "--out",
@@ -106,7 +115,9 @@ def test_config_flag_overrides_its_field(tmp_path, monkeypatch, flag, field, raw
     assert run("train-base", "--config", str(tmp_path / "run.cfg"), flag, raw,
                "--train", str(tmp_path / "c.conll"), "--vocab", str(tmp_path / "v.txt"),
                "--out", ckpt) == 0
-    assert getattr(load_model(ckpt).config, field) == want
+    assert [getattr(c, field) for c in configs] == [want]
+    if field != "threads":  # worker threads leave no trace in a checkpoint
+        assert getattr(load_model(ckpt).config, field) == want
 
 
 def mutated(data, text: str) -> bytes:
@@ -637,15 +648,11 @@ class TestArgumentLimits:
         assert not list(tmp_path.glob("*.ckpt"))
 
     @pytest.mark.parametrize("line, text", [
-        ("clip_norm = -3", "clip_norm must be positive, got -3.0"),
-        ("clip_norm = 0", "clip_norm must be positive, got 0.0"),
-        ("weight_decay = -1", "weight_decay must be at least 0, got -1.0"),
         ("memory_fraction = 7", "memory_fraction must lie in (0, 1], got 7.0"),
     ])
     def test_float_config_key_out_of_range(self, smoke_chain, tmp_path, capsys, line, text):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(open(smoke_chain["cfg"]).read() + "clip_enabled = true\n" + line + "\n",
-                       encoding="utf-8")
+        cfg.write_text(open(smoke_chain["cfg"]).read() + line + "\n", encoding="utf-8")
         code = run("train-base", "--config", str(cfg),
                    "--train", f"{smoke_chain['data']}/train.conll",
                    "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "b.ckpt"))
@@ -1063,6 +1070,29 @@ class TestRetiredInputs:
         assert_one_line_usage_error(code, capsys.readouterr().err, "--scheme")
         assert list(tmp_path.iterdir()) == []
 
+    # the schedule and the decay are recipe constants; clipping and float64
+    # training are gone
+    @pytest.mark.parametrize("line", ["lr_halving_epochs = 50,75", "weight_decay = 0.0001",
+                                      "clip_norm = 5.0", "clip_enabled = false",
+                                      "dtype = float32"])
+    def test_retired_key_in_run_config_exits_two(self, smoke_chain, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(open(smoke_chain["cfg"]).read() + line + "\n", encoding="utf-8")
+        code = run("train-base", "--config", str(cfg),
+                   "--train", f"{smoke_chain['data']}/train.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "b.ckpt"))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"{cfg}:13: unknown config key '{line.split(' = ')[0]}'")
+        assert not (tmp_path / "b.ckpt").exists()
+
+    def test_build_memory_takes_no_stratified(self, smoke_chain, tmp_path, capsys):
+        code = run("build-memory", "--checkpoint", smoke_chain["base"],
+                   "--train", f"{smoke_chain['data']}/train.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "m.bin"),
+                   "--stratified")
+        assert_one_line_usage_error(code, capsys.readouterr().err, "--stratified")
+        assert not (tmp_path / "m.bin").exists()
+
     @pytest.mark.parametrize("key", ["train", "vocab", "out"])
     def test_path_key_in_run_config_exits_two(self, smoke_chain, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
@@ -1142,6 +1172,32 @@ class TestConfigShapeAgreesWithTensors:
             assert run(*step) == 0, step[0]
         assert load_model(path["m.ckpt"]).config.d_word == 4
         assert load_model(path["p.ckpt"]).config.d_word == 9
+
+
+class TestThreadsLeaveNoTrace:
+    """Worker threads change no result, so the training commands write the same
+    files at any --threads, and a memory built from one base checkpoint pairs
+    with the other."""
+
+    def test_training_files_byte_identical(self, smoke_chain, tmp_path):
+        c = smoke_chain
+        data = ("--train", f"{c['data']}/train.conll", "--valid", f"{c['data']}/valid.conll",
+                "--vocab", c["vocab"])
+        for threads in ("1", "2"):
+            base = str(tmp_path / f"base{threads}.ckpt")
+            assert run("train-base", "--config", c["cfg"], "--epochs", "1", *data,
+                       "--out", base, "--threads", threads) == 0
+            assert run("build-memory", "--checkpoint", base, "--train", f"{c['data']}/train.conll",
+                       "--vocab", c["vocab"], "--out", str(tmp_path / f"mem{threads}.bin")) == 0
+        for threads, memory in (("1", "mem2.bin"), ("2", "mem1.bin")):
+            assert run("train-pnma", "--config", c["cfg"], "--phase2-epochs", "1", *data,
+                       "--checkpoint", str(tmp_path / f"base{threads}.ckpt"),
+                       "--memory", str(tmp_path / memory),
+                       "--out", str(tmp_path / f"pnma{threads}.ckpt"), "--threads", threads) == 0
+        for name in ("base{}.ckpt", "base{}.ckpt.log", "mem{}.bin", "pnma{}.ckpt",
+                     "pnma{}.ckpt.log"):
+            one, two = (tmp_path / name.format(t) for t in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), name
 
 
 class TestBuildMemoryFraction:

@@ -19,11 +19,11 @@ from pnma.errors import (
 
 class TestTrainConfig:
     def test_echo_round_trip(self):
-        cfg = TrainConfig(epochs=7, base_lr=2e-3, lr_halving_epochs=(3, 5),
-                          d_hidden=32, neighborhood_mode="shared")
+        cfg = TrainConfig(epochs=7, base_lr=2e-3, d_hidden=32, neighborhood_mode="shared")
         assert config_from_echo(cfg.to_echo()) == cfg
 
-    @pytest.mark.parametrize("key", ["format_version", "train"])
+    # worker threads never change a result, so a checkpoint does not record them
+    @pytest.mark.parametrize("key", ["format_version", "train", "threads"])
     def test_echo_holds_no_other_key(self, key):
         echo = f"{key} = 2\n" + TrainConfig().to_echo()
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
@@ -31,20 +31,12 @@ class TestTrainConfig:
 
     def test_echo_holds_only_the_fields(self):
         keys = [line.split(" = ")[0] for line in TrainConfig().to_echo().splitlines()]
-        assert keys == [f.name for f in dataclasses.fields(TrainConfig)]
-        assert len(keys) == 22
-
-    def test_validation_rejects_bad_schedule(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(lr_halving_epochs=(50, 50))
+        assert keys == [f.name for f in dataclasses.fields(TrainConfig) if f.name != "threads"]
+        assert len(keys) == 16
 
     def test_validation_rejects_nonpositive_lr(self):
         with pytest.raises(ConfigError):
             TrainConfig(base_lr=0.0)
-
-    def test_validation_rejects_bad_dtype(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(dtype="float16")
 
     def test_validation_rejects_bad_dropout(self):
         with pytest.raises(ConfigError):
@@ -58,15 +50,13 @@ class TestRunConfigFile:
             "# comment\n"
             "epochs = 9\n"
             "base_lr = 5e-4\n"
-            "lr_halving_epochs = 4,8\n"
-            "clip_enabled = true\n",
+            "scheme = per-token-role\n",
             encoding="utf-8",
         )
         cfg = load_run_config(str(p), quiet=True)
         assert cfg.epochs == 9
         assert cfg.base_lr == 5e-4
-        assert cfg.lr_halving_epochs == (4, 8)
-        assert cfg.clip_enabled is True
+        assert cfg.scheme == "per-token-role"
 
     def test_unknown_key_named(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -94,12 +84,12 @@ class TestRunConfigFile:
         assert "using defaults for" in err
         assert "base_lr" in err
 
-    def test_env_var_default_path(self, tmp_path, monkeypatch):
+    def test_env_var_names_no_config(self, tmp_path, monkeypatch):
+        # --config is the one way to name a run config
         p = tmp_path / "env.cfg"
         p.write_text("epochs = 13\n", encoding="utf-8")
         monkeypatch.setenv("PNMA_CONFIG", str(p))
-        cfg = load_run_config(None, quiet=True)
-        assert cfg.epochs == 13
+        assert load_run_config(None, quiet=True) == TrainConfig()
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "run.cfg"

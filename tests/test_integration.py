@@ -130,16 +130,6 @@ class TestDegenerateCorpus:
         assert all(vocab.tag_labels[t] == "B-X" for t in tags)
 
 
-class TestPrecisionConfig:
-    def test_double_precision_training_runs(self):
-        train, _ = generate_split("train", 16, 0.0, seed=6)
-        vocab = build_vocab(train, min_frequency=1)
-        cfg = small_cfg(dtype="float64", epochs=1)
-        result = train_base(train, None, vocab, cfg)
-        assert result.encoder.word_emb.dtype == np.float64
-        assert result.crf.emit_w.dtype == np.float64
-
-
 class TestThreadEquivalence:
     def test_threaded_encoding_matches_sequential(self):
         train, _ = generate_split("train", 40, 0.05, seed=8)

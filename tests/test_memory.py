@@ -432,12 +432,6 @@ class TestBuildMemory:
         idx = mem.provenance.index(("t-2", 2))
         assert self.vocab.tag_labels[mem.labels[idx]] == "B-V"
 
-    def test_stratified_mode_covers_every_label(self):
-        mem = build_memory(
-            self.encoder, self.vocab, self.instances, fraction=0.34, stratified=True
-        )
-        assert set(mem.labels.tolist()) == {0, 1, 2}
-
     def test_empty_training_set(self):
         with pytest.raises(DomainError, match="empty"):
             build_memory(self.encoder, self.vocab, [], fraction=0.5)
@@ -610,3 +604,30 @@ class TestSerialization:
 
         with pytest.raises(FormatError, match="malformed memory metadata"):
             deserialize_memory(self._crafted(tmp_path, edit))
+
+    @pytest.mark.parametrize("meta, text", [
+        (b"fraction=0.15\nsource_digest=abc123\n", "no seed"),
+        (b"seed=42\nsource_digest=abc123\n", "no fraction"),
+        (b"seed=42\nfraction=0.15\n", "no source_digest"),
+        (b"", "no seed, fraction, source_digest"),
+        (b"seed=42\nfraction=nan\nsource_digest=abc123\n",
+         "fraction must lie in (0, 1], got 'nan'"),
+        (b"seed=42\nfraction=7.5\nsource_digest=abc123\n",
+         "fraction must lie in (0, 1], got '7.5'"),
+        (b"seed=42\nfraction=0.0\nsource_digest=abc123\n",
+         "fraction must lie in (0, 1], got '0.0'"),
+        (b"seed=-1\nfraction=0.15\nsource_digest=abc123\n",
+         "seed must be a non-negative integer, got '-1'"),
+        (b"seed=42\nfraction=0.15\nsource_digest=abc123\nextra=1\n", "line 'extra=1'"),
+        (b"seed=42\nseed=42\nfraction=0.15\nsource_digest=abc123\n", "line 'seed=42'"),
+    ], ids=["no-seed", "no-fraction", "no-digest", "empty", "fraction-nan", "fraction-7.5",
+            "fraction-0", "seed-negative", "unknown-key", "repeated-key"])
+    def test_metadata_other_than_the_writers_is_format_error(self, tmp_path, meta, text):
+        def edit(body):
+            at = body.index(b"seed=42") - 4  # the metadata's u32 length
+            return body[:at] + struct.pack("<I", len(meta)) + meta
+
+        path = self._crafted(tmp_path, edit)
+        with pytest.raises(FormatError) as err:
+            deserialize_memory(path)
+        assert str(err.value) == f"{path}: malformed memory metadata: {text}"

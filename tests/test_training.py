@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from pnma.checkpoint import checkpoint_bytes, crf_to_dict
-from pnma.config import TrainConfig
+from pnma.config import LR_HALVING_EPOCHS, TrainConfig
 from pnma.dataio import build_vocab
 from pnma.errors import CompatibilityError, DimensionError, DomainError, NumericError
 from pnma.memory import build_memory
 from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
 from pnma import training
-from pnma.encoder import encode_corpus
+from pnma.encoder import EncoderParams, encode_corpus
 from pnma.memory import knn_entry_ids
 from pnma.neighborhood import init_neighborhood_params
 from pnma.training import (
@@ -24,7 +24,6 @@ from pnma.training import (
     _flat_views,
     _training_batches,
     adam_step,
-    clip_gradients,
     init_adam_state,
     predicate_frequency_table,
     train_base,
@@ -171,47 +170,6 @@ class TestAdam:
             adam_step(theta, [np.ones(6)], state, lr=0.1)
 
 
-def test_clip_gradients():
-    grads = {"a": np.array([3.0, 4.0])}
-    norm = clip_gradients(grads, max_norm=1.0)
-    assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(grads["a"], [0.6, 0.8])
-    grads2 = {"a": np.array([0.3, 0.4])}
-    clip_gradients(grads2, max_norm=1.0)
-    np.testing.assert_array_equal(grads2["a"], [0.3, 0.4])
-
-
-def copying_clip_gradients(grads, max_norm):
-    """Gradient clipping as first written, with a float64 copy and its square
-    per gradient and a scaled copy per clipped gradient; kept as the oracle."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * scale
-    return norm
-
-
-@pytest.mark.parametrize("max_norm", [1e-3, 0.7, 1e6])
-def test_clip_gradients_in_place_matches_copying_oracle(max_norm):
-    rng = make_rng(17)
-    shapes = {"w32": ((40, 30), np.float32), "b32": ((40,), np.float32),
-              "w64": ((7, 3), np.float64), "n": ((1, 5), np.float32)}
-    grads = {name: (rng.normal(size=shape) * 3.0).astype(dtype)
-             for name, (shape, dtype) in shapes.items()}
-    want = {name: g.copy() for name, g in grads.items()}
-    before = dict(grads)
-    want_norm = copying_clip_gradients(want, max_norm)
-    norm = clip_gradients(grads, max_norm)
-    assert norm == want_norm
-    for name, g in grads.items():
-        assert g is before[name]
-        assert g.dtype == want[name].dtype and g.tobytes() == want[name].tobytes()
-
-
 def inline_training_batches(lengths, batch_size, rng):
     """The shuffled grouping as it was written out inside training, kept as the oracle."""
     order = rng.permutation(len(lengths))
@@ -253,8 +211,8 @@ class TestSchedule:
         cfg = TrainConfig()
         assert cfg.epochs == 100
         assert cfg.base_lr == 1e-3
-        assert cfg.lr_halving_epochs == (50, 75)
-        assert cfg.weight_decay == 1e-4
+        assert LR_HALVING_EPOCHS == (50, 75)
+        assert training.WEIGHT_DECAY == 1e-4
         assert cfg.k_neighbors == 64
         assert cfg.memory_fraction == 0.15
         assert cfg.phase2_epochs == 20
@@ -438,10 +396,11 @@ class TestTrainPnma:
                 assert d is None
 
     @pytest.mark.parametrize("mode", ["distinct", "shared", "distance"])
-    def test_rank_vectors_trained_unless_distance_mode(self, base_setup, mode):
+    def test_rank_vectors_trained_unless_distance_mode(self, base_setup, monkeypatch, mode):
         train, valid, vocab, cfg, result, memory, digest = base_setup
         # no weight decay: only the gradient can move the rank vectors
-        cfg2 = tiny_config(neighborhood_mode=mode, phase2_epochs=2, weight_decay=0.0)
+        monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
+        cfg2 = tiny_config(neighborhood_mode=mode, phase2_epochs=2)
         initial = init_neighborhood_params(cfg2.k_neighbors, cfg2.d_hidden,
                                            make_rng(cfg2.seed, STREAM_NBR), mode=mode)
         out = train_pnma(result.encoder, result.crf, digest, memory,
@@ -479,6 +438,16 @@ class TestTrainPnma:
         assert out.log_lines == ref.log_lines and out.best_epoch == ref.best_epoch
         for name, a in trained_arrays(ref).items():
             assert np.array_equal(trained_arrays(out)[name], a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trains_in_the_base_encoders_dtype(self, base_setup, dtype):
+        train, valid, vocab, cfg, result, memory, digest = base_setup
+        encoder = EncoderParams.from_dict({name: a.astype(dtype)
+                                           for name, a in result.encoder.to_dict().items()})
+        out = train_pnma(encoder, result.crf, digest, memory, train, valid, vocab,
+                         tiny_config(phase2_epochs=1))
+        assert out.nbr.n.dtype == dtype
+        assert all(a.dtype == dtype for a in crf_to_dict(out.crf).values())
 
     def test_distance_mode_trains_head_only(self, base_setup):
         train, valid, vocab, cfg, result, memory, digest = base_setup
