@@ -6,10 +6,17 @@ gen-synthetic.  Exit codes: 0 success, 1 usage error, 2 data/format error,
 3 numeric failure.  All randomness is governed by --seed (or the config
 file); timing information goes to stderr so report files stay reproducible.
 
-Every flag changes a result.  The training commands take each
-``TrainConfig`` key as a flag over the run-config file; ``prepare`` takes
-only the scheme, which it records in the vocabulary file; ``evaluate
---scheme`` picks the F1 definition.  Corpora parse alike under either scheme.
+Every flag changes a result, and each phase's settings have one source.
+train-base reads --config under a flag for each ``TrainConfig`` key but
+``threads`` (phase 1 does not read it) and ``d_pred`` (set in the file only):
+--seed, --epochs, --phase2-epochs, --batch-size, --k, --memory-fraction,
+--base-lr, --phase2-lr, --d-word, --d-hidden, --n-layers, --dropout-embed,
+--dropout-layer, --scheme and --neighborhood-mode.  train-pnma inherits its
+base checkpoint's config under a flag for each key phase 2 reads: --seed,
+--batch-size, --threads, --k, --phase2-epochs, --phase2-lr, --scheme and
+--neighborhood-mode; its phase-1 and shape keys are always the base's.
+prepare takes --train, --out and --min-frequency, and evaluate --scheme
+picks the F1 definition.
 """
 
 from __future__ import annotations
@@ -88,11 +95,17 @@ _CONFIG_FLAGS: tuple[tuple[str, str, type | tuple[str, ...]], ...] = (
     ("--scheme", "scheme", dataio.SCHEMES),
     ("--neighborhood-mode", "neighborhood_mode", MODES),
 )
+# train-base reads no threads; train-pnma takes the keys phase 2 reads and
+# inherits every other key from its base checkpoint
+_BASE_KEYS = frozenset(dest for _, dest, _ in _CONFIG_FLAGS) - {"threads"}
+_PNMA_KEYS = frozenset({"seed", "batch_size", "threads", "k_neighbors", "phase2_epochs",
+                        "phase2_lr", "scheme", "neighborhood_mode"})
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="run-config file (key = value lines)")
+def _add_config_flags(p: argparse.ArgumentParser, keys: frozenset[str]) -> None:
     for flag, dest, kind in _CONFIG_FLAGS:
+        if dest not in keys:
+            continue
         if isinstance(kind, tuple):
             p.add_argument(flag, dest=dest, choices=kind)
         else:
@@ -157,9 +170,8 @@ def _maybe_external(path: str | None, instances):
 
 
 def cmd_prepare(args) -> int:
-    cfg = load_run_config(args.config, _overrides_from_args(args), quiet=True)
     instances = dataio.parse_conll_file(args.train)
-    vocab = dataio.build_vocab(instances, min_frequency=args.min_frequency, scheme=cfg.scheme)
+    vocab = dataio.build_vocab(instances, min_frequency=args.min_frequency)
     dataio.save_vocab(vocab, args.out)
     print(
         f"prepare: {len(instances)} instances, {vocab.n_words} words, "
@@ -213,12 +225,7 @@ def cmd_build_memory(args) -> int:
 
 def cmd_train_pnma(args) -> int:
     base = load_model(args.checkpoint)
-    overrides = _overrides_from_args(args)
-    if args.config is None:
-        # inherit the base run's configuration unless overridden
-        cfg = dataclasses.replace(base.config, **overrides)
-    else:
-        cfg = load_run_config(args.config, overrides)
+    cfg = dataclasses.replace(base.config, **_overrides_from_args(args))
     vocab = _load_vocab_for(base, args.vocab)
     memory = _load_memory_for(args.memory, vocab, base)
     train_set = dataio.parse_conll_file(args.train)
@@ -380,6 +387,11 @@ def cmd_analyze_disagreement(args) -> int:
     if (args.checkpoint is None) != (args.memory is None):
         raise ConfigError("analyze disagreement: --checkpoint and --memory must be given "
                           "together")
+    if args.checkpoint is None:
+        for flag in ("vocab", "k", "embeddings"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"analyze disagreement: --{flag} counts neighbors, "
+                                  "which needs --checkpoint and --memory")
     gold = dataio.parse_conll_file(args.gold)
     base_preds = dataio.parse_conll_file(args.pred_base)
     pnma_preds = dataio.parse_conll_file(args.pred_pnma)
@@ -393,7 +405,7 @@ def cmd_analyze_disagreement(args) -> int:
         vocab = _load_vocab_for(model, args.vocab)
         memory = _load_memory_for(args.memory, vocab, model)
         nbr_counts = analysis.neighborhood_label_counts(
-            model.encoder, vocab, memory, gold, k=args.k,
+            model.encoder, vocab, memory, gold, k=64 if args.k is None else args.k,
             external=_maybe_external(args.embeddings, gold), threads=threads,
         )
     report = analysis.disagreement_report(
@@ -440,8 +452,6 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-frequency", type=int, default=2)
-    p.add_argument("--config", help="run-config file; prepare reads its scheme")
-    p.add_argument("--scheme", choices=dataio.SCHEMES)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train-base", help="phase-1 end-to-end base training")
@@ -451,7 +461,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.add_argument("--embeddings", help="external per-token embedding file")
-    _add_config_flags(p)
+    p.add_argument("--config", help="run-config file (key = value lines)")
+    _add_config_flags(p, _BASE_KEYS)
     p.set_defaults(func=cmd_train_base)
 
     p = sub.add_parser("build-memory", help="build the activation memory from a checkpoint")
@@ -474,7 +485,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.add_argument("--embeddings")
-    _add_config_flags(p)
+    _add_config_flags(p, _PNMA_KEYS)
     p.set_defaults(func=cmd_train_pnma)
 
     p = sub.add_parser("predict", help="tag a corpus with a trained checkpoint")
@@ -536,7 +547,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint")
     p.add_argument("--memory")
     p.add_argument("--vocab")
-    p.add_argument("--k", type=int, default=64)
+    p.add_argument("--k", type=int, help="neighbors counted per token (default 64)")
     p.add_argument("--embeddings")
     p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_analyze_disagreement)

@@ -123,9 +123,7 @@ def parse_config_lines(lines, source: str, keys) -> dict[str, str]:
     return out
 
 
-def load_run_config(
-    path: str | None, overrides: dict[str, object] | None = None, quiet: bool = False
-) -> TrainConfig:
+def load_run_config(path: str | None, overrides: dict[str, object] | None = None) -> TrainConfig:
     """Merge defaults <- config file <- overrides (``None`` overrides are unset).
 
     Defaulted keys are reported once on stderr so a run's effective
@@ -137,7 +135,7 @@ def load_run_config(
     kwargs: dict[str, object] = {k: _convert(k, v) for k, v in raw.items()}
     kwargs.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     defaulted = sorted(set(_FIELDS) - set(kwargs))
-    if defaulted and not quiet:
+    if defaulted:
         print(f"config: using defaults for: {', '.join(defaulted)}", file=sys.stderr)
     try:
         return TrainConfig(**kwargs)  # type: ignore[arg-type]

@@ -63,8 +63,6 @@ class Vocabulary:
     word_to_id: dict[str, int]
     id_to_word: list[str]
     tag_labels: list[str]
-    min_frequency: int = 2
-    scheme: str = "bio-span"
     tag_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -309,9 +307,7 @@ def bio_encode_spans(spans: Iterable[tuple[int, int, str]], length: int) -> list
     return tags
 
 
-def build_vocab(
-    instances: Sequence[Instance], min_frequency: int = 2, scheme: str = "bio-span"
-) -> Vocabulary:
+def build_vocab(instances: Sequence[Instance], min_frequency: int = 2) -> Vocabulary:
     """Count-thresholded, case-preserving word table plus ordered tag labels."""
     if min_frequency < 1:
         raise DomainError(f"build_vocab: min_frequency must be >= 1, got {min_frequency}")
@@ -331,20 +327,12 @@ def build_vocab(
             if counts[tok] >= min_frequency and tok not in word_to_id:
                 word_to_id[tok] = len(id_to_word)
                 id_to_word.append(tok)
-    return Vocabulary(
-        word_to_id=word_to_id,
-        id_to_word=id_to_word,
-        tag_labels=tag_labels,
-        min_frequency=min_frequency,
-        scheme=scheme,
-    )
+    return Vocabulary(word_to_id=word_to_id, id_to_word=id_to_word, tag_labels=tag_labels)
 
 
 def save_vocab(vocab: Vocabulary, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# pnma vocabulary v1\n")
-        fh.write(f"min_frequency\t{vocab.min_frequency}\n")
-        fh.write(f"scheme\t{vocab.scheme}\n")
+        fh.write("# pnma vocabulary v2\n")
         fh.write(f"words\t{vocab.n_words}\n")
         for word in vocab.id_to_word:
             fh.write(f"{word}\n")
@@ -355,29 +343,23 @@ def save_vocab(vocab: Vocabulary, path: str) -> None:
 
 def load_vocab(path: str) -> Vocabulary:
     lines = read_text(path, FormatError).splitlines()
-    if not lines or lines[0] != "# pnma vocabulary v1":
+    if not lines or not lines[0].startswith("# pnma vocabulary v"):
         raise FormatError(f"{path}: not a pnma vocabulary file")
+    if lines[0] != "# pnma vocabulary v2":
+        raise FormatError(f"{path}: unsupported vocabulary format version")
     try:
-        min_frequency = int(lines[1].split("\t")[1])
-        scheme = lines[2].split("\t")[1]
-        n_words = int(lines[3].split("\t")[1])
-        words = lines[4 : 4 + n_words]
-        tag_line = lines[4 + n_words]
-        n_tags = int(tag_line.split("\t")[1])
-        tags = lines[5 + n_words : 5 + n_words + n_tags]
+        n_words = int(lines[1].split("\t")[1])
+        words = lines[2 : 2 + n_words]
+        n_tags = int(lines[2 + n_words].split("\t")[1])
+        tags = lines[3 + n_words : 3 + n_words + n_tags]
     except (IndexError, ValueError) as exc:
         raise FormatError(f"{path}: truncated or malformed vocabulary file") from exc
     if len(words) != n_words or len(tags) != n_tags:
         raise FormatError(f"{path}: truncated vocabulary file")
     if words[:2] != [UNK, PAD]:
         raise FormatError(f"{path}: reserved ids 0/1 must be {UNK}/{PAD}")
-    return Vocabulary(
-        word_to_id={w: i for i, w in enumerate(words)},
-        id_to_word=list(words),
-        tag_labels=list(tags),
-        min_frequency=min_frequency,
-        scheme=scheme,
-    )
+    return Vocabulary(word_to_id={w: i for i, w in enumerate(words)}, id_to_word=words,
+                      tag_labels=tags)
 
 
 @dataclass

@@ -111,7 +111,7 @@ def chain_once(root: Path, seed: int) -> dict:
         "--out", paths["memory"], "--fraction", "0.15", "--seed", str(seed),
     )
     stderr_pnma = run_cli(
-        "train-pnma", "--config", str(cfg), "--seed", str(seed),
+        "train-pnma", "--seed", str(seed),
         "--checkpoint", paths["base"], "--memory", paths["memory"],
         "--train", f"{data}/train.conll", "--valid", f"{data}/valid.conll",
         "--vocab", str(vocab), "--out", paths["pnma"],

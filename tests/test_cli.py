@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 
 from pnma.analysis import read_eval_report
 from pnma.checkpoint import load_model
-from pnma.cli import dispatch
+from pnma.cli import build_parser, dispatch
 from pnma.config import load_run_config
-from pnma.training import train_base
+from pnma.training import train_base, train_pnma
 
 
 def run(*argv):
@@ -35,26 +37,27 @@ class TestDispatchBasics:
     def test_missing_required_flag_usage_error(self):
         assert run("prepare") == 1
 
+    @staticmethod
+    def train_base_with_config(tmp_path, capsys, text: str) -> int:
+        (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+        (tmp_path / "c.conll").write_text("a 1 B-V\n", encoding="utf-8")
+        assert run("prepare", "--train", str(tmp_path / "c.conll"),
+                   "--out", str(tmp_path / "v.txt")) == 0
+        capsys.readouterr()
+        return run("train-base", "--config", str(tmp_path / "run.cfg"), "--epochs", "0",
+                   "--train", str(tmp_path / "c.conll"), "--vocab", str(tmp_path / "v.txt"),
+                   "--out", str(tmp_path / "m.ckpt"))
+
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs = 3\nwibble = 9\n", encoding="utf-8")
-        corpus = tmp_path / "c.conll"
-        corpus.write_text("a 1 B-V\n", encoding="utf-8")
-        code = run("prepare", "--train", str(corpus), "--out",
-                   str(tmp_path / "v.txt"), "--config", str(cfg))
+        code = self.train_base_with_config(tmp_path, capsys, "epochs = 3\nwibble = 9\n")
         assert code == 2
         assert "wibble" in capsys.readouterr().err
 
     def test_version_line_in_config_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format_version = 7\nepochs = 2\n", encoding="utf-8")
-        corpus = tmp_path / "c.conll"
-        corpus.write_text("a 1 B-V\n", encoding="utf-8")
-        code = run("prepare", "--train", str(corpus), "--out",
-                   str(tmp_path / "v.txt"), "--config", str(cfg))
+        code = self.train_base_with_config(tmp_path, capsys, "format_version = 7\nepochs = 2\n")
         assert_one_line_error(code, capsys.readouterr().err,
-                              f"{cfg}:1: unknown config key 'format_version'")
-        assert not (tmp_path / "v.txt").exists()
+                              f"{tmp_path / 'run.cfg'}:1: unknown config key 'format_version'")
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_file_exits_two(self):
         assert run("prepare", "--train", "/nonexistent/x.conll", "--out", "/tmp/v") == 2
@@ -77,12 +80,12 @@ def test_repeated_sentence_id_exits_two(tmp_path, capsys):
     assert "first used at line 1" in err
 
 
-# each config flag, its TrainConfig field, and a value that neither TOY_CONFIG
-# nor the defaults give
+# each train-base config flag, its TrainConfig field, and a value that neither
+# TOY_CONFIG nor the defaults give
 CONFIG_FLAG_VALUES = [
     ("--seed", "seed", "7"), ("--epochs", "epochs", "2"),
     ("--phase2-epochs", "phase2_epochs", "3"), ("--batch-size", "batch_size", "5"),
-    ("--threads", "threads", "2"), ("--k", "k_neighbors", "9"),
+    ("--k", "k_neighbors", "9"),
     ("--memory-fraction", "memory_fraction", "0.25"), ("--base-lr", "base_lr", "0.002"),
     ("--phase2-lr", "phase2_lr", "0.0005"), ("--d-word", "d_word", "5"),
     ("--d-hidden", "d_hidden", "6"), ("--n-layers", "n_layers", "2"),
@@ -108,7 +111,7 @@ def test_config_flag_overrides_its_field(tmp_path, monkeypatch, flag, field, raw
     (tmp_path / "run.cfg").write_text(TOY_CONFIG, encoding="utf-8")
     assert run("prepare", "--train", str(tmp_path / "c.conll"), "--out",
                str(tmp_path / "v.txt"), "--min-frequency", "1") == 0
-    unflagged = load_run_config(str(tmp_path / "run.cfg"), quiet=True)
+    unflagged = load_run_config(str(tmp_path / "run.cfg"))
     want = type(getattr(unflagged, field))(raw)
     assert getattr(unflagged, field) != want
     ckpt = str(tmp_path / "m.ckpt")
@@ -116,8 +119,63 @@ def test_config_flag_overrides_its_field(tmp_path, monkeypatch, flag, field, raw
                "--train", str(tmp_path / "c.conll"), "--vocab", str(tmp_path / "v.txt"),
                "--out", ckpt) == 0
     assert [getattr(c, field) for c in configs] == [want]
-    if field != "threads":  # worker threads leave no trace in a checkpoint
-        assert getattr(load_model(ckpt).config, field) == want
+    assert getattr(load_model(ckpt).config, field) == want
+
+
+@pytest.fixture(scope="module")
+def toy_base(tmp_path_factory):
+    """A toy base checkpoint, its vocabulary and a whole-corpus memory."""
+    root = tmp_path_factory.mktemp("toy_base")
+    (root / "c.conll").write_text(TOY_CORPUS, encoding="utf-8")
+    (root / "run.cfg").write_text(TOY_CONFIG + "k_neighbors = 2\nphase2_epochs = 1\n",
+                                  encoding="utf-8")
+    path = {name: str(root / name) for name in ("c.conll", "run.cfg", "v.txt", "m.ckpt",
+                                                "mem.bin")}
+    for step in [
+        ("prepare", "--train", path["c.conll"], "--out", path["v.txt"], "--min-frequency", "1"),
+        ("train-base", "--config", path["run.cfg"], "--train", path["c.conll"],
+         "--vocab", path["v.txt"], "--out", path["m.ckpt"]),
+        ("build-memory", "--checkpoint", path["m.ckpt"], "--train", path["c.conll"],
+         "--vocab", path["v.txt"], "--out", path["mem.bin"], "--fraction", "1.0"),
+    ]:
+        assert run(*step) == 0, step[0]
+    return path
+
+
+# each train-pnma flag, its TrainConfig field, and a value that the toy base
+# checkpoint's config does not hold
+PNMA_FLAG_VALUES = [
+    ("--seed", "seed", "7"), ("--batch-size", "batch_size", "5"), ("--threads", "threads", "2"),
+    ("--k", "k_neighbors", "1"), ("--phase2-epochs", "phase2_epochs", "2"),
+    ("--phase2-lr", "phase2_lr", "0.0005"), ("--scheme", "scheme", "per-token-role"),
+    ("--neighborhood-mode", "neighborhood_mode", "shared"),
+]
+
+
+@pytest.mark.parametrize("flag, field, raw", PNMA_FLAG_VALUES,
+                         ids=[f[0] for f in PNMA_FLAG_VALUES])
+def test_pnma_flag_overrides_the_inherited_field(toy_base, tmp_path, monkeypatch, flag,
+                                                 field, raw):
+    # train-pnma runs on its base checkpoint's config with this one field
+    # changed, which the adapted checkpoint echoes (threads is never echoed)
+    from pnma import cli
+
+    configs = []
+
+    def recording_train_pnma(*args, **kwargs):
+        configs.append(args[-1])
+        return train_pnma(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_pnma", recording_train_pnma)
+    inherited = load_model(toy_base["m.ckpt"]).config
+    want = dataclasses.replace(inherited, **{field: type(getattr(inherited, field))(raw)})
+    assert getattr(want, field) != getattr(inherited, field)
+    out = str(tmp_path / "p.ckpt")
+    assert run("train-pnma", "--checkpoint", toy_base["m.ckpt"], "--memory", toy_base["mem.bin"],
+               "--train", toy_base["c.conll"], "--vocab", toy_base["v.txt"], "--out", out,
+               flag, raw) == 0
+    assert configs == [want]
+    assert load_model(out).config.to_echo() == want.to_echo()
 
 
 def mutated(data, text: str) -> bytes:
@@ -153,10 +211,12 @@ class TestTextInputFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_config_file(self, toy, capsys, data):
+        # zero epochs: the reader and the key checks decide the outcome
         (toy / "run.cfg").write_bytes(mutated(data, TOY_CONFIG))
         capsys.readouterr()
-        code = run("prepare", "--config", str(toy / "run.cfg"), "--train",
-                   str(toy / "c.conll"), "--out", str(toy / "v2.txt"))
+        code = run("train-base", "--config", str(toy / "run.cfg"), "--epochs", "0",
+                   "--train", str(toy / "c.conll"), "--vocab", str(toy / "v.txt"),
+                   "--out", str(toy / "m.ckpt"))
         assert_ok_or_one_line_error(code, capsys.readouterr().err)
 
     @settings(max_examples=60, deadline=None,
@@ -233,10 +293,12 @@ class TestTextInputFuzz:
     @pytest.mark.parametrize("line", ["epochs = 1e400", "epochs = abc", "base_lr = nan"])
     def test_bad_config_value_exits_two(self, toy, capsys, line):
         (toy / "run.cfg").write_text(line + "\n", encoding="utf-8")
-        code = run("prepare", "--config", str(toy / "run.cfg"), "--train",
-                   str(toy / "c.conll"), "--out", str(toy / "v2.txt"))
+        code = run("train-base", "--config", str(toy / "run.cfg"), "--epochs", "0",
+                   "--train", str(toy / "c.conll"), "--vocab", str(toy / "v.txt"),
+                   "--out", str(toy / "m.ckpt"))
         assert code == 2
         assert line.split()[0] in capsys.readouterr().err
+        assert not (toy / "m.ckpt").exists()
 
 
 class TestGenSyntheticCommand:
@@ -297,8 +359,7 @@ def smoke_chain(tmp_path_factory):
         ("build-memory", "--checkpoint", args["base"],
          "--train", f"{args['data']}/train.conll", "--vocab", args["vocab"],
          "--out", args["memory"], "--fraction", "0.5", "--seed", "3"),
-        ("train-pnma", "--config", args["cfg"], "--checkpoint", args["base"],
-         "--memory", args["memory"],
+        ("train-pnma", "--checkpoint", args["base"], "--memory", args["memory"],
          "--train", f"{args['data']}/train.conll",
          "--valid", f"{args['data']}/valid.conll",
          "--vocab", args["vocab"], "--out", args["pnma"]),
@@ -525,7 +586,7 @@ class TestArgumentLimits:
                    "--vocab", chain["vocab"], "--out", str(tmp_path / "b.ckpt"), *extra)
 
     def train_pnma(self, chain, tmp_path, *extra):
-        return run("train-pnma", "--config", chain["cfg"], "--checkpoint", chain["base"],
+        return run("train-pnma", "--checkpoint", chain["base"],
                    "--memory", chain["memory"], "--train", f"{chain['data']}/train.conll",
                    "--valid", f"{chain['data']}/valid.conll",
                    "--vocab", chain["vocab"], "--out", str(tmp_path / "p.ckpt"), *extra)
@@ -592,6 +653,19 @@ class TestArgumentLimits:
                               "--checkpoint and --memory must be given together")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--vocab", "--k", "--embeddings"])
+    def test_disagreement_counts_neighbors_only_with_a_model(self, smoke_chain, tmp_path,
+                                                             capsys, flag):
+        c = smoke_chain
+        value = {"--vocab": c["vocab"], "--k": "3", "--embeddings": "/nonexistent"}[flag]
+        code = run("analyze", "disagreement", "--gold", f"{c['data']}/test.conll",
+                   "--pred-base", c["base_preds"], "--pred-pnma", c["pnma_preds"],
+                   "--train", f"{c['data']}/train.conll", "--out", str(tmp_path / "d.tsv"),
+                   flag, value)
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"{flag} counts neighbors, which needs --checkpoint and --memory")
+        assert list(tmp_path.iterdir()) == []
+
     def test_analyze_neighbors_negative_window(self, smoke_chain, tmp_path, capsys):
         from pnma.dataio import parse_conll_file
 
@@ -609,10 +683,10 @@ class TestArgumentLimits:
 
     @staticmethod
     def train_without_valid(chain, tmp_path, command, *extra):
-        phase = {"train-base": ("--epochs", "2"),
+        phase = {"train-base": ("--config", chain["cfg"], "--epochs", "2"),
                  "train-pnma": ("--checkpoint", chain["base"], "--memory", chain["memory"],
                                 "--phase2-epochs", "2")}[command]
-        return run(command, "--config", chain["cfg"], "--train", f"{chain['data']}/train.conll",
+        return run(command, "--train", f"{chain['data']}/train.conll",
                    "--vocab", chain["vocab"], "--out", str(tmp_path / "x.ckpt"), *phase, *extra)
 
     @pytest.mark.parametrize("command", ["train-base", "train-pnma"])
@@ -644,7 +718,12 @@ class TestArgumentLimits:
     def test_float_flag_out_of_range(self, smoke_chain, tmp_path, capsys, command, flag,
                                      value, text):
         code = getattr(self, command)(smoke_chain, tmp_path, flag, value)
-        assert_one_line_error(code, capsys.readouterr().err, text)
+        if command == "train_pnma" and flag != "--phase2-lr":
+            # phase 2 inherits this key from the base checkpoint, so it is no flag
+            assert_one_line_usage_error(code, capsys.readouterr().err,
+                                        f"unrecognized arguments: {flag}")
+        else:
+            assert_one_line_error(code, capsys.readouterr().err, text)
         assert not list(tmp_path.glob("*.ckpt"))
 
     @pytest.mark.parametrize("line, text", [
@@ -818,7 +897,7 @@ class TestVocabularyMismatch:
         return {
             "build-memory": ("build-memory", "--checkpoint", chain["base"],
                              "--train", f"{data}/train.conll"),
-            "train-pnma": ("train-pnma", "--config", chain["cfg"], "--checkpoint", chain["base"],
+            "train-pnma": ("train-pnma", "--checkpoint", chain["base"],
                            "--memory", chain["memory"], "--train", f"{data}/train.conll"),
             "predict": ("predict", "--checkpoint", chain["pnma"], "--memory", chain["memory"],
                         "--input", f"{data}/test.conll"),
@@ -848,6 +927,24 @@ class TestVocabularyMismatch:
                          tag_labels=vocab.tag_labels[: vocab.n_tags - fewer_tags])
         save_vocab(edited, str(path))
         return str(path)
+
+    @pytest.mark.parametrize("command", ["train-base", *COMMANDS])
+    def test_version_1_file(self, smoke_chain, tmp_path, capsys, command):
+        # the first format also held min_frequency and scheme lines
+        lines = open(smoke_chain["vocab"], encoding="utf-8").read().splitlines(keepends=True)
+        assert lines[0] == "# pnma vocabulary v2\n"
+        vocab = tmp_path / "v.txt"
+        vocab.write_text("# pnma vocabulary v1\nmin_frequency\t2\nscheme\tbio-span\n"
+                         + "".join(lines[1:]), encoding="utf-8")
+        if command == "train-base":
+            argv = ("train-base", "--config", smoke_chain["cfg"],
+                    "--train", f"{smoke_chain['data']}/train.conll",
+                    "--vocab", str(vocab), "--out", str(tmp_path / "out"))
+        else:
+            argv = self.argv(smoke_chain, command, str(vocab), str(tmp_path / "out"))
+        assert_one_line_error(run(*argv), capsys.readouterr().err,
+                              f"{vocab}: unsupported vocabulary format version")
+        assert [f.name for f in tmp_path.iterdir()] == ["v.txt"]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_fewer_tags(self, smoke_chain, tmp_path, capsys, command):
@@ -981,14 +1078,14 @@ def test_numeric_failure_is_one_stderr_line(smoke_chain, tmp_path, command, lr_f
     # a rate that overflows float32 makes the first update non-finite; numpy's
     # floating-point warnings must not precede the one failure line
     c = smoke_chain
-    phase = {"train-base": ("--epochs", "1"),
+    phase = {"train-base": ("--config", c["cfg"], "--epochs", "1"),
              "train-pnma": ("--checkpoint", c["base"], "--memory", c["memory"],
                             "--phase2-epochs", "1")}[command]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "pnma.cli", command, "--config", c["cfg"],
+        [sys.executable, "-m", "pnma.cli", command,
          "--train", f"{c['data']}/train.conll", "--vocab", c["vocab"],
          "--out", str(tmp_path / "x.ckpt"), *phase, lr_flag, "1e300"],
         capture_output=True, text=True, env=env, timeout=300)
@@ -998,6 +1095,49 @@ def test_numeric_failure_is_one_stderr_line(smoke_chain, tmp_path, command, lr_f
              if not line.startswith("config: using defaults")]
     assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
     assert not (tmp_path / "x.ckpt").exists()
+
+
+# each subcommand's flags: every one changes a result, so one is added or
+# removed on purpose, and here first
+FLAGS = {
+    "prepare": "--train --out --min-frequency",
+    "train-base": "--train --valid --vocab --out --log --embeddings --config --seed --epochs "
+                  "--phase2-epochs --batch-size --k --memory-fraction --base-lr --phase2-lr "
+                  "--d-word --d-hidden --n-layers --dropout-embed --dropout-layer --scheme "
+                  "--neighborhood-mode",
+    "build-memory": "--checkpoint --train --vocab --out --fraction --seed --embeddings",
+    "train-pnma": "--checkpoint --memory --train --valid --vocab --out --log --embeddings "
+                  "--seed --phase2-epochs --batch-size --threads --k --phase2-lr --scheme "
+                  "--neighborhood-mode",
+    "predict": "--checkpoint --input --vocab --out --memory --embeddings --threads",
+    "evaluate": "--gold --pred --out --scheme",
+    "gen-synthetic": "--out-dir --train-size --valid-size --test-size --exception-rate --seed",
+    "analyze rank-dist": "--checkpoint --memory --input --vocab --out --k --exclude-self "
+                         "--embeddings --threads --plot",
+    "analyze confusion-diff": "--gold --pred-a --pred-b --out --top-n",
+    "analyze disagreement": "--gold --pred-base --pred-pnma --train --out --checkpoint "
+                            "--memory --vocab --k --embeddings --threads",
+    "analyze neighbors": "--checkpoint --memory --input --vocab --sources --sentence-id "
+                         "--token-index --out --k --window --embeddings",
+}
+
+
+def parser_flags(parser: argparse.ArgumentParser, command: str = "") -> dict[str, list[str]]:
+    """Each (sub)command's option strings, in order, --help aside."""
+    out: dict[str, list[str]] = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(parser_flags(sub, f"{command} {name}".strip()))
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            out.setdefault(command, []).extend(action.option_strings)
+    return out
+
+
+def test_flag_inventory():
+    flags = parser_flags(build_parser())
+    assert flags == {command: names.split() for command, names in FLAGS.items()}
+    assert sum(map(len, flags.values())) == 102
 
 
 class TestEvaluateCommand:
@@ -1032,12 +1172,15 @@ def assert_one_line_usage_error(code: int, err: str, text: str) -> None:
 
 class TestRetiredInputs:
     """Inputs that no code read are refused, not silently accepted: prepare's
-    training flags, --scheme on the commands whose reports it never changed,
-    and file-path keys in a run-config file."""
+    training flags and run config, train-pnma's run config and the keys it
+    inherits, train-base's --threads, --scheme on the commands whose reports
+    it never changed, and file-path keys in a run-config file."""
 
     @pytest.mark.parametrize("flag, value", [("--epochs", "5"), ("--d-hidden", "7"),
                                              ("--neighborhood-mode", "shared"),
-                                             ("--threads", "9")])
+                                             ("--threads", "9"),
+                                             ("--scheme", "per-token-role"),
+                                             ("--config", "run.cfg")])
     def test_prepare_takes_no_training_flag(self, tmp_path, capsys, flag, value):
         (tmp_path / "c.conll").write_text(TOY_CORPUS, encoding="utf-8")
         code = run("prepare", "--train", str(tmp_path / "c.conll"),
@@ -1045,17 +1188,30 @@ class TestRetiredInputs:
         assert_one_line_usage_error(code, capsys.readouterr().err, flag)
         assert not (tmp_path / "v.txt").exists()
 
-    def test_prepare_records_the_scheme(self, tmp_path):
-        from pnma.dataio import load_vocab
+    # phase 2 reads none of these keys, so the adapted checkpoint inherits
+    # them from its base, and a run config has nothing left to set
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", "run.cfg"), ("--epochs", "2"), ("--base-lr", "0.002"),
+        ("--dropout-embed", "0.2"), ("--dropout-layer", "0.3"), ("--memory-fraction", "0.25"),
+        ("--d-word", "5"), ("--d-hidden", "6"), ("--n-layers", "3"),
+    ])
+    def test_train_pnma_takes_no_inherited_key(self, smoke_chain, tmp_path, capsys, flag,
+                                               value):
+        c = smoke_chain
+        code = run("train-pnma", "--checkpoint", c["base"], "--memory", c["memory"],
+                   "--train", f"{c['data']}/train.conll", "--vocab", c["vocab"],
+                   "--out", str(tmp_path / "p.ckpt"), flag, value)
+        assert_one_line_usage_error(code, capsys.readouterr().err,
+                                    f"unrecognized arguments: {flag}")
+        assert list(tmp_path.iterdir()) == []
 
-        (tmp_path / "c.conll").write_text(TOY_CORPUS, encoding="utf-8")
-        (tmp_path / "run.cfg").write_text("scheme = per-token-role\n", encoding="utf-8")
-        for argv, scheme in [((), "bio-span"), (("--scheme", "per-token-role"), "per-token-role"),
-                             (("--config", str(tmp_path / "run.cfg")), "per-token-role")]:
-            out = str(tmp_path / "v.txt")
-            assert run("prepare", "--train", str(tmp_path / "c.conll"), "--out", out,
-                       *argv) == 0
-            assert load_vocab(out).scheme == scheme
+    def test_train_base_takes_no_threads(self, smoke_chain, tmp_path, capsys):
+        c = smoke_chain
+        code = run("train-base", "--config", c["cfg"], "--train", f"{c['data']}/train.conll",
+                   "--vocab", c["vocab"], "--out", str(tmp_path / "b.ckpt"), "--threads", "2")
+        assert_one_line_usage_error(code, capsys.readouterr().err,
+                                    "unrecognized arguments: --threads")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["confusion-diff", "disagreement"])
     def test_analyze_takes_no_scheme(self, smoke_chain, tmp_path, capsys, command):
@@ -1106,33 +1262,19 @@ class TestRetiredInputs:
 
 
 class TestConfigShapeAgreesWithTensors:
-    """A config that contradicts the base encoder's shape is refused before
-    train-pnma writes a checkpoint, and a checkpoint whose config echo
-    contradicts its sections does not load."""
-
-    def train_pnma(self, chain, tmp_path, *extra):
-        return run("train-pnma", "--checkpoint", chain["base"], "--memory", chain["memory"],
-                   "--train", f"{chain['data']}/train.conll", "--vocab", chain["vocab"],
-                   "--out", str(tmp_path / "p.ckpt"), "--phase2-epochs", "1", *extra)
+    """train-pnma takes its shape from the base checkpoint and no flag can
+    change it, and a checkpoint whose config echo contradicts its sections
+    does not load."""
 
     def test_inherited_config_with_other_shape_flags(self, smoke_chain, tmp_path, capsys):
-        code = self.train_pnma(smoke_chain, tmp_path, "--d-hidden", "999", "--n-layers", "7")
-        assert_one_line_error(code, capsys.readouterr().err,
-                              "train_pnma: the base encoder contradicts the config: "
-                              "d_hidden = 999, but the tensors have 16")
+        code = run("train-pnma", "--checkpoint", smoke_chain["base"],
+                   "--memory", smoke_chain["memory"],
+                   "--train", f"{smoke_chain['data']}/train.conll",
+                   "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "p.ckpt"),
+                   "--phase2-epochs", "1", "--d-hidden", "999", "--n-layers", "7")
+        assert_one_line_usage_error(code, capsys.readouterr().err,
+                                    "unrecognized arguments: --d-hidden 999 --n-layers 7")
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("key, value", [("d_word", 12), ("d_pred", 8), ("d_hidden", 16),
-                                            ("n_layers", 2)])
-    def test_run_config_with_other_shape(self, smoke_chain, tmp_path, capsys, key, value):
-        cfg = tmp_path / "run.cfg"
-        text = open(smoke_chain["cfg"]).read()
-        assert f"{key} = {value}\n" in text
-        cfg.write_text(text.replace(f"{key} = {value}\n", f"{key} = 3\n"), encoding="utf-8")
-        code = self.train_pnma(smoke_chain, tmp_path, "--config", str(cfg))
-        assert_one_line_error(code, capsys.readouterr().err,
-                              f"{key} = 3, but the tensors have {value}")
-        assert not (tmp_path / "p.ckpt").exists()
 
     @pytest.mark.parametrize("key, value", [("d_word", 12), ("d_pred", 8), ("d_hidden", 16),
                                             ("n_layers", 2)])
@@ -1150,8 +1292,8 @@ class TestConfigShapeAgreesWithTensors:
             load_model(ckpt)
 
     def test_external_embeddings_leave_d_word_free(self, tmp_path):
-        # with --embeddings the first layer reads the embeddings' width, so the
-        # echoed d_word is not a tensor width, and train-pnma may change it
+        # with --embeddings the first layer reads the embeddings' width (2), so
+        # the echoed d_word (4) is not a tensor width, and train-pnma accepts it
         for name, text in (("c.conll", TOY_CORPUS), ("run.cfg", TOY_CONFIG),
                            ("emb.txt", TOY_EMBEDDINGS)):
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -1167,35 +1309,26 @@ class TestConfigShapeAgreesWithTensors:
              "--vocab", path["v.txt"], "--out", path["mem.bin"], "--fraction", "1.0", *emb),
             ("train-pnma", "--checkpoint", path["m.ckpt"], "--memory", path["mem.bin"],
              "--train", path["c.conll"], "--vocab", path["v.txt"], "--out", path["p.ckpt"],
-             "--k", "2", "--phase2-epochs", "1", "--d-word", "9", *emb),
+             "--k", "2", "--phase2-epochs", "1", *emb),
         ]:
             assert run(*step) == 0, step[0]
-        assert load_model(path["m.ckpt"]).config.d_word == 4
-        assert load_model(path["p.ckpt"]).config.d_word == 9
+        base = load_model(path["m.ckpt"])
+        assert (base.encoder.d_word, base.config.d_word) == (2, 4)
+        assert load_model(path["p.ckpt"]).config.d_word == 4
 
 
 class TestThreadsLeaveNoTrace:
-    """Worker threads change no result, so the training commands write the same
-    files at any --threads, and a memory built from one base checkpoint pairs
-    with the other."""
+    """Worker threads change no result, so train-pnma writes the same files at
+    any --threads."""
 
     def test_training_files_byte_identical(self, smoke_chain, tmp_path):
         c = smoke_chain
-        data = ("--train", f"{c['data']}/train.conll", "--valid", f"{c['data']}/valid.conll",
-                "--vocab", c["vocab"])
         for threads in ("1", "2"):
-            base = str(tmp_path / f"base{threads}.ckpt")
-            assert run("train-base", "--config", c["cfg"], "--epochs", "1", *data,
-                       "--out", base, "--threads", threads) == 0
-            assert run("build-memory", "--checkpoint", base, "--train", f"{c['data']}/train.conll",
-                       "--vocab", c["vocab"], "--out", str(tmp_path / f"mem{threads}.bin")) == 0
-        for threads, memory in (("1", "mem2.bin"), ("2", "mem1.bin")):
-            assert run("train-pnma", "--config", c["cfg"], "--phase2-epochs", "1", *data,
-                       "--checkpoint", str(tmp_path / f"base{threads}.ckpt"),
-                       "--memory", str(tmp_path / memory),
+            assert run("train-pnma", "--phase2-epochs", "1", "--train", f"{c['data']}/train.conll",
+                       "--valid", f"{c['data']}/valid.conll", "--vocab", c["vocab"],
+                       "--checkpoint", c["base"], "--memory", c["memory"],
                        "--out", str(tmp_path / f"pnma{threads}.ckpt"), "--threads", threads) == 0
-        for name in ("base{}.ckpt", "base{}.ckpt.log", "mem{}.bin", "pnma{}.ckpt",
-                     "pnma{}.ckpt.log"):
+        for name in ("pnma{}.ckpt", "pnma{}.ckpt.log"):
             one, two = (tmp_path / name.format(t) for t in ("1", "2"))
             assert one.read_bytes() == two.read_bytes(), name
 

@@ -53,7 +53,7 @@ class TestRunConfigFile:
             "scheme = per-token-role\n",
             encoding="utf-8",
         )
-        cfg = load_run_config(str(p), quiet=True)
+        cfg = load_run_config(str(p))
         assert cfg.epochs == 9
         assert cfg.base_lr == 5e-4
         assert cfg.scheme == "per-token-role"
@@ -62,18 +62,18 @@ class TestRunConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text("frobs = 2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="frobs"):
-            load_run_config(str(p), quiet=True)
+            load_run_config(str(p))
 
     def test_version_line_is_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("format_version = 7\nepochs = 2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="run.cfg:1: unknown config key 'format_version'"):
-            load_run_config(str(p), quiet=True)
+            load_run_config(str(p))
 
     def test_flags_win_over_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("epochs = 9\n", encoding="utf-8")
-        cfg = load_run_config(str(p), overrides={"epochs": 3}, quiet=True)
+        cfg = load_run_config(str(p), overrides={"epochs": 3})
         assert cfg.epochs == 3
 
     def test_defaulted_keys_logged(self, tmp_path, capsys):
@@ -89,13 +89,13 @@ class TestRunConfigFile:
         p = tmp_path / "env.cfg"
         p.write_text("epochs = 13\n", encoding="utf-8")
         monkeypatch.setenv("PNMA_CONFIG", str(p))
-        assert load_run_config(None, quiet=True) == TrainConfig()
+        assert load_run_config(None) == TrainConfig()
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("epochs 9\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=":1:"):
-            load_run_config(str(p), quiet=True)
+            load_run_config(str(p))
 
     @pytest.mark.parametrize("line", [
         "epochs = 1e400", "epochs = abc", "epochs = 2.5", "base_lr = nan",
@@ -106,13 +106,13 @@ class TestRunConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=line.split()[0]):
-            load_run_config(str(p), quiet=True)
+            load_run_config(str(p))
 
     def test_non_utf8_file_names_line(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_bytes(b"epochs = 2\nseed = \xff3\n")
         with pytest.raises(ConfigError, match=":2: not UTF-8"):
-            load_run_config(str(p), quiet=True)
+            load_run_config(str(p))
 
 
 class TestExitCodes:
@@ -146,7 +146,7 @@ class TestIntegerKeys:
         path = tmp_path / "run.cfg"
         path.write_text("batch_size = 0\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="batch_size"):
-            load_run_config(str(path), quiet=True)
+            load_run_config(str(path))
 
 
 @pytest.mark.parametrize("key", ["train", "valid", "test", "vocab", "checkpoint", "memory",
@@ -156,4 +156,4 @@ def test_path_key_is_unknown(tmp_path, key):
     p = tmp_path / "run.cfg"
     p.write_text(f"epochs = 2\n{key} = x\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=f"run.cfg:2: unknown config key '{key}'"):
-        load_run_config(str(p), quiet=True)
+        load_run_config(str(p))

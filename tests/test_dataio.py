@@ -222,8 +222,16 @@ class TestVocab:
         w = load_vocab(path)
         assert w.word_to_id == v.word_to_id
         assert w.tag_labels == v.tag_labels
-        assert w.min_frequency == v.min_frequency
-        assert w.scheme == v.scheme
+        assert open(path, encoding="utf-8").read() == (
+            "# pnma vocabulary v2\nwords\t4\n<unk>\n<pad>\na\nb\n"
+            "tags\t4\nB-V\nO\nB-A0\nI-A0\n")
+
+    def test_load_rejects_version_1(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("# pnma vocabulary v1\nmin_frequency\t2\nscheme\tbio-span\n"
+                        "words\t2\n<unk>\n<pad>\ntags\t1\nO\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="unsupported vocabulary format version"):
+            load_vocab(str(path))
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -237,7 +245,7 @@ class TestVocab:
                    str(path))
         data = path.read_bytes()
         path.write_bytes(data.replace(b"\na\n", b"\n\xffa\n"))
-        with pytest.raises(FormatError, match=r"vocab\.txt:7: not UTF-8"):
+        with pytest.raises(FormatError, match=r"vocab\.txt:5: not UTF-8"):
             load_vocab(str(path))
 
 

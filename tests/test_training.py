@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -310,6 +311,19 @@ class TestTrainPnma:
         with pytest.raises(CompatibilityError):
             train_pnma(result.encoder, result.crf, "deadbeef", memory,
                        train, valid, vocab, cfg)
+
+    @pytest.mark.parametrize("key, value", [("d_word", 12), ("d_pred", 6), ("d_hidden", 16),
+                                            ("n_layers", 2)])
+    def test_config_of_another_shape_is_refused(self, base_setup, key, value):
+        # the adapted checkpoint echoes this config, so it must give the base
+        # encoder's shape
+        train, valid, vocab, cfg, result, memory, digest = base_setup
+        assert getattr(cfg, key) == value
+        with pytest.raises(CompatibilityError, match=f"train_pnma: the base encoder "
+                                                     f"contradicts the config: {key} = 3, "
+                                                     f"but the tensors have {value}"):
+            train_pnma(result.encoder, result.crf, digest, memory, train, valid, vocab,
+                       dataclasses.replace(cfg, **{key: 3}))
 
     def test_encoder_frozen_byte_for_byte(self, base_setup):
         train, valid, vocab, cfg, result, memory, digest = base_setup
