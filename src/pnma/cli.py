@@ -388,7 +388,7 @@ def cmd_analyze_disagreement(args) -> int:
         raise ConfigError("analyze disagreement: --checkpoint and --memory must be given "
                           "together")
     if args.checkpoint is None:
-        for flag in ("vocab", "k", "embeddings"):
+        for flag in ("vocab", "k", "embeddings", "threads"):
             if getattr(args, flag) is not None:
                 raise ConfigError(f"analyze disagreement: --{flag} counts neighbors, "
                                   "which needs --checkpoint and --memory")

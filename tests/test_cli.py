@@ -653,11 +653,12 @@ class TestArgumentLimits:
                               "--checkpoint and --memory must be given together")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag", ["--vocab", "--k", "--embeddings"])
+    @pytest.mark.parametrize("flag", ["--vocab", "--k", "--embeddings", "--threads"])
     def test_disagreement_counts_neighbors_only_with_a_model(self, smoke_chain, tmp_path,
                                                              capsys, flag):
         c = smoke_chain
-        value = {"--vocab": c["vocab"], "--k": "3", "--embeddings": "/nonexistent"}[flag]
+        value = {"--vocab": c["vocab"], "--k": "3", "--embeddings": "/nonexistent",
+                 "--threads": "2"}[flag]
         code = run("analyze", "disagreement", "--gold", f"{c['data']}/test.conll",
                    "--pred-base", c["base_preds"], "--pred-pnma", c["pnma_preds"],
                    "--train", f"{c['data']}/train.conll", "--out", str(tmp_path / "d.tsv"),

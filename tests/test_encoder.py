@@ -399,6 +399,37 @@ def test_gate_layout_equals_row_major_gates_bit_for_bit(dtype, direction, ragged
         f"rows in step order as in sentence order; this numpy/BLAS build does not")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("direction", ["f", "b"])
+@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("d", [48, 300])
+def test_one_loop_with_and_without_cache(dtype, direction, ragged, d):
+    # inference and training run one recurrence: ``want_cache`` only decides
+    # whether its step-major arrays are returned, and the backward that reads
+    # them gives the row-major oracle's gradient bytes
+    rng = make_rng(d + 5)
+    bsz, n = 32, 7
+    w = LstmWeights(rng.uniform(-0.3, 0.3, size=(4 * d, d)).astype(dtype),
+                    rng.uniform(-0.3, 0.3, size=(4 * d, d)).astype(dtype),
+                    rng.normal(size=4 * d).astype(dtype))
+    x = rng.normal(size=(bsz, n, d)).astype(dtype)
+    d_out = rng.normal(size=(bsz, n, d)).astype(dtype)
+    lengths = rng.integers(1, n + 1, size=bsz) if ragged else None
+    plain = lstm_layer_forward(x, direction, w, lengths=lengths)
+    out, cache = lstm_layer_forward(x, direction, w, want_cache=True, lengths=lengths)
+    assert (plain.dtype, plain.shape) == (out.dtype, out.shape) == (np.dtype(dtype), (bsz, n, d))
+    assert plain.tobytes() == out.tobytes()
+    for name in ("i", "f", "g", "o", "tanh_c", "h_prev", "c_prev"):
+        view = getattr(cache, name)
+        assert view.shape == (bsz, n, d) and not view.flags.writeable
+    d_x, grads = lstm_layer_backward(d_out, cache, w)
+    _, _, ref_d_x, ref_grads = _row_major_lstm(x, direction, w, lengths, d_out)
+    assert d_x.dtype == ref_d_x.dtype and d_x.tobytes() == ref_d_x.tobytes()
+    for name, want in ref_grads.items():
+        got = getattr(grads, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def encode_one(inst, params, vocab, **kw):
     """Final activations of one instance: the batch-of-one ``encode_batch``."""
     words = vocab.word_ids(inst.tokens)[None, :]
@@ -626,9 +657,11 @@ class TestRaggedEncode:
 
     def test_lengths_outside_the_batch_are_a_domain_error(self):
         w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-        for lengths in ([4, 0], [4, 5], [4]):
-            with pytest.raises(DomainError, match="lengths"):
-                lstm_layer_forward(np.ones((2, 4, 3)), "b", w, lengths=np.array(lengths))
+        for lengths in ([4, 0], [4, 5], [4], [2.5, 3.0], [2.0, 3.0]):
+            for direction in ("f", "b"):
+                with pytest.raises(DomainError, match="lengths must be 2 integers in 1..4"):
+                    lstm_layer_forward(np.ones((2, 4, 3)), direction, w,
+                                       lengths=np.array(lengths))
 
 
 class TestLengthSortedChunks:
