@@ -1,157 +1,152 @@
 #!/usr/bin/env python3
-"""Multi-seed synthetic benchmark: base tagger vs memory-adapted tagger.
+"""Quality harness: base tagger vs memory-adapted tagger, one row per seed.
 
-Generates a seeded corpus with planted low-frequency exception predicates,
-trains the base model and the neighborhood-adapted model for each seed, and
-prints per-seed test F1, disagreement scenario counts, and timing (including
-the phase-2 overhead relative to phase 1 and per-token retrieval cost).
+Runs the desk chain for each seed on a seeded corpus with planted
+low-frequency exception predicates, and prints per-seed test F1,
+corrected/regressed token counts, the median first-correct-neighbor rank over
+base-mispredicted validation tokens, and timings.  --out writes every row
+field but the timings as JSON, so a rerun reproduces the file byte for byte:
 
-    python3 scripts/run_synthetic_benchmark.py --out-dir /tmp/pnma-bench
+    python3 scripts/run_synthetic_benchmark.py --out BENCH_quality.json
 """
 
 import argparse
+import contextlib
+import dataclasses
+import json
+import math
 import sys
-import time
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SCRIPTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(SCRIPTS.parent / "src"))
 
 from pnma.analysis import disagreement_report, evaluate_labels, rank_distribution
 from pnma.checkpoint import Model, save_model
-from pnma.config import TrainConfig
+from pnma.config import load_run_config
 from pnma.dataio import build_vocab
 from pnma.inference import predict_base_corpus, predict_pnma_corpus
 from pnma.memory import build_memory, serialize_memory
 from pnma.synthetic import generate_split
 from pnma.training import predicate_frequency_table, train_base, train_pnma
 
+# the row fields --out writes: all but the timings
+QUALITY_FIELDS = ("seed", "base_f1", "adapted_f1", "corrected", "regressed",
+                  "median_first_correct_rank")
+
 
 def parse_args():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out-dir", default=None, help="keep checkpoints/memories here")
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--config", default=str(SCRIPTS / "desk.cfg"),
+                    help="run-config file (key = value lines); default: the desk config")
+    ap.add_argument("--out", help="write the rows' quality fields to this JSON file")
+    ap.add_argument("--out-dir", help="keep checkpoints and memories here")
     ap.add_argument("--train-size", type=int, default=2000)
     ap.add_argument("--valid-size", type=int, default=300)
     ap.add_argument("--test-size", type=int, default=300)
     ap.add_argument("--exception-rate", type=float, default=0.05)
     ap.add_argument("--corpus-seed", type=int, default=1234)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    ap.add_argument("--epochs", type=int, default=4)
-    ap.add_argument("--phase2-epochs", type=int, default=20)
-    ap.add_argument("--d-hidden", type=int, default=48)
-    ap.add_argument("--d-word", type=int, default=32)
-    ap.add_argument("--k", type=int, default=64)
-    ap.add_argument("--memory-fraction", type=float, default=0.15)
     return ap.parse_args()
+
+
+def run_chain(seed, cfg, train, valid, test, vocab, freq, out_dir: Path) -> dict:
+    """The desk chain for one seed: its row of quality fields and timings."""
+    cfg = dataclasses.replace(cfg, seed=seed)
+    base = train_base(train, valid, vocab, cfg)
+    digest = save_model(str(out_dir / f"base.seed{seed}.ckpt"),
+                        Model(encoder=base.encoder, crf=base.crf, nbr=None, config=cfg))
+    memory = build_memory(base.encoder, vocab, train, fraction=cfg.memory_fraction,
+                          seed=seed, source_digest=digest)
+    serialize_memory(memory, str(out_dir / f"memory.seed{seed}.bin"))
+    adapted = train_pnma(base.encoder, base.crf, digest, memory, train, valid, vocab, cfg)
+    save_model(str(out_dir / f"pnma.seed{seed}.ckpt"),
+               Model(encoder=adapted.encoder, crf=adapted.crf, nbr=adapted.nbr, config=cfg))
+
+    gold = [list(i.gold_labels) for i in test]
+    base_labels = [vocab.tag_strings(p)
+                   for p in predict_base_corpus(test, base.encoder, base.crf, vocab)]
+    pnma_labels = [vocab.tag_strings(p) for p in predict_pnma_corpus(
+        test, adapted.encoder, adapted.crf, adapted.nbr, memory, vocab, cfg.k_neighbors)]
+    rep = disagreement_report(test, gold, base_labels, pnma_labels, freq)
+    hist = rank_distribution(base.encoder, base.crf, vocab, memory, valid, k=cfg.k_neighbors)
+    median = hist.median_rank("incorrect")
+
+    def f1(labels) -> float:  # rounded as evaluate's report writes it
+        return float(f"{evaluate_labels(gold, labels, cfg.scheme).f1:.6f}")
+
+    return {
+        "seed": seed,
+        "base_f1": f1(base_labels),
+        "adapted_f1": f1(pnma_labels),
+        "corrected": rep.scenario_counts[0],
+        "regressed": rep.scenario_counts[3],
+        "median_first_correct_rank": None if math.isnan(median) else median,
+        "base_s": base.seconds,
+        "phase2_s": adapted.seconds,
+        "retrieval_ms_per_token": adapted.retrieval_ms_per_token,
+    }
 
 
 def main():
     args = parse_args()
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    train, train_stats = generate_split(
-        "train", args.train_size, args.exception_rate, args.corpus_seed
-    )
+    cfg = load_run_config(args.config)
+    train, train_stats = generate_split("train", args.train_size, args.exception_rate,
+                                        args.corpus_seed)
     valid, _ = generate_split("valid", args.valid_size, args.exception_rate, args.corpus_seed)
     test, _ = generate_split("test", args.test_size, args.exception_rate, args.corpus_seed)
     vocab = build_vocab(train, min_frequency=2)
     freq = predicate_frequency_table(train)
-    gold = [list(i.gold_labels) for i in test]
+    corpus = {
+        "train_size": args.train_size, "valid_size": args.valid_size,
+        "test_size": args.test_size, "exception_rate": args.exception_rate,
+        "seed": args.corpus_seed, "train_tokens": train_stats.tokens,
+        "exception_sentences": train_stats.exception_sentences,
+        "words": vocab.n_words, "tags": vocab.n_tags,
+    }
     print(
         f"corpus: {train_stats.tokens} train tokens, "
         f"{train_stats.exception_sentences} exception sentences, "
         f"{vocab.n_words} words, {vocab.n_tags} tags"
     )
     header = (
-        "seed  base_F1  pnma_F1  corrected  regressed  "
+        "seed  base_F1  pnma_F1  corrected  regressed  median_rank  "
         "base_s  phase2_s  retrieval_ms/token"
     )
     print(header)
     print("-" * len(header))
 
     rows = []
-    for seed in args.seeds:
-        cfg = TrainConfig(
-            seed=seed,
-            epochs=args.epochs,
-            phase2_epochs=args.phase2_epochs,
-            d_word=args.d_word,
-            d_pred=16,
-            d_hidden=args.d_hidden,
-            n_layers=2,
-            k_neighbors=args.k,
-            memory_fraction=args.memory_fraction,
-        )
-        base = train_base(train, valid, vocab, cfg)
-        model = Model(encoder=base.encoder, crf=base.crf, nbr=None, config=cfg)
-        if out_dir:
-            digest = save_model(str(out_dir / f"base.seed{seed}.ckpt"), model)
-        else:
-            from pnma.checkpoint import checkpoint_bytes
-
-            digest = checkpoint_bytes(model.params(), cfg.to_echo())[-32:].hex()
-        memory = build_memory(
-            base.encoder, vocab, train, fraction=cfg.memory_fraction,
-            seed=seed, source_digest=digest,
-        )
-        if out_dir:
-            serialize_memory(memory, str(out_dir / f"memory.seed{seed}.bin"))
-        adapted = train_pnma(
-            base.encoder, base.crf, digest, memory, train, valid, vocab, cfg
-        )
-        if out_dir:
-            save_model(
-                str(out_dir / f"pnma.seed{seed}.ckpt"),
-                Model(encoder=adapted.encoder, crf=adapted.crf, nbr=adapted.nbr,
-                      config=cfg),
+    keep = contextlib.nullcontext(args.out_dir) if args.out_dir else tempfile.TemporaryDirectory()
+    with keep as out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        for seed in args.seeds:
+            r = run_chain(seed, cfg, train, valid, test, vocab, freq, Path(out_dir))
+            rows.append(r)
+            print(
+                f"{seed:4d}  {r['base_f1']:.4f}   {r['adapted_f1']:.4f}   "
+                f"{r['corrected']:9d}  {r['regressed']:9d}  "
+                f"{r['median_first_correct_rank'] or math.nan:11.1f}  "
+                f"{r['base_s']:6.1f}  {r['phase2_s']:8.1f}  "
+                f"{r['retrieval_ms_per_token']:18.3f}"
             )
 
-        base_labels = [
-            vocab.tag_strings(p)
-            for p in predict_base_corpus(test, base.encoder, base.crf, vocab)
-        ]
-        pnma_labels = [
-            vocab.tag_strings(p)
-            for p in predict_pnma_corpus(
-                test, adapted.encoder, adapted.crf, adapted.nbr, memory, vocab,
-                cfg.k_neighbors,
-            )
-        ]
-        base_f1 = evaluate_labels(gold, base_labels, cfg.scheme).f1
-        pnma_f1 = evaluate_labels(gold, pnma_labels, cfg.scheme).f1
-        rep = disagreement_report(test, gold, base_labels, pnma_labels, freq)
-        rows.append((seed, base_f1, pnma_f1, rep, base, adapted, memory))
-        print(
-            f"{seed:4d}  {base_f1:.4f}   {pnma_f1:.4f}   "
-            f"{rep.scenario_counts[0]:9d}  {rep.scenario_counts[3]:9d}  "
-            f"{base.seconds:6.1f}  {adapted.seconds:8.1f}  "
-            f"{adapted.retrieval_ms_per_token:18.3f}"
-        )
+    f1_wins = sum(1 for r in rows if r["adapted_f1"] >= r["base_f1"])
+    scen_wins = sum(1 for r in rows if r["corrected"] > r["regressed"])
+    overhead = [r["phase2_s"] / r["base_s"] for r in rows]
+    print(f"\nadapted F1 >= base F1 in {f1_wins}/{len(rows)} seeds; "
+          f"corrected > regressed in {scen_wins}/{len(rows)} seeds")
+    print(f"phase-2/phase-1 wall-time ratio: min {min(overhead):.2f} / max {max(overhead):.2f}")
 
-    f1_wins = sum(1 for r in rows if r[2] >= r[1])
-    scen_wins = sum(
-        1 for r in rows if r[3].scenario_counts[0] > r[3].scenario_counts[3]
-    )
-    overhead = [r[5].seconds / r[4].seconds for r in rows]
-    print(
-        f"\nadapted F1 >= base F1 in {f1_wins}/{len(rows)} seeds; "
-        f"corrected > regressed in {scen_wins}/{len(rows)} seeds"
-    )
-    print(
-        f"phase-2/phase-1 wall-time ratio: "
-        f"min {min(overhead):.2f} / max {max(overhead):.2f}"
-    )
-
-    seed, _, _, _, base, _, memory = rows[0]
-    t0 = time.perf_counter()
-    hist = rank_distribution(base.encoder, base.crf, vocab, memory, valid, k=args.k)
-    print(
-        f"rank of first correct-label neighbor over base-mispredicted "
-        f"validation tokens (seed {seed}): median "
-        f"{hist.median_rank('incorrect')} over {sum(hist.incorrect.values())} tokens "
-        f"({time.perf_counter() - t0:.1f}s)"
-    )
+    if args.out:
+        # seed varies by row, and threads never changes a result
+        run_config = {k: v for k, v in dataclasses.asdict(cfg).items()
+                      if k not in ("seed", "threads")}
+        rows = [{k: r[k] for k in QUALITY_FIELDS} for r in rows]
+        doc = {"corpus": corpus, "config": run_config, "rows": rows}
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 confusion-matrix differences, disagreement scenarios, neighbor dumps.
 
 All report writers emit tab-separated text with a header line; the data files
-are the contract and any plot rendering is best-effort on top of them.
+are the contract.
 """
 
 from __future__ import annotations

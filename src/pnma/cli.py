@@ -62,8 +62,7 @@ _DATA_ERRORS = (
     ConfigError,
     DomainError,
     DimensionError,
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
 )
 
 
@@ -338,33 +337,7 @@ def cmd_analyze_rank_dist(args) -> int:
         f"analyze rank-dist: median first-correct rank over base-incorrect tokens: {med}",
         file=sys.stderr,
     )
-    if args.plot:
-        _render_rank_plot(hist, f"{args.out}.png")
     return 0
-
-
-def _render_rank_plot(hist, path: str) -> None:
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("plot: matplotlib not available, skipping rendering", file=sys.stderr)
-        return
-    fig, ax = plt.subplots(figsize=(6, 3.5))
-    for which, color in (("incorrect", "tab:red"), ("correct", "tab:blue")):
-        rows = hist.normalized(which)
-        xs = np.arange(1, len(rows))
-        ys = [f for _, f in rows[:-1]]
-        ax.plot(xs, ys, marker="o", markersize=2, color=color, label=f"base {which}")
-    ax.set_xlabel("rank")
-    ax.set_ylabel("normalized frequency")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    print(f"plot -> {path}", file=sys.stderr)
 
 
 def cmd_analyze_confusion_diff(args) -> int:
@@ -527,7 +500,6 @@ def build_parser() -> _Parser:
     p.add_argument("--exclude-self", action="store_true")
     p.add_argument("--embeddings")
     p.add_argument("--threads", type=int)
-    p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_analyze_rank_dist)
 
     p = asub.add_parser("confusion-diff", help="confusion matrix difference of two runs")

@@ -8,6 +8,7 @@ and analysis reports) at the documented desk scale.
 import contextlib
 import io
 import itertools
+import json
 import time
 from pathlib import Path
 
@@ -42,17 +43,11 @@ CORPUS_SEED = 1234
 TRAIN_SEEDS = (1, 2, 3, 4, 5)
 CHAIN_BUDGET_SECONDS = 600.0
 
-ACCEPTANCE_CONFIG = """\
-epochs = 4
-batch_size = 32
-d_word = 32
-d_pred = 16
-d_hidden = 48
-n_layers = 2
-k_neighbors = 64
-memory_fraction = 0.15
-phase2_epochs = 20
-"""
+REPO = Path(__file__).resolve().parent.parent
+# the desk run configuration, shared with the quality harness, and the
+# per-seed quality rows that harness committed
+DESK_CONFIG = REPO / "scripts" / "desk.cfg"
+BENCH_QUALITY = REPO / "BENCH_quality.json"
 
 
 @contextlib.contextmanager
@@ -78,7 +73,6 @@ def chain_once(root: Path, seed: int) -> dict:
     """One full training chain at the acceptance scale for one seed."""
     data = root / "data"
     vocab = root / "vocab.txt"
-    cfg = root / "run.cfg"
     if not data.exists():
         run_cli(
             "gen-synthetic", "--out-dir", str(data),
@@ -86,7 +80,6 @@ def chain_once(root: Path, seed: int) -> dict:
             "--exception-rate", "0.05", "--seed", str(CORPUS_SEED),
         )
         run_cli("prepare", "--train", f"{data}/train.conll", "--out", str(vocab))
-        cfg.write_text(ACCEPTANCE_CONFIG, encoding="utf-8")
     tag = f"seed{seed}"
     paths = {
         "base": str(root / f"base.{tag}.ckpt"),
@@ -101,7 +94,7 @@ def chain_once(root: Path, seed: int) -> dict:
         "vocab": str(vocab),
     }
     run_cli(
-        "train-base", "--config", str(cfg), "--seed", str(seed),
+        "train-base", "--config", str(DESK_CONFIG), "--seed", str(seed),
         "--train", f"{data}/train.conll", "--valid", f"{data}/valid.conll",
         "--vocab", str(vocab), "--out", paths["base"],
     )
@@ -401,6 +394,20 @@ class TestCriterion6SyntheticGain:
             assert chain["seconds"] < CHAIN_BUDGET_SECONDS, (
                 f"chain took {chain['seconds']:.0f}s"
             )
+
+
+class TestCommittedQualityRows:
+    def test_chain_matches_bench_quality(self, chain):
+        # a change that moves quality must regenerate the committed file:
+        # python3 scripts/run_synthetic_benchmark.py --out BENCH_quality.json
+        bench = json.loads(BENCH_QUALITY.read_text(encoding="utf-8"))
+        rows = {r["seed"]: r for r in bench["rows"]}
+        assert sorted(rows) == list(TRAIN_SEEDS)
+        for seed, run in chain["runs"].items():
+            got = {"base_f1": run["base_f1"], "adapted_f1": run["pnma_f1"],
+                   "corrected": run["counts"]["corrected"],
+                   "regressed": run["counts"]["regressed"]}
+            assert got == {k: rows[seed][k] for k in got}, f"seed {seed}"
 
 
 class TestCriterion7RankHistogram:

@@ -1114,7 +1114,7 @@ FLAGS = {
     "evaluate": "--gold --pred --out --scheme",
     "gen-synthetic": "--out-dir --train-size --valid-size --test-size --exception-rate --seed",
     "analyze rank-dist": "--checkpoint --memory --input --vocab --out --k --exclude-self "
-                         "--embeddings --threads --plot",
+                         "--embeddings --threads",
     "analyze confusion-diff": "--gold --pred-a --pred-b --out --top-n",
     "analyze disagreement": "--gold --pred-base --pred-pnma --train --out --checkpoint "
                             "--memory --vocab --k --embeddings --threads",
@@ -1138,7 +1138,7 @@ def parser_flags(parser: argparse.ArgumentParser, command: str = "") -> dict[str
 def test_flag_inventory():
     flags = parser_flags(build_parser())
     assert flags == {command: names.split() for command, names in FLAGS.items()}
-    assert sum(map(len, flags.values())) == 102
+    assert sum(map(len, flags.values())) == 101
 
 
 class TestEvaluateCommand:
@@ -1375,3 +1375,21 @@ def test_knn_argument_errors_name_knn_entry_ids(smoke_chain, tmp_path, capsys):
                "--out", str(tmp_path / "r"), "--k", "0")
     assert_one_line_error(code, capsys.readouterr().err, "knn_entry_ids: K must be >= 1, got 0")
     assert list(tmp_path.iterdir()) == []
+
+
+class TestPathErrors:
+    """A path the operating system refuses, for any reason, exits 2 with one
+    error line, as a missing file does."""
+
+    def test_predict_out_under_a_regular_file(self, smoke_chain, tmp_path, capsys):
+        c = smoke_chain
+        (tmp_path / "f").write_text("x", encoding="utf-8")
+        code = run("predict", "--checkpoint", c["base"], "--input", f"{c['data']}/test.conll",
+                   "--vocab", c["vocab"], "--out", str(tmp_path / "f" / "x"))
+        assert_one_line_error(code, capsys.readouterr().err, "Not a directory")
+
+    def test_gen_synthetic_out_dir_is_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("x", encoding="utf-8")
+        code = run("gen-synthetic", "--out-dir", str(tmp_path / "f"), "--train-size", "5",
+                   "--valid-size", "5", "--test-size", "5")
+        assert_one_line_error(code, capsys.readouterr().err, "File exists")

@@ -122,7 +122,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc", [
         ParseError("x"), FormatError("x"), CoverageError("x"), CapacityError("x"),
         CompatibilityError("x"), ConfigError("x"), DomainError("x"),
-        DimensionError("x"), FileNotFoundError("x"),
+        DimensionError("x"), FileNotFoundError("x"), NotADirectoryError("x"),
+        FileExistsError("x"), PermissionError("x"),
     ])
     def test_data_errors_are_two(self, exc):
         assert exit_code_for(exc) == 2

@@ -144,33 +144,3 @@ class TestThreadEquivalence:
         assert seq.keys() == par.keys()
         for sid in seq:
             np.testing.assert_array_equal(seq[sid], par[sid])
-
-
-class TestAnalyzePlot:
-    def test_rank_dist_plot_renders(self, tmp_path):
-        pytest.importorskip("matplotlib")
-        train, _ = generate_split("train", 25, 0.1, seed=9)
-        root = tmp_path
-        train_path = str(root / "train.conll")
-        write_conll_file(train_path, train)
-        vocab_path = str(root / "vocab.txt")
-        ckpt = str(root / "m.ckpt")
-        mem = str(root / "m.mem")
-        out = str(root / "rank")
-        assert dispatch(["prepare", "--train", train_path, "--out", vocab_path]) == 0
-        assert dispatch([
-            "train-base", "--train", train_path, "--vocab", vocab_path,
-            "--out", ckpt, "--epochs", "1", "--d-hidden", "8", "--d-word", "6",
-            "--n-layers", "2", "--seed", "1",
-        ]) == 0
-        assert dispatch([
-            "build-memory", "--checkpoint", ckpt, "--train", train_path,
-            "--vocab", vocab_path, "--out", mem, "--fraction", "1.0",
-        ]) == 0
-        assert dispatch([
-            "analyze", "rank-dist", "--checkpoint", ckpt, "--memory", mem,
-            "--input", train_path, "--vocab", vocab_path, "--out", out,
-            "--k", "4", "--plot",
-        ]) == 0
-        assert (root / "rank.png").exists()
-        assert (root / "rank.correct.tsv").exists()

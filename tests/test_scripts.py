@@ -1,16 +1,44 @@
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
+# a toy-size run configuration
+TOY_CONFIG = (
+    "epochs = 1\nphase2_epochs = 1\nk_neighbors = 4\nd_hidden = 8\nd_word = 8\n"
+    "d_pred = 16\nn_layers = 2\nmemory_fraction = 0.15\n"
+)
+ROW_FIELDS = ["seed", "base_f1", "adapted_f1", "corrected", "regressed",
+              "median_first_correct_rank"]
 
-def test_synthetic_benchmark_script_runs():
-    # the smallest run that reaches every result field the script prints
-    argv = ["--train-size", "40", "--valid-size", "10", "--test-size", "10", "--seeds", "1",
-            "--epochs", "1", "--phase2-epochs", "1", "--k", "4", "--d-hidden", "8",
-            "--d-word", "8"]
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_synthetic_benchmark.py"), *argv],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert "retrieval_ms/token" in proc.stdout
+
+def test_synthetic_benchmark_script_runs(tmp_path):
+    # the smallest run that reaches every result field the harness reports
+    (tmp_path / "toy.cfg").write_text(TOY_CONFIG, encoding="utf-8")
+    outs = []
+    for name in ("a.json", "b.json"):
+        argv = ["--config", str(tmp_path / "toy.cfg"), "--out", str(tmp_path / name),
+                "--train-size", "40", "--valid-size", "10", "--test-size", "10",
+                "--seeds", "1"]
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "run_synthetic_benchmark.py"),
+                               *argv], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "retrieval_ms/token" in proc.stdout
+        outs.append((tmp_path / name).read_bytes())
+    assert outs[0] == outs[1]
+
+    doc = json.loads(outs[0])
+    assert list(doc) == ["corpus", "config", "rows"]
+    assert doc["corpus"]["train_size"] == 40
+    assert doc["config"]["k_neighbors"] == 4
+    [row] = doc["rows"]
+    assert list(row) == ROW_FIELDS
+    assert row["seed"] == 1
+    for key in ("base_f1", "adapted_f1"):
+        assert 0.0 <= row[key] <= 1.0 and row[key] == round(row[key], 6)
+    assert row["corrected"] >= 0 and row["regressed"] >= 0
+    rank = row["median_first_correct_rank"]  # null: no mispredicted validation token
+    assert rank is None or (math.isfinite(rank) and 1 <= rank <= 5)
