@@ -3,9 +3,10 @@
 
 Runs the desk chain for each seed on a seeded corpus with planted
 low-frequency exception predicates, and prints per-seed test F1,
-corrected/regressed token counts, the median first-correct-neighbor rank over
-base-mispredicted validation tokens, and timings.  --out writes every row
-field but the timings as JSON, so a rerun reproduces the file byte for byte:
+corrected/regressed token counts, the median first-correct-neighbor rank and
+the share at rank 1 over base-mispredicted validation tokens, and timings.
+--out writes every row field but the timings as JSON, so a rerun reproduces
+the file byte for byte:
 
     python3 scripts/run_synthetic_benchmark.py --out BENCH_quality.json
 """
@@ -33,7 +34,7 @@ from pnma.training import predicate_frequency_table, train_base, train_pnma
 
 # the row fields --out writes: all but the timings
 QUALITY_FIELDS = ("seed", "base_f1", "adapted_f1", "corrected", "regressed",
-                  "median_first_correct_rank")
+                  "median_first_correct_rank", "rank1_share_incorrect")
 
 
 def parse_args():
@@ -73,6 +74,7 @@ def run_chain(seed, cfg, train, valid, test, vocab, freq, out_dir: Path) -> dict
     rep = disagreement_report(test, gold, base_labels, pnma_labels, freq)
     hist = rank_distribution(base.encoder, base.crf, vocab, memory, valid, k=cfg.k_neighbors)
     median = hist.median_rank("incorrect")
+    rank1_share = dict(hist.normalized("incorrect"))["1"]
 
     def f1(labels) -> float:  # rounded as evaluate's report writes it
         return float(f"{evaluate_labels(gold, labels, cfg.scheme).f1:.6f}")
@@ -84,6 +86,7 @@ def run_chain(seed, cfg, train, valid, test, vocab, freq, out_dir: Path) -> dict
         "corrected": rep.scenario_counts[0],
         "regressed": rep.scenario_counts[3],
         "median_first_correct_rank": None if math.isnan(median) else median,
+        "rank1_share_incorrect": float(f"{rank1_share:.6f}"),  # as rank-dist writes it
         "base_s": base.seconds,
         "phase2_s": adapted.seconds,
         "retrieval_ms_per_token": adapted.retrieval_ms_per_token,
@@ -112,7 +115,7 @@ def main():
         f"{vocab.n_words} words, {vocab.n_tags} tags"
     )
     header = (
-        "seed  base_F1  pnma_F1  corrected  regressed  median_rank  "
+        "seed  base_F1  pnma_F1  corrected  regressed  median_rank  rank1_share  "
         "base_s  phase2_s  retrieval_ms/token"
     )
     print(header)
@@ -129,6 +132,7 @@ def main():
                 f"{seed:4d}  {r['base_f1']:.4f}   {r['adapted_f1']:.4f}   "
                 f"{r['corrected']:9d}  {r['regressed']:9d}  "
                 f"{r['median_first_correct_rank'] or math.nan:11.1f}  "
+                f"{r['rank1_share_incorrect']:11.4f}  "
                 f"{r['base_s']:6.1f}  {r['phase2_s']:8.1f}  "
                 f"{r['retrieval_ms_per_token']:18.3f}"
             )

@@ -1,5 +1,7 @@
-"""Evaluation metrics and diagnostics: span/token PRF, rank histograms,
-confusion-matrix differences, disagreement scenarios, neighbor dumps.
+"""Evaluation metrics and diagnostics: span PRF (a per-token role is a
+one-token span), rank histograms, confusion-matrix differences, disagreement
+scenarios, neighbor dumps.  The token-level reports refuse gold and
+predictions that disagree in sentence count or any sentence's length.
 
 All report writers emit tab-separated text with a header line; the data files
 are the contract.
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -42,9 +44,24 @@ def _prf(matched: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
     return p, r, f
 
 
+def _check_aligned(caller: str, gold: Sequence[Sized], others: Mapping[str, Sequence[Sized]]
+                   ) -> None:
+    """Each of ``others`` holds as many sentences as ``gold``, each as long as
+    its gold one; the first that does not raises DimensionError."""
+    for name, seqs in others.items():
+        if len(seqs) != len(gold):
+            raise DimensionError(f"{caller}: {len(gold)} gold sentences vs {len(seqs)} in {name}")
+        for i, (g, s) in enumerate(zip(gold, seqs)):
+            if len(g) != len(s):
+                raise DimensionError(
+                    f"{caller}: sentence {i} has {len(g)} gold tokens vs {len(s)} in {name}"
+                )
+
+
 def span_prf(
     gold_spans: Sequence[set[tuple[int, int, str]]],
     pred_spans: Sequence[set[tuple[int, int, str]]],
+    scheme: str = "bio-span",
 ) -> EvalReport:
     """Micro P/R/F1 over exact (start, end, role) matches."""
     if len(gold_spans) != len(pred_spans):
@@ -70,59 +87,24 @@ def span_prf(
         matched=matched,
         n_predicted=n_pred,
         n_gold=n_gold,
-        scheme="bio-span",
+        scheme=scheme,
         per_label={k: tuple(v) for k, v in sorted(per_label.items())},
     )
 
 
-def token_accuracy(
-    gold: Sequence[Sequence[str]],
-    predicted: Sequence[Sequence[str]],
-) -> EvalReport:
-    """P/R/F1 over labels other than ``dataio.NULL_ROLE`` (dependency-style
-    argument classification)."""
-    if len(gold) != len(predicted):
-        raise DimensionError(f"token_accuracy: {len(gold)} gold vs {len(predicted)} predicted")
-    matched = n_pred = n_gold = 0
-    per_label: dict[str, list[int]] = {}
-    for g_seq, p_seq in zip(gold, predicted):
-        if len(g_seq) != len(p_seq):
-            raise DimensionError(
-                f"token_accuracy: sequence lengths {len(g_seq)} vs {len(p_seq)}"
-            )
-        for g, p in zip(g_seq, p_seq):
-            if p != NULL_ROLE:
-                n_pred += 1
-                per_label.setdefault(p, [0, 0, 0])[1] += 1
-            if g != NULL_ROLE:
-                n_gold += 1
-                per_label.setdefault(g, [0, 0, 0])[2] += 1
-            if g == p and g != NULL_ROLE:
-                matched += 1
-                per_label.setdefault(g, [0, 0, 0])[0] += 1
-    prec, rec, f1 = _prf(matched, n_pred, n_gold)
-    return EvalReport(
-        precision=prec,
-        recall=rec,
-        f1=f1,
-        matched=matched,
-        n_predicted=n_pred,
-        n_gold=n_gold,
-        scheme="per-token-role",
-        per_label={k: tuple(v) for k, v in sorted(per_label.items())},
-    )
+def _token_spans(labels: Sequence[str]) -> set[tuple[int, int, str]]:
+    """Each label but ``dataio.NULL_ROLE`` as a one-token span."""
+    return {(t, t, label) for t, label in enumerate(labels) if label != NULL_ROLE}
 
 
 def evaluate_labels(
     gold: Sequence[Sequence[str]], predicted: Sequence[Sequence[str]], scheme: str
 ) -> EvalReport:
-    """Scheme dispatch: span matching for bio-span, non-null token PRF otherwise."""
-    if scheme == "bio-span":
-        return span_prf(
-            [bio_decode_spans(g) for g in gold],
-            [bio_decode_spans(p) for p in predicted],
-        )
-    return token_accuracy(gold, predicted)
+    """Span P/R/F1 under ``scheme``: BIO-decoded spans for bio-span, and for
+    per-token-role (dependency-style argument classification) one-token spans."""
+    _check_aligned("evaluate_labels", gold, {"predicted": predicted})
+    spans = bio_decode_spans if scheme == "bio-span" else _token_spans
+    return span_prf([spans(g) for g in gold], [spans(p) for p in predicted], scheme)
 
 
 ABSENT = "absent"
@@ -157,6 +139,26 @@ class RankHistogram:
         return float(np.median(values))
 
 
+def _same_label_neighbors(
+    encoder: EncoderParams,
+    vocab: Vocabulary,
+    memory: ActivationMemory,
+    instances: Sequence[Instance],
+    k: int,
+    exclude,
+    external,
+    threads: int,
+) -> tuple[TokenTable, np.ndarray, np.ndarray]:
+    """The token table of ``instances``, its activations (T, d), and (T, K)
+    whether each of a token's K nearest memory entries carries its gold label."""
+    table = TokenTable.build(instances, vocab, external)
+    h = encode_rows(table, encoder, threads=threads)
+    ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k,
+                           exclude=exclude, threads=threads, distances=False)
+    gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
+    return table, h, memory.labels[ids] == gold[:, None]
+
+
 def rank_distribution(
     encoder: EncoderParams,
     crf: CrfParams,
@@ -173,15 +175,12 @@ def rank_distribution(
     Tokens are split by whether the base model tagged them correctly; tokens
     with no correct-label neighbor within K land in the ``absent`` bucket.
     """
-    table = TokenTable.build(instances, vocab, external)
-    h = encode_rows(table, encoder, threads=threads)
-    preds = tag_rows(table, h, crf)
     exclude = self_exclusions(instances) if exclude_self else None
-    ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k,
-                           exclude=exclude, threads=threads, distances=False)
-    gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
-    hits = memory.labels[ids] == gold[:, None]  # (T, k)
+    table, h, hits = _same_label_neighbors(encoder, vocab, memory, instances, k, exclude,
+                                           external, threads)
     ranks = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)  # 0: absent
+    preds = tag_rows(table, h, crf)
+    gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
     base_ok = np.concatenate(preds) == gold if preds else np.zeros(0, dtype=bool)
     hist = RankHistogram(k=k)
     for counts, tokens in ((hist.correct, base_ok), (hist.incorrect, ~base_ok)):
@@ -203,6 +202,7 @@ def confusion_diff(
     """
     if top_n_labels < 1:
         raise DomainError(f"confusion_diff: top_n_labels must be at least 1, got {top_n_labels}")
+    _check_aligned("confusion_diff", gold, {"preds_a": preds_a, "preds_b": preds_b})
     freq: Counter[str] = Counter()
     for seq in gold:
         freq.update(seq)
@@ -213,10 +213,6 @@ def confusion_diff(
 
     def accumulate(preds, sign: int) -> None:
         for g_seq, p_seq in zip(gold, preds):
-            if len(g_seq) != len(p_seq):
-                raise DimensionError(
-                    f"confusion_diff: sequence lengths {len(g_seq)} vs {len(p_seq)}"
-                )
             for g, p in zip(g_seq, p_seq):
                 gi = index.get(g)
                 pi = index.get(p)
@@ -240,10 +236,6 @@ class DisagreementReport:
     ratio: float  # scenario1 / scenario4: inf when only corrections, nan when neither
     freq_buckets: list[tuple[str, tuple[int, int, int, int]]]
     nbr_buckets: list[tuple[str, tuple[int, int, int, int]]]
-
-    @property
-    def total(self) -> int:
-        return sum(self.scenario_counts)
 
 
 def power_of_two_bucket(value: int) -> str:
@@ -283,17 +275,12 @@ def disagreement_report(
     point, on full-scale news-text SRL benchmarks memory adaptation lands
     near 4 (a correction is about four times likelier than a regression).
     """
-    if not (len(gold) == len(base_preds) == len(pnma_preds) == len(instances)):
-        raise DimensionError(
-            f"disagreement_report: {len(instances)} instances, {len(gold)} gold, "
-            f"{len(base_preds)} base, {len(pnma_preds)} adapted"
-        )
+    _check_aligned("disagreement_report", gold,
+                   {"instances": instances, "base_preds": base_preds, "pnma_preds": pnma_preds})
     counts = [0, 0, 0, 0]
     freq_buckets: dict[str, list[int]] = {}
     nbr_buckets: dict[str, list[int]] = {}
     for i, inst in enumerate(instances):
-        if not (len(gold[i]) == len(base_preds[i]) == len(pnma_preds[i]) == len(inst)):
-            raise DimensionError(f"disagreement_report: length mismatch at instance {i}")
         fb = power_of_two_bucket(predicate_freq.get(inst.tokens[inst.predicate_index], 0))
         for t in range(len(inst)):
             s = _scenario(base_preds[i][t] == gold[i][t], pnma_preds[i][t] == gold[i][t])
@@ -334,12 +321,9 @@ def neighborhood_label_counts(
     threads: int = 1,
 ) -> list[np.ndarray]:
     """Per token: how many of its K neighbors carry the token's gold label."""
-    table = TokenTable.build(instances, vocab, external)
-    h = encode_rows(table, encoder, threads=threads)
-    ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, threads=threads,
-                           distances=False)
-    gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
-    return table.split((memory.labels[ids] == gold[:, None]).sum(axis=1))
+    table, _, hits = _same_label_neighbors(encoder, vocab, memory, instances, k, None,
+                                           external, threads)
+    return table.split(hits.sum(axis=1))
 
 
 @dataclass

@@ -277,14 +277,6 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     gold = dataio.parse_conll_file(args.gold)
     pred = dataio.parse_conll_file(args.pred)
-    if len(gold) != len(pred):
-        raise DomainError(f"evaluate: {len(gold)} gold vs {len(pred)} predicted sentences")
-    for g, p in zip(gold, pred):
-        if len(g) != len(p):
-            raise DomainError(
-                f"evaluate: sentence {g.sentence_id!r} has {len(g)} gold tokens "
-                f"but {len(p)} predicted"
-            )
     report = analysis.evaluate_labels(
         [list(i.gold_labels) for i in gold],
         [list(i.gold_labels) for i in pred],
@@ -320,6 +312,9 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_analyze_rank_dist(args) -> int:
     threads = _threads(args)
     model = load_model(args.checkpoint)
+    if model.nbr is not None:  # its CRF reads the neighborhood's output, not activations
+        raise ConfigError("analyze rank-dist: this checkpoint is an adapted model; "
+                          "give the base checkpoint the memory was built from")
     vocab = _load_vocab_for(model, args.vocab)
     memory = _load_memory_for(args.memory, vocab, model)
     instances = dataio.parse_conll_file(args.input)

@@ -225,6 +225,9 @@ def embed_tokens(
     if pred_bits.size and (pred_bits.min() < 0 or pred_bits.max() > 1):
         raise DomainError("predicate bits must be 0 or 1")
     if external_vectors is not None:
+        if params.word_emb is not None:
+            raise DomainError("encoder has a word table; external vectors are only for "
+                              "a model trained on them")
         e = external_vectors
     else:
         if params.word_emb is None:
@@ -488,7 +491,6 @@ class EncoderCache:
     conn_caches: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     embed_mask: np.ndarray | None = None
     layer_masks: list[np.ndarray | None] = field(default_factory=list)
-    external: bool = False
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
@@ -524,7 +526,6 @@ def encode_batch(
     cache = EncoderCache(
         word_ids=np.asarray(word_ids),
         pred_bits=np.asarray(pred_bits),
-        external=external_vectors is not None,
     )
     if training and dropout_embed > 0:
         cache.embed_mask = _dropout_mask(drop_rng, x.shape, dropout_embed, dtype)
@@ -589,7 +590,7 @@ def encode_backward(
         d_x = d_x * cache.embed_mask
     d_word_part = d_x[..., : params.d_word]
     d_pred_part = d_x[..., params.d_word :]
-    if not cache.external and params.word_emb is not None:
+    if params.word_emb is not None:
         g_word = np.zeros_like(params.word_emb)
         np.add.at(g_word, cache.word_ids, d_word_part)
         grads["embed.word"] = g_word

@@ -396,6 +396,23 @@ class TestCriterion6SyntheticGain:
             )
 
 
+def rank_histogram_lines(chain) -> list[str]:
+    """Criterion 7's ``analyze rank-dist`` over the first seed's validation
+    split: the lines of its base-incorrect histogram, run once per chain."""
+    out_prefix = str(chain["root"] / "rankdist")
+    if "rank_histogram" not in chain:
+        paths = chain["runs"][TRAIN_SEEDS[0]]["paths"]
+        run_cli(
+            "analyze", "rank-dist", "--checkpoint", paths["base"],
+            "--memory", paths["memory"],
+            "--input", f"{paths['data']}/valid.conll",
+            "--vocab", paths["vocab"], "--out", out_prefix, "--k", "64",
+        )
+        chain["rank_histogram"] = open(out_prefix + ".incorrect.tsv",
+                                       encoding="utf-8").read().splitlines()
+    return chain["rank_histogram"]
+
+
 class TestCommittedQualityRows:
     def test_chain_matches_bench_quality(self, chain):
         # a change that moves quality must regenerate the committed file:
@@ -408,22 +425,17 @@ class TestCommittedQualityRows:
                    "corrected": run["counts"]["corrected"],
                    "regressed": run["counts"]["regressed"]}
             assert got == {k: rows[seed][k] for k in got}, f"seed {seed}"
+        rank1 = rank_histogram_lines(chain)[1].split("\t")
+        assert rank1[0] == "1"
+        assert rows[TRAIN_SEEDS[0]]["rank1_share_incorrect"] == float(rank1[1])
 
 
 class TestCriterion7RankHistogram:
     def test_rank_histogram(self, chain):
         with criterion(7, "rank-histogram"):
-            run = chain["runs"][TRAIN_SEEDS[0]]
-            paths = run["paths"]
-            out_prefix = str(chain["root"] / "rankdist")
-            run_cli(
-                "analyze", "rank-dist", "--checkpoint", paths["base"],
-                "--memory", paths["memory"],
-                "--input", f"{paths['data']}/valid.conll",
-                "--vocab", paths["vocab"], "--out", out_prefix, "--k", "64",
-            )
+            paths = chain["runs"][TRAIN_SEEDS[0]]["paths"]
             # the emitted file follows the documented format
-            lines = open(out_prefix + ".incorrect.tsv", encoding="utf-8").read().splitlines()
+            lines = rank_histogram_lines(chain)
             assert lines[0] == "rank\tnormalized_frequency"
             assert len(lines) == 66  # header + ranks 1..64 + absent
             assert lines[-1].startswith("absent\t")

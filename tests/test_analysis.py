@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,13 +10,13 @@ from pnma.analysis import (
     DisagreementReport,
     confusion_diff,
     disagreement_report,
+    evaluate_labels,
     neighbor_dump,
     neighborhood_label_counts,
     power_of_two_bucket,
     rank_distribution,
     read_eval_report,
     span_prf,
-    token_accuracy,
     write_disagreement,
     write_eval_report,
     write_histogram,
@@ -69,19 +70,22 @@ class TestSpanPrf:
 
 
 class TestTokenAccuracy:
+    """The per-token-role scheme: each label but ``_`` is a one-token span."""
+
     def test_identity(self):
         seqs = [["A0", "_", "A1"]]
-        r = token_accuracy(seqs, seqs)
+        r = evaluate_labels(seqs, seqs, "per-token-role")
         assert (r.precision, r.recall, r.f1) == (1.0, 1.0, 1.0)
+        assert r.scheme == "per-token-role"
 
     def test_all_null_predictions(self):
-        r = token_accuracy([["A0", "A1"]], [["_", "_"]])
+        r = evaluate_labels([["A0", "A1"]], [["_", "_"]], "per-token-role")
         assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
 
     def test_constructed_counts(self):
         gold = [["A0", "A1", "_", "A2", "A3", "_"]]
         pred = [["A0", "A1", "A9", "_", "_", "_"]]
-        r = token_accuracy(gold, pred)
+        r = evaluate_labels(gold, pred, "per-token-role")
         assert r.matched == 2
         assert r.n_predicted == 3
         assert r.n_gold == 4
@@ -90,7 +94,72 @@ class TestTokenAccuracy:
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            token_accuracy([["A", "B"]], [["A"]])
+            evaluate_labels([["A", "B"]], [["A"]], "per-token-role")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_a_naive_token_count(self, data):
+        labels = st.sampled_from(["_", "A0", "A1", "A2", "AM-TMP"])
+        lengths = data.draw(st.lists(st.integers(0, 6), max_size=5))
+        gold = [data.draw(st.lists(labels, min_size=n, max_size=n)) for n in lengths]
+        pred = [data.draw(st.lists(labels, min_size=n, max_size=n)) for n in lengths]
+        matched = n_pred = n_gold = 0
+        per_label: dict[str, list[int]] = {}
+        for g, p in zip(itertools.chain(*gold), itertools.chain(*pred)):
+            if g != "_" and g == p:
+                matched += 1
+                per_label.setdefault(g, [0, 0, 0])[0] += 1
+            if p != "_":
+                n_pred += 1
+                per_label.setdefault(p, [0, 0, 0])[1] += 1
+            if g != "_":
+                n_gold += 1
+                per_label.setdefault(g, [0, 0, 0])[2] += 1
+        precision = matched / n_pred if n_pred else 0.0
+        recall = matched / n_gold if n_gold else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if matched else 0.0
+        r = evaluate_labels(gold, pred, "per-token-role")
+        assert (r.matched, r.n_predicted, r.n_gold) == (matched, n_pred, n_gold)
+        assert (r.precision, r.recall, r.f1) == (precision, recall, f1)
+        assert r.per_label == {k: tuple(v) for k, v in sorted(per_label.items())}
+        assert list(r.per_label) == sorted(per_label)
+
+
+def _aligned_reports(gold, other):
+    """Each token-level report, with ``other`` in one of its prediction slots."""
+    insts = [_mk_inst(f"s{i}", ("w",) * len(g), 0, g) for i, g in enumerate(gold)]
+    return {
+        "evaluate bio-span": lambda: evaluate_labels(gold, other, "bio-span"),
+        "evaluate per-token-role": lambda: evaluate_labels(gold, other, "per-token-role"),
+        "confusion_diff a": lambda: confusion_diff(gold, other, gold),
+        "confusion_diff b": lambda: confusion_diff(gold, gold, other),
+        "disagreement base": lambda: disagreement_report(insts, gold, other, gold, {}),
+        "disagreement adapted": lambda: disagreement_report(insts, gold, gold, other, {}),
+    }
+
+
+class TestAlignment:
+    """Each token-level report refuses predictions whose sentence count, or
+    any sentence's length, is not the gold one's."""
+
+    GOLD = [["B-A0", "B-V"], ["B-V", "O", "B-A1"]]
+    REPORTS = list(_aligned_reports([], []))
+
+    @pytest.mark.parametrize("report", REPORTS)
+    @pytest.mark.parametrize("other, message", [
+        (GOLD[:1], "2 gold sentences vs 1 in"),
+        (GOLD + [["O"]], "2 gold sentences vs 3 in"),
+        ([GOLD[0], ["B-V", "O"]], "sentence 1 has 3 gold tokens vs 2 in"),
+        ([GOLD[0] + ["O"], GOLD[1]], "sentence 0 has 2 gold tokens vs 3 in"),
+    ], ids=["fewer-sentences", "more-sentences", "shorter-sentence", "longer-sentence"])
+    def test_misaligned_predictions(self, report, other, message):
+        with pytest.raises(DimensionError, match=message):
+            _aligned_reports(self.GOLD, other)[report]()
+
+    def test_instances_must_match_gold(self):
+        insts = [_mk_inst("s0", ("a", "b"), 1, self.GOLD[0])]
+        with pytest.raises(DimensionError, match="2 gold sentences vs 1 in instances"):
+            disagreement_report(insts, self.GOLD, self.GOLD, self.GOLD, {})
 
 
 class TestConfusionDiff:

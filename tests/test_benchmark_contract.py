@@ -1,12 +1,17 @@
 """The calls the benchmark makes into pnma, run at toy scale.
 
-``perfbench/workloads.py`` is imported as it is, so a change to an API it
-calls fails here rather than only in a benchmark run.
+``perfbench/workloads.py``, ``run.py`` and ``tracer.py`` are imported as they
+are, so a change to an API or a name they read fails here rather than only
+in a benchmark run.
 """
 
+import ast
+import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,21 +25,37 @@ from pnma.neighborhood import init_neighborhood_params
 from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 K = 6
 TOY_SHAPE = dict(d_word=6, d_pred=3, d_hidden=8, n_layers=2)
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     try:
-        spec.loader.exec_module(module)
+        # run.py pins BLAS threads in the environment for its own process
+        with mock.patch.dict(os.environ):
+            spec.loader.exec_module(module)
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from load_perfbench("workloads")
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    yield from load_perfbench("run")
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from load_perfbench("tracer")
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +112,35 @@ def test_tag_checkpoint_round_trip(workloads, toy, tmp_path, adapted):
     loaded = workloads.checkpoint.load_model(path)
     assert loaded.config == cfg and loaded.digest == digest
     assert workloads.model_bytes(loaded) == blob
+
+
+def test_machine_record(bench_run):
+    from pnma.config import TrainConfig
+
+    record = bench_run.machine()
+    assert record["pnma_threads"] == TrainConfig().threads
+    assert record["numpy"] == np.__version__
+
+
+def test_working_set_reads_names_pnma_defines(bench_run, toy):
+    from pnma import memory
+
+    mem = toy[-1]
+    ws = {"memory_entries": len(mem), "d": mem.d}
+    assert bench_run.working_set(dict(ws)).items() >= ws.items()
+    # the memory constants working_set reads through getattr, which would
+    # otherwise drop a renamed one without a word; _ENTRY_BLOCK is gone from
+    # pnma, and its read (ROADMAP item 12) is the one allowed miss
+    read = {node.args[1].value for node in ast.walk(ast.parse(
+                (PERFBENCH / "run.py").read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+            and getattr(node.args[0], "id", None) == "memory"}
+    assert "_QUERY_BLOCK" in read
+    assert {name for name in read if not hasattr(memory, name)} <= {"_ENTRY_BLOCK"}
+
+
+def test_traced_names_resolve(tracer):
+    missing = {f"{module}.{func}" for module, funcs in tracer.TRACED.items() for func in funcs
+               if not hasattr(importlib.import_module(f"pnma.{module}"), func)}
+    # deleted from pnma with the per-sentence neighbor cache; the tracer still lists it
+    assert missing <= {"training.corpus_neighbor_cache"}

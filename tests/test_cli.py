@@ -902,7 +902,7 @@ class TestVocabularyMismatch:
                            "--memory", chain["memory"], "--train", f"{data}/train.conll"),
             "predict": ("predict", "--checkpoint", chain["pnma"], "--memory", chain["memory"],
                         "--input", f"{data}/test.conll"),
-            "rank-dist": ("analyze", "rank-dist", "--checkpoint", chain["pnma"],
+            "rank-dist": ("analyze", "rank-dist", "--checkpoint", chain["base"],
                           "--memory", chain["memory"], "--input", f"{data}/test.conll"),
             "disagreement": ("analyze", "disagreement", "--gold", f"{data}/test.conll",
                              "--pred-base", chain["base_preds"],
@@ -1054,6 +1054,97 @@ def test_analyze_a_model_trained_on_embeddings(tmp_path, capsys):
         assert run(*argv, *emb) == 0, argv[1]
     assert len((tmp_path / "n.tsv").read_text(encoding="utf-8").splitlines()) == 3
     assert "corrected_over_regressed" in (tmp_path / "d.tsv").read_text(encoding="utf-8")
+
+
+class TestEmbeddingsNeedAModelTrainedOnThem:
+    """--embeddings given with a checkpoint that holds a word table exits 2
+    with one error line and writes nothing, even when the file's width is
+    the table's: the vectors would silently replace the learned words."""
+
+    @pytest.fixture(scope="class")
+    def embeddings(self, smoke_chain, tmp_path_factory):
+        from pnma.dataio import parse_conll_file
+
+        width = load_model(smoke_chain["base"]).encoder.d_word
+        rows = []
+        for split in ("train", "valid", "test"):
+            for inst in parse_conll_file(f"{smoke_chain['data']}/{split}.conll"):
+                rows.extend(f"{inst.sentence_id} {t}" + " 0.5" * width
+                            for t in range(len(inst)))
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", TestVocabularyMismatch.COMMANDS)
+    def test_refused(self, smoke_chain, embeddings, tmp_path, capsys, command):
+        argv = TestVocabularyMismatch.argv(smoke_chain, command, smoke_chain["vocab"],
+                                           str(tmp_path / "out"))
+        code = run(*argv, "--embeddings", embeddings)
+        assert_one_line_error(code, capsys.readouterr().err,
+                              "encoder has a word table; external vectors are only for "
+                              "a model trained on them")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_rank_dist_refuses_an_adapted_checkpoint(smoke_chain, tmp_path, capsys):
+    c = smoke_chain
+    code = run("analyze", "rank-dist", "--checkpoint", c["pnma"], "--memory", c["memory"],
+               "--input", f"{c['data']}/valid.conll", "--vocab", c["vocab"],
+               "--out", str(tmp_path / "rank"))
+    assert_one_line_error(code, capsys.readouterr().err,
+                          "analyze rank-dist: this checkpoint is an adapted model")
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestMisalignedPredictions:
+    """evaluate, confusion-diff and disagreement refuse a prediction file
+    whose sentence count, or any sentence's length, is not the gold file's:
+    exit 2, one error line, no report."""
+
+    @staticmethod
+    def argv(chain, command, preds, out):
+        c, gold = chain, f"{chain['data']}/test.conll"
+        return {
+            "evaluate": ("evaluate", "--gold", gold, "--pred", preds),
+            "confusion-diff": ("analyze", "confusion-diff", "--gold", gold,
+                               "--pred-a", c["base_preds"], "--pred-b", preds),
+            "disagreement": ("analyze", "disagreement", "--gold", gold,
+                             "--pred-base", c["base_preds"], "--pred-pnma", preds,
+                             "--train", f"{c['data']}/train.conll"),
+        }[command] + ("--out", out)
+
+    @staticmethod
+    def write_preds(chain, path, keep: int, cut: bool = False) -> str:
+        """The first ``keep`` adapted-prediction sentences; with ``cut``, the
+        last one without its first token that is not the predicate."""
+        from pnma.dataio import format_predictions, parse_conll_file
+
+        preds = parse_conll_file(chain["pnma_preds"])[:keep]
+        blocks = [format_predictions(i, i.gold_labels) for i in preds]
+        if cut:
+            lines = blocks[-1].splitlines(keepends=True)
+            drop = 1 + (preds[-1].predicate_index == 0)  # line 0 is the id comment
+            blocks[-1] = "".join(lines[:drop] + lines[drop + 1:])
+        path.write_text("".join(blocks), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["evaluate", "confusion-diff", "disagreement"])
+    def test_fewer_sentences(self, smoke_chain, tmp_path, capsys, command):
+        preds = self.write_preds(smoke_chain, tmp_path / "p.conll", keep=10)
+        code = run(*self.argv(smoke_chain, command, preds, str(tmp_path / "r.tsv")))
+        assert_one_line_error(code, capsys.readouterr().err, "20 gold sentences vs 10 in")
+        assert [f.name for f in tmp_path.iterdir()] == ["p.conll"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "confusion-diff", "disagreement"])
+    def test_shorter_sentence(self, smoke_chain, tmp_path, capsys, command):
+        from pnma.dataio import parse_conll_file
+
+        n = len(parse_conll_file(f"{smoke_chain['data']}/test.conll")[19])
+        preds = self.write_preds(smoke_chain, tmp_path / "p.conll", keep=20, cut=True)
+        code = run(*self.argv(smoke_chain, command, preds, str(tmp_path / "r.tsv")))
+        assert_one_line_error(code, capsys.readouterr().err,
+                              f"sentence 19 has {n} gold tokens vs {n - 1} in")
+        assert [f.name for f in tmp_path.iterdir()] == ["p.conll"]
 
 
 def test_unknown_neighborhood_mode_exits_two_before_training(smoke_chain, tmp_path, capsys,

@@ -12,7 +12,7 @@ TOY_CONFIG = (
     "d_pred = 16\nn_layers = 2\nmemory_fraction = 0.15\n"
 )
 ROW_FIELDS = ["seed", "base_f1", "adapted_f1", "corrected", "regressed",
-              "median_first_correct_rank"]
+              "median_first_correct_rank", "rank1_share_incorrect"]
 
 
 def test_synthetic_benchmark_script_runs(tmp_path):
@@ -37,7 +37,7 @@ def test_synthetic_benchmark_script_runs(tmp_path):
     [row] = doc["rows"]
     assert list(row) == ROW_FIELDS
     assert row["seed"] == 1
-    for key in ("base_f1", "adapted_f1"):
+    for key in ("base_f1", "adapted_f1", "rank1_share_incorrect"):
         assert 0.0 <= row[key] <= 1.0 and row[key] == round(row[key], 6)
     assert row["corrected"] >= 0 and row["regressed"] >= 0
     rank = row["median_first_correct_rank"]  # null: no mispredicted validation token
