@@ -71,7 +71,7 @@ def run_chain(seed, cfg, train, valid, test, vocab, freq, out_dir: Path) -> dict
                    for p in predict_base_corpus(test, base.encoder, base.crf, vocab)]
     pnma_labels = [vocab.tag_strings(p) for p in predict_pnma_corpus(
         test, adapted.encoder, adapted.crf, adapted.nbr, memory, vocab, cfg.k_neighbors)]
-    rep = disagreement_report(test, gold, base_labels, pnma_labels, freq)
+    rep = disagreement_report(test, base_labels, pnma_labels, freq)
     hist = rank_distribution(base.encoder, base.crf, vocab, memory, valid, k=cfg.k_neighbors)
     median = hist.median_rank("incorrect")
     rank1_share = dict(hist.normalized("incorrect"))["1"]

@@ -259,13 +259,13 @@ def _scenario(base_ok: bool, pnma_ok: bool) -> int:
 
 def disagreement_report(
     instances: Sequence[Instance],
-    gold: Sequence[Sequence[str]],
     base_preds: Sequence[Sequence[str]],
     pnma_preds: Sequence[Sequence[str]],
     predicate_freq: Mapping[str, int],
     neighborhood_counts: Sequence[np.ndarray] | None = None,
 ) -> DisagreementReport:
-    """Token-level base-vs-adapted outcome analysis.
+    """Token-level base-vs-adapted outcome analysis against the instances'
+    gold labels.
 
     Buckets by training-corpus predicate frequency (powers of two) and, when
     ``neighborhood_counts`` (per-token count of same-gold-label neighbors) is
@@ -275,8 +275,8 @@ def disagreement_report(
     point, on full-scale news-text SRL benchmarks memory adaptation lands
     near 4 (a correction is about four times likelier than a regression).
     """
-    _check_aligned("disagreement_report", gold,
-                   {"instances": instances, "base_preds": base_preds, "pnma_preds": pnma_preds})
+    gold = [inst.gold_labels for inst in instances]
+    _check_aligned("disagreement_report", gold, {"base_preds": base_preds, "pnma_preds": pnma_preds})
     counts = [0, 0, 0, 0]
     freq_buckets: dict[str, list[int]] = {}
     nbr_buckets: dict[str, list[int]] = {}

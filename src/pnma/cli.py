@@ -378,7 +378,6 @@ def cmd_analyze_disagreement(args) -> int:
         )
     report = analysis.disagreement_report(
         gold,
-        [list(i.gold_labels) for i in gold],
         [list(i.gold_labels) for i in base_preds],
         [list(i.gold_labels) for i in pnma_preds],
         freq,

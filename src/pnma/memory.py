@@ -33,6 +33,11 @@ the other modes, ``analysis.rank_distribution`` and
 Bulk retrieval holds its outputs and one block's working set: the (Q, k)
 ids, and distances when asked for, are allocated once and each block, on
 any thread, writes its own rows of them; queries are cast to float64 a block at a time.
+A block's working set is its (B, N) float64 prefilter rows, its k + 1
+candidates per row, and one row group's arrays: the partition, the survivor
+count, the re-rank gather and the distance gather each run on groups of
+G = max(1, _GROUP_ENTRIES // N) rows, so that the prefilter is the only
+array of a block that grows with B x N.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ _STREAM_SAMPLE = 101
 # float64 prefilter distances stay within _BLOCK_DISTANCES (8 MiB)
 _QUERY_BLOCK = 128
 _BLOCK_DISTANCES = 1 << 20
+# a block's rows are selected in groups of as many rows as keep one group's
+# int64 partition within _GROUP_ENTRIES entries (512 KiB)
+_GROUP_ENTRIES = 1 << 16
 
 # per query, the provenance keys (sentence id, token index) of entries it must not return
 Exclusions = Sequence[Sequence[tuple[str, int]]]
@@ -292,44 +300,56 @@ def _block_top_k(queries, slack, memory: ActivationMemory, k: int, ex_rows, ex_c
     prefilter (``_prefilter``), a certified re-rank keeps, per row, every
     entry within the limit a_(k) + 2 delta of the row's k-th smallest
     prefilter value a_(k).  One partition at k yields a_(k), the largest of
-    the first k, and the (k+1)-th value a_(k+1) beside it.  When every row's
-    a_(k+1) exceeds its limit, no entry beyond the first k survives, so those
-    k are the top-k without a pass over the full rows (the certificate).
-    They are then ordered by prefilter value: where adjacent values differ by
-    more than 2 delta, that is the exact order; only rows with a smaller gap
-    are re-ranked by explicit distance.  Otherwise every row's survivors are
-    counted, the partition widens to the largest count, and all rows are
-    re-ranked.  Distances are computed for the final ids only.
+    the first k, and the (k+1)-th value a_(k+1) beside it; only those k + 1
+    ids are kept.  When every row's a_(k+1) exceeds its limit, no entry
+    beyond the first k survives, so those k are the top-k without a pass
+    over the full rows (the certificate).  They are then ordered by
+    prefilter value: where adjacent values differ by more than 2 delta, that
+    is the exact order; only rows with a smaller gap are re-ranked by
+    explicit distance.  Otherwise, in each group of rows, every row's
+    survivors are counted, the partition widens to the group's largest
+    count, and all its rows are re-ranked.  Distances are computed for the
+    final ids only.
+
+    The partitions, the re-ranks and the distances run on groups of at most
+    ``rows`` rows, so that the prefilter is the block's only array of its
+    row count times the memory size.
     """
     q = queries.astype(np.float64)
     approx = _prefilter(q, memory)
     approx[ex_rows, ex_cols] = np.inf  # every threshold below is finite
-    n_m = approx.shape[1]
-    cand = np.argpartition(approx, min(k, n_m - 1), axis=1)
-    head = np.take_along_axis(approx, cand[:, : k + 1], axis=1)
+    n_b, n_m = approx.shape
+    rows = max(1, _GROUP_ENTRIES // n_m)
+    groups = [slice(lo, lo + rows) for lo in range(0, n_b, rows)]
+    cand = np.empty((n_b, min(k + 1, n_m)), dtype=np.int64)
+    for g in groups:
+        cand[g] = np.argpartition(approx[g], min(k, n_m - 1), axis=1)[:, : k + 1]
+    head = np.take_along_axis(approx, cand, axis=1)
     # every entry of the true top-k has a <= a_(k) + 2 delta
     limit = head[:, :k].max(axis=1, keepdims=True) + slack[:, None]
     if k == n_m or np.all(head[:, k:] > limit):
         order = np.argsort(head[:, :k], axis=1)
-        cand = np.take_along_axis(cand, order, axis=1)  # frees the (B, N) partition
-        del approx
+        ids[:] = np.take_along_axis(cand, order, axis=1)
         # a gap above 2 delta between adjacent prefilter values is a strict
         # gap between their explicit distances
         gaps = np.diff(np.take_along_axis(head, order, axis=1), axis=1)
-        near = ~np.all(gaps > slack[:, None], axis=1)
-        ids[:] = cand
-        if near.any():
-            ids[near] = _rerank(q[near], memory, np.sort(cand[near], axis=1), k, None)
+        near = np.flatnonzero(~np.all(gaps > slack[:, None], axis=1))
+        for lo in range(0, len(near), rows):  # a group's count of near rows at a time
+            r = near[lo : lo + rows]
+            ids[r] = _rerank(q[r], memory, np.sort(ids[r], axis=1), k, None)
     else:
-        width = int(np.count_nonzero(approx <= limit, axis=1).max())
-        if width > k + 1:  # near-ties at the k-th distance: widen to all survivors
-            cand = np.argpartition(approx, width - 1, axis=1)
-        cand = np.sort(cand[:, :width], axis=1)
-        kept = np.take_along_axis(approx, cand, axis=1) <= limit
-        del approx  # free the (B, N) prefilter rows before the gather
-        ids[:] = _rerank(q, memory, cand, k, kept)
+        for g in groups:
+            width = int(np.count_nonzero(approx[g] <= limit[g], axis=1).max())
+            if width > k + 1:  # near-ties at the k-th distance: widen to all survivors
+                c = np.argpartition(approx[g], width - 1, axis=1)[:, :width]
+            else:
+                c = cand[g, :width]
+            c = np.sort(c, axis=1)
+            kept = np.take_along_axis(approx[g], c, axis=1) <= limit[g]
+            ids[g] = _rerank(q[g], memory, c, k, kept)
     if dists is not None:
-        np.sqrt(_squared_distances(q, memory.vectors[ids]), out=dists)
+        for g in groups:
+            np.sqrt(_squared_distances(q[g], memory.vectors[ids[g]]), out=dists[g])
 
 
 def knn_entry_ids(

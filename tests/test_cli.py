@@ -1425,6 +1425,24 @@ class TestThreadsLeaveNoTrace:
             assert one.read_bytes() == two.read_bytes(), name
 
 
+def test_paper_shape_train_base_repeats_at_one_blas_thread(smoke_chain, tmp_path):
+    # a rerun is byte-identical for a fixed BLAS build and thread count; at
+    # the default (paper) shape OpenBLAS threads its products, so the count
+    # is pinned here, as it is not by any input
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    for name in ("a.ckpt", "b.ckpt"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pnma.cli", "train-base", "--epochs", "1",
+             "--train", f"{smoke_chain['data']}/train.conll", "--vocab", smoke_chain["vocab"],
+             "--out", str(tmp_path / name)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    assert load_model(str(tmp_path / "a.ckpt")).config.d_hidden == 300
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
 class TestBuildMemoryFraction:
     """build-memory samples the checkpoint's memory_fraction unless --fraction
     is given."""

@@ -12,6 +12,7 @@ from pnma.errors import CapacityError, DimensionError, DomainError, FormatError,
 from pnma import memory as memory_module
 from pnma.memory import (
     _BLOCK_DISTANCES,
+    _GROUP_ENTRIES,
     _QUERY_BLOCK,
     MEMORY_MAGIC,
     ActivationMemory,
@@ -335,36 +336,92 @@ class TestIdsOnly:
         np.testing.assert_array_equal(dists, [ref_dists for _, ref_dists in refs])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_bulk_retrieval_holds_outputs_and_one_block_per_thread(threads):
+class TestRowGroups:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+           lengths=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+           extra=st.integers(2, 12), group=st.integers(1, 5), block=st.integers(1, 12),
+           k=st.integers(1, 8), k_usable=st.booleans(), exclude_self=st.booleans(),
+           widen=st.booleans())
+    @example(seed=5, d=2, lengths=[5, 5, 4], extra=6, group=3, block=7, k=4, k_usable=False,
+             exclude_self=True, widen=False)
+    def test_equal_the_naive_scan(self, monkeypatch, seed, d, lengths, extra, group, block, k,
+                                  k_usable, exclude_self, widen):
+        # lattice points, so that many entries tie; a memory of about half
+        # the query tokens, as build_memory samples it, and a few other entries
+        rng = np.random.default_rng(seed)
+        instances = [Instance(f"s{i}", ("w",) * n, 0, (1,) + (0,) * (n - 1), ("O",) * n)
+                     for i, n in enumerate(lengths)]
+        keys = [(inst.sentence_id, t) for inst in instances for t in range(len(inst))]
+        queries = rng.integers(-2, 3, size=(len(keys), d)).astype(np.float32)
+        sampled = np.flatnonzero(rng.random(len(keys)) < 0.5)
+        vectors = np.concatenate([queries[sampled],
+                                  rng.integers(-2, 3, size=(extra, d)).astype(np.float32)])
+        n = len(vectors)
+        vectors[-1] = vectors[0]  # an exact tie, found by every group-th query row
+        queries[::group] = vectors[0]
+        mem = ActivationMemory(vectors=vectors, labels=np.zeros(n, dtype=np.int64),
+                               provenance=[keys[i] for i in sampled]
+                               + [("m", i) for i in range(extra)])
+        own = {keys[i]: e for e, i in enumerate(sampled)}
+        excluded = [{own[key]} if exclude_self and key in own else set() for key in keys]
+        usable = n - np.array([len(e) for e in excluded])
+        k = int(usable.min()) if k_usable else min(k, int(usable.min()))
+
+        monkeypatch.setattr(memory_module, "_QUERY_BLOCK", block)
+        monkeypatch.setattr(memory_module, "_GROUP_ENTRIES", group * n)  # rows per group
+        if widen:  # a slack above every distance: every finite entry survives
+            monkeypatch.setattr(memory_module, "_rounding_bound",
+                                lambda q_sq, m_sq_max, d: 4.0 * (q_sq + m_sq_max) + 1.0)
+        kept_masks = []
+        rerank = memory_module._rerank
+        monkeypatch.setattr(memory_module, "_rerank",
+                            lambda q, *a: kept_masks.append(a[-1]) or rerank(q, *a))
+        exclude = self_exclusions(instances) if exclude_self else None
+        refs = [naive_knn(queries[qi], mem, k, excluded[qi]) for qi in range(len(keys))]
+        for threads in (1, 2):
+            ids, dists = knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads)
+            np.testing.assert_array_equal(ids, [ref_ids for ref_ids, _ in refs])
+            np.testing.assert_array_equal(dists, [ref_dists for _, ref_dists in refs])
+        if widen and (usable > k).any():
+            assert any(kept is not None for kept in kept_masks)
+
+
+def bulk_retrieval_case():
+    """4,000 queries with self-exclusions against 4,096 entries: a block of
+    128 rows spans 8 selection groups of 16."""
     rng = make_rng(31)
-    n_q, n, d, k = 4000, 1000, 16, 64
+    n_q, n, d, k = 4000, 4096, 16, 64
     mem = random_memory(rng, n=n, d=d)
     queries = rng.normal(size=(n_q, d)).astype(np.float32)
     exclude = [[mem.provenance[i % n]] for i in range(n_q)]
     rows = min(_QUERY_BLOCK, _BLOCK_DISTANCES // n)
-    # a block's float64 prefilter rows, their int64 partition and the
-    # survivor mask; later, in their place, the re-rank's k candidates per
-    # query: their ids, kept flags, and rows gathered in float32 and cast to
-    # float64
-    block = max(rows * n * 17, rows * k * (17 + 12 * d))
+    group = max(1, _GROUP_ENTRIES // n)
+    assert rows >= 8 * group
+    # a block's float64 prefilter rows and its k + 1 candidates per row (ids,
+    # prefilter values, order), and beside them one group's int64 partition
+    # and survivor mask or, later, the re-rank's k candidates per query: their
+    # ids, kept flags, and rows gathered in float32 and cast to float64
+    block = (rows * n * 8 + rows * (k + 1) * 24
+             + max(group * n * 9, group * k * (17 + 12 * d)))
+    return mem, queries, exclude, k, block
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bulk_retrieval_holds_outputs_and_one_block_per_thread(threads):
+    mem, queries, exclude, k, block = bulk_retrieval_case()
     peak = traced_peak(lambda: knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads))
-    assert peak <= n_q * k * 16 + threads * block + (1 << 20)
+    assert peak <= len(queries) * k * 16 + threads * block + (1 << 20)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_ids_only_retrieval_holds_no_distances(threads):
     # as above, less the (Q, k) float64 distances
-    rng = make_rng(31)
-    n_q, n, d, k = 4000, 1000, 16, 64
-    mem = random_memory(rng, n=n, d=d)
-    queries = rng.normal(size=(n_q, d)).astype(np.float32)
-    exclude = [[mem.provenance[i % n]] for i in range(n_q)]
-    rows = min(_QUERY_BLOCK, _BLOCK_DISTANCES // n)
-    block = max(rows * n * 17, rows * k * (17 + 12 * d))
+    mem, queries, exclude, k, block = bulk_retrieval_case()
     peak = traced_peak(lambda: knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads,
                                              distances=False))
-    assert peak <= n_q * k * 8 + threads * block + (1 << 20)
+    assert peak <= len(queries) * k * 8 + threads * block + (1 << 20)
 
 
 def synthetic_corpus():

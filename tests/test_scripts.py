@@ -42,3 +42,31 @@ def test_synthetic_benchmark_script_runs(tmp_path):
     assert row["corrected"] >= 0 and row["regressed"] >= 0
     rank = row["median_first_correct_rank"]  # null: no mispredicted validation token
     assert rank is None or (math.isfinite(rank) and 1 <= rank <= 5)
+
+
+def load_paired_perfbench():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("paired_perfbench",
+                                                  SCRIPTS / "paired_perfbench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paired_perfbench_seeds_and_claim_rule():
+    paired = load_paired_perfbench()
+    assert paired.parse_seeds("1,3-5,9") == [1, 3, 4, 5, 9]
+    # lower is better: the change wins 9 of 10 pairs, one is a tie, and its
+    # median drop (6.0) exceeds the parent's IQR (1.75)
+    parent = [70.0, 71.0, 69.0, 72.0, 70.0, 68.0, 71.0, 70.0, 73.0, 64.0]
+    change = [64.0, 65.0, 63.0, 66.0, 64.0, 62.0, 65.0, 64.0, 67.0, 64.0]
+    s = paired.summarize(parent, change, "lower", 0.1)
+    assert (s["wins"], s["losses"], s["gain"], s["within_bound"]) == (9, 0, True, True)
+    assert s["median_ratio"] == 64.0 / 70.0
+    assert s["parent_iqr_ratio"] == 1.75 / 70.0
+    assert s["pair_ratios"][-1] == 1.0
+    # the same numbers where higher is better: every pair lost, beyond a 5% bound
+    s = paired.summarize(parent, change, "higher", 0.05)
+    assert (s["wins"], s["losses"], s["gain"], s["within_bound"]) == (0, 9, False, False)
+    assert paired.summarize(parent, change, "higher", 0.1)["within_bound"]
