@@ -11,7 +11,6 @@ from .dataio import (
     Instance,
     Vocabulary,
     bio_decode_spans,
-    bio_encode_spans,
     build_vocab,
     load_external_embeddings,
     parse_conll_file,
@@ -28,7 +27,6 @@ __all__ = [
     "TrainConfig",
     "Vocabulary",
     "bio_decode_spans",
-    "bio_encode_spans",
     "build_memory",
     "build_vocab",
     "knn_query",

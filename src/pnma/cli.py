@@ -168,6 +168,15 @@ def _maybe_external(path: str | None, instances):
     return dataio.load_external_embeddings(path, instances)
 
 
+def _save_trained(args, result, cfg) -> str:
+    """Write a training result's checkpoint to ``--out`` and its epoch log to
+    ``--log`` (default ``<out>.log``); returns the checkpoint digest."""
+    digest = save_model(args.out, Model(result.encoder, result.crf, result.nbr, cfg))
+    with open(args.log or (args.out + ".log"), "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in result.log_lines)
+    return digest
+
+
 def cmd_prepare(args) -> int:
     instances = dataio.parse_conll_file(args.train)
     vocab = dataio.build_vocab(instances, min_frequency=args.min_frequency)
@@ -187,11 +196,7 @@ def cmd_train_base(args) -> int:
     valid_set = dataio.parse_conll_file(args.valid) if args.valid else None
     external = _maybe_external(args.embeddings, train_set + (valid_set or []))
     result = train_base(train_set, valid_set, vocab, cfg, external=external)
-    model = Model(encoder=result.encoder, crf=result.crf, nbr=None, config=cfg)
-    digest = save_model(args.out, model)
-    log_path = args.log or (args.out + ".log")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in result.log_lines)
+    digest = _save_trained(args, result, cfg)
     print(
         f"train-base: {_best_epoch(result)}; "
         f"wall time {result.seconds:.1f} s; checkpoint {digest[:12]} -> {args.out}",
@@ -234,11 +239,7 @@ def cmd_train_pnma(args) -> int:
         base.encoder, base.crf, base.digest, memory,
         train_set, valid_set, vocab, cfg, external=external,
     )
-    model = Model(encoder=result.encoder, crf=result.crf, nbr=result.nbr, config=cfg)
-    digest = save_model(args.out, model)
-    log_path = args.log or (args.out + ".log")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in result.log_lines)
+    digest = _save_trained(args, result, cfg)
     print(
         f"train-pnma: {_best_epoch(result)}; "
         f"phase-2 wall time {result.seconds:.1f} s; retrieval "

@@ -107,7 +107,7 @@ def _convert(name: str, raw: str):
 
 def parse_config_lines(lines, source: str, keys) -> dict[str, str]:
     """key = value pairs, '#' comments, blank lines ignored; a key not in
-    ``keys`` is unknown."""
+    ``keys`` is unknown, and a key may be given once."""
     out: dict[str, str] = {}
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -119,6 +119,8 @@ def parse_config_lines(lines, source: str, keys) -> dict[str, str]:
         key = key.strip()
         if key not in keys:
             raise ConfigError(f"{source}:{no}: unknown config key {key!r}")
+        if key in out:
+            raise ConfigError(f"{source}:{no}: config key {key!r} is given twice")
         out[key] = val.strip()
     return out
 
@@ -147,6 +149,10 @@ def config_from_echo(echo: str) -> TrainConfig:
     """Rebuild a TrainConfig from a checkpoint's config echo, as ``to_echo``
     writes it: one line per echoed ``TrainConfig`` key and nothing else.  The
     checkpoint's magic is its only format version, so the echo holds no
-    version line, and any key that is not an echoed field is unknown."""
+    version line, any key that is not an echoed field is unknown, and a
+    missing key is refused rather than defaulted."""
     raw = parse_config_lines(echo.splitlines(), "config echo", _ECHOED)
+    missing = [k for k in _ECHOED if k not in raw]
+    if missing:
+        raise ConfigError(f"config echo: no line for key {missing[0]!r}")
     return TrainConfig(**{k: _convert(k, v) for k, v in raw.items()})  # type: ignore[arg-type]

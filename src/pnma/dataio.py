@@ -1,4 +1,4 @@
-"""Corpus parsing, BIO span codecs, vocabularies, external embeddings.
+"""Corpus parsing, the BIO span decoder, vocabularies, external embeddings.
 
 Column corpus format (UTF-8): three whitespace-separated columns per line —
 token, predicate bit (0/1), tag — with blank lines separating sentences and
@@ -247,15 +247,11 @@ def parse_conll_file(path: str) -> list[Instance]:
 
 def write_conll_file(path: str, instances: Iterable[Instance]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(f"# id: {inst.sentence_id}\n")
-            for tok, bit, tag in zip(inst.tokens, inst.predicate_bits, inst.gold_labels):
-                fh.write(f"{tok} {bit} {tag}\n")
-            fh.write("\n")
+        fh.writelines(format_predictions(inst, inst.gold_labels) for inst in instances)
 
 
 def format_predictions(instance: Instance, predicted: Sequence[str]) -> str:
-    """One output block: the instance columns with the tag column replaced."""
+    """One column block: the instance's id line and columns, tags from ``predicted``."""
     lines = [f"# id: {instance.sentence_id}"]
     for tok, bit, tag in zip(instance.tokens, instance.predicate_bits, predicted):
         lines.append(f"{tok} {bit} {tag}")
@@ -292,19 +288,6 @@ def bio_decode_spans(tags: Sequence[str]) -> set[tuple[int, int, str]]:
     if start is not None:
         spans.add((start, len(tags) - 1, role))
     return spans
-
-
-def bio_encode_spans(spans: Iterable[tuple[int, int, str]], length: int) -> list[str]:
-    """Inverse of ``bio_decode_spans`` for non-overlapping spans."""
-    tags = ["O"] * length
-    for start, end, role in sorted(spans):
-        if start < 0 or end >= length or start > end:
-            raise DomainError(f"bio_encode_spans: span ({start},{end}) outside [0,{length})")
-        for i in range(start, end + 1):
-            if tags[i] != "O":
-                raise DomainError(f"bio_encode_spans: overlapping span at position {i}")
-            tags[i] = ("B-" if i == start else "I-") + role
-    return tags
 
 
 def build_vocab(instances: Sequence[Instance], min_frequency: int = 2) -> Vocabulary:
@@ -358,8 +341,14 @@ def load_vocab(path: str) -> Vocabulary:
         raise FormatError(f"{path}: truncated vocabulary file")
     if words[:2] != [UNK, PAD]:
         raise FormatError(f"{path}: reserved ids 0/1 must be {UNK}/{PAD}")
-    return Vocabulary(word_to_id={w: i for i, w in enumerate(words)}, id_to_word=words,
-                      tag_labels=tags)
+    vocab = Vocabulary(word_to_id={w: i for i, w in enumerate(words)}, id_to_word=words,
+                       tag_labels=tags)
+    # a repeat would leave an id that no word or tag maps to
+    for kind, items, ids in (("word", words, vocab.word_to_id), ("tag", tags, vocab.tag_to_id)):
+        if len(ids) != len(items):
+            repeat = next(x for i, x in enumerate(items) if ids[x] != i)
+            raise FormatError(f"{path}: {kind} {repeat!r} is listed more than once")
+    return vocab
 
 
 @dataclass

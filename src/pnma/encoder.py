@@ -62,8 +62,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
+from .dataio import Instance, TokenTable, Vocabulary
 from .errors import DimensionError, DomainError
+from .numeric import map_in_order
 
 # padded tokens per inference chunk, the one limit on its size: bounds a
 # chunk's activations however long or short its sentences are
@@ -503,7 +504,6 @@ def encode_batch(
     word_ids: np.ndarray,
     pred_bits: np.ndarray,
     params: EncoderParams,
-    training: bool = False,
     dropout_embed: float = 0.0,
     dropout_layer: float = 0.0,
     drop_rng: np.random.Generator | None = None,
@@ -515,19 +515,19 @@ def encode_batch(
 
     ``lengths=None`` is a same-length batch; with ``lengths`` (B,) row b is
     right-padded after its first ``lengths[b]`` tokens (``lstm_layer_forward``),
-    and its outputs there are meaningless.  Dropout (training mode only) is
-    applied to the embedding concat and to each LSTM output feeding a
-    connection layer; evaluation mode is a pure function of the inputs.
+    and its outputs there are meaningless.  Dropout at rates above 0 applies to
+    the embedding concat and to each LSTM output feeding a connection layer; at
+    the default rates 0 the output is a pure function of the inputs.
     """
-    if training and (dropout_embed > 0 or dropout_layer > 0) and drop_rng is None:
-        raise DomainError("training-mode dropout requires a generator")
+    if (dropout_embed > 0 or dropout_layer > 0) and drop_rng is None:
+        raise DomainError("dropout requires a generator")
     x = embed_tokens(word_ids, pred_bits, params, external_vectors)
     dtype = np.dtype(x.dtype)
     cache = EncoderCache(
         word_ids=np.asarray(word_ids),
         pred_bits=np.asarray(pred_bits),
     )
-    if training and dropout_embed > 0:
+    if dropout_embed > 0:
         cache.embed_mask = _dropout_mask(drop_rng, x.shape, dropout_embed, dtype)
         x = x * cache.embed_mask
     n_layers = params.n_layers
@@ -541,7 +541,7 @@ def encode_batch(
             h = lstm_layer_forward(x, layer_direction(l), params.layers[l], lengths=lengths)
         if l == n_layers - 1:
             break
-        if training and dropout_layer > 0:
+        if dropout_layer > 0:
             mask = _dropout_mask(drop_rng, h.shape, dropout_layer, dtype)
             cache.layer_masks.append(mask)
             h_in = h * mask
@@ -567,37 +567,29 @@ def encode_backward(
     backward consumes it, so only the layers not yet reached hold their
     activations, and ``cache`` cannot serve a second backward.
     """
-    grads: dict[str, np.ndarray] = {}
     n_layers = params.n_layers
     d = params.d_hidden
     d_x, lg = lstm_layer_backward(d_h_final, cache.lstm_caches.pop(), params.layers[-1])
-    grads[f"lstm{n_layers - 1}.wx"] = lg.wx
-    grads[f"lstm{n_layers - 1}.wh"] = lg.wh
-    grads[f"lstm{n_layers - 1}.b"] = lg.b
+    layer_grads, conn_grads = [lg], []  # top layer first
     for l in range(n_layers - 2, -1, -1):
         d_h, d_x_direct, d_w = connection_backward(
             d_x, cache.conn_caches.pop(), params.connections[l], d
         )
-        grads[f"conn{l}.w"] = d_w
+        conn_grads.append(d_w)
         if cache.layer_masks[l] is not None:
             d_h *= cache.layer_masks[l]
         d_x, lg = lstm_layer_backward(d_h, cache.lstm_caches.pop(), params.layers[l])
-        grads[f"lstm{l}.wx"] = lg.wx
-        grads[f"lstm{l}.wh"] = lg.wh
-        grads[f"lstm{l}.b"] = lg.b
+        layer_grads.append(lg)
         d_x += d_x_direct
     if cache.embed_mask is not None:
         d_x = d_x * cache.embed_mask
-    d_word_part = d_x[..., : params.d_word]
-    d_pred_part = d_x[..., params.d_word :]
+    g_word = None
     if params.word_emb is not None:
         g_word = np.zeros_like(params.word_emb)
-        np.add.at(g_word, cache.word_ids, d_word_part)
-        grads["embed.word"] = g_word
+        np.add.at(g_word, cache.word_ids, d_x[..., : params.d_word])
     g_pred = np.zeros_like(params.pred_emb)
-    np.add.at(g_pred, cache.pred_bits, d_pred_part)
-    grads["embed.pred"] = g_pred
-    return grads
+    np.add.at(g_pred, cache.pred_bits, d_x[..., params.d_word :])
+    return EncoderParams(g_word, g_pred, layer_grads[::-1], conn_grads[::-1]).to_dict()
 
 
 def length_sorted_chunks(lengths: Sequence[int]) -> list[np.ndarray]:
@@ -629,39 +621,27 @@ def encode_rows(table: TokenTable, params: EncoderParams, threads: int = 1) -> n
     def run(chunk: np.ndarray):
         rows, lengths = table.rows(chunk), table.lengths[chunk]
         ext = table.external[rows] if table.external is not None else None
-        h = encode_batch(table.word_ids[rows], table.bits[rows], params, training=False,
+        h = encode_batch(table.word_ids[rows], table.bits[rows], params,
                          external_vectors=ext, lengths=lengths)
         real = np.arange(rows.shape[1]) < lengths[:, None]
         return rows[real], h[real]
 
-    def scatter(results) -> np.ndarray:
-        out = np.zeros((0, params.d_hidden), dtype=params.pred_emb.dtype)  # an empty table
-        for i, (rows, h) in enumerate(results):
-            if i == 0:
-                out = np.empty((len(table.word_ids), h.shape[-1]), dtype=h.dtype)
-            out[rows] = h  # copied out as it arrives: no chunk outputs pile up
-        return out
-
+    out = np.zeros((0, params.d_hidden), dtype=params.pred_emb.dtype)  # an empty table
     chunks = length_sorted_chunks(table.lengths)
-    if threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return scatter(pool.map(run, chunks))
-    return scatter(map(run, chunks))
+    for i, (rows, h) in enumerate(map_in_order(run, chunks, threads)):
+        if i == 0:
+            out = np.empty((len(table.word_ids), h.shape[-1]), dtype=h.dtype)
+        out[rows] = h  # copied out as it arrives: no chunk outputs pile up
+    return out
 
 
 def encode_corpus(
-    instances: Sequence[Instance],
-    params: EncoderParams,
-    vocab: Vocabulary,
-    external: ExternalEmbeddings | None = None,
-    threads: int = 1,
+    instances: Sequence[Instance], params: EncoderParams, vocab: Vocabulary
 ) -> dict[str, np.ndarray]:
     """``encode_rows`` keyed by sentence id: each value is a (n, d) view of its rows.
 
     Sentence ids must be unique within the corpus.
     """
-    table = TokenTable.build(instances, vocab, external)
-    h = encode_rows(table, params, threads)
+    table = TokenTable.build(instances, vocab)
+    h = encode_rows(table, params)
     return dict(zip((inst.sentence_id for inst in instances), table.split(h)))

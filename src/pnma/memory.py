@@ -53,7 +53,7 @@ import numpy as np
 from .dataio import Instance, TokenTable, Vocabulary, framed_bytes, read_framed
 from .encoder import EncoderParams, encode_rows
 from .errors import CapacityError, DimensionError, DomainError, FormatError, NumericError
-from .numeric import make_rng
+from .numeric import make_rng, map_in_order
 
 MEMORY_MAGIC = b"PNMAMEM1"
 
@@ -412,15 +412,7 @@ def knn_entry_ids(
                      ex_rows[lo:hi] - start, ex_cols[lo:hi], ids[start:stop],
                      None if dists is None else dists[start:stop])
 
-    starts = range(0, n_q, rows_per_block)
-    if threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, starts))
-    else:
-        for start in starts:
-            run_block(start)
+    list(map_in_order(run_block, range(0, n_q, rows_per_block), threads))  # each writes its rows
     return ids, dists
 
 

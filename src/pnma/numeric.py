@@ -1,4 +1,4 @@
-"""Dense numeric kernels and the gradient-checking harness.
+"""Dense numeric kernels, the gradient-checking harness and a thread map.
 
 Every layer in this package is built from explicit forward/backward pairs
 over plain numpy arrays (row-major, single precision for training, double
@@ -8,7 +8,7 @@ function is hand-derived and checked against ``finite_difference_check``.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,18 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
         raise DomainError(f"seed must be at least 0, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def map_in_order(fn: Callable, items: Sequence, threads: int) -> Iterator:
+    """``fn`` over ``items``, results yielded in order; with ``threads`` > 1 and
+    more than one item, up to ``threads`` calls run at once on a thread pool."""
+    if threads > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

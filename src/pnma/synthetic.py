@@ -147,11 +147,11 @@ def generate_split(
 
 def gen_synthetic(
     out_dir: str,
-    train_size: int = 2000,
-    valid_size: int = 300,
-    test_size: int = 300,
-    exception_rate: float = 0.05,
-    seed: int = 0,
+    train_size: int,
+    valid_size: int,
+    test_size: int,
+    exception_rate: float,
+    seed: int,
 ) -> dict[str, SynthStats]:
     """Write train/valid/test column files plus a stats table into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)

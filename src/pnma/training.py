@@ -90,13 +90,12 @@ def adam_step(
     grads: Sequence[np.ndarray],
     state: AdamState,
     lr: float,
-    weight_decay: float = 0.0,
 ) -> None:
     """One bias-corrected Adam update of a flat parameter buffer, in place.
 
     ``grads`` are the gradients of the buffer's consecutive segments, in
-    layout order, of any shape and float dtype.  Weight decay is added to the
-    gradient before the moment updates.  The moments have the buffer's dtype,
+    layout order, of any shape and float dtype.  ``WEIGHT_DECAY`` is added to
+    the gradient before the moment updates.  The moments have the buffer's dtype,
     and the bias corrections are folded into one step size and one epsilon
     (Kingma & Ba 2015, section 2): with ``c1 = 1 - beta1**t`` and
     ``c2 = 1 - beta2**t``, ``lr * (m/c1) / (sqrt(v/c2) + eps)`` equals
@@ -133,8 +132,8 @@ def adam_step(
             offset += take
             if offset == pieces[piece].size:
                 piece, offset = piece + 1, 0
-        if weight_decay:
-            np.multiply(th, weight_decay, out=tmp)
+        if WEIGHT_DECAY:
+            np.multiply(th, WEIGHT_DECAY, out=tmp)
             g += tmp
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
@@ -263,15 +262,11 @@ def _train_loop(
             raise NumericError(f"{name}: non-finite loss at epoch {epoch}, batch {bi}")
         d_em = (-cg.emissions / bsz).astype(repr_.dtype)
         d_repr, d_ew, d_eb = emission_backward(d_em, repr_, crf)
-        grads = backward(d_repr, {
-            "emit.w": d_ew,
-            "emit.b": d_eb,
-            "crf.trans": -cg.trans / bsz,
-            "crf.start": -cg.start / bsz,
-            "crf.stop": -cg.stop / bsz,
-        })
+        grads = backward(d_repr, crf_to_dict(
+            CrfParams(d_ew, d_eb, -cg.trans / bsz, -cg.start / bsz, -cg.stop / bsz)
+        ))
         del repr_, backward, em, cg, d_em, d_repr
-        adam_step(flat, [grads[k] for k in trainables], state, lr, WEIGHT_DECAY)
+        adam_step(flat, [grads[k] for k in trainables], state, lr)
         return nll
 
     log_lines: list[str] = []
@@ -335,7 +330,6 @@ def train_base(
     def forward(rows: np.ndarray) -> tuple[np.ndarray, Backward]:
         h, cache = encode_batch(
             table.word_ids[rows], table.bits[rows], encoder,
-            training=True,
             dropout_embed=config.dropout_embed,
             dropout_layer=config.dropout_layer,
             drop_rng=drop_rng,
@@ -398,29 +392,25 @@ def train_pnma(
     dtype = encoder.pred_emb.dtype
     k = config.k_neighbors
 
-    table = TokenTable.build(train_instances, vocab, external)
-    h_all = encode_rows(table, encoder, threads=config.threads)
-    retrieval_started = time.perf_counter()
     # distances weigh the neighbors in distance mode only
     weigh = config.neighborhood_mode == "distance"
-    nbr_ids, nbr_dists = knn_entry_ids(
-        h_all.astype(np.float32, copy=False), memory, k,
-        exclude=self_exclusions(train_instances), threads=config.threads, distances=weigh,
-    )
-    retrieval_seconds = time.perf_counter() - retrieval_started
-    h_all = h_all.astype(dtype, copy=False)
-    if weigh:
-        nbr_dists = nbr_dists.astype(dtype)
 
+    def encode_and_retrieve(instances, exclude):
+        """A corpus's token table, activations, neighbor ids, distances (in the
+        activations' dtype; None outside distance mode) and retrieval seconds."""
+        table = TokenTable.build(instances, vocab, external)
+        h = encode_rows(table, encoder, threads=config.threads)
+        retrieval_started = time.perf_counter()
+        ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k,
+                                   exclude=exclude, threads=config.threads, distances=weigh)
+        seconds = time.perf_counter() - retrieval_started
+        return table, h, ids, None if dists is None else dists.astype(h.dtype), seconds
+
+    table, h_all, nbr_ids, nbr_dists, retrieval_seconds = encode_and_retrieve(
+        train_instances, self_exclusions(train_instances))
     if valid_instances:
-        valid_table = TokenTable.build(valid_instances, vocab, external)
-        valid_h = encode_rows(valid_table, encoder, threads=config.threads)
-        valid_ids, valid_dists = knn_entry_ids(
-            valid_h.astype(np.float32, copy=False), memory, k, threads=config.threads,
-            distances=weigh,
-        )
-        if weigh:
-            valid_dists = valid_dists.astype(valid_h.dtype)
+        valid_table, valid_h, valid_ids, valid_dists, _ = encode_and_retrieve(
+            valid_instances, None)
 
     nbr = init_neighborhood_params(
         k, encoder.d_hidden, make_rng(config.seed, STREAM_NBR),

@@ -221,6 +221,21 @@ class TestModelBundle:
                                               f"'{key}'"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda echo: echo + "epochs = 7\n", "config echo:17: config key 'epochs' is given twice"),
+        (lambda echo: echo.replace("phase2_lr = 0.0004\n", ""),
+         "config echo: no line for key 'phase2_lr'"),
+    ], ids=["repeated-key", "missing-key"])
+    def test_echo_with_a_key_not_once_is_format_error(self, tmp_path, edit, match):
+        # save_checkpoint seals the crafted echo with a valid digest
+        enc, crf = make_params()
+        path = str(tmp_path / "k.ckpt")
+        echo = TrainConfig(d_word=4, d_pred=3, d_hidden=5, n_layers=2).to_echo()
+        save_checkpoint(path, {**enc.to_dict(), **crf_to_dict(crf)}, edit(echo))
+        load_checkpoint(path)  # the file itself is sound
+        with pytest.raises(FormatError, match=f"k.ckpt: {match}"):
+            load_model(path)
+
     def test_format_1_model_is_format_error(self, tmp_path):
         # a format-1 file as the old writer made it: its magic, a version line
         # in the echo, and a digest valid over both

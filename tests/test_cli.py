@@ -732,7 +732,9 @@ class TestArgumentLimits:
     ])
     def test_float_config_key_out_of_range(self, smoke_chain, tmp_path, capsys, line, text):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(open(smoke_chain["cfg"]).read() + line + "\n", encoding="utf-8")
+        key = line.split("=")[0].strip()  # replaces the smoke config's line: a key is given once
+        kept = [l for l in open(smoke_chain["cfg"]).read().splitlines(True) if not l.startswith(key)]
+        cfg.write_text("".join(kept) + line + "\n", encoding="utf-8")
         code = run("train-base", "--config", str(cfg),
                    "--train", f"{smoke_chain['data']}/train.conll",
                    "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "b.ckpt"))
@@ -1325,7 +1327,9 @@ class TestRetiredInputs:
                                       "dtype = float32"])
     def test_retired_key_in_run_config_exits_two(self, smoke_chain, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(open(smoke_chain["cfg"]).read() + line + "\n", encoding="utf-8")
+        key = line.split("=")[0].strip()  # replaces the smoke config's line: a key is given once
+        kept = [l for l in open(smoke_chain["cfg"]).read().splitlines(True) if not l.startswith(key)]
+        cfg.write_text("".join(kept) + line + "\n", encoding="utf-8")
         code = run("train-base", "--config", str(cfg),
                    "--train", f"{smoke_chain['data']}/train.conll",
                    "--vocab", smoke_chain["vocab"], "--out", str(tmp_path / "b.ckpt"))

@@ -29,6 +29,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             config_from_echo(echo)
 
+    def test_echo_lacking_a_key_is_refused(self):
+        # a missing key would load as its default: 4e-4 for phase2_lr
+        echo = TrainConfig(phase2_lr=1e-3).to_echo().replace("phase2_lr = 0.001\n", "")
+        with pytest.raises(ConfigError, match="config echo: no line for key 'phase2_lr'"):
+            config_from_echo(echo)
+
     def test_echo_holds_only_the_fields(self):
         keys = [line.split(" = ")[0] for line in TrainConfig().to_echo().splitlines()]
         assert keys == [f.name for f in dataclasses.fields(TrainConfig) if f.name != "threads"]
@@ -68,6 +74,13 @@ class TestRunConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text("format_version = 7\nepochs = 2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="run.cfg:1: unknown config key 'format_version'"):
+            load_run_config(str(p))
+
+    def test_repeated_key_is_refused(self, tmp_path):
+        # the later line would silently win: 7 epochs, not 4
+        p = tmp_path / "run.cfg"
+        p.write_text("epochs = 4\nseed = 1\nepochs = 7\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="run.cfg:3: config key 'epochs' is given twice"):
             load_run_config(str(p))
 
     def test_flags_win_over_file(self, tmp_path):

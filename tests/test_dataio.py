@@ -8,7 +8,6 @@ from pnma.dataio import (
     Instance,
     TokenTable,
     bio_decode_spans,
-    bio_encode_spans,
     build_vocab,
     load_external_embeddings,
     load_vocab,
@@ -136,34 +135,22 @@ class TestBio:
     def test_adjacent_b_tags(self):
         assert bio_decode_spans(["B-A0", "B-A0"]) == {(0, 0, "A0"), (1, 1, "A0")}
 
-    def test_encode_basic(self):
-        assert bio_encode_spans({(0, 1, "A0"), (3, 3, "V")}, 4) == [
-            "B-A0", "I-A0", "O", "B-V",
-        ]
-
-    def test_encode_rejects_overlap(self):
-        with pytest.raises(DomainError, match="overlap"):
-            bio_encode_spans({(0, 1, "A0"), (1, 2, "A1")}, 3)
-
-    def test_encode_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            bio_encode_spans({(0, 5, "A0")}, 3)
-
     @given(st.data())
     def test_round_trip_on_well_formed_sequences(self, data):
         # build a random well-formed BIO sequence segment by segment
         roles = ["A0", "A1", "V", "TMP"]
         n_segments = data.draw(st.integers(0, 6))
         tags: list[str] = []
+        spans: set[tuple[int, int, str]] = set()
         for _ in range(n_segments):
             if data.draw(st.booleans()):
                 tags.extend(["O"] * data.draw(st.integers(1, 3)))
             else:
                 role = data.draw(st.sampled_from(roles))
                 length = data.draw(st.integers(1, 4))
+                spans.add((len(tags), len(tags) + length - 1, role))
                 tags.extend(["B-" + role] + ["I-" + role] * (length - 1))
-        spans = bio_decode_spans(tags)
-        assert bio_encode_spans(spans, len(tags)) == tags
+        assert bio_decode_spans(tags) == spans
 
 
 class TestVocab:
@@ -225,6 +212,21 @@ class TestVocab:
         assert open(path, encoding="utf-8").read() == (
             "# pnma vocabulary v2\nwords\t4\n<unk>\n<pad>\na\nb\n"
             "tags\t4\nB-V\nO\nB-A0\nI-A0\n")
+
+    @pytest.mark.parametrize("words, tags, match", [
+        # word id 2 would be unreachable: "cat" maps to id 3
+        (["<unk>", "<pad>", "cat", "cat"], ["O", "B-V"], "word 'cat' is listed more than once"),
+        # gold O would map to id 2, while id 0 still decodes to O
+        (["<unk>", "<pad>", "cat"], ["O", "B-V", "O"], "tag 'O' is listed more than once"),
+    ], ids=["word", "tag"])
+    def test_load_rejects_a_repeated_entry(self, tmp_path, words, tags, match):
+        path = tmp_path / "v.txt"
+        path.write_text("# pnma vocabulary v2\n"
+                        f"words\t{len(words)}\n" + "".join(w + "\n" for w in words)
+                        + f"tags\t{len(tags)}\n" + "".join(t + "\n" for t in tags),
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=match):
+            load_vocab(str(path))
 
     def test_load_rejects_version_1(self, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -1,9 +1,17 @@
 """Every function, method and property of ``src/pnma`` has a caller.
 
-A name counts as used when it appears anywhere in ``src/``, ``scripts/`` or
-``perfbench/`` as a ``Name``, an ``Attribute`` or an identifier string (the
-tracer names what it wraps in strings).  Tests do not count: code that only
-a test calls is dead, unless the list below keeps it and says why.
+A function counts as used when its name appears anywhere in ``src/``,
+``scripts/`` or ``perfbench/`` as a ``Name``, an ``Attribute`` or an
+identifier string (the tracer names what it wraps in strings); a method or
+property only when a caller names it as an ``Attribute``, so that a local
+variable or a string of the same name does not keep it.  The strings of an
+``__all__`` list re-export names and do not use them.  Tests do not count:
+code that only a test calls is dead, unless the list below keeps it and says
+why.
+
+The defaulted parameters of ``src/pnma`` are pinned the same way: a default
+is a second way to call a function, so one is added or removed on purpose,
+and in ``DEFAULTED`` first.
 """
 
 import ast
@@ -25,41 +33,53 @@ KEPT = {
                                        "backward pass with it",
     "encoder.LstmCache.c_prev": "the test oracle's view of the cached cell states, in the "
                                 "(B, n, d) layout the reference recurrence uses",
+    **{f"encoder.LstmCache.{gate}": "the test oracle's view of the cached gates, in the "
+                                    "(B, n, d) layout the reference backward reads"
+       for gate in ("i", "f", "g", "o", "tanh_c")},
+    "cli._Parser.error": "argparse calls it on a usage problem",
 }
 
 
 def definitions(source: str):
-    """(qualified name, bare name) of each module-level function and of each
-    method or property of a module-level class; dunder methods are called
-    implicitly and left out."""
+    """(qualified name, bare name, is a member) of each module-level function
+    and of each method or property of a module-level class; dunder methods
+    are called implicitly and left out."""
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.name
+            yield node.name, node.name, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (item.name.startswith("__") and item.name.endswith("__"))):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, True
 
 
-def references(source: str) -> set[str]:
-    names = set()
-    for node in ast.walk(ast.parse(source)):
+def references(source: str) -> tuple[set[str], set[str]]:
+    """(every name a caller source uses, the names it uses as attributes)."""
+    tree = ast.parse(source)
+    exported = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for n in ast.walk(node.value)}
+    names, attributes = set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
+              and node.value.isidentifier() and id(node) not in exported):
             names.add(node.value)
-    return names
+    return names | attributes, attributes
 
 
 def unreferenced(modules: dict[str, str], callers: list[str]) -> set[str]:
-    """Qualified names, prefixed by their module, that no caller source names."""
-    used = set().union(*map(references, callers))
+    """Qualified names, prefixed by their module, that no caller source uses."""
+    refs = [references(c) for c in callers]
+    used = set().union(*(names for names, _ in refs))
+    as_attribute = set().union(*(attributes for _, attributes in refs))
     return {f"{module}.{qualified}" for module, source in modules.items()
-            for qualified, name in definitions(source) if name not in used}
+            for qualified, name, member in definitions(source)
+            if name not in (as_attribute if member else used)}
 
 
 def test_every_helper_has_a_caller():
@@ -78,11 +98,104 @@ def test_scan_sees_each_kind_of_reference():
         "def attribute(): pass\n"
         "def named_in_a_string(): pass\n"
         "def dead(): pass\n"
+        "def only_reexported(): pass\n"
         "class Box:\n"
         "    def __len__(self): return 0\n"
         "    @property\n"
         "    def size(self): return 1\n"
         "    def unused(self): pass\n"
+        "    @property\n"
+        "    def local(self): return 2\n"
+        "    @property\n"
+        "    def f(self): return 3\n"
     )
     caller = "called()\nimport m\nm.attribute()\nTRACED = {'named_in_a_string': None}\nb.size\n"
-    assert unreferenced({"m": module}, [caller]) == {"m.dead", "m.Box.unused"}
+    # a local variable or a string that shares a member's name does not use it
+    shadows = "local = 1\ndirection = 'f'\n"
+    reexport = "from .m import only_reexported\n__all__ = ['only_reexported']\n"
+    assert unreferenced({"m": module}, [caller, shadows, reexport]) == {
+        "m.dead", "m.only_reexported", "m.Box.unused", "m.Box.local", "m.Box.f"}
+
+
+# each function's defaulted parameters, by qualified name
+DEFAULTED = {
+    "analysis.span_prf": "scheme",
+    "analysis.rank_distribution": "exclude_self external threads",
+    "analysis.confusion_diff": "top_n_labels",
+    "analysis.disagreement_report": "neighborhood_counts",
+    "analysis.neighborhood_label_counts": "external threads",
+    "analysis.neighbor_dump": "context_window external",
+    "config.load_run_config": "overrides",
+    "crf.init_crf_params": "dtype",
+    "crf.crf_log_likelihood": "want_grads",
+    "crf.crf_log_likelihood_batch": "want_grads",
+    "crf.viterbi_decode_batch": "lengths",
+    "dataio.build_vocab": "min_frequency",
+    "dataio.TokenTable.build": "external",
+    "encoder.init_encoder_params": "dtype external_dim",
+    "encoder.embed_tokens": "external_vectors",
+    "encoder.lstm_layer_forward": "want_cache lengths",
+    "encoder.connection_forward": "want_cache",
+    "encoder.encode_batch": "dropout_embed dropout_layer drop_rng external_vectors want_cache "
+                            "lengths",
+    "encoder.encode_rows": "threads",
+    "inference.tag_rows": "nbr memory ids dists",
+    "inference.predict_base_corpus": "external",
+    "inference.predict_pnma_corpus": "external threads",
+    "memory.build_memory": "seed source_digest external",
+    "memory.knn_entry_ids": "exclude threads distances",
+    "memory.knn_query": "exclude threads",
+    "neighborhood.init_neighborhood_params": "mode dtype",
+    "neighborhood.neighborhood_forward": "distances want_cache",
+    "numeric.make_rng": "stream",
+    "numeric.softmax": "axis",
+    "numeric.logsumexp": "axis",
+    "numeric.finite_difference_check": "step",
+    "training.train_base": "external",
+    "training.train_pnma": "external",
+}
+
+
+def defaulted_parameters(source: str, module: str) -> dict[str, list[str]]:
+    """Each function's defaulted parameters, positional then keyword-only, by
+    qualified name (``module.Class.method``, nested functions included)."""
+    out: dict[str, list[str]] = {}
+
+    def visit(node, qualified):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, qualified)
+                continue
+            name = f"{qualified}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                params = [p.arg for p in positional[len(positional) - len(a.defaults):]]
+                params += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                if params:
+                    out[name] = params
+            visit(child, name)
+
+    visit(ast.parse(source), module)
+    return out
+
+
+def test_defaulted_parameter_inventory():
+    found = {}
+    for p in sorted((REPO / "src" / "pnma").glob("*.py")):
+        found.update(defaulted_parameters(p.read_text(encoding="utf-8"), p.stem))
+    assert found == {name: params.split() for name, params in DEFAULTED.items()}
+    assert sum(map(len, found.values())) == 55
+
+
+def test_inventory_reads_every_kind_of_default():
+    source = (
+        "def f(a, b=1, *, c, d=2): pass\n"
+        "def g(a, /, b=1): pass\n"
+        "def none(a, *args, **kw): pass\n"
+        "class C:\n"
+        "    def m(self, x=None):\n"
+        "        def inner(y=3): pass\n"
+    )
+    assert defaulted_parameters(source, "m") == {
+        "m.f": ["b", "d"], "m.g": ["b"], "m.C.m": ["x"], "m.C.m.inner": ["y"]}

@@ -460,7 +460,7 @@ class TestEncodeSequence:
         insts, vocab = toy_vocab()
         rng = make_rng(11)
         params = small_params(rng, vocab_size=vocab.n_words)
-        kw = dict(training=True, dropout_embed=0.5, dropout_layer=0.1)
+        kw = dict(dropout_embed=0.5, dropout_layer=0.1)
         a = encode_one(insts[0], params, vocab, drop_rng=make_rng(1, 3), **kw)
         b = encode_one(insts[0], params, vocab, drop_rng=make_rng(1, 3), **kw)
         c = encode_one(insts[0], params, vocab, drop_rng=make_rng(2, 3), **kw)
@@ -732,7 +732,7 @@ class TestFullStackGradients:
         bits = np.array([[1, 0, 0]])
         d_h = make_rng(16).normal(size=(1, 3, 4))
         h, cache = encode_batch(
-            word_ids, bits, params, training=True, dropout_embed=0.4,
+            word_ids, bits, params, dropout_embed=0.4,
             dropout_layer=0.25, drop_rng=make_rng(17, 3), want_cache=True,
         )
         grads = encode_backward(d_h, cache, params)
@@ -766,7 +766,7 @@ class TestFullStackGradients:
     def test_backward_consumes_the_layer_caches(self):
         params = small_params(make_rng(19), n_layers=3)
         _, cache = encode_batch(
-            np.array([[1, 2, 3]]), np.array([[1, 0, 0]]), params, training=True,
+            np.array([[1, 2, 3]]), np.array([[1, 0, 0]]), params,
             dropout_embed=0.4, dropout_layer=0.25, drop_rng=make_rng(20), want_cache=True,
         )
         assert (len(cache.lstm_caches), len(cache.conn_caches)) == (3, 2)

@@ -40,7 +40,7 @@ def per_job_tags(instances, encoder, crf, vocab, nbr=None, memory=None,
         if h_all is None:
             word_ids = np.stack([vocab.word_ids(instances[i].tokens) for i in job])
             bits = np.stack([np.array(instances[i].predicate_bits) for i in job])
-            h = encode_batch(word_ids, bits, encoder, training=False)
+            h = encode_batch(word_ids, bits, encoder)
         else:
             h = stack(h_all)
         if nbr is None:

@@ -4,13 +4,15 @@ import pytest
 from pnma.checkpoint import checkpoint_bytes, crf_to_dict
 from pnma.cli import dispatch
 from pnma.config import TrainConfig
+from pnma import encoder as encoder_module
 from pnma.dataio import (
     Instance,
+    TokenTable,
     build_vocab,
     load_external_embeddings,
     write_conll_file,
 )
-from pnma.encoder import encode_corpus
+from pnma.encoder import encode_rows, length_sorted_chunks
 from pnma.inference import predict_base_corpus, predict_pnma_corpus
 from pnma.memory import build_memory
 from pnma.numeric import make_rng
@@ -131,7 +133,7 @@ class TestDegenerateCorpus:
 
 
 class TestThreadEquivalence:
-    def test_threaded_encoding_matches_sequential(self):
+    def test_threaded_encoding_matches_sequential(self, monkeypatch):
         train, _ = generate_split("train", 40, 0.05, seed=8)
         vocab = build_vocab(train, min_frequency=1)
         rng = make_rng(7)
@@ -139,8 +141,9 @@ class TestThreadEquivalence:
 
         encoder = init_encoder_params(vocab.n_words, d_word=6, d_pred=4,
                                       d_hidden=8, n_layers=2, rng=rng)
-        seq = encode_corpus(train, encoder, vocab, threads=1)
-        par = encode_corpus(train, encoder, vocab, threads=4)
-        assert seq.keys() == par.keys()
-        for sid in seq:
-            np.testing.assert_array_equal(seq[sid], par[sid])
+        monkeypatch.setattr(encoder_module, "CHUNK_TOKENS", 16)  # chunks for the threads
+        table = TokenTable.build(train, vocab)
+        assert len(length_sorted_chunks(table.lengths)) > 1
+        seq = encode_rows(table, encoder, threads=1)
+        par = encode_rows(table, encoder, threads=4)
+        assert seq.tobytes() == par.tobytes()

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from pnma.numeric import (
     finite_difference_check,
     logsumexp,
     make_rng,
+    map_in_order,
     softmax,
 )
 
@@ -129,3 +133,31 @@ class TestRng:
         assert make_rng(0).random() == make_rng(0).random()
         with pytest.raises(DomainError, match="seed must be at least 0, got -1"):
             make_rng(-1)
+
+
+class TestMapInOrder:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_results_in_input_order(self, threads):
+        # later items finish first, so a pool returns them out of order
+        def slow_square(i):
+            time.sleep(0.002 * (5 - i))
+            return i * i, threading.get_ident()
+
+        results = list(map_in_order(slow_square, range(5), threads))
+        assert [r for r, _ in results] == [0, 1, 4, 9, 16]
+        on_caller = {ident for _, ident in results} == {threading.get_ident()}
+        assert on_caller == (threads == 1)
+
+    def test_one_item_runs_on_the_caller(self):
+        assert list(map_in_order(lambda _: threading.get_ident(), [0], 4)) == [
+            threading.get_ident()]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_worker_error_reaches_the_caller(self, threads):
+        def fail_on_three(i):
+            if i == 3:
+                raise NumericError("three")
+            return i
+
+        with pytest.raises(NumericError, match="three"):
+            list(map_in_order(fail_on_three, range(6), threads))

@@ -35,10 +35,11 @@ ADAM_EPS = 1e-8
 
 
 class TestAdam:
-    def test_zero_gradient_is_fixed_point(self):
+    def test_zero_gradient_is_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
         theta = np.array([1.0, -2.0, 3.0])
         state = init_adam_state(theta)
-        adam_step(theta, [np.zeros(3)], state, lr=0.1, weight_decay=0.0)
+        adam_step(theta, [np.zeros(3)], state, lr=0.1)
         np.testing.assert_array_equal(theta, [1.0, -2.0, 3.0])
 
     def test_first_step_is_signed_lr(self):
@@ -49,8 +50,9 @@ class TestAdam:
         update = 2.0 - theta[0]
         assert update == pytest.approx(1e-3 * g / (abs(g) + ADAM_EPS), abs=1e-6)
 
-    def test_three_steps_vs_hand_iterated_recurrence(self):
+    def test_three_steps_vs_hand_iterated_recurrence(self, monkeypatch):
         lr, wd = 0.01, 0.1
+        monkeypatch.setattr(training, "WEIGHT_DECAY", wd)
         beta1, beta2 = 0.9, 0.999
         theta = 0.7
         grads = [0.3, -0.5, 0.2]
@@ -66,7 +68,7 @@ class TestAdam:
         flat = np.array([0.7])
         state = init_adam_state(flat)
         for g_raw in grads:
-            adam_step(flat, [np.array([g_raw])], state, lr=lr, weight_decay=wd)
+            adam_step(flat, [np.array([g_raw])], state, lr=lr)
         assert flat[0] == pytest.approx(theta, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -93,10 +95,11 @@ class TestAdam:
         assert state.m.dtype == state.v.dtype == theta.dtype == dtype
         assert state.m.shape == state.v.shape == (5,)
 
-    def test_float32_tracks_float64_textbook_recurrence(self):
+    def test_float32_tracks_float64_textbook_recurrence(self, monkeypatch):
         # 100 steps of mixed-scale gradients, exactly representable in float32
         # so that only the optimizer's own round-off separates the two runs
         lr, wd, steps = 0.01, 0.1, 100
+        monkeypatch.setattr(training, "WEIGHT_DECAY", wd)
         rng = make_rng(9)
         theta0 = rng.normal(size=200).astype(np.float32)
         scales = rng.choice([1e-3, 1.0, 1e3], size=200)
@@ -117,7 +120,7 @@ class TestAdam:
         flat = theta0.copy()
         state = init_adam_state(flat)
         for g in grads:
-            adam_step(flat, [g], state, lr=lr, weight_decay=wd)
+            adam_step(flat, [g], state, lr=lr)
         # each float32 step rounds theta once (at most u * |theta|) and moves
         # it by at most a few lr, computed with a few u of relative error
         u = np.finfo(np.float32).eps / 2
@@ -127,7 +130,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("wd", [0.0, 0.01])
-    def test_chunked_equals_whole_array_reference(self, dtype, wd):
+    def test_chunked_equals_whole_array_reference(self, dtype, wd, monkeypatch):
+        monkeypatch.setattr(training, "WEIGHT_DECAY", wd)
         # the big piece straddles chunks; the float64 pieces after it share one
         rng = make_rng(5)
         shapes = {"big": (3, _ADAM_CHUNK + 77), "small": (5,), "scalar": (), "mat": (4, 6)}
@@ -141,7 +145,7 @@ class TestAdam:
         for t in range(1, 4):
             grads = {k: rng.normal(size=s).astype(grad_dtypes.get(k, np.float64))
                      for k, s in shapes.items()}
-            adam_step(flat, list(grads.values()), state, lr=lr, weight_decay=wd)
+            adam_step(flat, list(grads.values()), state, lr=lr)
             # the bias corrections folded into one step size and one epsilon
             c2_root = math.sqrt(1.0 - ADAM_BETA2 ** t)
             lr_t = lr * c2_root / (1.0 - ADAM_BETA1 ** t)
