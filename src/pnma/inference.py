@@ -19,9 +19,11 @@ count.
 The adapted tagger's neighbor gather and neighborhood layer run over
 consecutive blocks of a chunk's real rows, each of about
 ``GATHER_NEIGHBORS`` gathered neighbor vectors (tokens x K), and write each
-block's representation into the chunk's (T, d) array.  A pass thus holds one
-block's gather and ``|m - h|``, not a whole chunk's.  The blocks change no
-bit; ``_blocks`` says why.
+block's representation into the chunk's (T, d) array.  Every block of a
+pass writes its gather and ``|m - h|`` into one
+``neighborhood.NeighborhoodWorkspace``, so a pass holds one block's gather
+and ``|m - h|``, not a whole chunk's, and allocates them once, not per
+block.  The blocks change no bit; ``_blocks`` says why.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ from .crf import CrfParams, emission_scores, viterbi_decode_batch
 from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
 from .encoder import EncoderParams, encode_rows, length_sorted_chunks
 from .memory import ActivationMemory, knn_entry_ids
-from .neighborhood import NeighborhoodParams, gather_neighbors, neighborhood_forward
+from .neighborhood import (
+    NeighborhoodParams,
+    NeighborhoodWorkspace,
+    gather_neighbors,
+    neighborhood_forward,
+)
 
 # gathered neighbor vectors (tokens x K) per neighborhood block: 128 tokens at K 64
 GATHER_NEIGHBORS = 8192
@@ -68,14 +75,16 @@ def _neighborhood_rows(
     memory: ActivationMemory,
     ids: np.ndarray,
     dists: np.ndarray | None,
+    workspace: NeighborhoodWorkspace,
 ) -> np.ndarray:
     """Neighborhood representation (T, d) of the rows ``flat`` (T,), whose
-    activations are h (T, d), gathered and computed one block at a time."""
+    activations are h (T, d), gathered and computed one block at a time in
+    ``workspace``."""
     out = np.empty_like(h)
     for b in _blocks(len(flat), ids.shape[1]):
-        m = gather_neighbors(memory.vectors, ids[flat[b]]).astype(h.dtype, copy=False)
+        m = gather_neighbors(memory.vectors, ids[flat[b]], workspace).astype(h.dtype, copy=False)
         dist = dists[flat[b]] if nbr.mode == "distance" else None
-        _, out[b] = neighborhood_forward(h[b], m, nbr, distances=dist)
+        _, out[b] = neighborhood_forward(h[b], m, nbr, distances=dist, workspace=workspace)
     return out
 
 
@@ -87,14 +96,18 @@ def tag_rows(
     memory: ActivationMemory | None = None,
     ids: np.ndarray | None = None,
     dists: np.ndarray | None = None,
+    workspace: NeighborhoodWorkspace | None = None,
 ) -> list[np.ndarray]:
     """Viterbi tag ids for every sentence of ``table`` from its activations h (T, d).
 
     With ``nbr``, each token is scored on the neighborhood representation of
-    its memory neighbors ``ids`` (T, K); ``dists`` (T, K) weigh them in
-    ``distance`` mode only, and may be None in the other modes.  Without
-    ``nbr``, each token is scored on h.
+    its memory neighbors ``ids`` (T, K), computed in ``workspace`` (a new one
+    for this call if None); ``dists`` (T, K) weigh them in ``distance`` mode
+    only, and may be None in the other modes.  Without ``nbr``, each token is
+    scored on h.
     """
+    if nbr is not None and workspace is None:
+        workspace = NeighborhoodWorkspace()
     preds: list[np.ndarray | None] = [None] * len(table)
     for chunk in length_sorted_chunks(table.lengths):
         rows, lengths = table.rows(chunk), table.lengths[chunk]
@@ -102,7 +115,7 @@ def tag_rows(
         flat = rows[real]
         x = h[flat]
         if nbr is not None:
-            x = _neighborhood_rows(x, flat, nbr, memory, ids, dists)
+            x = _neighborhood_rows(x, flat, nbr, memory, ids, dists, workspace)
         em = emission_scores(x, crf)
         padded = np.zeros(rows.shape + (crf.n_tags,), dtype=em.dtype)
         padded[real] = em

@@ -33,6 +33,10 @@ the other modes, ``analysis.rank_distribution`` and
 Bulk retrieval holds its outputs and one block's working set: the (Q, k)
 ids, and distances when asked for, are allocated once and each block, on
 any thread, writes its own rows of them; queries are cast to float64 a block at a time.
+The ids are written at the memory's id width, the narrowest unsigned dtype
+that holds N - 1 (``np.min_scalar_type``): uint8 up to 256 entries and
+uint16 up to 65,536, at most a quarter of int64's bytes for callers that keep
+them, such as phase 2, which holds its training set's ids for the whole call.
 A block's working set is its (B, N) float64 prefilter rows, its k + 1
 candidates per row, and one row group's arrays: the partition, the survivor
 count, the re-rank gather and the distance gather each run on groups of
@@ -76,7 +80,7 @@ Exclusions = Sequence[Sequence[tuple[str, int]]]
 class NeighborSet:
     """K nearest entries of one query, ascending by distance."""
 
-    entry_ids: np.ndarray  # (K,) int64
+    entry_ids: np.ndarray  # (K,) in the memory's id width, np.min_scalar_type(N - 1)
     distances: np.ndarray  # (K,) float64, true Euclidean
     vectors: np.ndarray  # (K, d) float32
     labels: np.ndarray  # (K,) int64
@@ -360,8 +364,10 @@ def knn_entry_ids(
     threads: int = 1,
     distances: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact top-k by Euclidean distance: (entry ids (Q, k) int64, distances
-    (Q, k) float64), or (entry ids, None) without ``distances``.
+    """Exact top-k by Euclidean distance: (entry ids (Q, k), distances (Q, k)
+    float64), or (entry ids, None) without ``distances``.  The ids have the
+    memory's id width, the narrowest dtype that holds N - 1,
+    ``np.min_scalar_type(N - 1)``: uint8 up to 256 entries, uint16 up to 65,536.
 
     ``queries`` is one vector (d,) or a batch (Q, d).  Rows are ascending by
     distance, ties broken by lower entry id.  ``exclude`` holds one
@@ -402,7 +408,7 @@ def knn_entry_ids(
 
     slack = 2.0 * _rounding_bound(q_sq, m_sq_max, memory.d)
     rows_per_block = max(1, min(_QUERY_BLOCK, _BLOCK_DISTANCES // max(n_m, 1)))
-    ids = np.empty((n_q, k), dtype=np.int64)
+    ids = np.empty((n_q, k), dtype=np.min_scalar_type(n_m - 1))
     dists = np.empty((n_q, k)) if distances else None
 
     def run_block(start: int) -> None:

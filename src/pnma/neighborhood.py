@@ -22,6 +22,15 @@ broadcasts h over the leading axis and runs one long inner loop per rank, and
 the three contractions over T tokens are batched matrix products: the logits
 (K, T, d) @ (K, d, 1), the representation (T, 1, K) @ (T, K, d) and the
 rank-vector gradient (K, 1, T) @ (K, T, d).
+
+Workspace.  The two (K, ..., d) arrays, the gather and ``|m - h|``, are
+written into a ``NeighborhoodWorkspace``: two grow-only flat buffers that a
+caller creates once and passes to every gather and forward of a training
+call or a tagging pass, so a step reuses memory the process has already
+touched instead of allocating (and page-faulting) two fresh arrays.  Without
+one, each call writes into a workspace of its own.  A ``NeighborhoodCache``
+holds views into the workspace, so a backward raises once a later gather or
+forward has written it.
 """
 
 from __future__ import annotations
@@ -68,12 +77,52 @@ def init_neighborhood_params(
     return NeighborhoodParams(n=n, mode=mode)
 
 
+class NeighborhoodWorkspace:
+    """Two grow-only flat byte buffers, ``gather`` for the neighbor gather and
+    ``sep`` for ``|m - h|``; each grows to the largest array asked of it (a
+    gather's grows both) and never shrinks.  ``writes`` counts the arrays handed out, so that a cache
+    can tell whether its views still hold what its forward wrote."""
+
+    def __init__(self) -> None:
+        self._buffers = {"gather": np.empty(0, np.uint8), "sep": np.empty(0, np.uint8)}
+        self.writes = 0
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous ``shape`` array of ``dtype`` at the start of buffer
+        ``name``, to be overwritten by the caller.
+
+        A gather that outgrows either buffer frees both and reallocates both
+        at its size, which is that of the ``|m - h|`` that follows it when
+        the two dtypes agree: the pair then reuses the one region freed, as
+        fresh per-step arrays would, where growing one buffer at a time can
+        leave the other's old pages behind it.
+        """
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        names = ("gather", "sep") if name == "gather" else (name,)
+        if any(self._buffers[n].size < size for n in names):
+            for n in names:  # free the old buffers before their successors exist
+                self._buffers[n] = None
+            for n in names:
+                self._buffers[n] = np.empty(size, np.uint8)
+        self.writes += 1
+        return self._buffers[name][:size].view(dtype).reshape(shape)
+
+
 @dataclass
 class NeighborhoodCache:
     h: np.ndarray  # (..., d)
-    m: np.ndarray  # rank-major (K, ..., d)
-    sep: np.ndarray  # |m - h|, rank-major
+    m: np.ndarray  # rank-major (K, ..., d), a view into ``workspace`` when gathered there
+    sep: np.ndarray  # |m - h|, rank-major, a view into ``workspace``
     eta: np.ndarray  # rank-major (K, ...)
+    workspace: NeighborhoodWorkspace
+    writes: int  # ``workspace.writes`` when the forward returned
+
+    def check_current(self) -> None:
+        """Raise ``DomainError`` if the workspace was written after the forward."""
+        if self.workspace.writes != self.writes:
+            raise DomainError("neighborhood cache is stale: a later gather or forward "
+                              "overwrote its workspace")
 
 
 def _move_axis(a: np.ndarray, source: int, dest: int) -> np.ndarray:
@@ -84,10 +133,26 @@ def _move_axis(a: np.ndarray, source: int, dest: int) -> np.ndarray:
     return a.transpose(order)
 
 
-def gather_neighbors(vectors: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def gather_neighbors(
+    vectors: np.ndarray, ids: np.ndarray, workspace: NeighborhoodWorkspace | None = None
+) -> np.ndarray:
     """Rows of ``vectors`` (N, d) for entry ids (..., K): a (..., K, d) view of
-    a contiguous rank-major (K, ..., d) array, the layout the kernels use."""
-    return _move_axis(np.take(vectors, _move_axis(ids, -1, 0), axis=0), 0, -2)
+    a contiguous rank-major (K, ..., d) array, the layout the kernels use,
+    written into ``workspace``'s gather buffer (a new workspace's if None).
+
+    An id outside [0, N) raises ``DomainError``: the gather itself clips,
+    since numpy's bounds-checked ``take`` would write into a copy of the
+    buffer first.
+    """
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= len(vectors)):
+        raise DomainError(f"gather_neighbors: entry ids must lie in [0, {len(vectors)}), "
+                          f"got {ids.min()}..{ids.max()}")
+    ws = NeighborhoodWorkspace() if workspace is None else workspace
+    rank_ids = _move_axis(ids, -1, 0)
+    out = ws.array("gather", rank_ids.shape + vectors.shape[1:], vectors.dtype)
+    np.take(vectors, rank_ids, axis=0, out=out, mode="clip")
+    return _move_axis(out, 0, -2)
 
 
 def _rank_vectors(params: NeighborhoodParams, k: int) -> np.ndarray:
@@ -119,9 +184,13 @@ def neighborhood_forward(
     params: NeighborhoodParams,
     distances: np.ndarray | None = None,
     want_cache: bool = False,
+    workspace: NeighborhoodWorkspace | None = None,
 ):
     """Weights eta (..., K) and representation (..., d) for queries h (..., d)
-    with neighbor vectors m (..., K, d).
+    with neighbor vectors m (..., K, d).  ``|m - h|`` is written into
+    ``workspace``'s sep buffer (a new workspace's if None), and the cache
+    holds a view of it; gather m into the same workspace, so that the
+    cache's staleness check covers m too.
 
     ``distances`` (..., K) is only consulted in ``distance`` mode.  On a
     single query (1-D ``h``) the two reductions use exactly rounded
@@ -143,8 +212,9 @@ def neighborhood_forward(
     lead = h.shape[:-1]
     tokens = math.prod(lead)
     single = h.ndim == 1
+    ws = NeighborhoodWorkspace() if workspace is None else workspace
     mk = np.ascontiguousarray(_move_axis(m, -2, 0))  # (K, ..., d)
-    sep = mk - h
+    sep = np.subtract(mk, h, out=ws.array("sep", mk.shape, np.result_type(mk, h)))
     np.abs(sep, out=sep)
     if params.mode == "distance":
         if distances is None:
@@ -165,7 +235,8 @@ def neighborhood_forward(
         repr_ = (eta.reshape(k, tokens).T[:, None, :] @ m_tokens).reshape(lead + (d,))
     if not want_cache:
         return _move_axis(eta, 0, -1), repr_
-    return _move_axis(eta, 0, -1), repr_, NeighborhoodCache(h=h, m=mk, sep=sep, eta=eta)
+    return _move_axis(eta, 0, -1), repr_, NeighborhoodCache(h=h, m=mk, sep=sep, eta=eta,
+                                                             workspace=ws, writes=ws.writes)
 
 
 def _score_backward(
@@ -173,6 +244,7 @@ def _score_backward(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(d_n, d_logits) given d_loss/d_repr; d_logits is rank-major (K, T) over
     the T queries, or None in distance mode."""
+    cache.check_current()
     if params.mode == "distance":
         return np.zeros_like(params.n), None
     mk, sep = cache.m, cache.sep
@@ -195,6 +267,8 @@ def neighborhood_param_grad(
 
     The parameters-only part of ``neighborhood_backward``: all that phase 2
     trains, the encoder and the memory being frozen.  Zero in distance mode.
+    A cache whose workspace was written after its forward raises
+    ``DomainError``.
     """
     return _score_backward(d_repr, cache, params)[0]
 

@@ -7,7 +7,11 @@ float32, with the halving learning-rate schedule.  Phase 2 freezes every
 encoder parameter, retrieves each training token's neighbors once (the
 encoder being frozen makes activations and retrievals reusable across
 epochs), and trains only the neighborhood vectors and the head on the
-neighborhood representation, in the base encoder's dtype.  Both phases
+neighborhood representation, in the base encoder's dtype.  Phase 2 keeps
+the training and validation neighbor ids at the memory's id width for the
+whole call, and every step and validation block gathers its neighbors and
+forms ``|m - h|`` in one ``neighborhood.NeighborhoodWorkspace`` that the
+call creates, so no step allocates a (K, B, n, d) array.  Both phases
 apply the recipe's weight decay, ``WEIGHT_DECAY``.  Each phase keeps its
 trainables as views into one flat buffer, so an optimizer step is one Adam
 pass, with moments in the buffer's dtype, and the best-epoch snapshot is one
@@ -51,6 +55,7 @@ from .inference import predict_base_corpus, tag_rows
 from .memory import ActivationMemory, knn_entry_ids, self_exclusions
 from .neighborhood import (
     NeighborhoodParams,
+    NeighborhoodWorkspace,
     gather_neighbors,
     init_neighborhood_params,
     neighborhood_forward,
@@ -424,11 +429,15 @@ def train_pnma(
     if "nbr.n" in trainables:
         nbr.n = trainables["nbr.n"]
 
+    # every step and every validation block gathers and forms |m - h| here
+    workspace = NeighborhoodWorkspace()
+
     def forward(rows: np.ndarray) -> tuple[np.ndarray, Backward]:
         h = h_all[rows]
-        m = gather_neighbors(memory.vectors, nbr_ids[rows]).astype(dtype, copy=False)
+        m = gather_neighbors(memory.vectors, nbr_ids[rows], workspace).astype(dtype, copy=False)
         dists = nbr_dists[rows] if nbr_dists is not None else None
-        _, repr_, ncache = neighborhood_forward(h, m, nbr, distances=dists, want_cache=True)
+        _, repr_, ncache = neighborhood_forward(h, m, nbr, distances=dists, want_cache=True,
+                                                workspace=workspace)
         if nbr.mode == "distance":
             return repr_, lambda d_repr, head: head
         return repr_, lambda d_repr, head: {
@@ -442,7 +451,7 @@ def train_pnma(
         shuffle_rng=make_rng(config.seed, STREAM_SHUFFLE + 100),
         forward=forward,
         predict_valid=lambda: tag_rows(valid_table, valid_h, crf, nbr, memory,
-                                       valid_ids, valid_dists),
+                                       valid_ids, valid_dists, workspace=workspace),
     )
     return TrainResult(encoder, crf, nbr, log_lines, best_epoch, best_f1,
                        seconds=time.perf_counter() - started,

@@ -139,14 +139,15 @@ DEFAULTED = {
     "encoder.encode_batch": "dropout_embed dropout_layer drop_rng external_vectors want_cache "
                             "lengths",
     "encoder.encode_rows": "threads",
-    "inference.tag_rows": "nbr memory ids dists",
+    "inference.tag_rows": "nbr memory ids dists workspace",
     "inference.predict_base_corpus": "external",
     "inference.predict_pnma_corpus": "external threads",
     "memory.build_memory": "seed source_digest external",
     "memory.knn_entry_ids": "exclude threads distances",
     "memory.knn_query": "exclude threads",
     "neighborhood.init_neighborhood_params": "mode dtype",
-    "neighborhood.neighborhood_forward": "distances want_cache",
+    "neighborhood.gather_neighbors": "workspace",
+    "neighborhood.neighborhood_forward": "distances want_cache workspace",
     "numeric.make_rng": "stream",
     "numeric.softmax": "axis",
     "numeric.logsumexp": "axis",
@@ -185,7 +186,7 @@ def test_defaulted_parameter_inventory():
     for p in sorted((REPO / "src" / "pnma").glob("*.py")):
         found.update(defaulted_parameters(p.read_text(encoding="utf-8"), p.stem))
     assert found == {name: params.split() for name, params in DEFAULTED.items()}
-    assert sum(map(len, found.values())) == 55
+    assert sum(map(len, found.values())) == 58
 
 
 def test_inventory_reads_every_kind_of_default():

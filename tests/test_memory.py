@@ -239,6 +239,28 @@ class TestKnnQuery:
         with pytest.raises(DimensionError):
             knn_query(np.zeros(5, dtype=np.float32), mem, 2)
 
+    @pytest.mark.parametrize("n, width", [(256, np.uint8), (257, np.uint16),
+                                          (65536, np.uint16), (65537, np.uint32)])
+    def test_ids_have_the_memory_id_width(self, n, width):
+        # the narrowest dtype that holds N - 1, on memories either side of
+        # the uint8 and uint16 limits; the queries' nearest entries include
+        # the last one, whose id needs the full width
+        rng = make_rng(24)
+        mem = random_memory(rng, n=n, d=2)
+        queries = rng.normal(size=(6, 2)).astype(np.float32)
+        queries[:2] = mem.vectors[[n - 1, n - 2]]
+        ids, dists = knn_entry_ids(queries, mem, 8)
+        assert ids.dtype == width == np.min_scalar_type(n - 1)
+        assert knn_query(queries[0], mem, 8).entry_ids.dtype == width
+        m = mem.vectors.astype(np.float64)
+        for qi, q in enumerate(queries.astype(np.float64)):
+            # naive_knn's scan, one vectorized pass: at d = 2 a sum is one addition
+            exact = np.square(q - m).sum(axis=1)
+            ref = np.lexsort((np.arange(n), exact))[:8]
+            np.testing.assert_array_equal(ids[qi], ref)
+            np.testing.assert_array_equal(dists[qi], np.sqrt(exact[ref]))
+        assert ids[0, 0] == n - 1 and ids[1, 0] == n - 2
+
 
 class TestFoldedPrefilter:
     @settings(max_examples=40, deadline=None,
@@ -412,7 +434,9 @@ def bulk_retrieval_case():
 def test_bulk_retrieval_holds_outputs_and_one_block_per_thread(threads):
     mem, queries, exclude, k, block = bulk_retrieval_case()
     peak = traced_peak(lambda: knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads))
-    assert peak <= len(queries) * k * 16 + threads * block + (1 << 20)
+    # the (Q, k) ids at the memory's id width and float64 distances
+    id_width = np.min_scalar_type(len(mem) - 1).itemsize
+    assert peak <= len(queries) * k * (id_width + 8) + threads * block + (1 << 20)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -421,7 +445,8 @@ def test_ids_only_retrieval_holds_no_distances(threads):
     mem, queries, exclude, k, block = bulk_retrieval_case()
     peak = traced_peak(lambda: knn_entry_ids(queries, mem, k, exclude=exclude, threads=threads,
                                              distances=False))
-    assert peak <= len(queries) * k * 8 + threads * block + (1 << 20)
+    id_width = np.min_scalar_type(len(mem) - 1).itemsize
+    assert peak <= len(queries) * k * id_width + threads * block + (1 << 20)
 
 
 def synthetic_corpus():

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,13 +12,16 @@ from pnma.inference import predict_pnma_corpus
 from pnma.memory import ActivationMemory, build_memory
 from pnma.neighborhood import (
     NeighborhoodParams,
+    NeighborhoodWorkspace,
+    _exact_softmax,
+    _rank_vectors,
     gather_neighbors,
     init_neighborhood_params,
     neighborhood_backward,
     neighborhood_forward,
     neighborhood_param_grad,
 )
-from pnma.numeric import finite_difference_check, make_rng
+from pnma.numeric import finite_difference_check, make_rng, softmax
 
 
 class TestWeights:
@@ -371,6 +376,118 @@ class TestRankMajorLayout:
                 np.testing.assert_allclose(eta[t], eta1, rtol=0, atol=logit_err + 8 * k * eps)
                 tol = (logit_err + 8 * k * eps) * k * float(np.abs(m[t]).max())
                 np.testing.assert_allclose(rep[t], rep1, rtol=0, atol=tol + 4 * eps)
+
+
+def allocating_gather(vectors, ids):
+    """Reference gather: a fresh rank-major ``np.take``, viewed token-major."""
+    return np.moveaxis(np.take(vectors, np.moveaxis(ids, -1, 0), axis=0), 0, -2)
+
+
+def allocating_forward(h, m, params, distances):
+    """Reference forward: the kernels' arithmetic on a fresh rank-major copy
+    of m and a fresh ``mk - h``.  Returns eta (..., K), the representation
+    and what the parameter gradient reads: (mk, sep, rank-major eta)."""
+    k, d = m.shape[-2], m.shape[-1]
+    lead = h.shape[:-1]
+    tokens = math.prod(lead)
+    mk = np.ascontiguousarray(np.moveaxis(m, -2, 0))
+    sep = mk - h
+    np.abs(sep, out=sep)
+    if params.mode == "distance":
+        logits = np.moveaxis(-np.asarray(distances, dtype=sep.dtype), -1, 0)
+    else:
+        rank_vecs = _rank_vectors(params, k)
+        logits = (sep.reshape(k, tokens, d) @ rank_vecs[:, :, None]).reshape((k,) + lead)
+    if h.ndim == 1:
+        eta = _exact_softmax(logits)
+        weighted = eta[:, None] * mk
+        rep = np.array([math.fsum(weighted[:, j]) for j in range(d)], dtype=m.dtype)
+    else:
+        eta = softmax(logits, axis=0)
+        m_tokens = mk.reshape(k, tokens, d).transpose(1, 0, 2)
+        rep = (eta.reshape(k, tokens).T[:, None, :] @ m_tokens).reshape(lead + (d,))
+    return np.moveaxis(eta, 0, -1), rep, (mk, sep, eta)
+
+
+def allocating_param_grad(d_rep, saved, params):
+    """Reference ``neighborhood_param_grad`` on ``allocating_forward``'s arrays."""
+    if params.mode == "distance":
+        return np.zeros_like(params.n)
+    mk, sep, eta = saved
+    k, d = mk.shape[0], mk.shape[-1]
+    tokens = math.prod(mk.shape[1:-1])
+    eta = eta.reshape(k, tokens)
+    m_tokens = mk.reshape(k, tokens, d).transpose(1, 0, 2)
+    d_eta = (m_tokens @ d_rep.reshape(tokens, d, 1)).reshape(tokens, k).T
+    d_logits = eta * (d_eta - np.sum(eta * d_eta, axis=0))
+    d_rank = (d_logits.reshape(k, 1, tokens) @ sep.reshape(k, tokens, d)).reshape(k, d)
+    d_n = d_rank.sum(axis=0, keepdims=True) if params.mode == "shared" else d_rank
+    return d_n.astype(params.n.dtype, copy=False)
+
+
+class TestWorkspace:
+    """One workspace serves every gather and forward of a call: its results
+    equal the allocating reference's bit for bit at every shape, and a cache
+    whose arrays a later call overwrote refuses its backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["distinct", "shared", "distance"])
+    def test_workspace_equals_allocating_reference(self, dtype, mode):
+        rng = make_rng(33)
+        shapes = random_shapes(rng, 10)
+        shapes.sort(key=lambda s: s[0] * math.prod(s[1]) * s[2])
+        ws = NeighborhoodWorkspace()
+        reused = 0
+        # ascending sizes grow the buffers; descending ones reuse them
+        for k, lead, d in shapes + shapes[::-1]:
+            vectors, ids, h, dists, params = random_case(rng, k, lead, d, dtype, mode)
+            d_rep = rng.normal(size=(*lead, d)).astype(dtype)
+            before = ws._buffers["gather"]
+            m = gather_neighbors(vectors, ids, ws)
+            reused += ws._buffers["gather"] is before and before.size > m.nbytes
+            np.testing.assert_array_equal(m, allocating_gather(vectors, ids))
+            t = (0,) * len(lead)
+            # the batched path, then the single-query path on one token
+            for hq, mq, dq, rq in ((h, m, dists, d_rep), (h[t], m[t], dists[t], d_rep[t])):
+                eta, rep, cache = neighborhood_forward(hq, mq, params, distances=dq,
+                                                       want_cache=True, workspace=ws)
+                d_n = neighborhood_param_grad(rq, cache, params)
+                ref_eta, ref_rep, saved = allocating_forward(hq, mq, params, dq)
+                for got, want in ((eta, ref_eta), (rep, ref_rep),
+                                  (d_n, allocating_param_grad(rq, saved, params))):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    np.testing.assert_array_equal(got, want)
+        assert reused >= len(shapes) - 1
+
+    @pytest.mark.parametrize("later", ["forward", "gather"])
+    def test_cache_overwritten_by_a_later_call_raises(self, later):
+        rng = make_rng(34)
+        vectors, ids, h, dists, params = random_case(rng, 4, (2, 3), 5, np.float64, "distinct")
+        d_rep = rng.normal(size=h.shape)
+        ws = NeighborhoodWorkspace()
+        m = gather_neighbors(vectors, ids, ws)
+        _, _, cache = neighborhood_forward(h, m, params, want_cache=True, workspace=ws)
+        want = neighborhood_param_grad(d_rep, cache, params)  # still current: reads its rows
+        if later == "forward":
+            neighborhood_forward(h[:1], m[:1], params, workspace=ws)
+        else:
+            gather_neighbors(vectors, ids[:1], ws)
+        with pytest.raises(DomainError, match="stale"):
+            neighborhood_param_grad(d_rep, cache, params)
+        with pytest.raises(DomainError, match="stale"):
+            neighborhood_backward(d_rep, cache, params)
+        # a fresh gather and forward make a current cache again
+        m = gather_neighbors(vectors, ids, ws)
+        _, _, cache = neighborhood_forward(h, m, params, want_cache=True, workspace=ws)
+        np.testing.assert_array_equal(neighborhood_param_grad(d_rep, cache, params), want)
+
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_gather_checks_the_id_range(self, bad):
+        vectors = np.zeros((20, 3), dtype=np.float32)
+        ids = np.zeros((2, 4), dtype=np.int64)
+        ids[1, 2] = bad
+        with pytest.raises(DomainError, match=r"\[0, 20\)"):
+            gather_neighbors(vectors, ids, NeighborhoodWorkspace())
 
 
 class TestPredict:

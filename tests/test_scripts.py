@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # a toy-size run configuration
@@ -44,18 +46,17 @@ def test_synthetic_benchmark_script_runs(tmp_path):
     assert rank is None or (math.isfinite(rank) and 1 <= rank <= 5)
 
 
-def load_paired_perfbench():
+def load_script(name):
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("paired_perfbench",
-                                                  SCRIPTS / "paired_perfbench.py")
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_paired_perfbench_seeds_and_claim_rule():
-    paired = load_paired_perfbench()
+    paired = load_script("paired_perfbench")
     assert paired.parse_seeds("1,3-5,9") == [1, 3, 4, 5, 9]
     # lower is better: the change wins 9 of 10 pairs, one is a tie, and its
     # median drop (6.0) exceeds the parent's IQR (1.75)
@@ -70,3 +71,31 @@ def test_paired_perfbench_seeds_and_claim_rule():
     s = paired.summarize(parent, change, "higher", 0.05)
     assert (s["wins"], s["losses"], s["gain"], s["within_bound"]) == (0, 9, False, False)
     assert paired.summarize(parent, change, "higher", 0.1)["within_bound"]
+
+
+def test_paired_cli_seeds_child_usage_and_report_fields():
+    paired = load_script("paired_cli")
+    args = paired.parse_args(["--seeds", "4001-4003,9", "--label", "x"])
+    assert (args.seeds, args.label, args.parent) == ([4001, 4002, 4003, 9], "x", "HEAD")
+    # a real child's usage; a child that fails (here a usage error) stops the script
+    usage = paired.cli(SCRIPTS.parent, "gen-synthetic", "--help")
+    assert list(usage) == ["wall_s", "stime_s", "minflt", "maxrss_mb"]
+    assert usage["wall_s"] > 0 and usage["minflt"] > 0 and usage["maxrss_mb"] > 1
+    with pytest.raises(SystemExit, match="exited with code 1"):
+        paired.cli(SCRIPTS.parent, "no-such-command")
+
+    runs = {side: [dict(wall_s=w, stime_s=w / 4, minflt=f, maxrss_mb=r)
+                   for w, f, r in rows]
+            for side, rows in (("parent", [(2.6, 478e3, 60.3), (2.7, 479e3, 60.3)]),
+                               ("change", [(2.3, 25e3, 55.5), (2.4, 25e3, 55.5)]))}
+    doc = paired.report("x", "abc", [1, 2], runs, 2)
+    assert list(doc) == ["label", "parent", "change", "command", "timing", "seeds", "pairs",
+                         "outputs_equal", "metrics"]
+    assert (doc["pairs"], doc["outputs_equal"]) == (2, 2)
+    assert list(doc["metrics"]) == ["wall_s", "stime_s", "minflt", "maxrss_mb"]
+    for name, s in doc["metrics"].items():
+        assert s["wins"] == 2 and s["gain"] and s["within_bound"] and s["bound"] == 0.0
+        # times only as ratios; counts and sizes with both medians
+        assert ("parent_median" in s) == (name in ("minflt", "maxrss_mb"))
+    assert doc["metrics"]["minflt"]["change_median"] == 25e3
+    assert doc["metrics"]["maxrss_mb"]["parent_median"] == 60.3

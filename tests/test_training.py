@@ -1,10 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from pnma.checkpoint import checkpoint_bytes, crf_to_dict
 from pnma.config import LR_HALVING_EPOCHS, TrainConfig
 from pnma.dataio import build_vocab
@@ -370,13 +375,14 @@ class TestTrainPnma:
         forward, gather, crf_ll = (training.neighborhood_forward, training.gather_neighbors,
                                    training.crf_log_likelihood_batch)
 
-        def spy_forward(h, m, params, distances=None, want_cache=False):
+        def spy_forward(h, m, params, distances=None, want_cache=False, workspace=None):
             seen["forward"].append((h.copy(), None if distances is None else distances.copy()))
-            return forward(h, m, params, distances=distances, want_cache=want_cache)
+            return forward(h, m, params, distances=distances, want_cache=want_cache,
+                           workspace=workspace)
 
-        def spy_gather(vectors, ids):
+        def spy_gather(vectors, ids, workspace=None):
             seen["gather"].append(ids.copy())
-            return gather(vectors, ids)
+            return gather(vectors, ids, workspace)
 
         def spy_crf(em, gold, crf):
             seen["gold"].append(gold.copy())
@@ -435,14 +441,14 @@ class TestTrainPnma:
         tag_rows = training.tag_rows
         seen = []
 
-        def spy_tag(table, h, crf, nbr, memory, ids, dists):
+        def spy_tag(table, h, crf, nbr, memory, ids, dists, workspace=None):
             seen.append((h.dtype, dists))
-            return tag_rows(table, h, crf, nbr, memory, ids, dists)
+            return tag_rows(table, h, crf, nbr, memory, ids, dists, workspace)
 
-        def float64_tag(table, h, crf, nbr, memory, ids, dists):
+        def float64_tag(table, h, crf, nbr, memory, ids, dists, workspace=None):
             # every epoch, the distances as retrieval returns them
             _, dists = knn_entry_ids(h.astype(np.float32), memory, ids.shape[1])
-            return tag_rows(table, h, crf, nbr, memory, ids, dists)
+            return tag_rows(table, h, crf, nbr, memory, ids, dists, workspace)
 
         monkeypatch.setattr(training, "tag_rows", spy_tag)
         out = train_pnma(result.encoder, result.crf, digest, memory, train, valid, vocab, cfg2)
@@ -568,3 +574,68 @@ def test_predicate_frequency_table(tiny_task):
     freq = predicate_frequency_table(train)
     assert sum(freq.values()) == len(train)
     assert all(v > 0 for v in freq.values())
+
+
+
+def desk_phase2_setup(phase2_epochs):
+    """train_pnma's arguments at desk shape: phase 1 (one epoch) on 200
+    training sentences, a memory of half their tokens, 50 validation
+    sentences and K 64."""
+    train, _ = generate_split("train", 200, exception_rate=0.05, seed=11)
+    valid, _ = generate_split("valid", 50, exception_rate=0.05, seed=11)
+    vocab = build_vocab(train, min_frequency=1)
+    cfg = TrainConfig(seed=1, epochs=1, batch_size=32, d_word=32, d_pred=16, d_hidden=48,
+                      n_layers=2, k_neighbors=64, memory_fraction=0.5,
+                      phase2_epochs=phase2_epochs)
+    base = train_base(train, None, vocab, cfg)
+    memory = build_memory(base.encoder, vocab, train, fraction=0.5, seed=1, source_digest="d")
+    return base.encoder, base.crf, "d", memory, train, valid, vocab, cfg
+
+
+# the minor page faults of one desk_phase2_setup train_pnma call in a fresh process
+FAULT_PROBE = """
+import resource, sys
+from test_training import desk_phase2_setup
+from pnma.training import train_pnma
+
+args = desk_phase2_setup(int(sys.argv[1]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_pnma(*args)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_phase2_page_faults_do_not_grow_with_epochs():
+    # every step and validation block writes into one workspace that the
+    # call's first epoch has faulted in, so later epochs fault no new pages;
+    # fresh per-step arrays fault about 1.7k pages an epoch here
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(tests), "src"), tests]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")])}
+    faults = {}
+    for epochs in (1, 4):
+        proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(epochs)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        faults[epochs] = int(proc.stdout)
+    assert faults[4] - faults[1] < 500, faults
+
+
+def test_phase2_holds_its_resident_arrays_and_one_workspace():
+    args = desk_phase2_setup(1)
+    _, _, _, memory, train, valid, _, cfg = args
+    peak = traced_peak(lambda: train_pnma(*args))
+    k, d = cfg.k_neighbors, cfg.d_hidden
+    tokens = sum(map(len, train)) + sum(map(len, valid))
+    id_width = np.min_scalar_type(len(memory) - 1).itemsize
+    assert id_width == 2
+    # per token of both sets: its activations, its K neighbor ids and its
+    # word id, predicate bit and gold tag (int64)
+    resident = tokens * (4 * d + id_width * k + 3 * 8)
+    # the gather and |m - h| of the largest batch, B rows of length n
+    counts = Counter(map(len, train))
+    workspace = 2 * k * max(min(c, cfg.batch_size) * n for n, c in counts.items()) * d * 4
+    # the K-NN calls run before the workspace exists, and a block of them
+    # (128 rows by 608 entries of float64) holds less than it
+    assert peak <= resident + workspace + (1 << 20)
