@@ -4,9 +4,9 @@
 Runs the desk chain for each seed on a seeded corpus with planted
 low-frequency exception predicates, and prints per-seed test F1,
 corrected/regressed token counts, the median first-correct-neighbor rank and
-the share at rank 1 over base-mispredicted validation tokens, and timings.
---out writes every row field but the timings as JSON, so a rerun reproduces
-the file byte for byte:
+the share at rank 1 over base-mispredicted validation tokens, the sha256 of
+the chain's five artifacts, and timings.  --out writes every row field but
+the timings as JSON, so a rerun reproduces the file byte for byte:
 
     python3 scripts/run_synthetic_benchmark.py --out BENCH_quality.json
 """
@@ -14,6 +14,7 @@ the file byte for byte:
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -26,15 +27,20 @@ sys.path.insert(0, str(SCRIPTS.parent / "src"))
 from pnma.analysis import disagreement_report, evaluate_labels, rank_distribution
 from pnma.checkpoint import Model, save_model
 from pnma.config import load_run_config
-from pnma.dataio import build_vocab
+from pnma.dataio import build_vocab, format_predictions
 from pnma.inference import predict_base_corpus, predict_pnma_corpus
 from pnma.memory import build_memory, serialize_memory
 from pnma.synthetic import generate_split
 from pnma.training import predicate_frequency_table, train_base, train_pnma
 
+# the chain's files by artifact; a row's <artifact>_sha256 field is the file's digest
+ARTIFACTS = {"base": "base.seed{}.ckpt", "memory": "memory.seed{}.bin",
+             "adapted": "pnma.seed{}.ckpt", "base_preds": "base_preds.seed{}.conll",
+             "adapted_preds": "pnma_preds.seed{}.conll"}
 # the row fields --out writes: all but the timings
 QUALITY_FIELDS = ("seed", "base_f1", "adapted_f1", "corrected", "regressed",
-                  "median_first_correct_rank", "rank1_share_incorrect")
+                  "median_first_correct_rank", "rank1_share_incorrect",
+                  *(f"{artifact}_sha256" for artifact in ARTIFACTS))
 
 
 def parse_args():
@@ -54,16 +60,20 @@ def parse_args():
 
 
 def run_chain(seed, cfg, train, valid, test, vocab, freq, out_dir: Path) -> dict:
-    """The desk chain for one seed: its row of quality fields and timings."""
+    """The desk chain for one seed: its row of quality fields and timings.
+    Its files in ``out_dir`` hold the bytes the CLI chain writes: the two
+    checkpoints, the memory, and each model's test predictions as ``predict``
+    writes them."""
     cfg = dataclasses.replace(cfg, seed=seed)
+    paths = {artifact: out_dir / name.format(seed) for artifact, name in ARTIFACTS.items()}
     base = train_base(train, valid, vocab, cfg)
-    digest = save_model(str(out_dir / f"base.seed{seed}.ckpt"),
+    digest = save_model(str(paths["base"]),
                         Model(encoder=base.encoder, crf=base.crf, nbr=None, config=cfg))
     memory = build_memory(base.encoder, vocab, train, fraction=cfg.memory_fraction,
                           seed=seed, source_digest=digest)
-    serialize_memory(memory, str(out_dir / f"memory.seed{seed}.bin"))
+    serialize_memory(memory, str(paths["memory"]))
     adapted = train_pnma(base.encoder, base.crf, digest, memory, train, valid, vocab, cfg)
-    save_model(str(out_dir / f"pnma.seed{seed}.ckpt"),
+    save_model(str(paths["adapted"]),
                Model(encoder=adapted.encoder, crf=adapted.crf, nbr=adapted.nbr, config=cfg))
 
     gold = [list(i.gold_labels) for i in test]
@@ -71,6 +81,9 @@ def run_chain(seed, cfg, train, valid, test, vocab, freq, out_dir: Path) -> dict
                    for p in predict_base_corpus(test, base.encoder, base.crf, vocab)]
     pnma_labels = [vocab.tag_strings(p) for p in predict_pnma_corpus(
         test, adapted.encoder, adapted.crf, adapted.nbr, memory, vocab, cfg.k_neighbors)]
+    for artifact, labels in (("base_preds", base_labels), ("adapted_preds", pnma_labels)):
+        paths[artifact].write_text("".join(map(format_predictions, test, labels)),
+                                   encoding="utf-8")
     rep = disagreement_report(test, base_labels, pnma_labels, freq)
     hist = rank_distribution(base.encoder, base.crf, vocab, memory, valid, k=cfg.k_neighbors)
     median = hist.median_rank("incorrect")
@@ -87,6 +100,8 @@ def run_chain(seed, cfg, train, valid, test, vocab, freq, out_dir: Path) -> dict
         "regressed": rep.scenario_counts[3],
         "median_first_correct_rank": None if math.isnan(median) else median,
         "rank1_share_incorrect": float(f"{rank1_share:.6f}"),  # as rank-dist writes it
+        **{f"{artifact}_sha256": hashlib.sha256(path.read_bytes()).hexdigest()
+           for artifact, path in paths.items()},
         "base_s": base.seconds,
         "phase2_s": adapted.seconds,
         "retrieval_ms_per_token": adapted.retrieval_ms_per_token,

@@ -18,10 +18,10 @@ import numpy as np
 
 from .crf import CrfParams
 from .dataio import NULL_ROLE, Instance, TokenTable, Vocabulary, bio_decode_spans, read_text
-from .encoder import EncoderParams, encode_rows
+from .encoder import EncoderParams
 from .errors import CoverageError, DimensionError, DomainError, FormatError
-from .inference import tag_rows
-from .memory import ActivationMemory, knn_entry_ids, knn_query, self_exclusions
+from .inference import encode_and_retrieve, tag_rows
+from .memory import ActivationMemory, self_exclusions
 
 
 @dataclass
@@ -148,15 +148,13 @@ def _same_label_neighbors(
     exclude,
     external,
     threads: int,
-) -> tuple[TokenTable, np.ndarray, np.ndarray]:
-    """The token table of ``instances``, its activations (T, d), and (T, K)
-    whether each of a token's K nearest memory entries carries its gold label."""
-    table = TokenTable.build(instances, vocab, external)
-    h = encode_rows(table, encoder, threads=threads)
-    ids, _ = knn_entry_ids(h.astype(np.float32, copy=False), memory, k,
-                           exclude=exclude, threads=threads, distances=False)
+) -> tuple[TokenTable, np.ndarray, np.ndarray, np.ndarray]:
+    """The token table of ``instances``, its activations (T, d) and gold tag ids
+    (T,), and (T, K) whether each token's K neighbors carry its gold label."""
+    table, h, ids, _, _ = encode_and_retrieve(instances, encoder, vocab, memory, k, external,
+                                              threads, exclude, False)
     gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
-    return table, h, memory.labels[ids] == gold[:, None]
+    return table, h, gold, memory.labels[ids] == gold[:, None]
 
 
 def rank_distribution(
@@ -176,11 +174,10 @@ def rank_distribution(
     with no correct-label neighbor within K land in the ``absent`` bucket.
     """
     exclude = self_exclusions(instances) if exclude_self else None
-    table, h, hits = _same_label_neighbors(encoder, vocab, memory, instances, k, exclude,
-                                           external, threads)
+    table, h, gold, hits = _same_label_neighbors(encoder, vocab, memory, instances, k, exclude,
+                                                 external, threads)
     ranks = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)  # 0: absent
     preds = tag_rows(table, h, crf)
-    gold = vocab.tag_ids([tag for inst in instances for tag in inst.gold_labels])
     base_ok = np.concatenate(preds) == gold if preds else np.zeros(0, dtype=bool)
     hist = RankHistogram(k=k)
     for counts, tokens in ((hist.correct, base_ok), (hist.incorrect, ~base_ok)):
@@ -321,8 +318,8 @@ def neighborhood_label_counts(
     threads: int = 1,
 ) -> list[np.ndarray]:
     """Per token: how many of its K neighbors carry the token's gold label."""
-    table, _, hits = _same_label_neighbors(encoder, vocab, memory, instances, k, None,
-                                           external, threads)
+    table, _, _, hits = _same_label_neighbors(encoder, vocab, memory, instances, k, None,
+                                              external, threads)
     return table.split(hits.sum(axis=1))
 
 
@@ -347,8 +344,9 @@ def neighbor_dump(
     """Top-k neighbors of one token with context snippets from their sentences,
     which ``sources`` maps from the memory's sentence ids.
 
-    The neighbor token is bracketed and the predicate of its sentence starred;
-    snippets are clamped at sentence boundaries.
+    The neighbors are row ``token_index`` of the sentence's retrieval, as in
+    ``predict``.  The neighbor token is bracketed and the predicate of its
+    sentence starred; snippets are clamped at sentence boundaries.
     """
     if context_window < 0:
         raise DomainError(
@@ -358,12 +356,11 @@ def neighbor_dump(
         raise CoverageError(
             f"neighbor_dump: token index {token_index} outside sentence of length {len(instance)}"
         )
-    h = encode_rows(TokenTable.build([instance], vocab, external), encoder)[token_index]
-    h = h.astype(np.float32, copy=False)
-    neighbors = knn_query(h, memory, k)
+    _, _, ids, dists, _ = encode_and_retrieve([instance], encoder, vocab, memory, k, external,
+                                              1, None, True)
     out: list[NeighborContext] = []
-    for rank in range(len(neighbors)):
-        sid, tix = memory.provenance[int(neighbors.entry_ids[rank])]
+    for entry, distance in zip(ids[token_index], dists[token_index]):
+        sid, tix = memory.provenance[int(entry)]
         src = sources.get(sid)
         if src is None:
             raise CoverageError(f"neighbor_dump: no source sentence for id {sid!r}")
@@ -377,14 +374,8 @@ def neighbor_dump(
             if t == tix:
                 w = f"[{w}]"
             words.append(w)
-        label = vocab.tag_labels[int(neighbors.labels[rank])]
-        out.append(
-            NeighborContext(
-                label=label,
-                snippet=" ".join(words),
-                distance=float(neighbors.distances[rank]),
-            )
-        )
+        out.append(NeighborContext(label=vocab.tag_labels[int(memory.labels[entry])],
+                                   snippet=" ".join(words), distance=float(distance)))
     return out
 
 

@@ -369,10 +369,12 @@ def load_external_embeddings(path: str, instances: Sequence[Instance]) -> Extern
     """Read a plain-text embedding file and check it covers every token.
 
     Row format: sentence_id, token_index, then the vector values, all
-    whitespace-separated.  Every row must share one dimension; every token of
-    every instance must be covered.
+    whitespace-separated.  Every row must share one dimension, no (sentence
+    id, token index) may repeat (a repeat fails, naming its line and the line
+    of the first row), and every token of every instance must be covered.
     """
     table: dict[tuple[str, int], np.ndarray] = {}
+    first_use: dict[tuple[str, int], int] = {}  # (sentence id, token index) -> its line
     dim: int | None = None
     for line_no, raw in enumerate(read_text(path, FormatError).splitlines(), start=1):
         line = raw.strip()
@@ -395,6 +397,10 @@ def load_external_embeddings(path: str, instances: Sequence[Instance]) -> Extern
             raise FormatError(
                 f"{path}:{line_no}: dimension {vec.shape[0]} != {dim} of earlier rows"
             )
+        if (sid, tix) in first_use:
+            raise FormatError(f"{path}:{line_no}: (sentence {sid!r}, token {tix}) repeats the "
+                              f"row at line {first_use[sid, tix]}")
+        first_use[sid, tix] = line_no
         table[(sid, tix)] = vec.astype(np.float32)
     if dim is None:
         raise FormatError(f"{path}: no embedding rows")

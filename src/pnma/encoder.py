@@ -6,12 +6,13 @@ per-token outputs are the sequence representation consumed by the CRF head
 and stored in the activation memory.  Directions alternate starting forward.
 
 All kernels operate on batches (B, n, ...); a single sequence is the
-batch-of-one case.  Each forward has an explicit backward that is verified by
-finite differences in the test suite.  A batch is same-length (training), or
-right-padded with its ``lengths`` given (inference).  Padding needs no mask:
-a forward LSTM layer reaches the padding only after a row's real steps, and a
-backward layer reverses each row within its own length, so the padding comes
-last there too; every other layer is per token.  ``encode_rows`` runs the
+batch-of-one case (1, n, ...), the only form the LSTM layer takes.  Each
+forward has an explicit backward that is verified by finite differences in
+the test suite.  A batch is same-length (training), or right-padded with its
+``lengths`` given (inference).  Padding needs no mask: a forward LSTM layer
+reaches the padding only after a row's real steps, and a backward layer
+reverses each row within its own length, so the padding comes last there
+too; every other layer is per token.  ``encode_rows`` runs the
 stack over a whole ``dataio.TokenTable`` in ``length_sorted_chunks``, one
 padded batch of at most ``CHUNK_TOKENS`` padded tokens each, and returns one
 activation row per token, (T, d) in the table's row order.  Training batches
@@ -252,8 +253,8 @@ class LstmCache:
     ``tanh_cells`` (n, d, B) tanh of the cell state step t leaves; and
     ``hiddens`` (n + 1, B, d) the hidden state entering step t, from the zero
     state at 0.  ``x`` (B, n, d_in) is the input in recurrence order (already
-    reversed for backward layers).  The (B, n, d) properties are read-only
-    views of these arrays.
+    reversed for backward layers).  ``h_prev`` is the one (B, n, d) view the
+    backward reads, read-only as these arrays are.
     """
 
     direction: str
@@ -263,34 +264,6 @@ class LstmCache:
     tanh_cells: np.ndarray
     hiddens: np.ndarray
     lengths: np.ndarray | None = None
-
-    def _gate(self, k: int) -> np.ndarray:
-        d = self.tanh_cells.shape[1]
-        return self.gates[:, k * d : (k + 1) * d].transpose(2, 0, 1)
-
-    @property
-    def i(self) -> np.ndarray:
-        return self._gate(0)
-
-    @property
-    def f(self) -> np.ndarray:
-        return self._gate(1)
-
-    @property
-    def g(self) -> np.ndarray:
-        return self._gate(2)
-
-    @property
-    def o(self) -> np.ndarray:
-        return self._gate(3)
-
-    @property
-    def tanh_c(self) -> np.ndarray:
-        return self.tanh_cells.transpose(2, 0, 1)
-
-    @property
-    def c_prev(self) -> np.ndarray:
-        return self.cells[:-1].transpose(2, 0, 1)
 
     @property
     def h_prev(self) -> np.ndarray:
@@ -315,7 +288,8 @@ def lstm_layer_forward(
     want_cache: bool = False,
     lengths: np.ndarray | None = None,
 ):
-    """Standard LSTM recurrence with zero initial state over (B, n, d_in).
+    """Standard LSTM recurrence with zero initial state over (B, n, d_in); any
+    other shape, a 2-D sequence too, raises DimensionError.
 
     The backward direction is the forward recurrence on the reversed sequence
     with the output reversed back.  With ``lengths`` (B,), row b is a
@@ -327,9 +301,6 @@ def lstm_layer_forward(
     if direction not in ("f", "b"):
         raise DomainError(f"direction must be 'f' or 'b', got {direction!r}")
     x = np.asarray(x)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None, :, :]
     if x.ndim != 3 or x.shape[2] != weights.d_in:
         raise DimensionError(f"lstm input {x.shape} vs wx {weights.wx.shape}")
     bsz, n, _ = x.shape
@@ -384,8 +355,6 @@ def lstm_layer_forward(
         out = _reverse_steps(out, lengths)  # a new array when lengths are given
     if np.may_share_memory(out, hiddens):
         out = out.copy()  # one contiguous array, never a view of the cache
-    if squeeze:
-        out = out[0]
     if not want_cache:
         return out
     for a in (gates, cells, tanh_cells, hiddens):
@@ -396,11 +365,12 @@ def lstm_layer_forward(
 def lstm_layer_backward(
     d_out: np.ndarray, cache: LstmCache, weights: LstmWeights
 ) -> tuple[np.ndarray, LstmWeights]:
-    """Gradients of a scalar loss given d_loss/d_output: returns (d_x, weight grads)."""
+    """Gradients of a scalar loss given d_loss/d_output, shaped as the cached
+    forward's output (else DimensionError): returns (d_x, weight grads)."""
     d_out = np.asarray(d_out)
-    squeeze = d_out.ndim == 2
-    if squeeze:
-        d_out = d_out[None, :, :]
+    shape = cache.x.shape[:2] + cache.tanh_cells.shape[1:2]
+    if d_out.shape != shape:
+        raise DimensionError(f"lstm backward: d_out {d_out.shape} vs output {shape}")
     if cache.direction == "b":
         d_out = _reverse_steps(d_out, cache.lengths)
     bsz, n, d = d_out.shape
@@ -439,8 +409,6 @@ def lstm_layer_backward(
     d_x = _matmul_rows(dpres, weights.wx).astype(cache.x.dtype, copy=False)
     if cache.direction == "b":
         d_x = _reverse_steps(d_x, cache.lengths)
-    if squeeze:
-        d_x = d_x[0]
     dt = weights.wx.dtype
     flat = dpres.reshape(bsz * n, 4 * d).astype(dt, copy=False)
     d_wx = flat.T @ cache.x.reshape(bsz * n, -1).astype(dt, copy=False)

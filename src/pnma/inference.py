@@ -2,9 +2,11 @@
 
 Tagging is one pipeline over a ``dataio.TokenTable``: encode every row
 (``encoder.encode_rows``), retrieve every row's neighbors with one
-``memory.knn_entry_ids`` call (adapted model only), then ``tag_rows``.  A
-caller that already holds the activations or the neighbors, such as phase
-2's validation pass, enters at ``tag_rows``.
+``memory.knn_entry_ids`` call (adapted model only), then ``tag_rows``.  The
+first two are ``encode_and_retrieve``, through which phase 2 and the neighbor
+reports of ``analysis`` retrieve too, exactly as ``predict`` does.  A caller
+that already holds the activations or the neighbors, such as phase 2's
+validation pass, enters at ``tag_rows``.
 
 Encoding and tagging both walk ``encoder.length_sorted_chunks``: sentences
 in length order, cut at a budget of ``encoder.CHUNK_TOKENS`` padded tokens.
@@ -28,6 +30,7 @@ block.  The blocks change no bit; ``_blocks`` says why.
 
 from __future__ import annotations
 
+import time
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +38,7 @@ import numpy as np
 from .crf import CrfParams, emission_scores, viterbi_decode_batch
 from .dataio import ExternalEmbeddings, Instance, TokenTable, Vocabulary
 from .encoder import EncoderParams, encode_rows, length_sorted_chunks
-from .memory import ActivationMemory, knn_entry_ids
+from .memory import ActivationMemory, Exclusions, knn_entry_ids
 from .neighborhood import (
     NeighborhoodParams,
     NeighborhoodWorkspace,
@@ -86,6 +89,23 @@ def _neighborhood_rows(
         dist = dists[flat[b]] if nbr.mode == "distance" else None
         _, out[b] = neighborhood_forward(h[b], m, nbr, distances=dist, workspace=workspace)
     return out
+
+
+def encode_and_retrieve(
+    instances: Sequence[Instance], encoder: EncoderParams, vocab: Vocabulary,
+    memory: ActivationMemory, k: int, external: ExternalEmbeddings | None, threads: int,
+    exclude: Exclusions | None, distances: bool,
+) -> tuple[TokenTable, np.ndarray, np.ndarray, np.ndarray | None, float]:
+    """The token table of ``instances``, its activations h (T, d), each row's
+    K nearest memory entries (T, K) with ``exclude``, their float64 distances
+    if ``distances`` (else None), and the seconds of the K-NN call alone.
+    Each row's query is its activation rounded to the memory's float32."""
+    table = TokenTable.build(instances, vocab, external)
+    h = encode_rows(table, encoder, threads)
+    started = time.perf_counter()
+    ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, exclude=exclude,
+                               threads=threads, distances=distances)
+    return table, h, ids, dists, time.perf_counter() - started
 
 
 def tag_rows(
@@ -151,8 +171,6 @@ def predict_pnma_corpus(
     """Memory-adapted tag ids for every instance; any memory entry may be a
     neighbor.  To keep tokens from finding their own entries, retrieve with
     ``memory.self_exclusions`` and tag with ``tag_rows``."""
-    table = TokenTable.build(instances, vocab, external)
-    h = encode_rows(table, encoder, threads)
-    ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k, threads=threads,
-                               distances=nbr.mode == "distance")
+    table, h, ids, dists, _ = encode_and_retrieve(instances, encoder, vocab, memory, k, external,
+                                                  threads, None, nbr.mode == "distance")
     return tag_rows(table, h, crf, nbr, memory, ids, dists)

@@ -26,9 +26,10 @@ explicit-difference scan would, ties broken toward the lower entry id.
 
 Distances are the explicit differences of the final ids, computed only for
 callers that read them (``knn_entry_ids(distances=True)``): ``knn_query``,
-and phase 2 and ``predict_pnma_corpus`` in ``distance`` mode.  Tagging in
-the other modes, ``analysis.rank_distribution`` and
-``analysis.neighborhood_label_counts`` ask for ids only.
+``analyze neighbors``, and phase 2 and ``predict_pnma_corpus`` in
+``distance`` mode.  Tagging in the other modes, ``analysis.rank_distribution``
+and ``analysis.neighborhood_label_counts`` ask for ids only, and every caller
+outside this module retrieves through ``inference.encode_and_retrieve``.
 
 Bulk retrieval holds its outputs and one block's working set: the (Q, k)
 ids, and distances when asked for, are allocated once and each block, on

@@ -47,12 +47,11 @@ from .encoder import (
     EncoderParams,
     encode_backward,
     encode_batch,
-    encode_rows,
     init_encoder_params,
 )
 from .errors import CompatibilityError, DimensionError, DomainError, NumericError
-from .inference import predict_base_corpus, tag_rows
-from .memory import ActivationMemory, knn_entry_ids, self_exclusions
+from .inference import encode_and_retrieve, predict_base_corpus, tag_rows
+from .memory import ActivationMemory, self_exclusions
 from .neighborhood import (
     NeighborhoodParams,
     NeighborhoodWorkspace,
@@ -399,23 +398,15 @@ def train_pnma(
 
     # distances weigh the neighbors in distance mode only
     weigh = config.neighborhood_mode == "distance"
-
-    def encode_and_retrieve(instances, exclude):
-        """A corpus's token table, activations, neighbor ids, distances (in the
-        activations' dtype; None outside distance mode) and retrieval seconds."""
-        table = TokenTable.build(instances, vocab, external)
-        h = encode_rows(table, encoder, threads=config.threads)
-        retrieval_started = time.perf_counter()
-        ids, dists = knn_entry_ids(h.astype(np.float32, copy=False), memory, k,
-                                   exclude=exclude, threads=config.threads, distances=weigh)
-        seconds = time.perf_counter() - retrieval_started
-        return table, h, ids, None if dists is None else dists.astype(h.dtype), seconds
-
     table, h_all, nbr_ids, nbr_dists, retrieval_seconds = encode_and_retrieve(
-        train_instances, self_exclusions(train_instances))
+        train_instances, encoder, vocab, memory, k, external, config.threads,
+        self_exclusions(train_instances), weigh)
     if valid_instances:
         valid_table, valid_h, valid_ids, valid_dists, _ = encode_and_retrieve(
-            valid_instances, None)
+            valid_instances, encoder, vocab, memory, k, external, config.threads, None, weigh)
+    if weigh:  # held for the whole call, so in the activations' dtype
+        nbr_dists = nbr_dists.astype(h_all.dtype)
+        valid_dists = valid_dists.astype(h_all.dtype) if valid_instances else None
 
     nbr = init_neighborhood_params(
         k, encoder.d_hidden, make_rng(config.seed, STREAM_NBR),

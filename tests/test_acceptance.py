@@ -6,6 +6,7 @@ and analysis reports) at the documented desk scale.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -48,6 +49,9 @@ REPO = Path(__file__).resolve().parent.parent
 # per-seed quality rows that harness committed
 DESK_CONFIG = REPO / "scripts" / "desk.cfg"
 BENCH_QUALITY = REPO / "BENCH_quality.json"
+# each committed artifact digest's row field, and the chain's path key of its file
+DIGESTS = {"base_sha256": "base", "memory_sha256": "memory", "adapted_sha256": "pnma",
+           "base_preds_sha256": "base_preds", "adapted_preds_sha256": "pnma_preds"}
 
 
 @contextlib.contextmanager
@@ -425,6 +429,13 @@ class TestCommittedQualityRows:
                    "corrected": run["counts"]["corrected"],
                    "regressed": run["counts"]["regressed"]}
             assert got == {k: rows[seed][k] for k in got}, f"seed {seed}"
+            # byte identity, under one BLAS build: the checkpoints, the memory
+            # and both prediction files are the files the harness wrote
+            paths = run["paths"]
+            digests = {field: hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest()
+                       for field, key in DIGESTS.items()}
+            differ = [f for f in DIGESTS if digests[f] != rows[seed][f]]
+            assert not differ, f"seed {seed}: {differ} differ from BENCH_quality.json"
         rank1 = rank_histogram_lines(chain)[1].split("\t")
         assert rank1[0] == "1"
         assert rows[TRAIN_SEEDS[0]]["rank1_share_incorrect"] == float(rank1[1])

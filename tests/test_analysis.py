@@ -358,6 +358,11 @@ class TestRankDistribution:
         hist.incorrect[5] = 1
         hist.incorrect["absent"] = 1
         assert hist.median_rank("incorrect") == 1.0
+        # the median lands on an absent neighbor, counted as K + 1
+        hist = RankHistogram(k=8)
+        hist.incorrect[1] = 1
+        hist.incorrect["absent"] = 2
+        assert hist.median_rank("incorrect") == 9.0
 
 
 class TestNeighborhoodCounts:

@@ -287,6 +287,14 @@ class TestExternalEmbeddings:
         with pytest.raises(CoverageError, match=r"'s1', token 1"):
             load_external_embeddings(str(path), self._corpus())
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # the second row for a token would silently replace the first
+        path = tmp_path / "emb.txt"
+        path.write_text("s1 0 1 2\ns1 1 3 4\n# note\ns1 0 5 6\ns2 0 7 8\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r":4: \(sentence 's1', token 0\) repeats the row "
+                                              r"at line 1$"):
+            load_external_embeddings(str(path), self._corpus())
+
     @pytest.mark.parametrize("row", [
         "s1 1 4 x 6", "s1 1 4 5 nan", "s1 1 inf 5 6", "s1 1 4 5 1e39", "s1 1.5 4 5 6",
     ])

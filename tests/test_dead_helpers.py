@@ -1,4 +1,5 @@
-"""Every function, method and property of ``src/pnma`` has a caller.
+"""Every function, method and property of ``src/pnma`` has a caller, and the
+K-NN retrieval has one call site.
 
 A function counts as used when its name appears anywhere in ``src/``,
 ``scripts/`` or ``perfbench/`` as a ``Name``, an ``Attribute`` or an
@@ -12,6 +13,11 @@ why.
 The defaulted parameters of ``src/pnma`` are pinned the same way: a default
 is a second way to call a function, so one is added or removed on purpose,
 and in ``DEFAULTED`` first.
+
+Only ``memory``, which defines ``knn_entry_ids``, and ``inference``, whose
+``encode_and_retrieve`` is every other module's way to it, may name it: a
+module that retrieves on its own would no longer retrieve as ``predict``
+does.
 """
 
 import ast
@@ -31,11 +37,6 @@ KEPT = {
     "crf.viterbi_decode": "criterion 2's CRF oracle (ROADMAP keep list)",
     "numeric.finite_difference_check": "criterion 1's gradient oracle: the tests check every "
                                        "backward pass with it",
-    "encoder.LstmCache.c_prev": "the test oracle's view of the cached cell states, in the "
-                                "(B, n, d) layout the reference recurrence uses",
-    **{f"encoder.LstmCache.{gate}": "the test oracle's view of the cached gates, in the "
-                                    "(B, n, d) layout the reference backward reads"
-       for gate in ("i", "f", "g", "o", "tanh_c")},
     "cli._Parser.error": "argparse calls it on a usage problem",
 }
 
@@ -200,3 +201,34 @@ def test_inventory_reads_every_kind_of_default():
     )
     assert defaulted_parameters(source, "m") == {
         "m.f": ["b", "d"], "m.g": ["b"], "m.C.m": ["x"], "m.C.m.inner": ["y"]}
+
+
+# the modules that may name the K-NN retrieval
+RETRIEVAL_MODULES = {"memory", "inference"}
+
+
+def names_knn_entry_ids(source: str) -> bool:
+    """Whether a source calls, imports or otherwise names ``knn_entry_ids``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "knn_entry_ids":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "knn_entry_ids":
+            return True
+        if isinstance(node, ast.alias) and node.name == "knn_entry_ids":
+            return True
+    return False
+
+
+def test_one_retrieval_site():
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((REPO / "src" / "pnma").glob("*.py"))}
+    naming = {module for module, source in modules.items() if names_knn_entry_ids(source)}
+    assert naming == RETRIEVAL_MODULES, "retrieve through inference.encode_and_retrieve"
+
+
+def test_retrieval_scan_sees_each_kind_of_reference():
+    for source in ("from .memory import knn_entry_ids\n", "ids = knn_entry_ids(q, m, 3)\n",
+                   "from . import memory\nmemory.knn_entry_ids(q, m, 3)\n",
+                   "retrieve = knn_entry_ids\n"):
+        assert names_knn_entry_ids(source), source
+    assert not names_knn_entry_ids("knn_query(q, m, 3)\n'knn_entry_ids'\n")

@@ -76,8 +76,8 @@ class TestEmbedding:
 class TestLstmLayer:
     def test_zero_weights_give_zero_output(self):
         w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-        out = lstm_layer_forward(np.ones((4, 3)), "f", w)
-        np.testing.assert_array_equal(out, np.zeros((4, 2)))
+        out = lstm_layer_forward(np.ones((1, 4, 3)), "f", w)
+        np.testing.assert_array_equal(out, np.zeros((1, 4, 2)))
 
     def test_single_step_vs_hand_unrolled_gates(self):
         rng = make_rng(5)
@@ -87,11 +87,11 @@ class TestLstmLayer:
             rng.normal(size=(4 * d, d)),
             rng.normal(size=4 * d),
         )
-        x = rng.normal(size=(1, d_in))
-        out = lstm_layer_forward(x, "f", w)[0]
+        x = rng.normal(size=(1, 1, d_in))
+        out = lstm_layer_forward(x, "f", w)[0, 0]
 
         # hand-unrolled gate arithmetic, zero initial state
-        pre = w.wx @ x[0] + w.b
+        pre = w.wx @ x[0, 0] + w.b
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))
         i = sig(pre[:d])
         f = sig(pre[d : 2 * d])
@@ -109,10 +109,10 @@ class TestLstmLayer:
             rng.normal(size=(4 * d, d)),
             rng.normal(size=4 * d),
         )
-        x = rng.normal(size=(n, d_in))
+        x = rng.normal(size=(1, n, d_in))
         back = lstm_layer_forward(x, "b", w)
-        fwd_on_reversed = lstm_layer_forward(x[::-1], "f", w)
-        np.testing.assert_array_equal(back, fwd_on_reversed[::-1])
+        fwd_on_reversed = lstm_layer_forward(x[:, ::-1], "f", w)
+        np.testing.assert_array_equal(back, fwd_on_reversed[:, ::-1])
 
     @pytest.mark.parametrize("direction", ["f", "b"])
     def test_gradients_both_directions(self, direction):
@@ -123,8 +123,8 @@ class TestLstmLayer:
             rng.normal(size=(4 * d, d)),
             rng.normal(size=4 * d),
         )
-        x = rng.normal(size=(n, d_in))
-        d_out = rng.normal(size=(n, d))
+        x = rng.normal(size=(1, n, d_in))
+        d_out = rng.normal(size=(1, n, d))
         out, cache = lstm_layer_forward(x, direction, w, want_cache=True)
         d_x, grads = lstm_layer_backward(d_out, cache, w)
 
@@ -151,12 +151,23 @@ class TestLstmLayer:
     def test_shape_mismatch(self):
         w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
         with pytest.raises(DimensionError):
-            lstm_layer_forward(np.ones((4, 5)), "f", w)
+            lstm_layer_forward(np.ones((1, 4, 5)), "f", w)
 
     def test_bad_direction(self):
         w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
         with pytest.raises(DomainError):
-            lstm_layer_forward(np.ones((4, 3)), "x", w)
+            lstm_layer_forward(np.ones((1, 4, 3)), "x", w)
+
+    @pytest.mark.parametrize("direction", ["f", "b"])
+    def test_batch_axis_is_required(self, direction):
+        # a single sequence is the batch of one: (n, d) is no input form
+        w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
+        with pytest.raises(DimensionError, match=r"lstm input \(4, 3\)"):
+            lstm_layer_forward(np.ones((4, 3)), direction, w)
+        _, cache = lstm_layer_forward(np.ones((1, 4, 3)), direction, w, want_cache=True)
+        for shape in ((4, 2), (1, 4, 3), (1, 3, 2), (2, 4, 2)):
+            with pytest.raises(DimensionError, match=r"d_out .* vs output \(1, 4, 2\)"):
+                lstm_layer_backward(np.ones(shape), cache, w)
 
 
 class TestConnection:
@@ -245,26 +256,37 @@ def test_batch_wide_product_within_float32_round_off(shape, d_out):
     assert np.all(np.abs(got.astype(np.float64) - per_sentence) <= 2 * gamma * magnitude)
 
 
+def cache_views(cache):
+    """An ``LstmCache``'s arrays as the (B, n, ·) views the row-major oracles
+    hold, by name: the gates i, f, g, o, tanh_c, c_prev and h_prev, and x."""
+    d = cache.tanh_cells.shape[1]
+    gates = cache.gates.transpose(2, 0, 1)
+    return {**{name: gates[..., j * d : (j + 1) * d] for j, name in enumerate("ifgo")},
+            "tanh_c": cache.tanh_cells.transpose(2, 0, 1),
+            "h_prev": cache.h_prev, "c_prev": cache.cells[:-1].transpose(2, 0, 1), "x": cache.x}
+
+
 def _per_step_float64_backward(d_out, cache, weights):
     """The per-timestep weight-gradient accumulation that the batch-wide GEMMs
     replaced, kept as their oracle: float64 sums of each step's product."""
     if cache.direction == "b":
         d_out = d_out[:, ::-1]
+    view = cache_views(cache)
     bsz, n, d = d_out.shape
     d_wx = np.zeros_like(weights.wx, dtype=np.float64)
     d_wh = np.zeros_like(weights.wh, dtype=np.float64)
     d_b = np.zeros_like(weights.b, dtype=np.float64)
-    dpres = np.empty((bsz, n, 4 * d), dtype=np.result_type(d_out, cache.i, weights.wh))
+    dpres = np.empty((bsz, n, 4 * d), dtype=np.result_type(d_out, view["i"], weights.wh))
     dh_next = np.zeros((bsz, d), dtype=d_out.dtype)
     dc_next = np.zeros((bsz, d), dtype=d_out.dtype)
     for t in range(n - 1, -1, -1):
-        i, f, g, o = cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t]
-        tanh_c = cache.tanh_c[:, t]
+        i, f, g, o = (view[name][:, t] for name in "ifgo")
+        tanh_c = view["tanh_c"][:, t]
         dh = d_out[:, t] + dh_next
         do = dh * tanh_c
         dct = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
         di = dct * g
-        df = dct * cache.c_prev[:, t]
+        df = dct * view["c_prev"][:, t]
         dg = dct * i
         dc_next = dct * f
         dpre = np.concatenate(
@@ -386,7 +408,7 @@ def test_gate_layout_equals_row_major_gates_bit_for_bit(dtype, direction, ragged
     out, cache = lstm_layer_forward(x, direction, w, want_cache=True, lengths=lengths)
     d_x, grads = lstm_layer_backward(d_out, cache, w)
     ref_out, ref_cache, ref_d_x, ref_grads = _row_major_lstm(x, direction, w, lengths, d_out)
-    got = {"output": out, "d_x": d_x, **{f"cache.{k}": getattr(cache, k) for k in ref_cache},
+    got = {"output": out, "d_x": d_x, **{f"cache.{k}": cache_views(cache)[k] for k in ref_cache},
            **{f"grad.{k}": getattr(grads, k) for k in ref_grads}}
     want = {"output": ref_out, "d_x": ref_d_x, **{f"cache.{k}": v for k, v in ref_cache.items()},
             **{f"grad.{k}": v for k, v in ref_grads.items()}}
@@ -420,7 +442,7 @@ def test_one_loop_with_and_without_cache(dtype, direction, ragged, d):
     assert (plain.dtype, plain.shape) == (out.dtype, out.shape) == (np.dtype(dtype), (bsz, n, d))
     assert plain.tobytes() == out.tobytes()
     for name in ("i", "f", "g", "o", "tanh_c", "h_prev", "c_prev"):
-        view = getattr(cache, name)
+        view = cache_views(cache)[name]
         assert view.shape == (bsz, n, d) and not view.flags.writeable
     d_x, grads = lstm_layer_backward(d_out, cache, w)
     _, _, ref_d_x, ref_grads = _row_major_lstm(x, direction, w, lengths, d_out)
@@ -646,10 +668,10 @@ class TestRaggedEncode:
         d_x, grads = lstm_layer_backward(d_out, cache, w)
         sums = {"wx": 0.0, "wh": 0.0, "b": 0.0}
         for r, n in enumerate(lengths):
-            out_r, cache_r = lstm_layer_forward(x[r, :n], direction, w, want_cache=True)
-            np.testing.assert_allclose(out[r, :n], out_r, rtol=0, atol=1e-14)
-            d_x_r, g = lstm_layer_backward(d_out[r, :n], cache_r, w)
-            np.testing.assert_allclose(d_x[r, :n], d_x_r, rtol=0, atol=1e-13)
+            out_r, cache_r = lstm_layer_forward(x[r : r + 1, :n], direction, w, want_cache=True)
+            np.testing.assert_allclose(out[r, :n], out_r[0], rtol=0, atol=1e-14)
+            d_x_r, g = lstm_layer_backward(d_out[r : r + 1, :n], cache_r, w)
+            np.testing.assert_allclose(d_x[r, :n], d_x_r[0], rtol=0, atol=1e-13)
             for name in sums:
                 sums[name] = sums[name] + getattr(g, name)
         for name, total in sums.items():

@@ -491,6 +491,12 @@ class TestBuildMemory:
         mem = build_memory(self.encoder, self.vocab, self.instances, fraction=1.0)
         assert len(mem) == 9
 
+    @pytest.mark.parametrize("fraction, entries", [(0.2, 2), (0.4, 4), (0.7, 6), (0.75, 7)])
+    def test_entry_count_rounds_to_nearest(self, fraction, entries):
+        # fraction x 9 tokens: 1.8, 3.6, 6.3 and 6.75 entries
+        mem = build_memory(self.encoder, self.vocab, self.instances, fraction=fraction)
+        assert len(mem) == entries
+
     def test_same_seed_same_provenance(self):
         a = build_memory(self.encoder, self.vocab, self.instances, fraction=0.5, seed=3)
         b = build_memory(self.encoder, self.vocab, self.instances, fraction=0.5, seed=3)

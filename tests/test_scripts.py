@@ -14,7 +14,8 @@ TOY_CONFIG = (
     "d_pred = 16\nn_layers = 2\nmemory_fraction = 0.15\n"
 )
 ROW_FIELDS = ["seed", "base_f1", "adapted_f1", "corrected", "regressed",
-              "median_first_correct_rank", "rank1_share_incorrect"]
+              "median_first_correct_rank", "rank1_share_incorrect", "base_sha256",
+              "memory_sha256", "adapted_sha256", "base_preds_sha256", "adapted_preds_sha256"]
 
 
 def test_synthetic_benchmark_script_runs(tmp_path):
@@ -44,6 +45,9 @@ def test_synthetic_benchmark_script_runs(tmp_path):
     assert row["corrected"] >= 0 and row["regressed"] >= 0
     rank = row["median_first_correct_rank"]  # null: no mispredicted validation token
     assert rank is None or (math.isfinite(rank) and 1 <= rank <= 5)
+    for key in ROW_FIELDS[7:]:
+        assert len(row[key]) == 64 and set(row[key]) <= set("0123456789abcdef"), key
+    assert len({row[key] for key in ROW_FIELDS[7:]}) == 5
 
 
 def load_script(name):

@@ -503,7 +503,8 @@ def trained_arrays(result):
 
 
 class TestTrainingLoop:
-    @pytest.mark.parametrize("phase, epochs, best", [("base", 5, 2), ("pnma", 3, 1)])
+    @pytest.mark.parametrize("phase, epochs, best", [("base", 5, 2), ("pnma", 3, 1),
+                                                     ("base", 3, 2), ("pnma", 2, 1)])
     def test_best_epoch_parameters_restored(self, base_setup, phase, epochs, best):
         runs = [run_phase(phase, base_setup, n) for n in (epochs, best)]
         # validation F1 peaks at epoch `best` here, so the longer run must hand
