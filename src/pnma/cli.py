@@ -32,18 +32,7 @@ import numpy as np
 from . import analysis, dataio, synthetic
 from .checkpoint import Model, load_model, save_model
 from .config import load_run_config
-from .errors import (
-    CapacityError,
-    CompatibilityError,
-    ConfigError,
-    CoverageError,
-    DimensionError,
-    DomainError,
-    FormatError,
-    NumericError,
-    ParseError,
-    PnmaError,
-)
+from .errors import CompatibilityError, ConfigError, CoverageError, NumericError, PnmaError
 from .inference import predict_base_corpus, predict_pnma_corpus
 from .memory import ActivationMemory, build_memory, deserialize_memory, serialize_memory
 from .neighborhood import MODES
@@ -53,17 +42,9 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
 
-_DATA_ERRORS = (
-    ParseError,
-    FormatError,
-    CoverageError,
-    CapacityError,
-    CompatibilityError,
-    ConfigError,
-    DomainError,
-    DimensionError,
-    OSError,
-)
+# every toolkit error but NumericError (which exit_code_for tests first) is a
+# data error, so a new subclass needs no entry here
+_DATA_ERRORS = (PnmaError, OSError)
 
 
 class UsageError(Exception):
@@ -552,7 +533,7 @@ def dispatch(argv: list[str]) -> int:
         # a non-finite value is reported once, by the check that raises NumericError
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (NumericError, *_DATA_ERRORS, UsageError) as exc:
+    except (*_DATA_ERRORS, UsageError) as exc:
         code = exit_code_for(exc)
         kind = {NUMERIC_EXIT: "numeric failure", USAGE_EXIT: "usage error"}.get(code, "error")
         print(f"{kind}: {exc}", file=sys.stderr)

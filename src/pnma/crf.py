@@ -105,28 +105,27 @@ def gold_path_score(emissions: np.ndarray, gold: np.ndarray, params: CrfParams) 
 
 
 def crf_log_likelihood(
-    emissions: np.ndarray, gold: np.ndarray, params: CrfParams, want_grads: bool = True
-) -> tuple[float, CrfGrads | None]:
+    emissions: np.ndarray, gold: np.ndarray, params: CrfParams
+) -> tuple[float, CrfGrads]:
     """log p(gold | emissions) and its gradients w.r.t. emissions and CRF scores:
     the batch-of-one case of ``crf_log_likelihood_batch``.
 
     The emission gradient is gold one-hot minus the unary marginals, and the
     transition/start/stop gradients are empirical minus expected counts.
     """
-    ll, grads = crf_log_likelihood_batch(
-        np.asarray(emissions)[None], np.asarray(gold)[None], params, want_grads
-    )
-    return ll[0], (None if grads is None else CrfGrads(
+    ll, grads = crf_log_likelihood_batch(np.asarray(emissions)[None], np.asarray(gold)[None],
+                                         params)
+    return ll[0], CrfGrads(
         emissions=grads.emissions[0],
         trans=grads.trans,
         start=grads.start,
         stop=grads.stop,
-    ))
+    )
 
 
 def crf_log_likelihood_batch(
-    emissions: np.ndarray, gold: np.ndarray, params: CrfParams, want_grads: bool = True
-) -> tuple[np.ndarray, CrfGrads | None]:
+    emissions: np.ndarray, gold: np.ndarray, params: CrfParams
+) -> tuple[np.ndarray, CrfGrads]:
     """Batched variant over a same-length batch: emissions (B, n, |Y|), gold (B, n)."""
     if emissions.ndim != 3 or emissions.shape[2] != params.n_tags:
         raise DimensionError(
@@ -140,7 +139,7 @@ def crf_log_likelihood_batch(
     if (not np.issubdtype(gold.dtype, np.integer)
             or gold.min() < 0 or gold.max() >= params.n_tags):
         raise DomainError(f"gold tag ids must be integers in [0, {params.n_tags})")
-    return _crf_batch(emissions, gold, params, want_grads)
+    return _crf_batch(emissions, gold, params)
 
 
 def _scaled_spread_limit(n_tags: int) -> float:
@@ -166,7 +165,7 @@ def _scaled_spread_limit(n_tags: int) -> float:
     return 1022.0 * math.log(2.0) - math.log(n_tags) - 1.0
 
 
-def _crf_batch(em: np.ndarray, gold: np.ndarray, params: CrfParams, want_grads: bool):
+def _crf_batch(em: np.ndarray, gold: np.ndarray, params: CrfParams):
     """Shared implementation over a same-length batch: em (B, n, Y), gold (B, n).
 
     Runs on E = exp(trans - max), P_t = exp(em_t - max_y em_t) and the shifted
@@ -186,7 +185,7 @@ def _crf_batch(em: np.ndarray, gold: np.ndarray, params: CrfParams, want_grads: 
     spread = ((t_max - trans.min()) + (s_max - start.min()) + (f_max - stop.min())
               + (em_max - by_tag.min(axis=0)).max())
     if not spread <= _scaled_spread_limit(y):
-        return _crf_batch_log(em, gold, params, want_grads)
+        return _crf_batch_log(em, gold, params)
 
     p -= em_max[:, :, None]
     np.exp(p, out=p)
@@ -206,8 +205,6 @@ def _crf_batch(em: np.ndarray, gold: np.ndarray, params: CrfParams, want_grads: 
     log_z = (np.log(c[:, :, 0]).sum(axis=0) + np.log(z) + em_max.sum(axis=0)
              + (s_max + f_max + (n - 1) * t_max))
     ll = _gold_score(em, gold, trans, start, stop) - log_z
-    if not want_grads:
-        return ll, None
 
     # backward with the same c_t: w_t = P_{t+1} beta_{t+1} / c_{t+1},
     # beta_t = w_t @ E^T
@@ -260,7 +257,7 @@ def _grads(em, gold, unary, d_trans) -> CrfGrads:
     )
 
 
-def _crf_batch_log(em: np.ndarray, gold: np.ndarray, params: CrfParams, want_grads: bool):
+def _crf_batch_log(em: np.ndarray, gold: np.ndarray, params: CrfParams):
     """The log-space recursion: the fallback for a wide score spread, and the
     reference the scaled recursion is tested against."""
     b, n, y = em.shape
@@ -276,8 +273,6 @@ def _crf_batch_log(em: np.ndarray, gold: np.ndarray, params: CrfParams, want_gra
         log_alpha[:, t] = logsumexp(inner, axis=1) + work[:, t]
     log_z = logsumexp(log_alpha[:, n - 1] + stop[None, :], axis=1)
     ll = _gold_score(em, gold, trans, start, stop) - log_z
-    if not want_grads:
-        return ll, None
 
     log_beta = np.empty((b, n, y))
     log_beta[:, n - 1] = stop
@@ -304,22 +299,20 @@ def _crf_batch_log(em: np.ndarray, gold: np.ndarray, params: CrfParams, want_gra
 def viterbi_decode(emissions: np.ndarray, params: CrfParams) -> np.ndarray:
     """Argmax-scoring tag path; ties broken toward the lowest tag index."""
     _check_emissions(emissions, params)
-    return viterbi_decode_batch(emissions[None, :, :], params)[0]
+    return viterbi_decode_batch(emissions[None, :, :], params, np.array([len(emissions)]))[0]
 
 
 def viterbi_decode_batch(
-    emissions: np.ndarray, params: CrfParams, lengths: np.ndarray | None = None
+    emissions: np.ndarray, params: CrfParams, lengths: np.ndarray
 ) -> np.ndarray:
     """Batched Viterbi over right-padded rows (B, n, |Y|) -> (B, n) tag ids.
 
     Row b advances only while t < ``lengths[b]`` and backtracks from its last
     real token, so its first ``lengths[b]`` tags equal
     ``viterbi_decode(emissions[b, :lengths[b]])`` bit for bit; the tags after
-    them are padding.  ``lengths=None`` is the same-length batch.
+    them are padding.
     """
     b, n, y = emissions.shape
-    if lengths is None:
-        lengths = np.full(b, n)
     lengths = np.asarray(lengths)
     if (lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer)
             or np.any(lengths < 1) or np.any(lengths > n)):

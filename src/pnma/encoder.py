@@ -32,23 +32,20 @@ of the input projection (whose GEMM takes the rows in step order), read
 transposed, while h stays (B, d) row-major so that BLAS reads it transposed.
 On the tested OpenBLAS build this rounds as the row-major
 ``pre_x[:, t] + h @ wh.T`` does in every float32 shape tried, and in float64
-up to 192 rows a step at widths that are even or at most 48; at 32 rows of
-width 300 the product takes 0.17 against 0.29 ms (``tests/test_encoder.py``
-compares every output, cache and gradient byte with the row-major
-formulation).  The zero state at t = 0 needs no product, and the backward
-forms ``dpre @ wh`` only where its gradient is read, not into the initial
-state.
+up to 192 rows a step at widths that are even or at most 48
+(``tests/test_encoder.py`` compares every output, cache and gradient byte
+with the row-major formulation).  The zero state at t = 0 needs no product,
+and the backward forms ``dpre @ wh`` only where its gradient is read, not
+into the initial state.
 
 The step's gate math runs in place on contiguous (d, B) blocks and writes the
 gates, the cell state, tanh c and h straight into the step-major arrays that
 ``LstmCache`` keeps (h through a transposed view), so a step copies nothing
-into the cache; inference runs the same loop and drops the arrays.  The
-backward runs the row-major formulas, in their order, on the cache's (d, B)
-blocks and copies each step's (4d, B) gradient once into that step's rows of
-the (B, n, 4d) gate gradients.  With one BLAS thread a layer of 32 rows x 7
-steps at width 48 takes about 0.18 ms forward with its cache and 0.25 ms
-backward, against 0.23 and 0.32 ms with per-step cache copies; at 32 x 6,
-width 300, 2.05 and 3.68 ms, against 2.23 and 3.73 ms.
+into the cache.  Every forward, the LSTM layer's and the connection's, returns
+its cache; ``encode_batch`` drops each one before the next layer runs unless
+it keeps them for ``encode_backward``.  The backward runs the row-major
+formulas, in their order, on the cache's (d, B) blocks and copies each step's
+(4d, B) gradient once into that step's rows of the (B, n, 4d) gate gradients.
 
 ``encode_backward`` consumes the saved activations: it pops each layer's
 LSTM and connection cache off the ``EncoderCache`` as that layer's backward
@@ -216,10 +213,8 @@ def embed_tokens(
     params: EncoderParams,
     external_vectors: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row i is [word embedding; predicate-bit embedding] for token i.
-
-    Accepts (n,) ids for one sequence or (B, n) for a batch.
-    """
+    """Row (b, i) is [word embedding; predicate-bit embedding] for token i of
+    sequence b, for ids and predicate bits (B, n)."""
     word_ids = np.asarray(word_ids)
     pred_bits = np.asarray(pred_bits)
     if word_ids.shape != pred_bits.shape:
@@ -285,18 +280,19 @@ def lstm_layer_forward(
     x: np.ndarray,
     direction: str,
     weights: LstmWeights,
-    want_cache: bool = False,
-    lengths: np.ndarray | None = None,
-):
+    lengths: np.ndarray | None,
+) -> tuple[np.ndarray, LstmCache]:
     """Standard LSTM recurrence with zero initial state over (B, n, d_in); any
-    other shape, a 2-D sequence too, raises DimensionError.
+    other shape, a 2-D sequence too, raises DimensionError.  Returns the
+    output (B, n, d) and the cache ``lstm_layer_backward`` reads.
 
     The backward direction is the forward recurrence on the reversed sequence
-    with the output reversed back.  With ``lengths`` (B,), row b is a
-    sentence of ``lengths[b]`` steps right-padded to n: a forward layer runs
-    over the padding after the real steps, which never feed back into them,
-    and a backward layer reverses each row within its own length, so the
-    padding stays last.  Outputs at padded steps are finite and meaningless.
+    with the output reversed back.  ``lengths=None`` is a same-length batch;
+    with ``lengths`` (B,), row b is a sentence of ``lengths[b]`` steps
+    right-padded to n: a forward layer runs over the padding after the real
+    steps, which never feed back into them, and a backward layer reverses
+    each row within its own length, so the padding stays last.  Outputs at
+    padded steps are finite and meaningless.
     """
     if direction not in ("f", "b"):
         raise DomainError(f"direction must be 'f' or 'b', got {direction!r}")
@@ -355,8 +351,6 @@ def lstm_layer_forward(
         out = _reverse_steps(out, lengths)  # a new array when lengths are given
     if np.may_share_memory(out, hiddens):
         out = out.copy()  # one contiguous array, never a view of the cache
-    if not want_cache:
-        return out
     for a in (gates, cells, tanh_cells, hiddens):
         a.flags.writeable = False
     return out, LstmCache(direction, x, gates, cells, tanh_cells, hiddens, lengths)
@@ -418,8 +412,11 @@ def lstm_layer_backward(
     return d_x, grads
 
 
-def connection_forward(h: np.ndarray, x: np.ndarray, w: np.ndarray, want_cache: bool = False):
-    """x_next = ReLU(W [h; x]); no bias term."""
+def connection_forward(
+    h: np.ndarray, x: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """x_next = ReLU(W [h; x]), no bias term, and the ``(cat, out)`` cache
+    ``connection_backward`` reads."""
     h, x = np.asarray(h), np.asarray(x)
     if h.shape[:-1] != x.shape[:-1]:
         raise DimensionError(f"connection_forward: h {h.shape} vs x {x.shape}")
@@ -427,11 +424,9 @@ def connection_forward(h: np.ndarray, x: np.ndarray, w: np.ndarray, want_cache: 
     if cat.shape[-1] != w.shape[1]:
         raise DimensionError(f"connection_forward: concat {cat.shape} vs W {w.shape}")
     out = np.maximum(_matmul_rows(cat, w.T), 0.0)
-    if want_cache:
-        # out > 0 exactly where the pre-activation is, and out is the next
-        # layer's input already, so caching it holds no extra array
-        return out, (cat, out)
-    return out
+    # out > 0 exactly where the pre-activation is, and out is the next
+    # layer's input already, so caching it holds no extra array
+    return out, (cat, out)
 
 
 def connection_backward(
@@ -501,12 +496,10 @@ def encode_batch(
     n_layers = params.n_layers
     h = None
     for l in range(n_layers):
+        h, lc = lstm_layer_forward(x, layer_direction(l), params.layers[l], lengths)
         if want_cache:
-            h, lc = lstm_layer_forward(x, layer_direction(l), params.layers[l],
-                                       want_cache=True, lengths=lengths)
             cache.lstm_caches.append(lc)
-        else:
-            h = lstm_layer_forward(x, layer_direction(l), params.layers[l], lengths=lengths)
+        del lc  # a cache not kept is freed before the next layer allocates
         if l == n_layers - 1:
             break
         if dropout_layer > 0:
@@ -516,11 +509,10 @@ def encode_batch(
         else:
             cache.layer_masks.append(None)
             h_in = h
+        x, cc = connection_forward(h_in, x, params.connections[l])
         if want_cache:
-            x, cc = connection_forward(h_in, x, params.connections[l], want_cache=True)
             cache.conn_caches.append(cc)
-        else:
-            x = connection_forward(h_in, x, params.connections[l])
+        del cc
     if want_cache:
         return h, cache
     return h

@@ -87,7 +87,7 @@ def _neighborhood_rows(
     for b in _blocks(len(flat), ids.shape[1]):
         m = gather_neighbors(memory.vectors, ids[flat[b]], workspace).astype(h.dtype, copy=False)
         dist = dists[flat[b]] if nbr.mode == "distance" else None
-        _, out[b] = neighborhood_forward(h[b], m, nbr, distances=dist, workspace=workspace)
+        out[b] = neighborhood_forward(h[b], m, nbr, dist, workspace)[1]
     return out
 
 

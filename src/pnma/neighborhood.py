@@ -24,13 +24,13 @@ the three contractions over T tokens are batched matrix products: the logits
 rank-vector gradient (K, 1, T) @ (K, T, d).
 
 Workspace.  The two (K, ..., d) arrays, the gather and ``|m - h|``, are
-written into a ``NeighborhoodWorkspace``: two grow-only flat buffers that a
-caller creates once and passes to every gather and forward of a training
-call or a tagging pass, so a step reuses memory the process has already
-touched instead of allocating (and page-faulting) two fresh arrays.  Without
-one, each call writes into a workspace of its own.  A ``NeighborhoodCache``
-holds views into the workspace, so a backward raises once a later gather or
-forward has written it.
+written into a ``NeighborhoodWorkspace``: two grow-only flat buffers, so a
+step reuses memory the process has already touched instead of allocating
+(and page-faulting) two fresh arrays.  No kernel makes one: the caller that
+owns a training call or a tagging pass creates it once and passes it to every
+gather and forward of that call or pass.  A ``NeighborhoodCache`` holds views
+into the workspace, so a backward raises once a later gather or forward has
+written it.
 """
 
 from __future__ import annotations
@@ -134,11 +134,11 @@ def _move_axis(a: np.ndarray, source: int, dest: int) -> np.ndarray:
 
 
 def gather_neighbors(
-    vectors: np.ndarray, ids: np.ndarray, workspace: NeighborhoodWorkspace | None = None
+    vectors: np.ndarray, ids: np.ndarray, workspace: NeighborhoodWorkspace
 ) -> np.ndarray:
     """Rows of ``vectors`` (N, d) for entry ids (..., K): a (..., K, d) view of
     a contiguous rank-major (K, ..., d) array, the layout the kernels use,
-    written into ``workspace``'s gather buffer (a new workspace's if None).
+    written into the caller's ``workspace``, in its gather buffer.
 
     An id outside [0, N) raises ``DomainError``: the gather itself clips,
     since numpy's bounds-checked ``take`` would write into a copy of the
@@ -148,9 +148,8 @@ def gather_neighbors(
     if ids.size and (ids.min() < 0 or ids.max() >= len(vectors)):
         raise DomainError(f"gather_neighbors: entry ids must lie in [0, {len(vectors)}), "
                           f"got {ids.min()}..{ids.max()}")
-    ws = NeighborhoodWorkspace() if workspace is None else workspace
     rank_ids = _move_axis(ids, -1, 0)
-    out = ws.array("gather", rank_ids.shape + vectors.shape[1:], vectors.dtype)
+    out = workspace.array("gather", rank_ids.shape + vectors.shape[1:], vectors.dtype)
     np.take(vectors, rank_ids, axis=0, out=out, mode="clip")
     return _move_axis(out, 0, -2)
 
@@ -182,17 +181,17 @@ def neighborhood_forward(
     h: np.ndarray,
     m: np.ndarray,
     params: NeighborhoodParams,
-    distances: np.ndarray | None = None,
-    want_cache: bool = False,
-    workspace: NeighborhoodWorkspace | None = None,
-):
-    """Weights eta (..., K) and representation (..., d) for queries h (..., d)
-    with neighbor vectors m (..., K, d).  ``|m - h|`` is written into
-    ``workspace``'s sep buffer (a new workspace's if None), and the cache
-    holds a view of it; gather m into the same workspace, so that the
+    distances: np.ndarray | None,
+    workspace: NeighborhoodWorkspace,
+) -> tuple[np.ndarray, np.ndarray, NeighborhoodCache]:
+    """Weights eta (..., K), representation (..., d) and the backward's cache
+    for queries h (..., d) with neighbor vectors m (..., K, d).  ``|m - h|``
+    is written into the caller's ``workspace``, in its sep buffer, and the
+    cache holds a view of it; gather m into the same workspace, so that the
     cache's staleness check covers m too.
 
-    ``distances`` (..., K) is only consulted in ``distance`` mode.  On a
+    ``distances`` (..., K) is only read in ``distance`` mode, and may be None
+    in the other modes.  On a
     single query (1-D ``h``) the two reductions use exactly rounded
     summation, which makes the result bit-identical under a joint
     permutation of the neighbors and their rank vectors; the batched path
@@ -212,9 +211,8 @@ def neighborhood_forward(
     lead = h.shape[:-1]
     tokens = math.prod(lead)
     single = h.ndim == 1
-    ws = NeighborhoodWorkspace() if workspace is None else workspace
     mk = np.ascontiguousarray(_move_axis(m, -2, 0))  # (K, ..., d)
-    sep = np.subtract(mk, h, out=ws.array("sep", mk.shape, np.result_type(mk, h)))
+    sep = np.subtract(mk, h, out=workspace.array("sep", mk.shape, np.result_type(mk, h)))
     np.abs(sep, out=sep)
     if params.mode == "distance":
         if distances is None:
@@ -233,10 +231,8 @@ def neighborhood_forward(
     else:
         m_tokens = mk.reshape(k, tokens, d).transpose(1, 0, 2)  # (T, K, d) view
         repr_ = (eta.reshape(k, tokens).T[:, None, :] @ m_tokens).reshape(lead + (d,))
-    if not want_cache:
-        return _move_axis(eta, 0, -1), repr_
-    return _move_axis(eta, 0, -1), repr_, NeighborhoodCache(h=h, m=mk, sep=sep, eta=eta,
-                                                             workspace=ws, writes=ws.writes)
+    return _move_axis(eta, 0, -1), repr_, NeighborhoodCache(
+        h=h, m=mk, sep=sep, eta=eta, workspace=workspace, writes=workspace.writes)
 
 
 def _score_backward(

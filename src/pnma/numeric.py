@@ -53,14 +53,11 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def logsumexp(z: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Stable log(sum(exp(z))); always >= max(z)."""
+def logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
+    """Stable log(sum(exp(z))) along ``axis``; always >= max(z) along it."""
     z = np.asarray(z)
     if z.size == 0:
         raise DomainError("logsumexp: empty input")
-    if axis is None:
-        m = float(np.max(z))
-        return float(np.log(np.sum(np.exp(z - m))) + m)
     m = np.max(z, axis=axis, keepdims=True)
     out = np.log(np.sum(np.exp(z - m), axis=axis, keepdims=True)) + m
     return np.squeeze(out, axis=axis)

@@ -427,8 +427,7 @@ def train_pnma(
         h = h_all[rows]
         m = gather_neighbors(memory.vectors, nbr_ids[rows], workspace).astype(dtype, copy=False)
         dists = nbr_dists[rows] if nbr_dists is not None else None
-        _, repr_, ncache = neighborhood_forward(h, m, nbr, distances=dists, want_cache=True,
-                                                workspace=workspace)
+        _, repr_, ncache = neighborhood_forward(h, m, nbr, dists, workspace)
         if nbr.mode == "distance":
             return repr_, lambda d_repr, head: head
         return repr_, lambda d_repr, head: {

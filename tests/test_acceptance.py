@@ -32,6 +32,7 @@ from pnma.encoder import encode_batch, encode_backward, init_encoder_params
 from pnma.memory import ActivationMemory, deserialize_memory, knn_query
 from pnma.neighborhood import (
     NeighborhoodParams,
+    NeighborhoodWorkspace,
     neighborhood_backward,
     neighborhood_forward,
 )
@@ -218,7 +219,7 @@ class TestCriterion1GradientSuite:
             nbr = NeighborhoodParams(n=rng.normal(size=(k, d)))
 
             def pnma_loss_fn():
-                _, rep, cache = neighborhood_forward(h_q, m, nbr, want_cache=True)
+                _, rep, cache = neighborhood_forward(h_q, m, nbr, None, NeighborhoodWorkspace())
                 em = emission_scores(rep, crf)
                 ll, cg = crf_log_likelihood(em, gold, crf)
                 d_rep, _, _ = emission_backward(-cg.emissions, rep, crf)
@@ -277,7 +278,7 @@ class TestCriterion2CrfOracle:
                     stop=rng.normal(size=y),
                 )
                 gold = rng.integers(0, y, size=n)
-                ll, _ = crf_log_likelihood(em, gold, params, want_grads=False)
+                ll, _ = crf_log_likelihood(em, gold, params)
                 log_z = gold_path_score(em, gold, params) - ll
                 scores = [
                     gold_path_score(em, np.array(p), params)
@@ -330,19 +331,21 @@ class TestCriterion4NeighborhoodUnitTruths:
             for _ in range(100):
                 k, d = int(rng.integers(1, 9)), int(rng.integers(1, 8))
                 params = NeighborhoodParams(n=rng.normal(size=(k, d)))
-                eta, _ = neighborhood_forward(
-                    rng.normal(size=d), rng.normal(size=(k, d)), params
+                eta, _, _ = neighborhood_forward(
+                    rng.normal(size=d), rng.normal(size=(k, d)), params, None,
+                    NeighborhoodWorkspace()
                 )
                 assert abs(eta.sum() - 1.0) < 1e-12
             # K=1 returns the neighbor bit for bit (double precision)
             m1 = rng.normal(size=(1, 6))
             params1 = NeighborhoodParams(n=rng.normal(size=(1, 6)))
-            _, rep = neighborhood_forward(rng.normal(size=6), m1, params1)
+            _, rep, _ = neighborhood_forward(rng.normal(size=6), m1, params1,
+                                             None, NeighborhoodWorkspace())
             np.testing.assert_array_equal(rep, m1[0])
             # all-zero parameters give uniform weights
             params0 = NeighborhoodParams(n=np.zeros((5, 4)))
-            eta0, _ = neighborhood_forward(
-                rng.normal(size=4), rng.normal(size=(5, 4)), params0
+            eta0, _, _ = neighborhood_forward(
+                rng.normal(size=4), rng.normal(size=(5, 4)), params0, None, NeighborhoodWorkspace()
             )
             np.testing.assert_allclose(eta0, np.full(5, 0.2), atol=1e-15, rtol=0)
             # joint permutation of (neighbors, rank vectors) leaves the result
@@ -353,9 +356,10 @@ class TestCriterion4NeighborhoodUnitTruths:
             h = rng.normal(size=d)
             for _ in range(10):
                 perm = rng.permutation(k)
-                eta_a, rep_a = neighborhood_forward(h, m, NeighborhoodParams(n=nmat))
-                eta_b, rep_b = neighborhood_forward(
-                    h, m[perm], NeighborhoodParams(n=nmat[perm])
+                eta_a, rep_a, _ = neighborhood_forward(h, m, NeighborhoodParams(n=nmat),
+                                                       None, NeighborhoodWorkspace())
+                eta_b, rep_b, _ = neighborhood_forward(
+                    h, m[perm], NeighborhoodParams(n=nmat[perm]), None, NeighborhoodWorkspace()
                 )
                 np.testing.assert_array_equal(rep_a, rep_b)
                 np.testing.assert_array_equal(eta_a[perm], eta_b)

@@ -14,6 +14,7 @@ from pnma.errors import (
     FormatError,
     NumericError,
     ParseError,
+    PnmaError,
 )
 
 
@@ -140,6 +141,13 @@ class TestExitCodes:
     ])
     def test_data_errors_are_two(self, exc):
         assert exit_code_for(exc) == 2
+
+    def test_any_new_toolkit_error_is_two(self):
+        # the exit codes follow the taxonomy: a subclass no list names is data
+        class NewError(PnmaError):
+            pass
+
+        assert exit_code_for(NewError("x")) == 2
 
 
 class TestIntegerKeys:

@@ -67,7 +67,7 @@ class TestLogLikelihood:
         ll, _ = crf_log_likelihood(em, np.array([2]), params)
         from pnma.numeric import logsumexp
 
-        assert ll == pytest.approx(em[0, 2] - logsumexp(em[0]), abs=1e-12)
+        assert ll == pytest.approx(em[0, 2] - logsumexp(em[0], axis=0), abs=1e-12)
 
     def test_uniform_chain(self):
         n, y = 5, 3
@@ -129,7 +129,7 @@ class TestGradients:
         _, grads = crf_log_likelihood(em, gold, params)
 
         def f(e):
-            ll, _ = crf_log_likelihood(e, gold, params, want_grads=False)
+            ll, _ = crf_log_likelihood(e, gold, params)
             return ll
 
         err = finite_difference_check(f, em, grads.emissions)
@@ -144,15 +144,15 @@ class TestGradients:
 
         def with_trans(t):
             p2 = CrfParams(params.emit_w, params.emit_b, t, params.start, params.stop)
-            return crf_log_likelihood(em, gold, p2, want_grads=False)[0]
+            return crf_log_likelihood(em, gold, p2)[0]
 
         def with_start(s):
             p2 = CrfParams(params.emit_w, params.emit_b, params.trans, s, params.stop)
-            return crf_log_likelihood(em, gold, p2, want_grads=False)[0]
+            return crf_log_likelihood(em, gold, p2)[0]
 
         def with_stop(s):
             p2 = CrfParams(params.emit_w, params.emit_b, params.trans, params.start, s)
-            return crf_log_likelihood(em, gold, p2, want_grads=False)[0]
+            return crf_log_likelihood(em, gold, p2)[0]
 
         assert finite_difference_check(with_trans, params.trans, grads.trans) < 1e-4
         assert finite_difference_check(with_start, params.start, grads.start) < 1e-4
@@ -245,15 +245,13 @@ def test_batch_bit_identical_to_per_t_oracle(dtype):
         params = random_params(rng, y, scale=2.0)
         em = (3.0 * rng.normal(size=(b, n, y))).astype(dtype)
         gold = rng.integers(0, y, size=(b, n))
-        ll, g = crf._crf_batch_log(em, gold, params, True)
+        ll, g = crf._crf_batch_log(em, gold, params)
         ll_o, d_em, d_trans, d_start, d_stop = per_t_crf_oracle(em, gold, params)
         assert np.array_equal(ll, ll_o)
         assert g.emissions.dtype == dtype and np.array_equal(g.emissions, d_em)
         assert np.array_equal(g.trans, d_trans)
         assert np.array_equal(g.start, d_start)
         assert np.array_equal(g.stop, d_stop)
-        ll_only, none = crf._crf_batch_log(em, gold, params, False)
-        assert none is None and np.array_equal(ll_only, ll_o)
 
 
 def score_spread(em, params):
@@ -291,7 +289,7 @@ def test_scaled_recursion_matches_log_space(dtype):
     for em, gold, params in spread_cases(rng, dtype, 120):
         b, n, _ = em.shape
         ll, g = crf_log_likelihood_batch(em, gold, params)
-        ll_ref, ref = crf._crf_batch_log(em, gold, params, True)
+        ll_ref, ref = crf._crf_batch_log(em, gold, params)
         log_z = crf._gold_score(em, gold, params.trans, params.start, params.stop) - ll_ref
         assert np.all(np.abs(ll - ll_ref) <= 1e-12 * np.maximum(1.0, np.abs(log_z)))
         assert g.emissions.dtype == dtype
@@ -303,8 +301,6 @@ def test_scaled_recursion_matches_log_space(dtype):
         assert np.all(np.abs(g.start - ref.start) <= 1e-12 * b)
         assert np.all(np.abs(g.stop - ref.stop) <= 1e-12 * b)
         assert np.all(np.abs(g.trans - ref.trans) <= 1e-12 * max(1, b * (n - 1)))
-        ll_only, none = crf_log_likelihood_batch(em, gold, params, want_grads=False)
-        assert none is None and np.array_equal(ll_only, ll)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -320,7 +316,7 @@ def test_spread_above_limit_takes_log_space_exactly(dtype):
         assert score_spread(em, params) > crf._scaled_spread_limit(y)
         gold = rng.integers(0, y, size=(b, n))
         ll, g = crf_log_likelihood_batch(em, gold, params)
-        ll_ref, ref = crf._crf_batch_log(em, gold, params, True)
+        ll_ref, ref = crf._crf_batch_log(em, gold, params)
         assert np.array_equal(ll, ll_ref)
         for name in ("emissions", "trans", "start", "stop"):
             assert np.array_equal(getattr(g, name), getattr(ref, name))
@@ -332,9 +328,24 @@ def test_non_finite_scores_take_log_space():
     em[1, 2, 0] = np.nan
     gold = np.zeros((2, 4), dtype=np.int64)
     ll, _ = crf_log_likelihood_batch(em, gold, params)
-    ll_ref, _ = crf._crf_batch_log(em, gold, params, True)
+    ll_ref, _ = crf._crf_batch_log(em, gold, params)
     assert np.isfinite(ll[0]) and np.isnan(ll[1])
     assert np.array_equal(ll, ll_ref, equal_nan=True)
+
+
+def test_non_finite_row_sends_its_finite_rows_to_log_space():
+    # a NaN spread is not below the limit, so the whole batch takes the
+    # log-space recursion, whose finite rows round otherwise than the scaled one
+    rng = make_rng(35)
+    params = random_params(rng, 4)
+    em = rng.normal(size=(2, 5, 4))
+    gold = rng.integers(0, 4, size=(2, 5))
+    scaled = crf_log_likelihood_batch(em[:1], gold[:1], params)[1].emissions
+    assert not np.array_equal(scaled, crf._crf_batch_log(em[:1], gold[:1], params)[1].emissions)
+    em[1, 2, 0] = np.nan
+    _, g = crf_log_likelihood_batch(em, gold, params)
+    _, ref = crf._crf_batch_log(em, gold, params)
+    assert np.array_equal(g.emissions[0], ref.emissions[0])
 
 
 @pytest.mark.parametrize(
@@ -402,7 +413,7 @@ class TestViterbi:
         rng = make_rng(11)
         em = rng.normal(size=(6, 4, 3))
         params = random_params(rng, 3)
-        batch = viterbi_decode_batch(em, params)
+        batch = viterbi_decode_batch(em, params, np.full(6, 4))
         for i in range(6):
             np.testing.assert_array_equal(batch[i], viterbi_decode(em[i], params))
 
@@ -437,7 +448,8 @@ class TestViterbi:
                 )
             full = np.full(b, n_max)
             assert np.array_equal(
-                viterbi_decode_batch(em, params, full), viterbi_decode_batch(em, params)
+                viterbi_decode_batch(em, params, full),
+                np.stack([viterbi_decode(row, params) for row in em]),
             )
 
     @pytest.mark.parametrize("lengths", [[0, 3], [3, 4], [2], [1.0, 2.0], [-1, 2]])

@@ -17,7 +17,10 @@ and in ``DEFAULTED`` first.
 Only ``memory``, which defines ``knn_entry_ids``, and ``inference``, whose
 ``encode_and_retrieve`` is every other module's way to it, may name it: a
 module that retrieves on its own would no longer retrieve as ``predict``
-does.
+does.  Likewise only ``neighborhood``, which defines ``NeighborhoodWorkspace``,
+and the two callers that own one, ``training`` (a training call) and
+``inference`` (a tagging pass), may name it: the kernels take their caller's
+workspace and make none of their own.
 """
 
 import ast
@@ -128,15 +131,10 @@ DEFAULTED = {
     "analysis.neighbor_dump": "context_window external",
     "config.load_run_config": "overrides",
     "crf.init_crf_params": "dtype",
-    "crf.crf_log_likelihood": "want_grads",
-    "crf.crf_log_likelihood_batch": "want_grads",
-    "crf.viterbi_decode_batch": "lengths",
     "dataio.build_vocab": "min_frequency",
     "dataio.TokenTable.build": "external",
     "encoder.init_encoder_params": "dtype external_dim",
     "encoder.embed_tokens": "external_vectors",
-    "encoder.lstm_layer_forward": "want_cache lengths",
-    "encoder.connection_forward": "want_cache",
     "encoder.encode_batch": "dropout_embed dropout_layer drop_rng external_vectors want_cache "
                             "lengths",
     "encoder.encode_rows": "threads",
@@ -147,11 +145,8 @@ DEFAULTED = {
     "memory.knn_entry_ids": "exclude threads distances",
     "memory.knn_query": "exclude threads",
     "neighborhood.init_neighborhood_params": "mode dtype",
-    "neighborhood.gather_neighbors": "workspace",
-    "neighborhood.neighborhood_forward": "distances want_cache workspace",
     "numeric.make_rng": "stream",
     "numeric.softmax": "axis",
-    "numeric.logsumexp": "axis",
     "numeric.finite_difference_check": "step",
     "training.train_base": "external",
     "training.train_pnma": "external",
@@ -187,7 +182,7 @@ def test_defaulted_parameter_inventory():
     for p in sorted((REPO / "src" / "pnma").glob("*.py")):
         found.update(defaulted_parameters(p.read_text(encoding="utf-8"), p.stem))
     assert found == {name: params.split() for name, params in DEFAULTED.items()}
-    assert sum(map(len, found.values())) == 58
+    assert sum(map(len, found.values())) == 47
 
 
 def test_inventory_reads_every_kind_of_default():
@@ -207,16 +202,26 @@ def test_inventory_reads_every_kind_of_default():
 RETRIEVAL_MODULES = {"memory", "inference"}
 
 
-def names_knn_entry_ids(source: str) -> bool:
-    """Whether a source calls, imports or otherwise names ``knn_entry_ids``."""
+# the modules that may name the neighborhood workspace: its definition, and
+# the owners of a training call and of a tagging pass
+WORKSPACE_MODULES = {"neighborhood", "training", "inference"}
+
+
+def names(source: str, name: str) -> bool:
+    """Whether a source calls, imports or otherwise names ``name``."""
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and node.id == "knn_entry_ids":
+        if isinstance(node, ast.Name) and node.id == name:
             return True
-        if isinstance(node, ast.Attribute) and node.attr == "knn_entry_ids":
+        if isinstance(node, ast.Attribute) and node.attr == name:
             return True
-        if isinstance(node, ast.alias) and node.name == "knn_entry_ids":
+        if isinstance(node, ast.alias) and node.name == name:
             return True
     return False
+
+
+def names_knn_entry_ids(source: str) -> bool:
+    """Whether a source calls, imports or otherwise names ``knn_entry_ids``."""
+    return names(source, "knn_entry_ids")
 
 
 def test_one_retrieval_site():
@@ -224,6 +229,50 @@ def test_one_retrieval_site():
                for p in sorted((REPO / "src" / "pnma").glob("*.py"))}
     naming = {module for module, source in modules.items() if names_knn_entry_ids(source)}
     assert naming == RETRIEVAL_MODULES, "retrieve through inference.encode_and_retrieve"
+
+
+def constructing_functions(source: str, module: str, name: str) -> set[str]:
+    """Qualified names of the functions of ``source`` that call ``name(...)``."""
+    found = set()
+
+    def visit(node, qualified):
+        for child in ast.iter_child_nodes(node):
+            inner = qualified
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{qualified}.{child.name}"
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == name):
+                found.add(qualified)
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_workspace_owners():
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((REPO / "src" / "pnma").glob("*.py"))}
+    naming = {module for module, source in modules.items()
+              if names(source, "NeighborhoodWorkspace")}
+    assert naming == WORKSPACE_MODULES, (
+        "a kernel takes its caller's workspace: only a training call and a tagging pass "
+        "make one")
+    makers = set().union(*(constructing_functions(source, module, "NeighborhoodWorkspace")
+                           for module, source in modules.items()))
+    assert makers == {"training.train_pnma", "inference.tag_rows"}
+
+
+def test_workspace_scan_sees_each_kind_of_reference():
+    source = ("from .neighborhood import NeighborhoodWorkspace\n"
+              "def kernel(ws=None):\n"
+              "    ws = NeighborhoodWorkspace() if ws is None else ws\n"
+              "class Owner:\n"
+              "    def run(self):\n"
+              "        return [NeighborhoodWorkspace()]\n")
+    assert names(source, "NeighborhoodWorkspace")
+    assert not names("'NeighborhoodWorkspace'\n", "NeighborhoodWorkspace")
+    assert constructing_functions(source, "m", "NeighborhoodWorkspace") == {
+        "m.kernel", "m.Owner.run"}
 
 
 def test_retrieval_scan_sees_each_kind_of_reference():

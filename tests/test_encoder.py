@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestEmbedding:
 class TestLstmLayer:
     def test_zero_weights_give_zero_output(self):
         w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-        out = lstm_layer_forward(np.ones((1, 4, 3)), "f", w)
+        out, _ = lstm_layer_forward(np.ones((1, 4, 3)), "f", w, None)
         np.testing.assert_array_equal(out, np.zeros((1, 4, 2)))
 
     def test_single_step_vs_hand_unrolled_gates(self):
@@ -88,7 +89,7 @@ class TestLstmLayer:
             rng.normal(size=4 * d),
         )
         x = rng.normal(size=(1, 1, d_in))
-        out = lstm_layer_forward(x, "f", w)[0, 0]
+        out = lstm_layer_forward(x, "f", w, None)[0][0, 0]
 
         # hand-unrolled gate arithmetic, zero initial state
         pre = w.wx @ x[0, 0] + w.b
@@ -110,8 +111,8 @@ class TestLstmLayer:
             rng.normal(size=4 * d),
         )
         x = rng.normal(size=(1, n, d_in))
-        back = lstm_layer_forward(x, "b", w)
-        fwd_on_reversed = lstm_layer_forward(x[:, ::-1], "f", w)
+        back, _ = lstm_layer_forward(x, "b", w, None)
+        fwd_on_reversed, _ = lstm_layer_forward(x[:, ::-1], "f", w, None)
         np.testing.assert_array_equal(back, fwd_on_reversed[:, ::-1])
 
     @pytest.mark.parametrize("direction", ["f", "b"])
@@ -125,23 +126,23 @@ class TestLstmLayer:
         )
         x = rng.normal(size=(1, n, d_in))
         d_out = rng.normal(size=(1, n, d))
-        out, cache = lstm_layer_forward(x, direction, w, want_cache=True)
+        out, cache = lstm_layer_forward(x, direction, w, None)
         d_x, grads = lstm_layer_backward(d_out, cache, w)
 
         def loss_x(t):
-            return float((lstm_layer_forward(t, direction, w) * d_out).sum())
+            return float((lstm_layer_forward(t, direction, w, None)[0] * d_out).sum())
 
         def loss_wx(t):
             w2 = LstmWeights(t, w.wh, w.b)
-            return float((lstm_layer_forward(x, direction, w2) * d_out).sum())
+            return float((lstm_layer_forward(x, direction, w2, None)[0] * d_out).sum())
 
         def loss_wh(t):
             w2 = LstmWeights(w.wx, t, w.b)
-            return float((lstm_layer_forward(x, direction, w2) * d_out).sum())
+            return float((lstm_layer_forward(x, direction, w2, None)[0] * d_out).sum())
 
         def loss_b(t):
             w2 = LstmWeights(w.wx, w.wh, t)
-            return float((lstm_layer_forward(x, direction, w2) * d_out).sum())
+            return float((lstm_layer_forward(x, direction, w2, None)[0] * d_out).sum())
 
         assert finite_difference_check(loss_x, x, d_x) < 1e-4
         assert finite_difference_check(loss_wx, w.wx, grads.wx) < 1e-4
@@ -151,20 +152,20 @@ class TestLstmLayer:
     def test_shape_mismatch(self):
         w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
         with pytest.raises(DimensionError):
-            lstm_layer_forward(np.ones((1, 4, 5)), "f", w)
+            lstm_layer_forward(np.ones((1, 4, 5)), "f", w, None)
 
     def test_bad_direction(self):
         w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
         with pytest.raises(DomainError):
-            lstm_layer_forward(np.ones((1, 4, 3)), "x", w)
+            lstm_layer_forward(np.ones((1, 4, 3)), "x", w, None)
 
     @pytest.mark.parametrize("direction", ["f", "b"])
     def test_batch_axis_is_required(self, direction):
         # a single sequence is the batch of one: (n, d) is no input form
         w = LstmWeights(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
         with pytest.raises(DimensionError, match=r"lstm input \(4, 3\)"):
-            lstm_layer_forward(np.ones((4, 3)), direction, w)
-        _, cache = lstm_layer_forward(np.ones((1, 4, 3)), direction, w, want_cache=True)
+            lstm_layer_forward(np.ones((4, 3)), direction, w, None)
+        _, cache = lstm_layer_forward(np.ones((1, 4, 3)), direction, w, None)
         for shape in ((4, 2), (1, 4, 3), (1, 3, 2), (2, 4, 2)):
             with pytest.raises(DimensionError, match=r"d_out .* vs output \(1, 4, 2\)"):
                 lstm_layer_backward(np.ones(shape), cache, w)
@@ -172,12 +173,12 @@ class TestLstmLayer:
 
 class TestConnection:
     def test_zero_weights(self):
-        out = connection_forward(np.ones(3), np.ones(2), np.zeros((3, 5)))
+        out, _ = connection_forward(np.ones(3), np.ones(2), np.zeros((3, 5)))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_relu_clamps_negative_preactivations(self):
         w = -np.ones((3, 5))
-        out = connection_forward(np.ones(3), np.ones(2), w)
+        out, _ = connection_forward(np.ones(3), np.ones(2), w)
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_gradient_vs_finite_differences(self):
@@ -187,17 +188,17 @@ class TestConnection:
         h = rng.normal(size=(2, d))
         x = rng.normal(size=(2, d_in))
         d_out = rng.normal(size=(2, d))
-        out, cache = connection_forward(h, x, w, want_cache=True)
+        out, cache = connection_forward(h, x, w)
         d_h, d_x, d_w = connection_backward(d_out, cache, w, d)
 
         def loss_w(t):
-            return float((connection_forward(h, x, t) * d_out).sum())
+            return float((connection_forward(h, x, t)[0] * d_out).sum())
 
         def loss_h(t):
-            return float((connection_forward(t, x, w) * d_out).sum())
+            return float((connection_forward(t, x, w)[0] * d_out).sum())
 
         def loss_x(t):
-            return float((connection_forward(h, t, w) * d_out).sum())
+            return float((connection_forward(h, t, w)[0] * d_out).sum())
 
         assert finite_difference_check(loss_w, w, d_w) < 1e-4
         assert finite_difference_check(loss_h, h, d_h) < 1e-4
@@ -207,7 +208,7 @@ class TestConnection:
         rng = make_rng(9)
         w = rng.normal(size=(4, 7))
         out, (cat, cached) = connection_forward(rng.normal(size=(2, 3, 4)),
-                                                rng.normal(size=(2, 3, 3)), w, want_cache=True)
+                                                rng.normal(size=(2, 3, 3)), w)
         assert cached is out
         assert cat.shape == (2, 3, 7)
 
@@ -321,7 +322,7 @@ def test_weight_gradients_within_round_off_of_per_step_sums(dtype, direction, bs
     )
     x = rng.normal(size=(bsz, n, d_in)).astype(dtype)
     d_out = rng.normal(size=(bsz, n, d)).astype(dtype)
-    _, cache = lstm_layer_forward(x, direction, w, want_cache=True)
+    _, cache = lstm_layer_forward(x, direction, w, None)
     d_x, grads = lstm_layer_backward(d_out, cache, w)
     d_x_ref, ref, dpres = _per_step_float64_backward(d_out, cache, w)
     assert np.array_equal(d_x, d_x_ref) and d_x.dtype == d_x_ref.dtype
@@ -405,7 +406,7 @@ def test_gate_layout_equals_row_major_gates_bit_for_bit(dtype, direction, ragged
     x = rng.normal(size=(bsz, n, d_in)).astype(dtype)
     d_out = rng.normal(size=(bsz, n, d)).astype(dtype)
     lengths = rng.integers(1, n + 1, size=bsz) if ragged else None
-    out, cache = lstm_layer_forward(x, direction, w, want_cache=True, lengths=lengths)
+    out, cache = lstm_layer_forward(x, direction, w, lengths)
     d_x, grads = lstm_layer_backward(d_out, cache, w)
     ref_out, ref_cache, ref_d_x, ref_grads = _row_major_lstm(x, direction, w, lengths, d_out)
     got = {"output": out, "d_x": d_x, **{f"cache.{k}": cache_views(cache)[k] for k in ref_cache},
@@ -426,9 +427,9 @@ def test_gate_layout_equals_row_major_gates_bit_for_bit(dtype, direction, ragged
 @pytest.mark.parametrize("ragged", [False, True])
 @pytest.mark.parametrize("d", [48, 300])
 def test_one_loop_with_and_without_cache(dtype, direction, ragged, d):
-    # inference and training run one recurrence: ``want_cache`` only decides
-    # whether its step-major arrays are returned, and the backward that reads
-    # them gives the row-major oracle's gradient bytes
+    # inference and training run one recurrence, which always returns its
+    # step-major arrays, and the backward that reads them gives the row-major
+    # oracle's gradient bytes
     rng = make_rng(d + 5)
     bsz, n = 32, 7
     w = LstmWeights(rng.uniform(-0.3, 0.3, size=(4 * d, d)).astype(dtype),
@@ -437,8 +438,8 @@ def test_one_loop_with_and_without_cache(dtype, direction, ragged, d):
     x = rng.normal(size=(bsz, n, d)).astype(dtype)
     d_out = rng.normal(size=(bsz, n, d)).astype(dtype)
     lengths = rng.integers(1, n + 1, size=bsz) if ragged else None
-    plain = lstm_layer_forward(x, direction, w, lengths=lengths)
-    out, cache = lstm_layer_forward(x, direction, w, want_cache=True, lengths=lengths)
+    plain, _ = lstm_layer_forward(x, direction, w, lengths)
+    out, cache = lstm_layer_forward(x, direction, w, lengths)
     assert (plain.dtype, plain.shape) == (out.dtype, out.shape) == (np.dtype(dtype), (bsz, n, d))
     assert plain.tobytes() == out.tobytes()
     for name in ("i", "f", "g", "o", "tanh_c", "h_prev", "c_prev"):
@@ -643,8 +644,8 @@ class TestRaggedEncode:
                         rng.normal(size=(20, 5)).astype(np.float32),
                         rng.normal(size=20).astype(np.float32))
         x = rng.normal(size=(3, 6, 4)).astype(np.float32)
-        a, ca = lstm_layer_forward(x, direction, w, want_cache=True)
-        b, cb = lstm_layer_forward(x, direction, w, want_cache=True, lengths=np.full(3, 6))
+        a, ca = lstm_layer_forward(x, direction, w, None)
+        b, cb = lstm_layer_forward(x, direction, w, np.full(3, 6))
         assert a.tobytes() == b.tobytes()
         d_out = rng.normal(size=a.shape).astype(np.float32)
         (dxa, ga), (dxb, gb) = lstm_layer_backward(d_out, ca, w), lstm_layer_backward(d_out, cb, w)
@@ -664,11 +665,11 @@ class TestRaggedEncode:
         w = LstmWeights(rng.normal(size=(12, 4)), rng.normal(size=(12, 3)), rng.normal(size=12))
         x = rng.normal(size=(3, 5, 4))
         d_out = rng.normal(size=(3, 5, 3)) * (np.arange(5) < lengths[:, None])[..., None]
-        out, cache = lstm_layer_forward(x, direction, w, want_cache=True, lengths=lengths)
+        out, cache = lstm_layer_forward(x, direction, w, lengths)
         d_x, grads = lstm_layer_backward(d_out, cache, w)
         sums = {"wx": 0.0, "wh": 0.0, "b": 0.0}
         for r, n in enumerate(lengths):
-            out_r, cache_r = lstm_layer_forward(x[r : r + 1, :n], direction, w, want_cache=True)
+            out_r, cache_r = lstm_layer_forward(x[r : r + 1, :n], direction, w, None)
             np.testing.assert_allclose(out[r, :n], out_r[0], rtol=0, atol=1e-14)
             d_x_r, g = lstm_layer_backward(d_out[r : r + 1, :n], cache_r, w)
             np.testing.assert_allclose(d_x[r, :n], d_x_r[0], rtol=0, atol=1e-13)
@@ -682,8 +683,7 @@ class TestRaggedEncode:
         for lengths in ([4, 0], [4, 5], [4], [2.5, 3.0], [2.0, 3.0]):
             for direction in ("f", "b"):
                 with pytest.raises(DomainError, match="lengths must be 2 integers in 1..4"):
-                    lstm_layer_forward(np.ones((2, 4, 3)), direction, w,
-                                       lengths=np.array(lengths))
+                    lstm_layer_forward(np.ones((2, 4, 3)), direction, w, np.array(lengths))
 
 
 class TestLengthSortedChunks:
@@ -711,6 +711,46 @@ class TestLengthSortedChunks:
 
     def test_empty(self):
         assert length_sorted_chunks([]) == []
+
+
+class TestLayerCacheLifetime:
+    """Every forward returns its cache.  ``encode_batch`` keeps them all with
+    ``want_cache``, and otherwise frees each one before the next layer runs,
+    so inference holds one layer's activations at a time."""
+
+    @pytest.mark.parametrize("lengths", [None, np.array([4, 2, 3])])
+    @pytest.mark.parametrize("want_cache", [False, True])
+    def test_earlier_caches_dead_unless_kept(self, monkeypatch, want_cache, lengths):
+        rng = make_rng(40)
+        params = small_params(rng, n_layers=4)
+        words, bits = rng.integers(0, 10, size=(3, 4)), rng.integers(0, 2, size=(3, 4))
+        lstm, conn = encoder.lstm_layer_forward, encoder.connection_forward
+        refs = []  # a weakref to each LSTM cache and to each connection's cat
+
+        def on_entry():
+            assert [r() is not None for r in refs] == [want_cache] * len(refs)
+
+        def spy_lstm(*args):
+            on_entry()
+            out, cache = lstm(*args)
+            refs.append(weakref.ref(cache))
+            return out, cache
+
+        def spy_conn(*args):
+            on_entry()
+            out, cache = conn(*args)
+            refs.append(weakref.ref(cache[0]))
+            return out, cache
+
+        monkeypatch.setattr(encoder, "lstm_layer_forward", spy_lstm)
+        monkeypatch.setattr(encoder, "connection_forward", spy_conn)
+        result = encode_batch(words, bits, params, want_cache=want_cache, lengths=lengths)
+        assert len(refs) == 7
+        on_entry()
+        if want_cache:
+            cache = result[1]
+            assert [weakref.ref(c) for c in cache.lstm_caches] == refs[::2]
+            assert [weakref.ref(cat) for cat, _ in cache.conn_caches] == refs[1::2]
 
 
 class TestFullStackGradients:
@@ -764,11 +804,11 @@ class TestFullStackGradients:
             x = embed_tokens(word_ids, bits, p)
             x = x * cache.embed_mask
             for l in range(p.n_layers):
-                hh = lstm_layer_forward(x, layer_direction(l), p.layers[l])
+                hh, _ = lstm_layer_forward(x, layer_direction(l), p.layers[l], None)
                 if l == p.n_layers - 1:
                     return hh
                 hh = hh * cache.layer_masks[l]
-                x = connection_forward(hh, x, p.connections[l])
+                x, _ = connection_forward(hh, x, p.connections[l])
 
         flat = params.to_dict()
         for name in ("lstm0.wx", "conn0.w", "embed.word", "lstm1.wh"):

@@ -9,7 +9,7 @@ from pnma.dataio import TokenTable, build_vocab
 from pnma.encoder import encode_batch, encode_rows, init_encoder_params, length_sorted_chunks
 from pnma.inference import predict_base_corpus, predict_pnma_corpus, tag_rows
 from pnma.memory import ActivationMemory, build_memory, knn_entry_ids, self_exclusions
-from pnma.neighborhood import init_neighborhood_params, neighborhood_forward
+from pnma.neighborhood import NeighborhoodWorkspace, init_neighborhood_params, neighborhood_forward
 from pnma.numeric import make_rng
 from pnma.synthetic import generate_split
 
@@ -57,9 +57,10 @@ def per_job_tags(instances, encoder, crf, vocab, nbr=None, memory=None,
             else:
                 ids, dists = stack(ids_all), stack(dists_all)
             m = memory.vectors[ids].astype(h.dtype, copy=False)
-            _, repr_ = neighborhood_forward(h, m, nbr, distances=dists.astype(h.dtype))
+            _, repr_, _ = neighborhood_forward(h, m, nbr,
+                                               dists.astype(h.dtype), NeighborhoodWorkspace())
             em = emission_scores(repr_, crf)
-        paths = viterbi_decode_batch(em, crf)
+        paths = viterbi_decode_batch(em, crf, np.full(len(em), em.shape[1]))
         for row, i in enumerate(job):
             preds[i] = paths[row]
     return preds

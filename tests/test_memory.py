@@ -658,6 +658,10 @@ class TestSerialization:
         except FormatError:
             pass
 
+    def test_bytes_after_the_last_field_are_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="trailing bytes in memory file"):
+            deserialize_memory(self._crafted(tmp_path, lambda body: body + b"\0"))
+
     @pytest.mark.parametrize("d, count", [(7, 1 << 40), (0xFFFFFFFF, 1)])
     def test_oversized_header_is_format_error(self, tmp_path, d, count):
         def edit(body):

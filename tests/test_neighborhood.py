@@ -32,19 +32,21 @@ class TestWeights:
             params = NeighborhoodParams(n=rng.normal(size=(k, d)))
             h = rng.normal(size=d)
             m = rng.normal(size=(k, d))
-            eta, _ = neighborhood_forward(h, m, params)
+            eta, _, _ = neighborhood_forward(h, m, params, None, NeighborhoodWorkspace())
             assert abs(eta.sum() - 1.0) < 1e-12
 
     def test_single_neighbor_weight_is_one(self):
         params = NeighborhoodParams(n=np.array([[2.0, -3.0]]))
-        eta, _ = neighborhood_forward(np.zeros(2), np.ones((1, 2)), params)
+        eta, _, _ = neighborhood_forward(np.zeros(2), np.ones((1, 2)), params,
+                                         None, NeighborhoodWorkspace())
         np.testing.assert_array_equal(eta, [1.0])
 
     def test_zero_parameters_give_uniform(self):
         rng = make_rng(2)
         k, d = 5, 3
         params = NeighborhoodParams(n=np.zeros((k, d)))
-        eta, _ = neighborhood_forward(rng.normal(size=d), rng.normal(size=(k, d)), params)
+        eta, _, _ = neighborhood_forward(rng.normal(size=d), rng.normal(size=(k, d)), params,
+                                         None, NeighborhoodWorkspace())
         np.testing.assert_allclose(eta, np.full(k, 1 / k), atol=1e-15)
 
     def test_scalar_hand_computation(self):
@@ -52,7 +54,7 @@ class TestWeights:
         params = NeighborhoodParams(n=np.array([[3.0], [1.0]]))
         h = np.array([0.0])
         m = np.array([[1.0], [-2.0]])
-        eta, rep = neighborhood_forward(h, m, params)
+        eta, rep, _ = neighborhood_forward(h, m, params, None, NeighborhoodWorkspace())
         with mpmath.workdps(50):
             e3, e2 = mpmath.e ** 3, mpmath.e ** 2
             expected = np.array([float(e3 / (e3 + e2)), float(e2 / (e3 + e2))])
@@ -64,12 +66,14 @@ class TestWeights:
     def test_width_mismatch(self):
         params = NeighborhoodParams(n=np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            neighborhood_forward(np.zeros(4), np.zeros((2, 3)), params)
+            neighborhood_forward(np.zeros(4), np.zeros((2, 3)), params,
+                                 None, NeighborhoodWorkspace())
 
     def test_wrong_k_parameters(self):
         params = NeighborhoodParams(n=np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            neighborhood_forward(np.zeros(3), np.zeros((5, 3)), params)
+            neighborhood_forward(np.zeros(3), np.zeros((5, 3)), params,
+                                 None, NeighborhoodWorkspace())
 
 
 class TestRepresentation:
@@ -77,7 +81,8 @@ class TestRepresentation:
         rng = make_rng(4)
         params = NeighborhoodParams(n=rng.normal(size=(1, 5)))
         m = rng.normal(size=(1, 5))
-        _, rep = neighborhood_forward(rng.normal(size=5), m, params)
+        _, rep, _ = neighborhood_forward(rng.normal(size=5), m, params,
+                                         None, NeighborhoodWorkspace())
         np.testing.assert_array_equal(rep, m[0])
 
     def test_identical_neighbors_collapse(self):
@@ -85,7 +90,8 @@ class TestRepresentation:
         v = rng.normal(size=4)
         m = np.tile(v, (6, 1))
         params = NeighborhoodParams(n=rng.normal(size=(6, 4)))
-        _, rep = neighborhood_forward(rng.normal(size=4), m, params)
+        _, rep, _ = neighborhood_forward(rng.normal(size=4), m, params,
+                                         None, NeighborhoodWorkspace())
         np.testing.assert_allclose(rep, v, atol=1e-12, rtol=0)
 
     def test_convex_hull_bound(self):
@@ -94,7 +100,8 @@ class TestRepresentation:
             k, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
             params = NeighborhoodParams(n=rng.normal(size=(k, d)))
             m = rng.normal(size=(k, d))
-            _, rep = neighborhood_forward(rng.normal(size=d), m, params)
+            _, rep, _ = neighborhood_forward(rng.normal(size=d), m, params,
+                                             None, NeighborhoodWorkspace())
             assert np.all(rep <= m.max(axis=0) + 1e-12)
             assert np.all(rep >= m.min(axis=0) - 1e-12)
 
@@ -102,7 +109,7 @@ class TestRepresentation:
         params = NeighborhoodParams(n=np.array([[3.0], [1.0]]))
         h = np.array([0.0])
         m = np.array([[1.0], [-2.0]])
-        eta, rep = neighborhood_forward(h, m, params)
+        eta, rep, _ = neighborhood_forward(h, m, params, None, NeighborhoodWorkspace())
         assert rep[0] == pytest.approx(eta[0] * 1.0 + eta[1] * -2.0, abs=1e-15)
 
     def test_joint_permutation_invariance(self):
@@ -112,8 +119,10 @@ class TestRepresentation:
         m = rng.normal(size=(k, d))
         h = rng.normal(size=d)
         perm = rng.permutation(k)
-        _, rep = neighborhood_forward(h, m, NeighborhoodParams(n=n))
-        _, rep_p = neighborhood_forward(h, m[perm], NeighborhoodParams(n=n[perm]))
+        _, rep, _ = neighborhood_forward(h, m, NeighborhoodParams(n=n),
+                                         None, NeighborhoodWorkspace())
+        _, rep_p, _ = neighborhood_forward(h, m[perm], NeighborhoodParams(n=n[perm]),
+                                           None, NeighborhoodWorkspace())
         np.testing.assert_array_equal(rep, rep_p)
 
     def test_shared_mode_invariant_under_neighbor_permutation(self):
@@ -123,8 +132,8 @@ class TestRepresentation:
         m = rng.normal(size=(k, d))
         h = rng.normal(size=d)
         perm = rng.permutation(k)
-        _, rep = neighborhood_forward(h, m, params)
-        _, rep_p = neighborhood_forward(h, m[perm], params)
+        _, rep, _ = neighborhood_forward(h, m, params, None, NeighborhoodWorkspace())
+        _, rep_p, _ = neighborhood_forward(h, m[perm], params, None, NeighborhoodWorkspace())
         np.testing.assert_allclose(rep, rep_p, atol=1e-12)
 
 
@@ -137,15 +146,16 @@ class TestModes:
         dists = np.array([0.5, 1.0, 2.0, 4.0])
         p1 = NeighborhoodParams(n=rng.normal(size=(k, d)), mode="distance")
         p2 = NeighborhoodParams(n=rng.normal(size=(k, d)), mode="distance")
-        eta1, _ = neighborhood_forward(h, m, p1, distances=dists)
-        eta2, _ = neighborhood_forward(h, m, p2, distances=dists)
+        eta1, _, _ = neighborhood_forward(h, m, p1, dists, NeighborhoodWorkspace())
+        eta2, _, _ = neighborhood_forward(h, m, p2, dists, NeighborhoodWorkspace())
         np.testing.assert_array_equal(eta1, eta2)
         assert np.all(np.diff(eta1) < 0)  # closer neighbors weigh more
 
     def test_distance_mode_requires_distances(self):
         params = NeighborhoodParams(n=np.zeros((2, 2)), mode="distance")
         with pytest.raises(DomainError):
-            neighborhood_forward(np.zeros(2), np.zeros((2, 2)), params)
+            neighborhood_forward(np.zeros(2), np.zeros((2, 2)), params,
+                                 None, NeighborhoodWorkspace())
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
@@ -176,7 +186,7 @@ class TestNonFinite:
         target = {"query": h, "rank vector": params.n, "neighbor distance": dists}[where]
         target.reshape(-1)[-1] = bad
         with pytest.raises(NumericError, match=f"non-finite {where}"):
-            neighborhood_forward(h, m, params, distances=dists)
+            neighborhood_forward(h, m, params, dists, NeighborhoodWorkspace())
 
 
 class TestGradients:
@@ -187,20 +197,21 @@ class TestGradients:
         h = rng.normal(size=d)
         m = rng.normal(size=(k, d))
         d_rep = rng.normal(size=d)
-        _, rep, cache = neighborhood_forward(h, m, params, want_cache=True)
+        _, rep, cache = neighborhood_forward(h, m, params, None, NeighborhoodWorkspace())
         d_n, d_h, d_m = neighborhood_backward(d_rep, cache, params)
 
         def loss_n(t):
             p2 = NeighborhoodParams(n=t.reshape(k, d))
-            _, r = neighborhood_forward(h, m, p2)
+            _, r, _ = neighborhood_forward(h, m, p2, None, NeighborhoodWorkspace())
             return float(r @ d_rep)
 
         def loss_h(t):
-            _, r = neighborhood_forward(t, m, params)
+            _, r, _ = neighborhood_forward(t, m, params, None, NeighborhoodWorkspace())
             return float(r @ d_rep)
 
         def loss_m(t):
-            _, r = neighborhood_forward(h, t.reshape(k, d), params)
+            _, r, _ = neighborhood_forward(h, t.reshape(k, d), params,
+                                           None, NeighborhoodWorkspace())
             return float(r @ d_rep)
 
         assert finite_difference_check(loss_n, params.n, d_n) < 1e-4
@@ -214,18 +225,18 @@ class TestGradients:
         h = rng.normal(size=d)
         m = rng.normal(size=(k, d))
         d_rep = rng.normal(size=d)
-        _, _, cache = neighborhood_forward(h, m, params, want_cache=True)
+        _, _, cache = neighborhood_forward(h, m, params, None, NeighborhoodWorkspace())
         d_n, d_h, _ = neighborhood_backward(d_rep, cache, params)
 
         def loss_n(t):
             p2 = NeighborhoodParams(n=t.reshape(1, d), mode="shared")
-            _, r = neighborhood_forward(h, m, p2)
+            _, r, _ = neighborhood_forward(h, m, p2, None, NeighborhoodWorkspace())
             return float(r @ d_rep)
 
         assert finite_difference_check(loss_n, params.n, d_n) < 1e-4
 
         def loss_h(t):
-            _, r = neighborhood_forward(t, m, params)
+            _, r, _ = neighborhood_forward(t, m, params, None, NeighborhoodWorkspace())
             return float(r @ d_rep)
 
         assert finite_difference_check(loss_h, h, d_h) < 1e-4
@@ -237,20 +248,22 @@ class TestGradients:
         h = rng.normal(size=(b, n, d))
         m = rng.normal(size=(b, n, k, d))
         d_rep = rng.normal(size=(b, n, d))
-        _, _, cache = neighborhood_forward(h, m, params, want_cache=True)
+        _, _, cache = neighborhood_forward(h, m, params, None, NeighborhoodWorkspace())
         d_nn, d_h, d_m = neighborhood_backward(d_rep, cache, params)
 
         def loss_n(t):
             p2 = NeighborhoodParams(n=t.reshape(k, d))
-            _, r = neighborhood_forward(h, m, p2)
+            _, r, _ = neighborhood_forward(h, m, p2, None, NeighborhoodWorkspace())
             return float((r * d_rep).sum())
 
         def loss_h(t):
-            _, r = neighborhood_forward(t.reshape(b, n, d), m, params)
+            _, r, _ = neighborhood_forward(t.reshape(b, n, d), m, params,
+                                           None, NeighborhoodWorkspace())
             return float((r * d_rep).sum())
 
         def loss_m(t):
-            _, r = neighborhood_forward(h, t.reshape(b, n, k, d), params)
+            _, r, _ = neighborhood_forward(h, t.reshape(b, n, k, d), params,
+                                           None, NeighborhoodWorkspace())
             return float((r * d_rep).sum())
 
         assert finite_difference_check(loss_n, params.n, d_nn) < 1e-4
@@ -266,27 +279,30 @@ class TestGradients:
         b, n, k, d = 2, 3, 4, 5
         vectors = rng.normal(size=(30, d))
         ids = rng.integers(0, 30, size=(b, n, k))
-        m = gather_neighbors(vectors, ids)
+        m = gather_neighbors(vectors, ids, NeighborhoodWorkspace())
         params = init_neighborhood_params(k, d, rng, mode=mode, dtype=np.float64)
         params.n[...] = rng.normal(0.0, 0.5, size=params.n.shape)
         h = rng.normal(size=(b, n, d))
         d_rep = rng.normal(size=(b, n, d))
-        _, _, cache = neighborhood_forward(h, m, params, want_cache=True)
+        _, _, cache = neighborhood_forward(h, m, params, None, NeighborhoodWorkspace())
         d_n, d_h, d_m = neighborhood_backward(d_rep, cache, params)
 
         def loss_n(t):
             p2 = NeighborhoodParams(n=t.reshape(params.n.shape), mode=mode)
-            return float((neighborhood_forward(h, m, p2)[1] * d_rep).sum())
+            return float((neighborhood_forward(h, m, p2,
+                                               None, NeighborhoodWorkspace())[1] * d_rep).sum())
 
         def loss_h(t):
-            return float((neighborhood_forward(t.reshape(h.shape), m, params)[1] * d_rep).sum())
+            return float((neighborhood_forward(t.reshape(h.shape), m, params,
+                                               None, NeighborhoodWorkspace())[1] * d_rep).sum())
 
         def loss_m(t):
             # each perturbed batch goes through the helper's layout again
             table = t.reshape(-1, d)
             flat_ids = np.arange(table.shape[0]).reshape(b, n, k)
-            m2 = gather_neighbors(table, flat_ids)
-            return float((neighborhood_forward(h, m2, params)[1] * d_rep).sum())
+            m2 = gather_neighbors(table, flat_ids, NeighborhoodWorkspace())
+            return float((neighborhood_forward(h, m2, params,
+                                               None, NeighborhoodWorkspace())[1] * d_rep).sum())
 
         assert finite_difference_check(loss_n, params.n, d_n) < 1e-4
         assert finite_difference_check(loss_h, h, d_h) < 1e-4
@@ -301,7 +317,7 @@ class TestGradients:
         d_rep = rng.normal(size=(b, n, d))
         for mode, rows in (("distinct", k), ("shared", 1), ("distance", k)):
             params = NeighborhoodParams(n=rng.normal(size=(rows, d)), mode=mode)
-            _, _, cache = neighborhood_forward(h, m, params, distances=dists, want_cache=True)
+            _, _, cache = neighborhood_forward(h, m, params, dists, NeighborhoodWorkspace())
             d_n = neighborhood_param_grad(d_rep, cache, params)
             assert np.array_equal(d_n, neighborhood_backward(d_rep, cache, params)[0]), mode
             assert d_n.shape == params.n.shape
@@ -337,7 +353,7 @@ class TestRankMajorLayout:
         rng = make_rng(30)
         vectors = rng.normal(size=(20, 3)).astype(np.float32)
         ids = rng.integers(0, 20, size=(2, 4, 5))
-        m = gather_neighbors(vectors, ids)
+        m = gather_neighbors(vectors, ids, NeighborhoodWorkspace())
         assert m.shape == (2, 4, 5, 3) and m.dtype == np.float32
         np.testing.assert_array_equal(m, vectors[ids])
         assert np.moveaxis(m, -2, 0).flags.c_contiguous
@@ -350,9 +366,8 @@ class TestRankMajorLayout:
             vectors, ids, h, dists, params = random_case(rng, k, lead, d, dtype, mode)
             d_rep = rng.normal(size=(*lead, d)).astype(dtype)
             outs = []
-            for m in (vectors[ids], gather_neighbors(vectors, ids)):
-                eta, rep, cache = neighborhood_forward(h, m, params, distances=dists,
-                                                       want_cache=True)
+            for m in (vectors[ids], gather_neighbors(vectors, ids, NeighborhoodWorkspace())):
+                eta, rep, cache = neighborhood_forward(h, m, params, dists, NeighborhoodWorkspace())
                 outs.append((eta, rep, *neighborhood_backward(d_rep, cache, params)))
             for a, b in zip(*outs):
                 assert a.dtype == b.dtype and a.shape == b.shape
@@ -365,11 +380,12 @@ class TestRankMajorLayout:
         eps = np.finfo(dtype).eps
         for k, lead, d in random_shapes(rng, 20):
             vectors, ids, h, dists, params = random_case(rng, k, lead, d, dtype, mode)
-            m = gather_neighbors(vectors, ids)
-            eta, rep = neighborhood_forward(h, m, params, distances=dists)
+            m = gather_neighbors(vectors, ids, NeighborhoodWorkspace())
+            eta, rep, _ = neighborhood_forward(h, m, params, dists, NeighborhoodWorkspace())
             assert eta.shape == (*lead, k) and rep.shape == (*lead, d)
             for t in np.ndindex(*lead):
-                eta1, rep1 = neighborhood_forward(h[t], m[t], params, distances=dists[t])
+                eta1, rep1, _ = neighborhood_forward(h[t], m[t], params,
+                                                     dists[t], NeighborhoodWorkspace())
                 # a logit carries at most d roundings of terms up to |n| |m - h|
                 logit_err = 4 * d * eps * float(np.abs(params.n).max()) * float(
                     np.abs(m[t] - h[t]).max())
@@ -449,8 +465,7 @@ class TestWorkspace:
             t = (0,) * len(lead)
             # the batched path, then the single-query path on one token
             for hq, mq, dq, rq in ((h, m, dists, d_rep), (h[t], m[t], dists[t], d_rep[t])):
-                eta, rep, cache = neighborhood_forward(hq, mq, params, distances=dq,
-                                                       want_cache=True, workspace=ws)
+                eta, rep, cache = neighborhood_forward(hq, mq, params, dq, ws)
                 d_n = neighborhood_param_grad(rq, cache, params)
                 ref_eta, ref_rep, saved = allocating_forward(hq, mq, params, dq)
                 for got, want in ((eta, ref_eta), (rep, ref_rep),
@@ -466,10 +481,10 @@ class TestWorkspace:
         d_rep = rng.normal(size=h.shape)
         ws = NeighborhoodWorkspace()
         m = gather_neighbors(vectors, ids, ws)
-        _, _, cache = neighborhood_forward(h, m, params, want_cache=True, workspace=ws)
+        _, _, cache = neighborhood_forward(h, m, params, None, ws)
         want = neighborhood_param_grad(d_rep, cache, params)  # still current: reads its rows
         if later == "forward":
-            neighborhood_forward(h[:1], m[:1], params, workspace=ws)
+            neighborhood_forward(h[:1], m[:1], params, None, ws)
         else:
             gather_neighbors(vectors, ids[:1], ws)
         with pytest.raises(DomainError, match="stale"):
@@ -478,7 +493,7 @@ class TestWorkspace:
             neighborhood_backward(d_rep, cache, params)
         # a fresh gather and forward make a current cache again
         m = gather_neighbors(vectors, ids, ws)
-        _, _, cache = neighborhood_forward(h, m, params, want_cache=True, workspace=ws)
+        _, _, cache = neighborhood_forward(h, m, params, None, ws)
         np.testing.assert_array_equal(neighborhood_param_grad(d_rep, cache, params), want)
 
     @pytest.mark.parametrize("bad", [-1, 20])

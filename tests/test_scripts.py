@@ -103,3 +103,18 @@ def test_paired_cli_seeds_child_usage_and_report_fields():
         assert ("parent_median" in s) == (name in ("minflt", "maxrss_mb"))
     assert doc["metrics"]["minflt"]["change_median"] == 25e3
     assert doc["metrics"]["maxrss_mb"]["parent_median"] == 60.3
+
+
+def test_mutation_probe_texts_occur_once():
+    # each mutant edits one text, which must still occur exactly once in the
+    # current source; the probe itself runs outside tier-1
+    probe = load_script("mutation_probe")
+    assert len(probe.MUTANTS) >= 15
+    for path, old, new, reason in probe.MUTANTS:
+        source = (SCRIPTS.parent / path).read_text(encoding="utf-8")
+        assert source.count(old) == 1, (path, old)
+        assert new != old and reason
+    assert probe.first_failure("x\nFAILED tests/a.py::T::t[1] - boom\nFAILED b\n") == \
+        "tests/a.py::T::t[1]"
+    assert probe.first_failure("ERROR tests/b.py - SyntaxError\n") == "tests/b.py"
+    assert probe.first_failure("5 passed\n") is None

@@ -375,12 +375,11 @@ class TestTrainPnma:
         forward, gather, crf_ll = (training.neighborhood_forward, training.gather_neighbors,
                                    training.crf_log_likelihood_batch)
 
-        def spy_forward(h, m, params, distances=None, want_cache=False, workspace=None):
+        def spy_forward(h, m, params, distances, workspace):
             seen["forward"].append((h.copy(), None if distances is None else distances.copy()))
-            return forward(h, m, params, distances=distances, want_cache=want_cache,
-                           workspace=workspace)
+            return forward(h, m, params, distances, workspace)
 
-        def spy_gather(vectors, ids, workspace=None):
+        def spy_gather(vectors, ids, workspace):
             seen["gather"].append(ids.copy())
             return gather(vectors, ids, workspace)
 
@@ -561,7 +560,7 @@ class TestTrainingLoop:
 
     @pytest.mark.parametrize("phase", ["base", "pnma"])
     def test_non_finite_loss_aborts_with_diagnostics(self, base_setup, monkeypatch, phase):
-        def nan_likelihood(em, gold, params, want_grads=True):
+        def nan_likelihood(em, gold, params):
             return np.full(em.shape[0], np.nan), None
 
         monkeypatch.setattr(training, "crf_log_likelihood_batch", nan_likelihood)
